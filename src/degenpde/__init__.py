@@ -6,7 +6,7 @@ from .fields import (CoefficientField, constant_field, from_expressions,
 from .grid import Grid, GridFunction, Region, SpaceTimePoint
 from .metrics import (cycloidal_distance, parabolic_distance,
                       slab_equivalence_constants)
-from .reduction import build_reduction_plan, jacobi_eigh
+from .reduction import build_reduction_plan
 from .solver import (CauchyProblem, convergence_study, discretize_operator,
                      manufactured_problem, solve_cauchy)
 
@@ -17,7 +17,7 @@ __all__ = [
     "from_expressions", "heston", "homogeneous_drift",
     "validate_assumptions", "Grid", "GridFunction", "Region",
     "SpaceTimePoint", "cycloidal_distance", "parabolic_distance",
-    "slab_equivalence_constants", "build_reduction_plan", "jacobi_eigh",
+    "slab_equivalence_constants", "build_reduction_plan",
     "CauchyProblem", "convergence_study", "discretize_operator",
     "manufactured_problem", "solve_cauchy", "__version__",
 ]

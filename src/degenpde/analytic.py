@@ -15,10 +15,6 @@ import sympy as sp
 _TIME = sp.Symbol("t", real=True)
 
 
-def time_symbol():
-    return _TIME
-
-
 def space_symbols(d):
     return sp.symbols("x1:%d" % (d + 1), real=True)
 
@@ -59,6 +55,29 @@ def parse_expression(text, d):
     return expr
 
 
+def cached_lambdify(cache, key, symbols, expr):
+    """Vectorized closure fn(t, x) of expr in (t, x1..xd), cached by key.
+
+    x has shape (..., d); the result is broadcast to the common shape of
+    t and x[..., 0] and returned as a fresh float array.
+    """
+    fn = cache.get(key)
+    if fn is None:
+        raw = sp.lambdify(symbols, expr, modules="numpy")
+        d = len(symbols) - 1
+
+        def fn(t, x, _raw=raw):
+            t = np.asarray(t, dtype=float)
+            x = np.asarray(x, dtype=float)
+            out = _raw(t, *(x[..., i] for i in range(d)))
+            return np.broadcast_to(np.asarray(out, dtype=float),
+                                   np.broadcast_shapes(t.shape,
+                                                       x.shape[:-1])).copy()
+
+        cache[key] = fn
+    return fn
+
+
 class AnalyticFunction:
     """Scalar function of (t, x1..xd) with exact derivative closures."""
 
@@ -77,20 +96,7 @@ class AnalyticFunction:
         return cls(d, parse_expression(text, d))
 
     def _lambdify(self, key, expr):
-        fn = self._cache.get(key)
-        if fn is None:
-            raw = sp.lambdify(self.symbols, expr, modules="numpy")
-
-            def fn(t, x, _raw=raw):
-                t = np.asarray(t, dtype=float)
-                x = np.asarray(x, dtype=float)
-                out = _raw(t, *(x[..., i] for i in range(self.d)))
-                return np.broadcast_to(np.asarray(out, dtype=float),
-                                       np.broadcast_shapes(t.shape,
-                                                           x.shape[:-1])).copy()
-
-            self._cache[key] = fn
-        return fn
+        return cached_lambdify(self._cache, key, self.symbols, expr)
 
     def value(self, t, x):
         """Evaluate at t (broadcastable) and x of shape (..., d)."""

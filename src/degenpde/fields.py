@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .analytic import _TIME, parse_expression, space_symbols
+from .analytic import (_TIME, cached_lambdify, parse_expression,
+                       space_symbols)
 from .grid import Region
 from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
 
@@ -59,20 +60,7 @@ class CoefficientField:
         return _TIME in free
 
     def _fn(self, key, expr):
-        fn = self._cache.get(key)
-        if fn is None:
-            raw = sp.lambdify(self.symbols, expr, modules="numpy")
-
-            def fn(t, x, _raw=raw):
-                t = np.asarray(t, dtype=float)
-                x = np.asarray(x, dtype=float)
-                out = _raw(t, *(x[..., i] for i in range(self.d)))
-                return np.broadcast_to(np.asarray(out, dtype=float),
-                                       np.broadcast_shapes(t.shape,
-                                                           x.shape[:-1])).copy()
-
-            self._cache[key] = fn
-        return fn
+        return cached_lambdify(self._cache, key, self.symbols, expr)
 
     def a(self, t, x):
         """Diffusion matrix at (t, x); shape (..., d, d)."""

@@ -14,63 +14,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def fd_weights(xs, x0, der):
-    """Finite-difference weights on arbitrary nodes (Fornberg's algorithm).
+def _second_difference(values, x, axis):
+    """Second derivative of values along one axis with nodes x.
 
-    Returns w with sum_j w[j] * f(xs[j]) ~ f^(der)(x0), exact for
-    polynomials of degree  len(xs) - 1.
+    Three-point stencils on the non-uniform slices inside; at each end a
+    one-sided row over four nodes (three when the axis has only three),
+    exact for polynomials of degree one less than its node count.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    if der >= n:
-        raise ValueError("need more than %d nodes for derivative %d" % (n, der))
-    c = np.zeros((n, der + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, der)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, der]
-
-
-def diff_matrix(x, order):
-    """Dense differentiation matrix along one axis.
-
-    Centered three-point stencils in the interior, one-sided second-order
-    stencils at the ends (four nodes for second derivatives when
-    available, three otherwise).
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 3:
-        raise ValueError("axis needs at least 3 nodes")
-    D = np.zeros((n, n))
-    for k in range(1, n - 1):
-        D[k, k - 1:k + 2] = fd_weights(x[k - 1:k + 2], x[k], order)
-    edge = 4 if (order == 2 and n >= 4) else 3
-    D[0, :edge] = fd_weights(x[:edge], x[0], order)
-    D[n - 1, n - edge:] = fd_weights(x[n - edge:], x[n - 1], order)
-    return D
-
-
-def apply_along_axis(D, values, axis):
-    """Apply matrix D along one axis of an nd-array."""
-    moved = np.moveaxis(values, axis, 0)
-    out = np.tensordot(D, moved, axes=(1, 0))
+    u = np.moveaxis(values, axis, 0)
+    col = (-1,) + (1,) * (u.ndim - 1)
+    h0, h1 = np.diff(x)[:-1].reshape(col), np.diff(x)[1:].reshape(col)
+    out = np.empty_like(u)
+    out[1:-1] = 2.0 * (u[:-2] / (h0 * (h0 + h1)) - u[1:-1] / (h0 * h1)
+                       + u[2:] / (h1 * (h0 + h1)))
+    m = min(4, len(x))
+    rhs = np.zeros(m)
+    rhs[2] = 2.0
+    for end, rows in ((0, slice(0, m)), (-1, slice(-m, None))):
+        # sum_j w_j (x_j - x_end)^k = d^2/dx^2 (x - x_end)^k at x_end
+        w = np.linalg.solve(np.vander(x[rows] - x[end], increasing=True).T,
+                            rhs)
+        out[end] = np.tensordot(w, u[rows], axes=1)
     return np.moveaxis(out, 0, axis)
 
 
@@ -281,20 +245,19 @@ class GridFunction:
         return float(np.max(np.abs(self.values[:, mask])))
 
     def time_derivative(self):
-        D = diff_matrix(self.grid.times, 1)
-        return GridFunction(self.grid, apply_along_axis(D, self.values, 0))
+        return GridFunction(self.grid, np.gradient(
+            self.values, self.grid.times, axis=0, edge_order=2))
 
     def derivative(self, i):
         """First spatial derivative along coordinate i (0-based)."""
-        D = diff_matrix(self.grid.axes[i], 1)
-        return GridFunction(self.grid, apply_along_axis(D, self.values, 1 + i))
+        return GridFunction(self.grid, np.gradient(
+            self.values, self.grid.axes[i], axis=1 + i, edge_order=2))
 
     def second_derivative(self, i, j):
         """Second spatial derivative; pure 3-point stencil when i == j."""
         if i == j:
-            D = diff_matrix(self.grid.axes[i], 2)
-            return GridFunction(self.grid,
-                                apply_along_axis(D, self.values, 1 + i))
+            return GridFunction(self.grid, _second_difference(
+                self.values, self.grid.axes[i], 1 + i))
         return self.derivative(i).derivative(j)
 
     def weighted_by_height(self):

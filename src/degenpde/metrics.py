@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, SpaceTimePoint
+from .grid import SpaceTimePoint
 
 EXHAUSTIVE_CAP = 50_000
 SAMPLED_PAIRS = 200_000
@@ -326,64 +326,3 @@ def order2_norm(constituents, points, alpha, q=0.0, split_height=1.0, **kw):
     total = r_u.total + r_t.total + best_du.total + best_dd.total
     reports.extend([r_u, r_t, best_du, best_dd])
     return total, reports
-
-
-def metric_order2_norm(u, points, alpha, metric, **kw):
-    """Single-metric norm of order 2+alpha of an analytic function.
-
-    The cycloidal version weights second derivatives by the height; the
-    parabolic version uses them unweighted.
-    """
-    d = u.d
-    t, x = points.t, points.x
-    parts = [holder_norm(u.value(t, x), points, alpha, metric, **kw),
-             holder_norm(u.dt(t, x), points, alpha, metric, **kw)]
-    first = [holder_norm(u.dx(i, t, x), points, alpha, metric, **kw)
-             for i in range(d)]
-    h = x[:, -1]
-    if metric == "s":
-        second = [holder_norm(h * u.dxx(i, j, t, x), points, alpha,
-                              metric, **kw)
-                  for i in range(d) for j in range(i, d)]
-    else:
-        second = [holder_norm(u.dxx(i, j, t, x), points, alpha, metric, **kw)
-                  for i in range(d) for j in range(i, d)]
-    total = (parts[0].total + parts[1].total
-             + max(r.total for r in first) + max(r.total for r in second))
-    return total, parts + first + second
-
-
-def transform_seminorm_bounds(w1, M, alpha, region, n_points=400, seed=0):
-    """Two-sided parabolic-seminorm comparison under x -> M x, M SPD.
-
-    w2(t, x) := w1(t, M x) is compared with w1 through the eigenvalue
-    range of M: the forward constant divides [w1] by
-    (1 + lmin^(-alpha)) [w2] and the backward constant divides [w2] by
-    (1 + lmax^alpha) [w1].  Both are finite for nonconstant w1 and are
-    invariant under rescaling w1.
-    """
-    M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise ValueError("transform matrix must be symmetric")
-    lams = np.linalg.eigvalsh(M)
-    if lams[0] <= 0:
-        raise ValueError("transform matrix must be positive definite")
-    lmin, lmax = float(lams[0]), float(lams[-1])
-    rng = np.random.default_rng(seed)
-    t, x = region.sample(rng, n_points)
-    pts2 = PointSet(t, x)
-    pts1 = PointSet(t, x @ M.T)
-    w2 = w1.affine_pullback(M)
-    v1 = w1.value(pts1.t, pts1.x)
-    v2 = w2.value(pts2.t, pts2.x)
-    s1 = seminorm(v1, pts1, alpha, "rho", seed=seed)
-    s2 = seminorm(v2, pts2, alpha, "rho", seed=seed)
-    out = {
-        "lambda_min": lmin, "lambda_max": lmax,
-        "seminorm_w1": s1.value, "seminorm_w2": s2.value,
-        "c_forward": s1.value / ((1.0 + lmin ** (-alpha)) * s2.value)
-        if s2.value > 0 else float("inf"),
-        "c_backward": s2.value / ((1.0 + lmax ** alpha) * s1.value)
-        if s1.value > 0 else float("inf"),
-    }
-    return out

@@ -7,7 +7,7 @@ normal form  w_t - z_d Lap w - bbar.grad w  on the same half-space:
 2. shear  y_i = x_i + alpha_i x_d  with alpha_i = -a^id / a^dd, which
    zeroes the mixed row/column of the diffusion matrix and replaces the
    lateral block by its Schur complement  a^ik - a^id a^kd / a^dd;
-3. diagonalize the lateral block with a cyclic Jacobi rotation and scale,
+3. diagonalize the lateral block with an orthogonal rotation and scale,
    z' = (a^dd)^(-1/2) D^(-1/2) P^T y',  z_d = y_d / a^dd,
 
 after which the diffusion part is exactly z_d times the identity and the
@@ -25,122 +25,38 @@ import numpy as np
 import sympy as sp
 
 from .analytic import _TIME, AnalyticFunction
-from .fields import CoefficientField, constant_field
-from .grid import Grid, GridFunction
+from .fields import constant_field
+from .grid import GridFunction
 
 SIGN_TOL = 1e-12
 
 
-def jacobi_eigh(A, tol=1e-14, max_sweeps=100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def pullback_grid_function(u, target_grid, matrix):
+    """v(t, z) := u(t, matrix @ z) sampled on target_grid.
 
-    Sweeps rotate away every off-diagonal pair until the squared
-    off-diagonal mass falls below tol times the squared Frobenius norm.
-    Eigenvalues are returned ascending; each eigenvector column is signed
-    so its first entry larger than 1e-12 in magnitude is positive, making
-    the factorization deterministic.
+    Multilinear interpolation over all time slices at once.  A point more
+    than 1e-9 of an axis span outside that axis raises rather than
+    extrapolates; one inside that tolerance is clipped onto the axis.
     """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or not np.allclose(A, A.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    norm2 = float(np.sum(A * A)) or 1.0
-    polish = False
-    for _ in range(max_sweeps):
-        # summed from the entries themselves: the difference of the two
-        # large Frobenius sums cancels to zero long before the entries do
-        off = A - np.diag(np.diag(A))
-        off2 = float(np.sum(off * off))
-        if off2 == 0.0 or polish:
-            break
-        if off2 <= tol * norm2:
-            # one more sweep; quadratic convergence takes the remaining
-            # off-diagonal mass to rounding level
-            polish = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    else:
-        raise RuntimeError("Jacobi sweep did not converge")
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    for k in range(n):
-        col = V[:, k]
-        lead = np.flatnonzero(np.abs(col) > SIGN_TOL)
-        if len(lead) and col[lead[0]] < 0:
-            V[:, k] = -col
-    return w, V
+    # imported here: scipy.interpolate adds about 0.25 s to importing degenpde
+    from scipy.interpolate import RegularGridInterpolator
 
-
-def interp_tensor(axes, values, points):
-    """Multilinear interpolation of values on a tensor grid.
-
-    values has shape tuple(len(a) for a in axes); points is (m, d).
-    Points outside the hull raise rather than extrapolate.
-    """
-    d = len(axes)
-    points = np.asarray(points, dtype=float)
-    m = len(points)
-    idx = []
-    frac = []
-    for i, ax in enumerate(axes):
-        span = ax[-1] - ax[0]
-        tol = 1e-9 * span
-        coords = points[:, i]
-        if np.any(coords < ax[0] - tol) or np.any(coords > ax[-1] + tol):
-            bad = coords[(coords < ax[0] - tol) | (coords > ax[-1] + tol)]
+    if not np.array_equal(u.grid.times, target_grid.times):
+        raise ValueError("time axes must agree")
+    xs = target_grid.nodes() @ np.asarray(matrix, dtype=float).T
+    for i, ax in enumerate(u.grid.axes):
+        tol = 1e-9 * (ax[-1] - ax[0])
+        coords = xs[:, i]
+        bad = coords[(coords < ax[0] - tol) | (coords > ax[-1] + tol)]
+        if len(bad):
             raise ValueError("point coordinate %.17g outside axis [%g, %g]; "
                              "refusing to extrapolate"
                              % (bad[0], ax[0], ax[-1]))
-        k = np.clip(np.searchsorted(ax, coords, side="right") - 1,
-                    0, len(ax) - 2)
-        idx.append(k)
-        frac.append(np.clip((coords - ax[k]) / (ax[k + 1] - ax[k]), 0.0, 1.0))
-    out = np.zeros(m)
-    for corner in range(1 << d):
-        w = np.ones(m)
-        loc = []
-        for i in range(d):
-            if corner >> i & 1:
-                w = w * frac[i]
-                loc.append(idx[i] + 1)
-            else:
-                w = w * (1.0 - frac[i])
-                loc.append(idx[i])
-        out += w * values[tuple(loc)]
-    return out
-
-
-def pullback_grid_function(u, target_grid, matrix):
-    """v(t, z) := u(t, matrix @ z) sampled on target_grid slice by slice."""
-    if not np.array_equal(u.grid.times, target_grid.times):
-        raise ValueError("time axes must agree")
-    matrix = np.asarray(matrix, dtype=float)
-    zs = target_grid.nodes()
-    xs = zs @ matrix.T
-    vals = np.empty((target_grid.n_t,) + target_grid.shape)
-    for n in range(u.grid.n_t):
-        vals[n] = interp_tensor(u.grid.axes, u.values[n],
-                                xs).reshape(target_grid.shape)
-    return GridFunction(target_grid, vals)
+        xs[:, i] = np.clip(coords, ax[0], ax[-1])
+    vals = RegularGridInterpolator(u.grid.axes,
+                                   np.moveaxis(u.values, 0, -1))(xs)
+    return GridFunction(target_grid, vals.T.reshape(
+        (target_grid.n_t,) + target_grid.shape))
 
 
 @dataclass
@@ -152,8 +68,6 @@ class ReductionPlan:
     alpha: np.ndarray
     eigvals: np.ndarray
     P: np.ndarray
-    shear: np.ndarray = dc_field(repr=False)
-    scale: np.ndarray = dc_field(repr=False)
     forward: np.ndarray = dc_field(repr=False)
     backward: np.ndarray = dc_field(repr=False)
     b_bar: np.ndarray = dc_field(repr=False)
@@ -255,7 +169,11 @@ def build_reduction_plan(field):
     add = a[d - 1, d - 1]
     alpha, S, a_sheared = shear_transform(a)
     lateral = a_sheared[:d - 1, :d - 1]
-    eigvals, P = jacobi_eigh(lateral)
+    eigvals, P = np.linalg.eigh(lateral)
+    # deterministic basis: the first entry of each eigenvector column
+    # larger than SIGN_TOL in magnitude is made positive
+    lead = np.argmax(np.abs(P) > SIGN_TOL, axis=0)
+    P = P * np.where(P[lead, np.arange(d - 1)] < 0, -1.0, 1.0)
     if np.min(eigvals) <= 0:
         raise ValueError("lateral diffusion block is not positive definite")
     G = np.zeros((d, d))
@@ -280,6 +198,5 @@ def build_reduction_plan(field):
         np.max(np.abs(add * (forward @ a @ forward.T) - np.eye(d))))
     certs["inverse"] = float(np.max(np.abs(forward @ backward - np.eye(d))))
     certs["model_drift_height"] = float(b_bar[-1])
-    plan = ReductionPlan(d, c, alpha, eigvals, P, S, G, forward, backward,
-                         b_bar, certs)
-    return plan
+    return ReductionPlan(d, c, alpha, eigvals, P, forward, backward, b_bar,
+                         certs)

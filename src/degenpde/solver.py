@@ -232,9 +232,6 @@ class SolveReport:
     steps: list = dc_field(default_factory=list)
     wall_time: float = 0.0
 
-    def max_iterations(self):
-        return max((s[1] for s in self.steps), default=0)
-
     def max_residual(self):
         return max((s[2] for s in self.steps), default=0.0)
 

@@ -11,6 +11,7 @@ the vanishing of the height-weighted Hessian at the degenerate boundary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,10 +20,10 @@ import sympy as sp
 from .analytic import _TIME, AnalyticFunction, bump, space_symbols
 from .fields import constant_field, heston, homogeneous_drift
 from .grid import Grid, GridFunction, Region
-from .metrics import (PointSet, analytic_constituents, grid_constituents,
-                      grid_point_set, holder_norm, metric_order2_norm,
-                      order2_norm, split_holder_norm)
-from .reduction import build_reduction_plan, pullback_grid_function
+from .metrics import (analytic_constituents, grid_constituents,
+                      grid_point_set, holder_norm, order2_norm,
+                      split_holder_norm)
+from .reduction import build_reduction_plan
 from .solver import (CauchyProblem, apply_discrete_operator,
                      manufactured_problem, solve_cauchy)
 
@@ -113,14 +114,12 @@ def weighted_supersolution(K, q, data_norm, d=2):
 # ---------------------------------------------------------------------------
 # a-priori bounds on computed solutions
 
-def data_sups(problem, grid):
-    """Grid maxima of |f| and |g| over all nodes and slice times."""
+def data_sups(problem, grid, w=1.0):
+    """Grid maxima of w |f| and w |g| over all nodes and slice times."""
     nodes = grid.nodes()
-    g_sup = float(np.max(np.abs(problem.g.value(0.0, nodes))))
-    f_sup = 0.0
-    for t in grid.times:
-        f_sup = max(f_sup, float(np.max(np.abs(problem.f_values(t,
-                                                                nodes)))))
+    g_sup = float(np.max(w * np.abs(problem.g.value(0.0, nodes))))
+    f_sup = max(float(np.max(w * np.abs(problem.f_values(t, nodes))))
+                for t in grid.times)
     return f_sup, g_sup
 
 
@@ -141,11 +140,7 @@ def check_weighted_bound(u, problem, K, q, slack=1.05, margin_frac=0.25):
     grid = u.grid
     nodes = grid.nodes()
     w = (1.0 + np.linalg.norm(nodes, axis=1)) ** q
-    g_sup = float(np.max(w * np.abs(problem.g.value(0.0, nodes))))
-    f_sup = 0.0
-    for t in grid.times:
-        f_sup = max(f_sup,
-                    float(np.max(w * np.abs(problem.f_values(t, nodes)))))
+    f_sup, g_sup = data_sups(problem, grid, w)
     lam = 1.0 + q * (q + 4.0) * K
     T = grid.t_final
     mask = grid.audited_mask(margin_frac).ravel()
@@ -494,9 +489,19 @@ def _interp_lhs(u, points, alpha, which, **kw):
 
 
 def interpolation_cases(u, points, alpha, **kw):
-    """(lhs per inequality, full cycloidal norm, sup norm) for one u."""
-    full, _ = metric_order2_norm(u, points, alpha, "s", **kw)
-    sup = float(np.max(np.abs(u.value(points.t, points.x))))
+    """(lhs per inequality, full cycloidal norm, sup norm) for one u.
+
+    The full norm adds the cycloidal norms of u and u_t, of the worst first
+    derivative and of the worst height-weighted second derivative.
+    """
+    vals, dt_vals, du, wdd = analytic_constituents(u, points)
+
+    def norm(v):
+        return holder_norm(v, points, alpha, "s", **kw).total
+
+    full = (norm(vals) + norm(dt_vals) + max(map(norm, du))
+            + max(map(norm, wdd)))
+    sup = float(np.max(np.abs(vals)))
     lhs = {k: _interp_lhs(u, points, alpha, k, **kw)
            for k in INTERP_INEQUALITIES}
     return lhs, full, sup
@@ -572,15 +577,12 @@ def interpolation_check(functions=None, d=2, alpha=0.5,
 
 
 def _lattice_points(d, t_final, lattice):
+    """Every (slice, node) of the lattice on [-1.3, 1.3]^(d-1) x [0, 1.3]."""
     nt, nlat, nh = lattice
     axes = [np.linspace(-1.3, 1.3, nlat) for _ in range(d - 1)]
     axes.append(np.linspace(0.0, 1.3, nh))
-    ts = np.linspace(0.0, t_final, nt)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=1)
-    t_all = np.repeat(ts, len(xs))
-    x_all = np.tile(xs, (len(ts), 1))
-    return PointSet(t_all, x_all)
+    grid = Grid(axes, np.linspace(0.0, t_final, nt))
+    return grid_point_set(grid, n_max=np.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +688,7 @@ def reduction_round_trip(field, kind="inner_bump", x_extent=2.0, height=2.0,
     u_direct, _ = solve_cauchy(problem, grid, boundary="exact",
                                certify=False)
 
-    corners = _box_corners(grid)
+    corners = list(itertools.product(*[(a[0], a[-1]) for a in grid.axes]))
     z_corners = plan.forward_points(corners)
     d = field.d
     axes = []
@@ -718,14 +720,3 @@ def reduction_round_trip(field, kind="inner_bump", x_extent=2.0, height=2.0,
                       discrepancy <= factor * err_direct,
                       "direct error %.6g" % err_direct)
     return res, plan
-
-
-def _box_corners(grid):
-    d = grid.d
-    los = [a[0] for a in grid.axes]
-    his = [a[-1] for a in grid.axes]
-    corners = []
-    for mask in range(1 << d):
-        corners.append([his[i] if mask >> i & 1 else los[i]
-                        for i in range(d)])
-    return np.asarray(corners)

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import degenpde
 from degenpde import cli, gridio
 from degenpde.fields import homogeneous_drift
 from degenpde.grid import Grid, GridFunction
@@ -162,6 +165,14 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_threads_section_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, threads=2,
+                                       experiments=["verify-barriers"]))
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown config section 'threads'" in capsys.readouterr().err
+
     def test_run_without_experiments_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
         code = cli.main(["run", "--config", cfg,
@@ -191,6 +202,26 @@ class TestMainExitCodes:
         assert "linear-solver" in checks
         assert "monotonicity-certificate" in checks
         assert (out / "solve" / "summary.txt").exists()
+
+    def test_linear_solver_residual_can_fail(self, tmp_path, capsys,
+                                             monkeypatch):
+        real = cli.solve_cauchy
+
+        def loose(problem, grid, **kw):
+            u, report = real(problem, grid, **kw)
+            report.steps.append((len(report.steps) + 1, 1,
+                                 1e3 * report.rtol))
+            return u, report
+
+        monkeypatch.setattr(cli, "solve_cauchy", loose)
+        cfg = write_cfg(tmp_path, dict(BASE_CFG))
+        out = tmp_path / "out"
+        code = cli.main(["solve", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert "[FAIL] linear-solver" in capsys.readouterr().out
+        rows = (out / "solve" / "checks.csv").read_text().splitlines()
+        assert [r for r in rows if r.startswith("linear-solver,")][0] \
+            .endswith(",fail")
 
     def test_failing_check_exits_1(self, tmp_path, capsys):
         # identity diffusion has smallest eigenvalue 1; declaring 5 must fail
@@ -222,13 +253,12 @@ class TestMainExitCodes:
 
 
 class TestExperiments:
-    def test_run_dispatches_concurrently(self, tmp_path, capsys):
+    def test_run_dispatches_every_experiment(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "field": {"preset": "constant", "a": [[2.0, 1.0], [1.0, 1.0]],
                       "b": [1.0, 2.0], "c": -0.5},
             "experiments": ["verify-barriers", "reduce"],
             "barriers": {"n_points": 400},
-            "threads": 2,
         })
         out = tmp_path / "out"
         code = cli.main(["run", "--config", cfg, "--out", str(out)])
@@ -297,3 +327,16 @@ class TestExperiments:
             outs.append(
                 (out / "verify-barriers" / "checks.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate adds a noticeable share of the start-up time;
+    # only pullback_grid_function needs it, and it imports it itself
+    src = os.path.dirname(os.path.dirname(degenpde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, degenpde.cli; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.interpolate loaded"

@@ -1,68 +1,101 @@
-"""Grids, stencil weights and grid functions."""
+"""Grids, finite-difference derivatives and grid functions."""
 
 import numpy as np
 import pytest
 
-from degenpde.grid import (
-    Grid,
-    GridFunction,
-    Region,
-    SpaceTimePoint,
-    apply_along_axis,
-    diff_matrix,
-    fd_weights,
-)
+from degenpde.grid import Grid, GridFunction, Region, SpaceTimePoint
+
+
+def along_axis(x, values, axis=0, n_t=3):
+    """Grid function varying only along one spatial axis, with nodes x."""
+    other = np.array([0.0, 0.5, 1.0])
+    axes = [other, other]
+    axes[axis] = np.asarray(x, dtype=float)
+    shape = [1, 1, 1]
+    shape[1 + axis] = len(x)
+    grid = Grid(axes, np.linspace(0.0, 1.0, n_t))
+    vals = np.broadcast_to(np.reshape(values, shape),
+                           (n_t,) + grid.shape)
+    return GridFunction(grid, vals)
+
+
+def profile(gf, axis=0):
+    """Values along one spatial axis at the first slice and node."""
+    return gf.values[0, :, 0] if axis == 0 else gf.values[0, 0, :]
 
 
 class TestWeights:
-    def test_uniform_three_point(self):
-        w1 = fd_weights([-1.0, 0.0, 1.0], 0.0, 1)
-        assert np.allclose(w1, [-0.5, 0.0, 0.5], rtol=0, atol=1e-14)
-        w2 = fd_weights([-1.0, 0.0, 1.0], 0.0, 2)
-        assert np.allclose(w2, [1.0, -2.0, 1.0], rtol=0, atol=1e-14)
+    """Stencil weights, seen through the derivatives of a GridFunction."""
 
-    @pytest.mark.parametrize("der", [0, 1, 2])
-    def test_exact_on_polynomials(self, der):
-        rng = np.random.default_rng(0)
-        xs = np.sort(rng.uniform(-1.0, 2.0, 5))
-        x0 = xs[2]
-        w = fd_weights(xs, x0, der)
-        for k in range(5):
-            coef = 1.0
-            for m in range(der):
-                coef *= (k - m)
-            want = coef * x0 ** (k - der) if k >= der else 0.0
-            got = float(w @ xs ** k)
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    def test_uniform_three_point(self):
+        u = np.array([0.3, -1.2, 2.5])
+        gf = along_axis([-1.0, 0.0, 1.0], u)
+        d1 = profile(gf.derivative(0))[1]
+        d2 = profile(gf.second_derivative(0, 0))[1]
+        assert abs(d1 - 0.5 * (u[2] - u[0])) <= 1e-14
+        assert abs(d2 - (u[0] - 2.0 * u[1] + u[2])) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_on_polynomials(self, seed):
+        # 3-point first and second derivatives are exact for quadratics
+        # on any spacing; the 4-node end rows also for cubics
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-1.0, 2.0, 6))
+        for k in range(4):
+            gf = along_axis(x, x ** k)
+            d1 = profile(gf.derivative(0))
+            d2 = profile(gf.second_derivative(0, 0))
+            want1 = k * x ** (k - 1) if k else 0 * x
+            want2 = k * (k - 1) * x ** (k - 2) if k > 1 else 0 * x
+            tol = 1e-10 * max(1.0, np.max(np.abs(want2)))
+            if k < 3:
+                assert np.allclose(d1, want1, rtol=0, atol=tol)
+                assert np.allclose(d2, want2, rtol=0, atol=tol)
+            else:
+                assert np.allclose(d2[[0, -1]], want2[[0, -1]],
+                                   rtol=0, atol=tol)
 
     def test_needs_enough_nodes(self):
+        # second-order end rows need three slices on the time axis
+        grid = Grid.build(2, 1.0, 1.0, 3, 3, 1.0, 2)
+        gf = GridFunction(grid, np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
-            fd_weights([0.0, 1.0], 0.5, 2)
+            gf.time_derivative()
 
 
 class TestDiffMatrix:
+    """Differentiation along one axis of a GridFunction."""
+
     def test_exact_for_quadratics_nonuniform(self):
         x = np.array([0.0, 0.1, 0.35, 0.7, 1.2, 2.0])
-        u = 3.0 - 2.0 * x + 0.5 * x ** 2
-        d1 = diff_matrix(x, 1) @ u
-        d2 = diff_matrix(x, 2) @ u
-        assert np.allclose(d1, -2.0 + x, rtol=0, atol=1e-12)
-        assert np.allclose(d2, 1.0, rtol=0, atol=1e-12)
+        for axis in (0, 1):
+            gf = along_axis(x, 3.0 - 2.0 * x + 0.5 * x ** 2, axis)
+            d1 = profile(gf.derivative(axis), axis)
+            d2 = profile(gf.second_derivative(axis, axis), axis)
+            assert np.allclose(d1, -2.0 + x, rtol=0, atol=1e-12)
+            assert np.allclose(d2, 1.0, rtol=0, atol=1e-12)
 
     def test_second_derivative_edges_use_four_nodes(self):
         x = np.linspace(0.0, 1.0, 7)
-        u = x ** 3
-        d2 = diff_matrix(x, 2) @ u
+        d2 = profile(along_axis(x, x ** 3).second_derivative(0, 0))
         # 4-node one-sided rows are exact for cubics at the ends
         assert abs(d2[0] - 6 * x[0]) <= 1e-10
         assert abs(d2[-1] - 6 * x[-1]) <= 1e-10
+        # a 3-node axis falls back to 3-node rows, exact for quadratics
+        x3 = np.array([0.0, 0.2, 1.0])
+        d2 = profile(along_axis(x3, x3 ** 2).second_derivative(0, 0))
+        assert np.allclose(d2, 2.0, rtol=0, atol=1e-12)
 
     def test_apply_along_axis(self):
+        # each derivative acts along its own axis only
         x = np.linspace(0.0, 1.0, 5)
-        vals = np.tile(x ** 2, (3, 1)).T  # shape (5, 3), varies along axis 0
-        D = diff_matrix(x, 1)
-        out = apply_along_axis(D, vals, 0)
-        assert np.allclose(out, np.tile(2 * x, (3, 1)).T, rtol=0, atol=1e-12)
+        gf = along_axis(x, x ** 2)
+        assert np.allclose(gf.derivative(0).values,
+                           2 * x[None, :, None] * np.ones((3, 5, 3)),
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(gf.derivative(1).values, np.zeros((3, 5, 3)))
+        assert np.array_equal(gf.time_derivative().values,
+                              np.zeros((3, 5, 3)))
 
 
 class TestGrid:

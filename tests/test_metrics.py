@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import sympy as sp
 
-from degenpde.analytic import AnalyticFunction, space_symbols, time_symbol
-from degenpde.grid import Grid, Region, SpaceTimePoint
+from degenpde.analytic import AnalyticFunction, space_symbols
+from degenpde.grid import Grid, SpaceTimePoint
 from degenpde.metrics import (
     HOLDER_CSV_COLUMNS,
     PointSet,
@@ -30,7 +30,6 @@ from degenpde.metrics import (
     seminorm,
     slab_equivalence_constants,
     split_holder_norm,
-    transform_seminorm_bounds,
     weight,
 )
 
@@ -273,7 +272,7 @@ class TestNorms:
 
     def test_analytic_constituents_closed_form(self):
         syms = space_symbols(2)
-        t_sym = time_symbol()
+        t_sym = sp.Symbol("t", real=True)
         u = AnalyticFunction(2, t_sym + syms[0] ** 2 + syms[1] ** 3)
         rng = np.random.default_rng(13)
         pts = random_points(rng, 30)
@@ -292,7 +291,7 @@ class TestNorms:
     def test_grid_constituents_match_analytic(self):
         # space-quadratic, time-quadratic: every stencil is exact
         syms = space_symbols(2)
-        t_sym = time_symbol()
+        t_sym = sp.Symbol("t", real=True)
         u = AnalyticFunction(
             2, (1 + t_sym ** 2) * (1 + syms[0] ** 2 + 0.5 * syms[1] ** 2))
         grid = Grid.build(2, x_extent=2.0, height=2.0, n_lateral=9,
@@ -365,38 +364,3 @@ class TestCsv:
         assert rows[1]["metric"] == "split"
         assert int(rows[0]["n_pairs"]) == reports[0].n_pairs
 
-
-class TestTransformBounds:
-    def test_identity_transform(self):
-        syms = space_symbols(2)
-        w1 = AnalyticFunction(2, sp.sin(syms[0]) + syms[1] ** 2)
-        region = Region(0.0, 1.0, (-2.0, 0.0), (2.0, 2.0))
-        out = transform_seminorm_bounds(w1, np.eye(2), 0.5, region)
-        assert out["lambda_min"] == 1.0 and out["lambda_max"] == 1.0
-        assert out["c_forward"] == 0.5
-        assert out["c_backward"] == 0.5
-
-    def test_scale_invariance_and_finiteness(self):
-        syms = space_symbols(2)
-        w1 = AnalyticFunction(2, sp.sin(syms[0]) + syms[1] ** 2)
-        region = Region(0.0, 1.0, (-2.0, 0.0), (2.0, 2.0))
-        M = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out = transform_seminorm_bounds(w1, M, 0.5, region)
-        out3 = transform_seminorm_bounds(3 * w1, M, 0.5, region)
-        assert 0 < out["c_forward"] < np.inf
-        assert 0 < out["c_backward"] < np.inf
-        assert abs(out3["c_forward"] - out["c_forward"]) \
-            <= 1e-12 * out["c_forward"]
-        assert abs(out3["c_backward"] - out["c_backward"]) \
-            <= 1e-12 * out["c_backward"]
-
-    def test_rejects_bad_matrices(self):
-        syms = space_symbols(2)
-        w1 = AnalyticFunction(2, syms[0])
-        region = Region(0.0, 1.0, (-1.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            transform_seminorm_bounds(w1, [[1.0, 2.0], [0.0, 1.0]], 0.5,
-                                      region)
-        with pytest.raises(ValueError):
-            transform_seminorm_bounds(w1, [[1.0, 0.0], [0.0, -1.0]], 0.5,
-                                      region)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from degenpde.analytic import AnalyticFunction, space_symbols, time_symbol
+from degenpde.analytic import AnalyticFunction, space_symbols
 from degenpde.fields import constant_field, heston
 from degenpde.grid import Grid, GridFunction
 from degenpde.reduction import (
     ReductionPlan,
     build_reduction_plan,
     eliminate_zeroth_order,
-    interp_tensor,
-    jacobi_eigh,
     pullback_grid_function,
     shear_transform,
 )
@@ -24,42 +22,57 @@ def random_spd(rng, n, spread=2.0):
     return M @ M.T + spread * np.eye(n)
 
 
+def lateral_block(a):
+    """Schur complement of the height entry, the block the plan rotates."""
+    a = np.asarray(a, dtype=float)
+    return a[:-1, :-1] - np.outer(a[:-1, -1], a[:-1, -1]) / a[-1, -1]
+
+
+def plan_for(a):
+    b = np.zeros(len(a))
+    b[-1] = 1.0
+    return build_reduction_plan(constant_field(a, b, 0.0))
+
+
 class TestJacobi:
+    """Eigenbasis of the lateral block: ReductionPlan.eigvals and P."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_matches_reference_eigensolver(self, n):
         rng = np.random.default_rng(n)
-        A = random_spd(rng, n, spread=0.5)
-        w, V = jacobi_eigh(A)
-        w_ref = np.linalg.eigvalsh(A)
-        assert np.allclose(w, w_ref, rtol=1e-12, atol=1e-12)
+        a = random_spd(rng, n + 1, spread=0.5)
+        plan = plan_for(a)
+        lat = lateral_block(a)
+        w, V = plan.eigvals, plan.P
+        assert np.allclose(w, np.linalg.eigvalsh(lat), rtol=1e-12,
+                           atol=1e-12)
         assert np.allclose(V @ V.T, np.eye(n), rtol=0, atol=1e-12)
-        assert np.allclose(A @ V, V @ np.diag(w), rtol=0, atol=1e-11)
+        assert np.allclose(lat @ V, V @ np.diag(w), rtol=0, atol=1e-11)
 
     def test_ascending_and_sign_convention(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            A = rng.normal(size=(4, 4))
-            A = A + A.T
-            w, V = jacobi_eigh(A)
-            assert np.all(np.diff(w) >= -1e-13)
+            plan = plan_for(random_spd(rng, 5, spread=0.1))
+            assert np.all(np.diff(plan.eigvals) >= 0)
             for k in range(4):
-                lead = np.flatnonzero(np.abs(V[:, k]) > 1e-12)[0]
-                assert V[lead, k] > 0
+                lead = np.flatnonzero(np.abs(plan.P[:, k]) > 1e-12)[0]
+                assert plan.P[lead, k] > 0
 
     def test_deterministic(self):
-        A = [[3.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, 0.25, 1.0]]
-        w1, V1 = jacobi_eigh(A)
-        w2, V2 = jacobi_eigh(A)
-        assert np.array_equal(w1, w2) and np.array_equal(V1, V2)
+        a = [[3.0, 1.0, 0.5, 0.2], [1.0, 2.0, 0.25, 0.1],
+             [0.5, 0.25, 1.0, 0.3], [0.2, 0.1, 0.3, 1.0]]
+        p1, p2 = plan_for(a), plan_for(a)
+        assert np.array_equal(p1.eigvals, p2.eigvals)
+        assert np.array_equal(p1.P, p2.P)
 
     def test_diagonal_input_unchanged(self):
-        w, V = jacobi_eigh(np.diag([2.0, 1.0, 3.0]))
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
-        assert np.array_equal(np.abs(V), np.eye(3)[:, [1, 0, 2]])
+        plan = plan_for(np.diag([2.0, 1.0, 3.0, 1.0]))
+        assert np.array_equal(plan.eigvals, [1.0, 2.0, 3.0])
+        assert np.array_equal(plan.P, np.eye(3)[:, [1, 0, 2]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
+            plan_for([[1.0, 2.0], [0.0, 1.0]])
 
 
 class TestShear:
@@ -131,7 +144,7 @@ class TestPlan:
         plan = build_reduction_plan(f)
 
         syms = space_symbols(2)
-        t_sym = time_symbol()
+        t_sym = sp.Symbol("t", real=True)
         u = AnalyticFunction(
             2, sp.sin(syms[0]) * (1 + syms[1] ** 2)
             + sp.Rational(1, 10) * t_sym * syms[0] + sp.cos(t_sym))
@@ -156,7 +169,8 @@ class TestPlan:
         syms = space_symbols(2)
         u = AnalyticFunction(2, syms[0] + syms[1])
         plain = plan.transform_analytic(u, with_multiplier=False)
-        assert time_symbol() not in plain.expr.free_symbols
+        t_sym = sp.Symbol("t", real=True)
+        assert t_sym not in plain.expr.free_symbols
 
     def test_model_field_form(self):
         f = constant_field([[1.0, 0.25], [0.25, 0.5]], [0.3, 0.7], 0.0)
@@ -185,27 +199,47 @@ class TestPlan:
 
 
 class TestInterpolation:
+    """pullback_grid_function: multilinear sampling of a grid function."""
+
     def test_exact_for_multilinear(self):
-        ax = (np.array([0.0, 0.5, 1.25, 2.0]), np.array([-1.0, 0.0, 2.0]))
-        X, Y = np.meshgrid(*ax, indexing="ij")
-        vals = 2.0 + 3.0 * X - Y + 0.5 * X * Y
-        rng = np.random.default_rng(0)
-        pts = np.column_stack([rng.uniform(0, 2, 40), rng.uniform(-1, 2, 40)])
-        got = interp_tensor(ax, vals, pts)
-        want = 2.0 + 3.0 * pts[:, 0] - pts[:, 1] \
-            + 0.5 * pts[:, 0] * pts[:, 1]
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        source = Grid((np.array([-1.0, 0.0, 2.0]),
+                       np.array([0.0, 0.5, 1.25, 2.0])), [0.0, 0.5, 1.0])
+        gf = GridFunction.from_callable(
+            source, lambda t, x1, x2: (1 + t) * (2.0 + 3.0 * x1 - x2
+                                                 + 0.5 * x1 * x2))
+        target = Grid.build(2, 1.0, 2.0, 7, 9, 1.0, 3)
+        M = np.array([[0.5, 0.2], [0.0, 0.7]])
+        got = pullback_grid_function(gf, target, M)
+        Z1, Z2 = target.meshes()
+        X1, X2 = 0.5 * Z1 + 0.2 * Z2, 0.7 * Z2
+        want = ((1 + target.times[:, None, None])
+                * (2.0 + 3.0 * X1 - X2 + 0.5 * X1 * X2))
+        assert np.allclose(got.values, want, rtol=0, atol=1e-12)
 
     def test_hits_nodes_exactly(self):
-        ax = (np.array([0.0, 1.0, 3.0]),)
-        vals = np.array([5.0, -2.0, 7.0])
-        got = interp_tensor(ax, vals, np.array([[0.0], [1.0], [3.0]]))
-        assert np.array_equal(got, vals)
+        grid = Grid((np.array([-1.0, 0.5, 3.0]), np.array([0.0, 1.0, 3.0])),
+                    [0.0, 1.0])
+        vals = np.random.default_rng(3).normal(size=(2, 3, 3))
+        got = pullback_grid_function(GridFunction(grid, vals), grid,
+                                     np.eye(2))
+        assert np.array_equal(got.values, vals)
 
     def test_refuses_extrapolation(self):
-        ax = (np.array([0.0, 1.0]),)
-        with pytest.raises(ValueError):
-            interp_tensor(ax, np.array([0.0, 1.0]), np.array([[1.5]]))
+        grid = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)
+        gf = GridFunction(grid, np.zeros((3, 5, 5)))
+        with pytest.raises(ValueError, match="refusing to extrapolate"):
+            pullback_grid_function(gf, grid, 1.5 * np.eye(2))
+
+    def test_clips_points_within_tolerance(self):
+        # a point 1e-12 of the span outside an axis is taken as the end node
+        source = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)
+        gf = GridFunction.from_callable(source,
+                                        lambda t, x1, x2: t + x1 + x2 ** 2)
+        pad = 1e-12 * 2.0
+        target = Grid((source.axes[0] + np.linspace(-pad, pad, 5),
+                       source.axes[1]), source.times)
+        got = pullback_grid_function(gf, target, np.eye(2))
+        assert np.allclose(got.values, gf.values, rtol=0, atol=1e-11)
 
     def test_pullback_identity(self):
         grid = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from degenpde.analytic import AnalyticFunction, space_symbols, time_symbol
+from degenpde.analytic import AnalyticFunction, space_symbols
 from degenpde.fields import (
     constant_field,
     from_expressions,
