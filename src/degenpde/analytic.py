@@ -95,25 +95,32 @@ class AnalyticFunction:
     def from_text(cls, text, d):
         return cls(d, parse_expression(text, d))
 
-    def _lambdify(self, key, expr):
-        return cached_lambdify(self._cache, key, self.symbols, expr)
+    def _closure(self, key, *syms):
+        """Cached closure of the derivative of expr along syms (none: expr).
+
+        The cache is looked up first, so a cached derivative costs no
+        symbolic differentiation.
+        """
+        fn = self._cache.get(key)
+        if fn is None:
+            expr = sp.diff(self.expr, *syms) if syms else self.expr
+            fn = cached_lambdify(self._cache, key, self.symbols, expr)
+        return fn
 
     def value(self, t, x):
         """Evaluate at t (broadcastable) and x of shape (..., d)."""
-        return self._lambdify("v", self.expr)(t, x)
+        return self._closure("v")(t, x)
 
     def dt(self, t, x):
-        return self._lambdify("t", sp.diff(self.expr, _TIME))(t, x)
+        return self._closure("t", _TIME)(t, x)
 
     def dx(self, i, t, x):
-        sym = self.symbols[1 + i]
-        return self._lambdify(("x", i), sp.diff(self.expr, sym))(t, x)
+        return self._closure(("x", i), self.symbols[1 + i])(t, x)
 
     def dxx(self, i, j, t, x):
         i, j = min(i, j), max(i, j)
-        si, sj = self.symbols[1 + i], self.symbols[1 + j]
-        return self._lambdify(("xx", i, j),
-                              sp.diff(self.expr, si, sj))(t, x)
+        return self._closure(("xx", i, j), self.symbols[1 + i],
+                             self.symbols[1 + j])(t, x)
 
     def at(self, t, xpoint):
         return float(self.value(np.asarray(t, dtype=float),

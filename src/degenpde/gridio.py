@@ -69,6 +69,12 @@ def load_grid_function(path, grid=None):
 
 
 def solve_report_csv(report):
+    """One row per time step: step, iterations, true relative residual.
+
+    For a BiCGStab step the iterations column counts BiCGStab iterations;
+    for a direct step (one LU factorization shared by every step) it is
+    1, the single back-solve.  A step whose right side is zero is 0.
+    """
     lines = ["step,iterations,residual"]
     for step, iters, res in report.steps:
         lines.append("%d,%d,%.17g" % (step, iters, res))

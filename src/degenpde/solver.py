@@ -12,11 +12,18 @@ frozen in time; verification runs that know the exact solution may
 request exact boundary values instead so artificial-boundary error does
 not contaminate convergence measurements.
 
-Each implicit step solves (I + theta dt A) u_new = rhs with BiCGStab and
-diagonal preconditioning.  For theta = 1 the system matrix is checked to
-be an M-matrix (nonpositive off-diagonal entries, positive dominance
-margin); mixed second derivatives break the sign condition, so runs with
-correlated diffusion must explicitly opt out of certification.
+Each implicit step solves (I + theta dt A) u_new = rhs.  When the field
+does not depend on time the matrix is the same at every step, so it is
+factored once with a sparse LU (scipy's splu) and each step is one
+back-solve.  A time-dependent field changes the matrix every step; each
+step then runs BiCGStab with diagonal preconditioning.  Both paths store
+the true relative residual of every step and raise SolverError on a
+non-finite solution; the direct path also raises when that residual
+exceeds rtol, the iterative path when BiCGStab does not converge.  For
+theta = 1 every system matrix is checked to be an M-matrix (nonpositive
+off-diagonal entries, positive dominance margin); mixed second
+derivatives break the sign condition, so runs with correlated diffusion
+must explicitly opt out of certification.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
-from scipy.sparse.linalg import bicgstab
+from scipy.sparse.linalg import bicgstab, splu
 
 from .analytic import _TIME, AnalyticFunction, bump, space_symbols
 from .grid import Grid, GridFunction
@@ -236,6 +243,32 @@ class SolveReport:
         return max((s[2] for s in self.steps), default=0.0)
 
 
+def _theta_steps(field, grid, theta):
+    """Yield (n, A_old, A_new) for each step t_n -> t_{n+1}.
+
+    A_new = A(t_{n+1}) is the implicit matrix and A_old = A(t_n) the
+    explicit one.  A field that does not depend on time is assembled
+    once and that one matrix object is yielded as both, at every step.
+    For a time-dependent field at theta = 1 the explicit part vanishes,
+    so A_old is None and A(t_0) is never assembled.  This is the one
+    stepping loop of the theta-scheme: solve_cauchy and
+    apply_discrete_operator both consume it.
+    """
+    if not field.time_dependent:
+        A, _ = discretize_operator(field, grid, grid.times[0])
+        for n in range(grid.n_t - 1):
+            yield n, A, A
+        return
+    A_old = None
+    if theta != 1.0:
+        A_old, _ = discretize_operator(field, grid, grid.times[0])
+    for n in range(grid.n_t - 1):
+        A_new, _ = discretize_operator(field, grid, grid.times[n + 1])
+        yield n, A_old, A_new
+        if theta != 1.0:
+            A_old = A_new
+
+
 def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                  rtol=1e-10):
     """March the theta-scheme over the grid; returns (u, SolveReport).
@@ -261,39 +294,38 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
         raise ValueError("time axis must be uniform")
 
     u = problem.g.value(0.0, nodes)
-    A, dir_flat = discretize_operator(field, grid, grid.times[0])
+    dir_flat = grid.dirichlet_mask().ravel()
     eye = sparse.eye(N, format="csr")
+    direct = not field.time_dependent
 
-    cert = None
     report = SolveReport(theta, rtol, None)
     maxiter = int(np.ceil(10.0 * np.sqrt(N)))
 
     values = np.empty((grid.n_t, N))
     values[0] = u
 
-    B = None
-    precond = None
+    A_prev = None
     f_new = problem.f_values(grid.times[0], nodes)
     f_new[dir_flat] = 0.0
-    for n in range(grid.n_t - 1):
+    for n, A_old, A_new in _theta_steps(field, grid, theta):
         t_new = grid.times[n + 1]
-        if field.time_dependent and n > 0:
-            A, _ = discretize_operator(field, grid, t_new)
-            B = None
-        if B is None:
-            B = (eye + (theta * dt) * A).tocsr()
+        if A_new is not A_prev:
+            A_prev = A_new
+            B = (eye + (theta * dt) * A_new).tocsr()
             if certify:
-                cert = monotonicity_certificate(A, dt, theta, grid)
+                cert = monotonicity_certificate(A_new, dt, theta, grid)
                 cert.require()
                 report.certificate = cert
-            db = B.diagonal()
-            precond = sparse.diags(1.0 / db)
+            if direct:
+                lu = splu(B.tocsc())
+            else:
+                precond = sparse.diags(1.0 / B.diagonal())
         f_old = f_new
         f_new = problem.f_values(t_new, nodes)
         f_new[dir_flat] = 0.0
         rhs = u + dt * (theta * f_new + (1.0 - theta) * f_old)
         if theta != 1.0:
-            rhs -= (1.0 - theta) * dt * (A @ u)
+            rhs -= (1.0 - theta) * dt * (A_old @ u)
         if boundary == "frozen":
             rhs[dir_flat] = u[dir_flat]
         else:
@@ -303,22 +335,28 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
             u = np.zeros(N)
             report.steps.append((n + 1, 0, 0.0))
         else:
-            iters = [0]
+            if direct:
+                x, info, iters = lu.solve(rhs), 0, 1
+            else:
+                counter = [0]
 
-            def count(_xk):
-                iters[0] += 1
+                def count(_xk):
+                    counter[0] += 1
 
-            x, info = bicgstab(B, rhs, x0=u, rtol=rtol, atol=0.0,
-                               maxiter=maxiter, M=precond, callback=count)
-            res = float(np.linalg.norm(B @ x - rhs)
-                        / np.linalg.norm(rhs))
-            if info != 0 or not np.all(np.isfinite(x)):
+                x, info = bicgstab(B, rhs, x0=u, rtol=rtol, atol=0.0,
+                                   maxiter=maxiter, M=precond,
+                                   callback=count)
+                iters = counter[0]
+            res = float(np.linalg.norm(B @ x - rhs) / np.linalg.norm(rhs))
+            if (info != 0 or not np.all(np.isfinite(x))
+                    or (direct and not res <= rtol)):
                 raise SolverError(
                     "linear solve failed at step %d (info=%s, rel "
-                    "residual %.3g after %d iterations)"
-                    % (n + 1, info, res, iters[0]))
+                    "residual %.3g after %d %s)"
+                    % (n + 1, info, res, iters,
+                       "back-solve" if direct else "iterations"))
             u = x
-            report.steps.append((n + 1, iters[0], res))
+            report.steps.append((n + 1, iters, res))
         values[n + 1] = u
 
     report.wall_time = time.perf_counter() - start
@@ -330,24 +368,20 @@ def apply_discrete_operator(w, field, theta=1.0):
     """Discrete L applied to a grid function.
 
     Returns an array of shape (n_t - 1, *spatial) holding
-    (w_new - w_old)/dt + theta A w_new + (1-theta) A w_old at free nodes
-    and NaN at truncation nodes, matching what solve_cauchy enforces.
+    (w_new - w_old)/dt + theta A^{n+1} w_new + (1-theta) A^n w_old at free
+    nodes and NaN at truncation nodes, with the matrices solve_cauchy
+    steps with.
     """
     grid = w.grid
     N = int(np.prod(grid.shape))
     dt = grid.dt
     flat = w.values.reshape(grid.n_t, N)
     out = np.full((grid.n_t - 1, N), np.nan)
-    A, dir_flat = discretize_operator(field, grid, grid.times[0])
-    free = ~dir_flat
-    for n in range(grid.n_t - 1):
-        if field.time_dependent:
-            A_new, _ = discretize_operator(field, grid, grid.times[n + 1])
-        else:
-            A_new = A
+    free = ~grid.dirichlet_mask().ravel()
+    for n, A_old, A_new in _theta_steps(field, grid, theta):
         lw = (flat[n + 1] - flat[n]) / dt + theta * (A_new @ flat[n + 1])
         if theta != 1.0:
-            lw += (1.0 - theta) * (A @ flat[n])
+            lw += (1.0 - theta) * (A_old @ flat[n])
         out[n, free] = lw[free]
     return out.reshape((grid.n_t - 1,) + grid.shape)
 

@@ -288,6 +288,27 @@ class TestNorms:
         assert np.allclose(wdd[1], 0.0, rtol=0, atol=1e-12)
         assert np.allclose(wdd[2], 6 * h * h, rtol=0, atol=1e-11)
 
+    def test_cached_derivatives_skip_symbolic_diff(self, monkeypatch):
+        syms = space_symbols(2)
+        u = AnalyticFunction(2, syms[0] ** 2 * syms[1] ** 3)
+        x = np.array([[0.5, 1.5], [1.0, 2.0]])
+        calls = []
+        diff = sp.diff
+
+        def counting_diff(*args, **kw):
+            calls.append(args)
+            return diff(*args, **kw)
+
+        monkeypatch.setattr(sp, "diff", counting_diff)
+        first = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(1, 0, 0.0, x))
+        assert len(calls) == 3
+        again = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(0, 1, 0.0, x))
+        assert len(calls) == 3
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+        assert np.allclose(first[2], 6 * x[:, 0] * x[:, 1] ** 2,
+                           rtol=0, atol=1e-12)
+
     def test_grid_constituents_match_analytic(self):
         # space-quadratic, time-quadratic: every stencil is exact
         syms = space_symbols(2)

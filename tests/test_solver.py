@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from degenpde import solver
 from degenpde.analytic import AnalyticFunction, space_symbols
 from degenpde.fields import (
+    CoefficientField,
     constant_field,
     from_expressions,
     heston,
@@ -223,6 +225,120 @@ class TestSolve:
                          [0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
             solve_cauchy(problem, irregular)
+
+
+def accelerating_field():
+    """Unit diffusion with inward drift 1 + 3t: A changes every step."""
+    return from_expressions(2, [["1", "0"], ["0", "1"]], ["0", "1 + 3*t"],
+                            "0", delta=1.0, K=8.0, nu=1.0,
+                            name="accelerating")
+
+
+def count_calls(monkeypatch, name, wrap=None):
+    """Replace solver.<name> by a wrapper that records its calls."""
+    original = getattr(solver, name)
+    calls = []
+
+    def wrapper(*args, **kw):
+        calls.append(args)
+        result = original(*args, **kw)
+        return wrap(result) if wrap else result
+
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+class TestDirectSolve:
+    def problem(self):
+        return manufactured_problem(heston(2.0, 0.25, 1.0, 0.0),
+                                    "inner_bump")
+
+    def test_time_independent_factors_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "splu")
+        grid = small_grid(n=9, n_slices=6)
+        u, report = solve_cauchy(self.problem(), grid)
+        assert len(calls) == 1
+        assert [s[1] for s in report.steps] == [1] * (grid.n_t - 1)
+        assert report.max_residual() <= 1e-12
+        assert report.certificate is not None and report.certificate.passed
+
+    def test_agrees_with_bicgstab(self, monkeypatch):
+        grid = small_grid(n=9, n_slices=6)
+        u_direct, _ = solve_cauchy(self.problem(), grid)
+        calls = count_calls(monkeypatch, "splu")
+        monkeypatch.setattr(CoefficientField, "time_dependent",
+                            property(lambda self: True))
+        u_iter, report = solve_cauchy(self.problem(), grid)
+        assert not calls
+        assert max(s[1] for s in report.steps) > 1
+        assert float(np.max(np.abs(u_direct.values
+                                   - u_iter.values))) <= 1e-8
+
+    @pytest.mark.parametrize("perturb", [1e-6, np.nan])
+    def test_bad_back_solve_raises(self, monkeypatch, perturb):
+        class Perturbed:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                x = self.lu.solve(rhs)
+                x[len(x) // 2] += perturb
+                return x
+
+        count_calls(monkeypatch, "splu", wrap=Perturbed)
+        with pytest.raises(SolverError, match="back-solve"):
+            solve_cauchy(self.problem(), small_grid(n=9, n_slices=4))
+
+    def test_time_dependent_never_factors(self, monkeypatch):
+        calls = count_calls(monkeypatch, "splu")
+        problem = manufactured_problem(accelerating_field(), "inner_bump")
+        u, report = solve_cauchy(problem, small_grid(n=9, n_slices=4))
+        assert not calls
+        assert report.max_residual() <= 1e-9
+
+
+class TestTimeDependent:
+    @pytest.mark.parametrize("theta, first", [(1.0, 1), (0.5, 0)])
+    def test_assembles_each_time_once(self, monkeypatch, theta, first):
+        # theta = 1 never needs A(t_0); theta < 1 reuses A(t_{n+1}) as
+        # the next step's explicit matrix
+        calls = count_calls(monkeypatch, "discretize_operator")
+        problem = manufactured_problem(accelerating_field(), "constant")
+        grid = small_grid(n_slices=6)
+        solve_cauchy(problem, grid, theta=theta)
+        assert [c[2] for c in calls] == list(grid.times[first:])
+        calls.clear()
+        solve_cauchy(manufactured_problem(homogeneous_drift(1.0),
+                                          "constant"), grid, theta=theta)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("theta, order", [(1.0, 1.0), (0.5, 2.0)])
+    def test_temporal_order(self, theta, order):
+        # affine_height is spatially exact, so only the time error shows
+        study = convergence_study(
+            accelerating_field(), "affine_height",
+            [(9, 9, 5), (9, 9, 9), (9, 9, 17)], t_final=0.5, theta=theta,
+            mode="time", boundary="exact")
+        assert abs(study.order - order) <= 0.2
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_residual_operator_matches_solver(self, theta):
+        # the solver and apply_discrete_operator step with the same
+        # matrices, so L_h u = f up to the linear-solve tolerance
+        field = accelerating_field()
+        problem = manufactured_problem(field, "affine_height")
+        grid = small_grid(n=9, n_slices=9)
+        u, _ = solve_cauchy(problem, grid, theta=theta, boundary="exact")
+        lu = apply_discrete_operator(u, field, theta)
+        nodes = grid.nodes()
+        free = ~grid.dirichlet_mask()
+        worst = 0.0
+        for n in range(grid.n_t - 1):
+            f = (theta * problem.f_values(grid.times[n + 1], nodes)
+                 + (1.0 - theta) * problem.f_values(grid.times[n], nodes))
+            worst = max(worst, float(np.max(
+                np.abs(lu[n] - f.reshape(grid.shape))[free])))
+        assert worst <= 1e-6
 
 
 class TestManufactured:

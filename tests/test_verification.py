@@ -27,6 +27,7 @@ from degenpde.verification import (
     first_layer_weighted_hessian,
     fit_interpolation_constants,
     growth_constant_on_grid,
+    interpolation_cases,
     interpolation_check,
     maximum_principle_suite,
     nonpositivity_check,
@@ -280,6 +281,33 @@ class TestInterpolation:
         assert len(fits) == 4 and len(cases) == 5
         assert all(fit.feasible() for fit in fits.values())
         assert all(r.passed for r in results)
+
+    def test_cases_match_direct_evaluation(self):
+        # the left-hand sides reuse the norm's constituent arrays; they
+        # equal a fresh evaluation of u and its derivatives bit for bit
+        from degenpde.metrics import PointSet, holder_norm
+        from degenpde.verification import default_interpolation_functions
+        u = default_interpolation_functions(2)[4]
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.3, 1.3, (60, 2))
+        x[:, 1] = rng.uniform(0.0, 1.3, 60)
+        points = PointSet(rng.uniform(0.0, 1.0, 60), x)
+        t, h = points.t, x[:, 1]
+        lhs, full, sup = interpolation_cases(u, points, 0.5, seed=4)
+
+        def norm(v):
+            return holder_norm(v, points, 0.5, "s", seed=4).total
+
+        assert lhs["c-alpha"] == norm(u.value(t, x))
+        assert lhs["gradient-sup"] == max(
+            float(np.max(np.abs(u.dx(i, t, x)))) for i in range(2))
+        assert lhs["weighted-gradient"] == max(
+            norm(h * u.dx(i, t, x)) for i in range(2))
+        assert lhs["weighted-hessian"] == max(
+            float(np.max(np.abs(h * u.dxx(i, j, t, x))))
+            for i in range(2) for j in range(i, 2))
+        assert sup == float(np.max(np.abs(u.value(t, x))))
+        assert full >= lhs["c-alpha"] + norm(u.dt(t, x))
 
     def test_homogeneity(self):
         from degenpde.verification import default_interpolation_functions
