@@ -58,8 +58,10 @@ def parse_expression(text, d):
 def cached_lambdify(cache, key, symbols, expr):
     """Vectorized closure fn(t, x) of expr in (t, x1..xd), cached by key.
 
-    x has shape (..., d); the result is broadcast to the common shape of
-    t and x[..., 0] and returned as a fresh float array.
+    x is an array of points of shape (..., d), or a tuple of d coordinate
+    arrays that broadcast together, such as the sparse axes of
+    np.meshgrid.  The result is broadcast to the common shape of t and
+    the coordinates and returned as a fresh float array.
     """
     fn = cache.get(key)
     if fn is None:
@@ -68,11 +70,15 @@ def cached_lambdify(cache, key, symbols, expr):
 
         def fn(t, x, _raw=raw):
             t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            out = _raw(t, *(x[..., i] for i in range(d)))
+            if isinstance(x, tuple):
+                coords = [np.asarray(c, dtype=float) for c in x]
+            else:
+                x = np.asarray(x, dtype=float)
+                coords = [x[..., i] for i in range(d)]
+            out = _raw(t, *coords)
+            shape = np.broadcast_shapes(t.shape, *(c.shape for c in coords))
             return np.broadcast_to(np.asarray(out, dtype=float),
-                                   np.broadcast_shapes(t.shape,
-                                                       x.shape[:-1])).copy()
+                                   shape).copy()
 
         cache[key] = fn
     return fn
@@ -108,8 +114,17 @@ class AnalyticFunction:
         return fn
 
     def value(self, t, x):
-        """Evaluate at t (broadcastable) and x of shape (..., d)."""
+        """Evaluate at t (broadcastable) and x: points of shape (..., d),
+        or a tuple of d coordinate arrays that broadcast together."""
         return self._closure("v")(t, x)
+
+    def on_grid(self, t, grid):
+        """Values at every node of grid, in grid.nodes() order.
+
+        The closure gets the sparse tensor axes, so a factor that depends
+        on one coordinate is evaluated once per axis node, not per node.
+        """
+        return self.value(t, tuple(grid.meshes(sparse=True))).ravel()
 
     def dt(self, t, x):
         return self._closure("t", _TIME)(t, x)
@@ -130,8 +145,7 @@ class AnalyticFunction:
         """Adapter for GridFunction.from_callable(t, *mesh arrays)."""
 
         def fn(t, *mesh):
-            x = np.stack(np.broadcast_arrays(*mesh), axis=-1)
-            return self.value(np.asarray(t, dtype=float), x)
+            return self.value(t, mesh)
 
         return fn
 

@@ -147,9 +147,13 @@ class Grid:
     def t_final(self):
         return float(self.times[-1])
 
-    def meshes(self):
-        """List of d arrays of the spatial shape holding node coordinates."""
-        return list(np.meshgrid(*self.axes, indexing="ij"))
+    def meshes(self, sparse=False):
+        """List of d arrays of the spatial shape holding node coordinates.
+
+        With sparse=True each array keeps only its own axis and has
+        length 1 along the others; they broadcast to the spatial shape.
+        """
+        return list(np.meshgrid(*self.axes, indexing="ij", sparse=sparse))
 
     def nodes(self):
         """All spatial nodes as an (N, d) array in row-major node order."""
@@ -228,8 +232,8 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        """Sample fn(t, x1, ..., xd) with broadcasting over mesh arrays."""
-        mesh = grid.meshes()
+        """Sample fn(t, x1, ..., xd) on the sparse mesh arrays, broadcast."""
+        mesh = grid.meshes(sparse=True)
         vals = np.empty((grid.n_t,) + grid.shape)
         for n, t in enumerate(grid.times):
             vals[n] = np.broadcast_to(fn(t, *mesh), grid.shape)

@@ -71,9 +71,11 @@ def load_grid_function(path, grid=None):
 def solve_report_csv(report):
     """One row per time step: step, iterations, true relative residual.
 
-    For a BiCGStab step the iterations column counts BiCGStab iterations;
-    for a direct step (one LU factorization shared by every step) it is
-    1, the single back-solve.  A step whose right side is zero is 0.
+    The iterations column is 1 for a step that back-solves with a sparse
+    LU, including a step that factored its own matrix after BiCGStab ran
+    out of budget, and the BiCGStab iteration count for a step
+    preconditioned by an LU of an earlier matrix.  A step whose right
+    side is zero is 0.
     """
     lines = ["step,iterations,residual"]
     for step, iters, res in report.steps:

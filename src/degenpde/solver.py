@@ -12,18 +12,22 @@ frozen in time; verification runs that know the exact solution may
 request exact boundary values instead so artificial-boundary error does
 not contaminate convergence measurements.
 
-Each implicit step solves (I + theta dt A) u_new = rhs.  When the field
-does not depend on time the matrix is the same at every step, so it is
-factored once with a sparse LU (scipy's splu) and each step is one
-back-solve.  A time-dependent field changes the matrix every step; each
-step then runs BiCGStab with diagonal preconditioning.  Both paths store
-the true relative residual of every step and raise SolverError on a
-non-finite solution; the direct path also raises when that residual
-exceeds rtol, the iterative path when BiCGStab does not converge.  For
-theta = 1 every system matrix is checked to be an M-matrix (nonpositive
-off-diagonal entries, positive dominance margin); mixed second
-derivatives break the sign condition, so runs with correlated diffusion
-must explicitly opt out of certification.
+Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
+first B is factored with a sparse LU (scipy's splu, minimum-degree
+ordering on the symmetric pattern of the 5-point stencil).  A step whose
+B is the factored matrix, which is every step of a field that does not
+depend on time, is one back-solve.  A step whose B differs runs BiCGStab
+from the previous solution, preconditioned by the factored LU, for a
+small fixed number of iterations; a time-dependent field changes slowly,
+so one or two usually suffice.  If BiCGStab does not converge within
+that budget, the step factors its own B and back-solves, and that LU
+preconditions the steps that follow.  The true relative residual of
+every step is stored; SolverError is raised on a non-finite solution
+and on a back-solve whose residual exceeds rtol.  For theta = 1 every
+system matrix is checked to be an M-matrix (nonpositive off-diagonal
+entries, positive dominance margin); mixed second derivatives break the
+sign condition, so runs with correlated diffusion must explicitly opt
+out of certification.
 """
 
 from __future__ import annotations
@@ -34,10 +38,16 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .analytic import _TIME, AnalyticFunction, bump, space_symbols
 from .grid import Grid, GridFunction
+
+
+# BiCGStab iterations a step may spend, preconditioned by an LU of an
+# earlier matrix, before it factors its own; at 257^2 twenty cost about
+# as much as one factorization.
+_PRECONDITIONED_ITERATIONS = 20
 
 
 class SolverError(RuntimeError):
@@ -63,10 +73,11 @@ class CauchyProblem:
             if fn is not None and fn.d != self.field.d:
                 raise ValueError("data dimension does not match field")
 
-    def f_values(self, t, nodes):
+    def f_values(self, t, grid):
+        """f at time t at every node of grid, in grid.nodes() order."""
         if self.f is None:
-            return np.zeros(len(nodes))
-        return self.f.value(float(t), nodes)
+            return np.zeros(int(np.prod(grid.shape)))
+        return self.f.on_grid(float(t), grid)
 
 
 @dataclass
@@ -269,6 +280,33 @@ def _theta_steps(field, grid, theta):
             A_old = A_new
 
 
+def _factor(B):
+    """Sparse LU of B, ordered for the symmetric pattern of the stencil.
+
+    Minimum degree on A^T + A with a relaxed diagonal pivot threshold
+    keeps the fill of the 5-point pattern at half of COLAMD's.
+    """
+    return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+
+
+def _preconditioned_bicgstab(B, rhs, x0, lu, rtol):
+    """BiCGStab on B from x0, preconditioned by lu, within the budget.
+
+    Returns (x, info, iterations); info != 0 means not converged.
+    """
+    counter = [0]
+
+    def count(_xk):
+        counter[0] += 1
+
+    precond = LinearOperator(B.shape, matvec=lu.solve, dtype=float)
+    x, info = bicgstab(B, rhs, x0=x0, rtol=rtol, atol=0.0,
+                       maxiter=_PRECONDITIONED_ITERATIONS, M=precond,
+                       callback=count)
+    return x, info, counter[0]
+
+
 def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                  rtol=1e-10):
     """March the theta-scheme over the grid; returns (u, SolveReport).
@@ -288,24 +326,22 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
     start = time.perf_counter()
     field = problem.field
     N = int(np.prod(grid.shape))
-    nodes = grid.nodes()
     dt = grid.dt
     if np.max(np.abs(np.diff(grid.times) - dt)) > 1e-12 * max(dt, 1.0):
         raise ValueError("time axis must be uniform")
 
-    u = problem.g.value(0.0, nodes)
+    u = problem.g.on_grid(0.0, grid)
     dir_flat = grid.dirichlet_mask().ravel()
+    dir_nodes = grid.nodes()[dir_flat]
     eye = sparse.eye(N, format="csr")
-    direct = not field.time_dependent
 
     report = SolveReport(theta, rtol, None)
-    maxiter = int(np.ceil(10.0 * np.sqrt(N)))
 
     values = np.empty((grid.n_t, N))
     values[0] = u
 
-    A_prev = None
-    f_new = problem.f_values(grid.times[0], nodes)
+    A_prev = lu = factored = None
+    f_new = problem.f_values(grid.times[0], grid)
     f_new[dir_flat] = 0.0
     for n, A_old, A_new in _theta_steps(field, grid, theta):
         t_new = grid.times[n + 1]
@@ -316,12 +352,10 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                 cert = monotonicity_certificate(A_new, dt, theta, grid)
                 cert.require()
                 report.certificate = cert
-            if direct:
-                lu = splu(B.tocsc())
-            else:
-                precond = sparse.diags(1.0 / B.diagonal())
+            if lu is None:
+                lu, factored = _factor(B), B
         f_old = f_new
-        f_new = problem.f_values(t_new, nodes)
+        f_new = problem.f_values(t_new, grid)
         f_new[dir_flat] = 0.0
         rhs = u + dt * (theta * f_new + (1.0 - theta) * f_old)
         if theta != 1.0:
@@ -329,32 +363,27 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
         if boundary == "frozen":
             rhs[dir_flat] = u[dir_flat]
         else:
-            rhs[dir_flat] = problem.exact.value(float(t_new),
-                                                nodes[dir_flat])
+            rhs[dir_flat] = problem.exact.value(float(t_new), dir_nodes)
         if np.linalg.norm(rhs) == 0.0:
             u = np.zeros(N)
             report.steps.append((n + 1, 0, 0.0))
         else:
-            if direct:
-                x, info, iters = lu.solve(rhs), 0, 1
-            else:
-                counter = [0]
-
-                def count(_xk):
-                    counter[0] += 1
-
-                x, info = bicgstab(B, rhs, x0=u, rtol=rtol, atol=0.0,
-                                   maxiter=maxiter, M=precond,
-                                   callback=count)
-                iters = counter[0]
+            if B is not factored:
+                x, info, iters = _preconditioned_bicgstab(B, rhs, u, lu,
+                                                          rtol)
+                if info != 0:
+                    lu, factored = _factor(B), B
+            back_solve = B is factored
+            if back_solve:
+                x, iters = lu.solve(rhs), 1
             res = float(np.linalg.norm(B @ x - rhs) / np.linalg.norm(rhs))
-            if (info != 0 or not np.all(np.isfinite(x))
-                    or (direct and not res <= rtol)):
+            if (not np.all(np.isfinite(x))
+                    or (back_solve and not res <= rtol)):
                 raise SolverError(
-                    "linear solve failed at step %d (info=%s, rel "
-                    "residual %.3g after %d %s)"
-                    % (n + 1, info, res, iters,
-                       "back-solve" if direct else "iterations"))
+                    "linear solve failed at step %d (rel residual %.3g "
+                    "after %d %s)"
+                    % (n + 1, res, iters,
+                       "back-solve" if back_solve else "iterations"))
             u = x
             report.steps.append((n + 1, iters, res))
         values[n + 1] = u

@@ -116,9 +116,8 @@ def weighted_supersolution(K, q, data_norm, d=2):
 
 def data_sups(problem, grid, w=1.0):
     """Grid maxima of w |f| and w |g| over all nodes and slice times."""
-    nodes = grid.nodes()
-    g_sup = float(np.max(w * np.abs(problem.g.value(0.0, nodes))))
-    f_sup = max(float(np.max(w * np.abs(problem.f_values(t, nodes))))
+    g_sup = float(np.max(w * np.abs(problem.g.on_grid(0.0, grid))))
+    f_sup = max(float(np.max(w * np.abs(problem.f_values(t, grid))))
                 for t in grid.times)
     return f_sup, g_sup
 
@@ -200,9 +199,8 @@ def nonpositivity_check(u, problem, theta=1.0, tol=1e-8):
     """L u <= 0 and g <= 0 must give u <= 0 (conclusion checked directly)."""
     lhs = float(np.max(u.values))
     grid = u.grid
-    nodes = grid.nodes()
-    g_ok = np.all(problem.g.value(0.0, nodes) <= 1e-12)
-    f_ok = all(np.all(problem.f_values(t, nodes) <= 1e-12)
+    g_ok = np.all(problem.g.on_grid(0.0, grid) <= 1e-12)
+    f_ok = all(np.all(problem.f_values(t, grid) <= 1e-12)
                for t in grid.times)
     scale = max(u.sup(), 1.0)
     if not (g_ok and f_ok):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import sympy as sp
+from scipy.sparse.linalg import spsolve
 
 from degenpde import solver
 from degenpde.analytic import AnalyticFunction, space_symbols
 from degenpde.fields import (
-    CoefficientField,
     constant_field,
     from_expressions,
     heston,
@@ -180,12 +181,11 @@ class TestSolve:
         grid = small_grid(n=9, n_slices=6)
         u, _ = solve_cauchy(problem, grid)
         lu = apply_discrete_operator(u, field)
-        nodes = grid.nodes()
         free = ~grid.dirichlet_mask()
         worst = 0.0
         for n in range(grid.n_t - 1):
             f_vals = problem.f_values(grid.times[n + 1],
-                                      nodes).reshape(grid.shape)
+                                      grid).reshape(grid.shape)
             worst = max(worst,
                         float(np.max(np.abs((lu[n] - f_vals)[free]))))
         assert worst <= 1e-5
@@ -248,6 +248,49 @@ def count_calls(monkeypatch, name, wrap=None):
     return calls
 
 
+def reference_solve(problem, grid, theta=1.0):
+    """The theta-scheme with frozen boundary values, one spsolve a step."""
+    field = problem.field
+    nodes = grid.nodes()
+    dir_flat = grid.dirichlet_mask().ravel()
+    eye = sparse.eye(len(nodes))
+
+    def f(t):
+        vals = problem.f.value(t, nodes)
+        vals[dir_flat] = 0.0
+        return vals
+
+    u = problem.g.value(0.0, nodes)
+    out = [u]
+    for t_old, t_new in zip(grid.times[:-1], grid.times[1:]):
+        A_old, _ = discretize_operator(field, grid, t_old)
+        A_new, _ = discretize_operator(field, grid, t_new)
+        rhs = (u + grid.dt * (theta * f(t_new) + (1.0 - theta) * f(t_old))
+               - (1.0 - theta) * grid.dt * (A_old @ u))
+        rhs[dir_flat] = u[dir_flat]
+        u = spsolve((eye + theta * grid.dt * A_new).tocsc(), rhs)
+        out.append(u)
+    return np.reshape(out, (grid.n_t,) + grid.shape)
+
+
+class ExactOnce:
+    """An LU whose first solve is exact (plus perturb at one node) and
+    whose later solves return rhs unchanged, a useless preconditioner."""
+
+    def __init__(self, lu, perturb=0.0):
+        self.lu = lu
+        self.perturb = perturb
+        self.used = False
+
+    def solve(self, rhs):
+        if self.used:
+            return rhs.copy()
+        self.used = True
+        x = self.lu.solve(rhs)
+        x[len(x) // 2] += self.perturb
+        return x
+
+
 class TestDirectSolve:
     def problem(self):
         return manufactured_problem(heston(2.0, 0.25, 1.0, 0.0),
@@ -262,17 +305,15 @@ class TestDirectSolve:
         assert report.max_residual() <= 1e-12
         assert report.certificate is not None and report.certificate.passed
 
-    def test_agrees_with_bicgstab(self, monkeypatch):
+    def test_agrees_with_spsolve(self):
+        # the factored and the preconditioned steps against a per-step
+        # spsolve of the same theta-scheme system
         grid = small_grid(n=9, n_slices=6)
-        u_direct, _ = solve_cauchy(self.problem(), grid)
-        calls = count_calls(monkeypatch, "splu")
-        monkeypatch.setattr(CoefficientField, "time_dependent",
-                            property(lambda self: True))
-        u_iter, report = solve_cauchy(self.problem(), grid)
-        assert not calls
-        assert max(s[1] for s in report.steps) > 1
-        assert float(np.max(np.abs(u_direct.values
-                                   - u_iter.values))) <= 1e-8
+        for field in (heston(2.0, 0.25, 1.0, 0.0), accelerating_field()):
+            problem = manufactured_problem(field, "inner_bump")
+            u, _ = solve_cauchy(problem, grid)
+            want = reference_solve(problem, grid)
+            assert float(np.max(np.abs(u.values - want))) <= 1e-8
 
     @pytest.mark.parametrize("perturb", [1e-6, np.nan])
     def test_bad_back_solve_raises(self, monkeypatch, perturb):
@@ -289,12 +330,38 @@ class TestDirectSolve:
         with pytest.raises(SolverError, match="back-solve"):
             solve_cauchy(self.problem(), small_grid(n=9, n_slices=4))
 
-    def test_time_dependent_never_factors(self, monkeypatch):
+    def test_time_dependent_factors_once(self, monkeypatch):
+        # the LU of the first matrix preconditions every later step
         calls = count_calls(monkeypatch, "splu")
         problem = manufactured_problem(accelerating_field(), "inner_bump")
-        u, report = solve_cauchy(problem, small_grid(n=9, n_slices=4))
-        assert not calls
-        assert report.max_residual() <= 1e-9
+        grid = small_grid(n=9, n_slices=6)
+        u, report = solve_cauchy(problem, grid)
+        assert len(calls) == 1
+        assert report.steps[0][1] == 1
+        assert report.max_residual() <= report.rtol
+
+    def test_poor_preconditioner_refactors(self, monkeypatch):
+        # an LU that is the identity as a preconditioner leaves BiCGStab
+        # short of rtol, so every later step factors its own matrix
+        calls = count_calls(monkeypatch, "splu", wrap=ExactOnce)
+        problem = manufactured_problem(accelerating_field(), "inner_bump")
+        grid = small_grid(n=33, n_slices=5)
+        u, report = solve_cauchy(problem, grid)
+        assert len(calls) == grid.n_t - 1
+        assert [s[1] for s in report.steps] == [1] * (grid.n_t - 1)
+        assert report.max_residual() <= report.rtol
+        want = reference_solve(problem, grid)
+        assert float(np.max(np.abs(u.values - want))) <= 1e-8
+
+    def test_bad_refactored_back_solve_raises(self, monkeypatch):
+        # the second LU, factored at step 2, back-solves with an error
+        def wrap(lu):
+            return ExactOnce(lu, perturb=1e-6 if len(calls) > 1 else 0.0)
+
+        calls = count_calls(monkeypatch, "splu", wrap=wrap)
+        problem = manufactured_problem(accelerating_field(), "inner_bump")
+        with pytest.raises(SolverError, match="step 2 .*back-solve"):
+            solve_cauchy(problem, small_grid(n=33, n_slices=5))
 
 
 class TestTimeDependent:
@@ -330,12 +397,11 @@ class TestTimeDependent:
         grid = small_grid(n=9, n_slices=9)
         u, _ = solve_cauchy(problem, grid, theta=theta, boundary="exact")
         lu = apply_discrete_operator(u, field, theta)
-        nodes = grid.nodes()
         free = ~grid.dirichlet_mask()
         worst = 0.0
         for n in range(grid.n_t - 1):
-            f = (theta * problem.f_values(grid.times[n + 1], nodes)
-                 + (1.0 - theta) * problem.f_values(grid.times[n], nodes))
+            f = (theta * problem.f_values(grid.times[n + 1], grid)
+                 + (1.0 - theta) * problem.f_values(grid.times[n], grid))
             worst = max(worst, float(np.max(
                 np.abs(lu[n] - f.reshape(grid.shape))[free])))
         assert worst <= 1e-6
@@ -372,6 +438,27 @@ class TestManufactured:
         t = rng.uniform(0.0, 1.0, 50)
         assert np.allclose(problem.f.value(t, x), f2.value(t, x),
                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_evaluation_matches_nodes(self, d):
+        # evaluating on the sparse tensor axes gives the node values bit
+        # for bit; lambdify returns a constant expression as a scalar
+        field = heston(2.0, 0.25, 1.0, 0.0) if d == 2 \
+            else homogeneous_drift(1.0, d)
+        problem = manufactured_problem(field, "inner_bump")
+        lateral = [np.linspace(-2.0, 2.0, 7 + i) for i in range(d - 1)]
+        grid = Grid(lateral + [2.0 * np.linspace(0.0, 1.0, 9) ** 2],
+                    [0.0, 0.2, 0.5])
+        nodes = grid.nodes()
+        for fn in (problem.f, problem.g, problem.exact,
+                   AnalyticFunction(d, 2.5)):
+            want = np.stack([fn.value(t, nodes) for t in grid.times])
+            got = np.stack([fn.on_grid(t, grid) for t in grid.times])
+            assert np.array_equal(got, want)
+            sampled = GridFunction.from_callable(grid, fn.grid_callable())
+            assert np.array_equal(sampled.values.reshape(want.shape), want)
+        assert np.array_equal(problem.f_values(0.2, grid),
+                              problem.f.value(0.2, nodes))
 
 
 class TestConvergence:

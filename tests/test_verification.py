@@ -128,7 +128,7 @@ class TestSupBounds:
         f_sup, g_sup = data_sups(problem, grid)
         assert abs(g_sup - 3.0) <= 1e-12  # 1 + height at the top
         nodes = grid.nodes()
-        by_hand = max(float(np.max(np.abs(problem.f_values(t, nodes))))
+        by_hand = max(float(np.max(np.abs(problem.f.value(t, nodes))))
                       for t in grid.times)
         assert f_sup == by_hand
 
