@@ -105,19 +105,27 @@ def load_config(path):
 
 
 def build_field(cfg):
+    """The field section's preset; a missing key or a value the preset
+    rejects is a ConfigError."""
     fld = cfg.get("field")
     if fld is None:
         raise ConfigError("this command needs a 'field' section")
-    preset = fld["preset"]
-    if preset == "heston":
-        return heston(fld["kappa"], fld["theta"], fld["sigma"], fld["rho"],
-                      r=fld.get("r", 0.0), q=fld.get("q", 0.0))
-    if preset == "homogeneous-drift":
-        return homogeneous_drift(fld["nu"], fld.get("d", 2))
-    if preset == "constant":
-        return constant_field(fld["a"], fld["b"], fld["c"])
-    return from_expressions(fld["d"], fld["a"], fld["b"], fld["c"],
-                            fld["delta"], fld["K"], fld["nu"])
+    preset = fld.get("preset")
+    try:
+        if preset == "heston":
+            return heston(fld["kappa"], fld["theta"], fld["sigma"],
+                          fld["rho"], r=fld.get("r", 0.0),
+                          q=fld.get("q", 0.0))
+        if preset == "homogeneous-drift":
+            return homogeneous_drift(fld["nu"], fld.get("d", 2))
+        if preset == "constant":
+            return constant_field(fld["a"], fld["b"], fld["c"])
+        return from_expressions(fld["d"], fld["a"], fld["b"], fld["c"],
+                                fld["delta"], fld["K"], fld["nu"])
+    except KeyError as exc:
+        raise ConfigError("field preset %r needs key %s" % (preset, exc))
+    except ValueError as exc:
+        raise ConfigError("field preset %r: %s" % (preset, exc))
 
 
 def build_grid(cfg):

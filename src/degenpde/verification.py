@@ -230,19 +230,58 @@ def _random_certified_field(rng, d=2):
                           name="random-diag")
 
 
+class _GaussianProfiles:
+    """Sum of terms k e^{-r t} (c0 + c1 prod_i exp(-((x_i - m_i) / w_i)^2)).
+
+    The random data of the maximum-principle, absolute-bound and
+    weighted-bound suites.  The terms are plain floats and arrays, so the
+    data are evaluated in numpy: no sympy tree is built and nothing is
+    lambdified.  Offers what CauchyProblem and the checks use of data:
+    d, value and on_grid.
+    """
+
+    def __init__(self, d, terms):
+        self.d = d
+        self.terms = tuple(terms)  # (k, r, c0, c1, center, width) each
+
+    def value(self, t, x):
+        """Evaluate at t (broadcastable) and x: points of shape (..., d),
+        or a tuple of d coordinate arrays that broadcast together."""
+        t = np.asarray(t, dtype=float)
+        if not isinstance(x, tuple):
+            x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        coords = [np.asarray(c, dtype=float) for c in x]
+        out = np.zeros(np.broadcast_shapes(t.shape,
+                                           *(c.shape for c in coords)))
+        for k, r, c0, c1, center, width in self.terms:
+            gauss = c1
+            for c, m, w in zip(coords, center, width):
+                gauss = gauss * np.exp(-((c - m) / w) ** 2)
+            out += k * np.exp(-r * t) * (c0 + gauss)
+        return out
+
+    def on_grid(self, t, grid):
+        """Values at every node of grid, in grid.nodes() order, computed
+        on the sparse tensor axes as AnalyticFunction.on_grid does."""
+        return self.value(t, tuple(grid.meshes(sparse=True))).ravel()
+
+    def scaled(self, k, r=0.0):
+        """This sum times k e^{-r t}."""
+        return _GaussianProfiles(self.d, [(k * k0, r + r0, *rest)
+                                          for k0, r0, *rest in self.terms])
+
+    def __add__(self, other):
+        return _GaussianProfiles(self.d, self.terms + other.terms)
+
+
 def _random_nonneg_profile(rng, d):
-    """Smooth nonnegative profile c0 + c1 * gaussian, as sympy expr."""
-    syms = space_symbols(d)
+    """Smooth nonnegative profile c0 + c1 * gaussian, as _GaussianProfiles."""
     c0 = float(rng.uniform(0.05, 0.5))
     c1 = float(rng.uniform(0.2, 1.5))
     width = rng.uniform(0.5, 2.0, d)
     center = rng.uniform(-1.5, 1.5, d)
     center[-1] = rng.uniform(0.0, 1.5)
-    g = sp.Integer(1)
-    for i in range(d):
-        g *= sp.exp(-((syms[i] - sp.Float(center[i]))
-                      / sp.Float(width[i])) ** 2)
-    return sp.Float(c0) + sp.Float(c1) * g
+    return _GaussianProfiles(d, [(1.0, 0.0, c0, c1, center, width)])
 
 
 def maximum_principle_suite(n_problems=50, seed=0, d=2, n_lateral=14,
@@ -253,6 +292,8 @@ def maximum_principle_suite(n_problems=50, seed=0, d=2, n_lateral=14,
     Every problem uses a field whose implicit-Euler matrix passes the
     monotonicity certificate; data are smooth with nonpositive sign for
     the maximum-principle half and ordered data for the comparison half.
+    The data are random Gaussian profiles (_random_nonneg_profile),
+    evaluated in numpy.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -260,11 +301,9 @@ def maximum_principle_suite(n_problems=50, seed=0, d=2, n_lateral=14,
         fld = _random_certified_field(rng, d)
         grid = Grid.build(d, x_extent, height, n_lateral, n_height,
                           t_final, n_slices)
-        g1 = -_random_nonneg_profile(rng, d)
-        f1 = -sp.exp(-_TIME) * _random_nonneg_profile(rng, d)
-        prob1 = CauchyProblem(fld, AnalyticFunction(d, f1),
-                              AnalyticFunction(d, g1),
-                              name="maxprin-%d" % k)
+        g1 = _random_nonneg_profile(rng, d).scaled(-1.0)
+        f1 = _random_nonneg_profile(rng, d).scaled(-1.0, 1.0)
+        prob1 = CauchyProblem(fld, f1, g1, name="maxprin-%d" % k)
         u1, _ = solve_cauchy(prob1, grid, certify=True)
         r = nonpositivity_check(u1, prob1)
         r.check += "[%d:%s]" % (k, fld.name)
@@ -273,8 +312,7 @@ def maximum_principle_suite(n_problems=50, seed=0, d=2, n_lateral=14,
         # ordered data: adding a nonnegative bump to (f, g) must raise u
         df = _random_nonneg_profile(rng, d)
         dg = _random_nonneg_profile(rng, d)
-        prob2 = CauchyProblem(fld, AnalyticFunction(d, f1 + df),
-                              AnalyticFunction(d, g1 + dg),
+        prob2 = CauchyProblem(fld, f1 + df, g1 + dg,
                               name="comparison-%d" % k)
         u2, _ = solve_cauchy(prob2, grid, certify=True)
         r2 = comparison_check(u1, u2, fld)
@@ -290,7 +328,8 @@ def absolute_bound_suite(n_problems=20, seed=1, d=2, n_lateral=14,
 
     K = 0 is a valid constant for every generated field (c <= 0), which
     makes v1 = t ||f|| + ||g|| linear in time and hence exact for the
-    discrete operator as well.
+    discrete operator as well.  g = +-P and f = -e^{-r t} P with random
+    Gaussian profiles P and a random rate r, evaluated in numpy.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -299,11 +338,10 @@ def absolute_bound_suite(n_problems=20, seed=1, d=2, n_lateral=14,
         grid = Grid.build(d, x_extent, height, n_lateral, n_height,
                           t_final, n_slices)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0
-        g = sgn * _random_nonneg_profile(rng, d)
-        f = -sp.exp(-sp.Float(rng.uniform(0.0, 1.0)) * _TIME) \
-            * _random_nonneg_profile(rng, d)
-        prob = CauchyProblem(fld, AnalyticFunction(d, f),
-                             AnalyticFunction(d, g), name="absbound-%d" % k)
+        g = _random_nonneg_profile(rng, d).scaled(sgn)
+        rate = float(rng.uniform(0.0, 1.0))
+        f = _random_nonneg_profile(rng, d).scaled(-1.0, rate)
+        prob = CauchyProblem(fld, f, g, name="absbound-%d" % k)
         u, _ = solve_cauchy(prob, grid, certify=True)
         f_sup, g_sup = data_sups(prob, grid)
         v1 = GridFunction.from_callable(
@@ -342,7 +380,8 @@ def weighted_bound_suite(n_problems=20, q_values=(1.0, 2.0), seed=2, d=2,
 
     Every fourth problem is a stochastic-volatility field so the suite
     exercises the growing drift term; K is measured on the grid so the
-    supersolution premise actually holds for the run.
+    supersolution premise actually holds for the run.  g = +-P and
+    f = -e^{-t} P with random Gaussian profiles P, evaluated in numpy.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -357,11 +396,9 @@ def weighted_bound_suite(n_problems=20, q_values=(1.0, 2.0), seed=2, d=2,
         grid = Grid.build(d, x_extent, height, n_lateral, n_height,
                           t_final, n_slices)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0
-        g = sgn * _random_nonneg_profile(rng, d)
-        f = -sp.exp(-_TIME) * _random_nonneg_profile(rng, d)
-        prob = CauchyProblem(fld, AnalyticFunction(d, f),
-                             AnalyticFunction(d, g),
-                             name="weighted-%d" % k)
+        g = _random_nonneg_profile(rng, d).scaled(sgn)
+        f = _random_nonneg_profile(rng, d).scaled(-1.0, 1.0)
+        prob = CauchyProblem(fld, f, g, name="weighted-%d" % k)
         u, _ = solve_cauchy(prob, grid, certify=True)
         K = growth_constant_on_grid(fld, grid)
         for q in q_values:

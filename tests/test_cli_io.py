@@ -173,6 +173,23 @@ class TestMainExitCodes:
         assert code == 2
         assert "unknown config section 'threads'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,message", [
+        ({"preset": "heston", "theta": 0.25, "sigma": 1.0, "rho": 0.0},
+         "needs key 'kappa'"),
+        ({"preset": "heston", "kappa": -1.0, "theta": 0.25, "sigma": 1.0,
+          "rho": 0.0}, "kappa, theta, sigma must be positive"),
+        ({"preset": "constant", "a": [[1.0, 0.0], [0.0, 1.0]],
+          "b": [0.0, 1.0]}, "needs key 'c'"),
+    ], ids=["missing-kappa", "negative-kappa", "constant-without-c"])
+    def test_bad_field_exits_2(self, tmp_path, capsys, field, message):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, field=field))
+        code = cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and message in err[0]
+
     def test_run_without_experiments_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
         code = cli.main(["run", "--config", cfg,

@@ -123,12 +123,29 @@ class TestAssembly:
         assert np.allclose(got[free], want[free], rtol=0, atol=1e-10)
 
 
+def implicit_matrix(field, grid, theta=1.0):
+    A, _ = discretize_operator(field, grid, 0.0)
+    return (sparse.eye(A.shape[0], format="csr")
+            + (theta * grid.dt) * A).tocsr()
+
+
+def dense_certificate(B):
+    """(offdiag_max, margin_min, row of the positive off-diagonal entry)
+    of B computed densely, row by row."""
+    M = B.toarray()
+    off = M - np.diag(np.diag(M))
+    margin = np.diag(M) - np.abs(off).sum(axis=1)
+    flat = np.where(off != 0.0, off, -np.inf)
+    row = int(np.argmax(flat.max(axis=1)))
+    return float(flat.max()), float(margin.min()), row
+
+
 class TestCertificate:
     def test_uncorrelated_fields_pass(self):
         grid = small_grid()
         for field in (homogeneous_drift(1.0), heston(2.0, 0.25, 1.0, 0.0)):
-            A, _ = discretize_operator(field, grid, 0.0)
-            cert = monotonicity_certificate(A, grid.dt, 1.0, grid)
+            cert = monotonicity_certificate(implicit_matrix(field, grid),
+                                            grid)
             assert cert.passed, cert.detail
             assert cert.offdiag_max <= 1e-12
             assert cert.margin_min > 0
@@ -136,14 +153,45 @@ class TestCertificate:
 
     def test_correlation_breaks_monotonicity(self):
         grid = small_grid()
-        A, _ = discretize_operator(heston(2.0, 0.25, 1.0, 0.5), grid, 0.0)
-        cert = monotonicity_certificate(A, grid.dt, 1.0, grid)
+        B = implicit_matrix(heston(2.0, 0.25, 1.0, 0.5), grid)
+        cert = monotonicity_certificate(B, grid)
         assert not cert.passed
         assert cert.offdiag_max > 0
         assert "off-diagonal" in cert.detail
         assert cert.offending_node is not None
         with pytest.raises(CertificateError):
             cert.require()
+
+    @pytest.mark.parametrize("rho,theta", [(0.0, 1.0), (0.5, 1.0),
+                                           (-0.7, 0.5)])
+    def test_matches_dense_computation(self, rho, theta):
+        # the CSR row sums give the margins and the first offending row
+        # that a dense row-by-row computation gives
+        grid = small_grid()
+        B = implicit_matrix(heston(2.0, 0.25, 1.0, rho), grid, theta)
+        cert = monotonicity_certificate(B, grid)
+        offdiag_max, margin_min, row = dense_certificate(B)
+        assert cert.offdiag_max == offdiag_max
+        assert abs(cert.margin_min - margin_min) <= 1e-12 * abs(margin_min)
+        if not cert.passed:
+            assert cert.offending_node == np.unravel_index(row, grid.shape)
+
+    def test_dominance_margin_can_fail(self):
+        # nonpositive off-diagonal entries whose sum outweighs the
+        # diagonal; an explicit zero is not an off-diagonal entry
+        grid = small_grid()
+        N = int(np.prod(grid.shape))
+        rows = np.r_[np.arange(N), 10, 12]
+        cols = np.r_[np.arange(N), 11, 13]
+        B = sparse.csr_matrix((np.r_[np.ones(N), -2.0, 0.0], (rows, cols)),
+                              shape=(N, N))
+        assert B.nnz == N + 2
+        cert = monotonicity_certificate(B, grid)
+        assert not cert.passed
+        assert cert.offdiag_max == -2.0
+        assert cert.margin_min == -1.0
+        assert cert.offending_node == np.unravel_index(10, grid.shape)
+        assert "dominance margin" in cert.detail
 
     def test_solve_refuses_uncertified_by_default(self):
         problem = manufactured_problem(heston(2.0, 0.25, 1.0, 0.5),

@@ -202,6 +202,104 @@ class TestSuites:
         assert any("heston" in r.check for r in results)
 
 
+def sympy_profile(rng, d):
+    """Reference: one random profile as a sympy expression, drawing the
+    same numbers in the same order as _random_nonneg_profile."""
+    import sympy as sp
+    syms = space_symbols(d)
+    c0 = float(rng.uniform(0.05, 0.5))
+    c1 = float(rng.uniform(0.2, 1.5))
+    width = rng.uniform(0.5, 2.0, d)
+    center = rng.uniform(-1.5, 1.5, d)
+    center[-1] = rng.uniform(0.0, 1.5)
+    g = sp.Integer(1)
+    for i in range(d):
+        g *= sp.exp(-((syms[i] - sp.Float(center[i]))
+                      / sp.Float(width[i])) ** 2)
+    return sp.Float(c0) + sp.Float(c1) * g
+
+
+class TestRandomData:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_agrees_with_sympy(self, d):
+        # the numpy data equal the sympy reference: one profile, a sum
+        # and a profile scaled by k e^{-r t}
+        import sympy as sp
+        from degenpde.verification import _random_nonneg_profile
+        t_sym = sp.Symbol("t", real=True)
+        draws = [np.random.default_rng(20 + d) for _ in range(2)]
+        p, q = (_random_nonneg_profile(draws[0], d) for _ in range(2))
+        p_expr, q_expr = (sympy_profile(draws[1], d) for _ in range(2))
+        pairs = [(p, p_expr),
+                 (p.scaled(-1.0, 0.7) + q.scaled(-2.0),
+                  -sp.exp(-sp.Float(0.7) * t_sym) * p_expr - 2 * q_expr),
+                 (q.scaled(0.5, 1.0), sp.exp(-t_sym) * q_expr / 2)]
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, 0.5, 300)
+        x = rng.uniform(-3.0, 3.0, (300, d))
+        x[:, -1] = rng.uniform(0.0, 3.0, 300)
+        grid = Grid.build(d, 3.0, 2.5, 6, 9, 0.5, 4, grading="quadratic")
+        for fn, expr in pairs:
+            ref = AnalyticFunction(d, expr)
+            want = ref.value(t, x)
+            assert np.allclose(fn.value(t, x), want, rtol=1e-13, atol=0)
+            for ts in grid.times:
+                want = ref.value(ts, grid.nodes())
+                got = fn.on_grid(ts, grid)
+                assert got.shape == want.shape
+                assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_same_problems_for_a_seed(self):
+        # check ids and values frozen for these seeds; a reordered random
+        # draw changes the fields or the data
+        fields = ["random-diag", "random-diag", "heston", "heston",
+                  "heston", "random-diag"]
+        lhs = [-0.43802587230125123, -0.20019400552370298,
+               -0.3717094142673638, -0.08111824604376316,
+               -0.35370298559748936, -0.24226530911285604,
+               -0.2219733778846921, -0.42357257596157344,
+               -0.47527626006840323, -0.3569271741848434,
+               -0.4299147202104888, -0.3114723446773247]
+        results = maximum_principle_suite(n_problems=6, seed=10)
+        assert [r.check for r in results] == [
+            "%s[%d:%s]" % (kind, k, fld) for k, fld in enumerate(fields)
+            for kind in ("nonpositivity", "comparison")]
+        assert np.allclose([r.lhs for r in results], lhs, rtol=1e-9,
+                           atol=0)
+        sup_lhs = [0.5126885602669733, 1.054092930936728,
+                   0.8568475037111303, 0.876110331947412]
+        sup_rhs = [1.0928261398296957, 1.3470872460518006,
+                   1.0667382896926205, 1.5055871640587948]
+        results = absolute_bound_suite(n_problems=4, seed=11)
+        assert [r.check for r in results] == [
+            name for k in range(4)
+            for name in ("absolute-bound[%d:homogeneous-drift]" % k,
+                         "sup-bound(K=0)")]
+        assert np.allclose([r.lhs for r in results[1::2]], sup_lhs,
+                           rtol=1e-9, atol=0)
+        assert np.allclose([r.rhs for r in results[1::2]], sup_rhs,
+                           rtol=1e-9, atol=0)
+
+    def test_data_are_not_lambdified(self, monkeypatch):
+        # the only lambdify calls left are the fields' coefficient closures
+        import sys
+        import sympy as sp
+        real = sp.lambdify
+        from_fields = []
+
+        def counting(*args, **kwargs):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_globals.get("__name__"))
+                frame = frame.f_back
+            from_fields.append("degenpde.fields" in callers)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "lambdify", counting)
+        maximum_principle_suite(n_problems=2)
+        assert from_fields and all(from_fields)
+
+
 class TestBarrier:
     def test_piece_identities(self):
         # time and space derivatives of each traveling piece close over
