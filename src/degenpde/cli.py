@@ -1,11 +1,13 @@
-"""Command-line driver: config validation and experiment dispatch.
+"""Command-line driver: the config table, validation and experiment dispatch.
 
-Configs are JSON with a strict schema: unknown sections or keys are hard
-errors, so a misspelled option can never silently fall back to a
-default.  Every command takes --config and --out plus an optional --seed
-override; the `run` command runs the experiment kinds listed under
-"experiments" one after another.  Exit status is 0 when every emitted
-check passes, 1 when any fails, 2 for unusable configs or arguments.
+`CONFIG` and `PRESETS` give every config key with its type and default.
+`load_config` checks a whole config against them before any experiment
+runs, so a misspelled option or a value of the wrong type is an error,
+never a silent default; `section` fills in the defaults.  Every command
+takes --config and --out plus an optional --seed override; `run` runs the
+experiments listed under "experiments" one after another.  Exit status is
+0 when every emitted check passes, 1 when any fails, 2 for unusable
+configs or arguments.
 """
 
 from __future__ import annotations
@@ -38,60 +40,111 @@ class ConfigError(ValueError):
     pass
 
 
-_FIELD_KEYS = {
-    "heston": {"preset", "kappa", "theta", "sigma", "rho", "r", "q"},
-    "homogeneous-drift": {"preset", "nu", "d"},
-    "constant": {"preset", "a", "b", "c"},
-    "expressions": {"preset", "d", "a", "b", "c", "delta", "K", "nu"},
+def _list_of(what, test, min_len=0):
+    return ("a list of " + what, lambda v: type(v) is list
+            and len(v) >= min_len and all(map(test, v)))
+
+
+# A key's type: its name in messages, and a test on type(v) (true is no int).
+NUM = ("a number", lambda v: type(v) in (int, float))
+INT = ("an integer", lambda v: type(v) is int)
+BOOL = ("true or false", lambda v: type(v) is bool)
+STR = ("a string", lambda v: type(v) is str)
+NUMS, STRS = _list_of("numbers", NUM[1]), _list_of("strings", STR[1])
+LADDER = _list_of("at least two [n_lateral, n_height, n_slices] rungs",
+                  lambda r: type(r) is list and len(r) == 3
+                  and all(map(INT[1], r)), min_len=2)
+REQUIRED = object()  # default of a preset key the field must give
+
+# Every top-level key and section: key -> (type, default).
+CONFIG = {
+    "seed": (INT, 0), "experiments": (STRS, None),
+    "grid": {"x_extent": (NUM, 2.0), "height": (NUM, 2.0),
+             "n_lateral": (INT, 33), "n_height": (INT, 33),
+             "n_slices": (INT, 25), "t_final": (NUM, 0.5),
+             "grading": (STR, "quadratic")},
+    "data": {"f": (STR, None), "g": (STR, None), "manufactured": (STR, None)},
+    "solve": {"theta": (NUM, 1.0), "certify": (BOOL, None),
+              "boundary": (STR, "frozen"), "rtol": (NUM, 1e-10)},
+    "norms": {"alpha": (NUM, 0.5), "q": (NUMS, [0.0]),
+              "n_points": (INT, 1500)},
+    "validate": {"n_samples": (INT, 2000), "slack": (NUM, 1.05),
+                 "alpha": (NUM, 0.5), "seed": (INT, None)},
+    "maxprin": {"n_problems": (INT, 50), "n_absolute": (INT, 20),
+                "n_weighted": (INT, 20), "sup_slack": (NUM, 1.02),
+                "weighted_q": (NUMS, [1.0, 2.0]),
+                "weighted_slack": (NUM, 1.05)},
+    "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]), "gamma": (NUM, 0.5),
+                 "big_c": (NUM, 6.0), "small_c": (NUM, 0.5),
+                 "n_points": (INT, 2000), "height_max": (NUM, 3.0)},
+    "interp": {"alpha": (NUM, 0.5), "eps": (NUMS, [0.5, 0.25, 0.1])},
+    "schauder": {"alpha": (NUM, 0.5), "p": (NUM, 0.0),
+                 "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
+                 "threshold": (NUM, 0.25), "n_points": (INT, 1200)},
+    "convergence": {"kind": (STR, "inner_bump"), "mode": (STR, "space"),
+                    "ladder": (LADDER, [[9, 9, 4], [17, 17, 10],
+                                        [33, 33, 28]]),
+                    "min_order": (NUM, 0.9), "order_band": (NUM, 0.3),
+                    "boundary": (STR, "frozen"), "theta": (NUM, 1.0)},
+    "reduce": {"round_trip": (BOOL, False), "kind": (STR, "inner_bump")},
 }
 
-_SCHEMA = {
-    "seed": None,
-    "experiments": None,
-    "field": None,  # validated per preset
-    "grid": {"x_extent", "height", "n_lateral", "n_height", "n_slices",
-             "t_final", "grading"},
-    "data": {"f", "g", "manufactured"},
-    "solve": {"theta", "certify", "boundary", "rtol"},
-    "norms": {"alpha", "q", "n_points"},
-    "validate": {"n_samples", "slack", "alpha", "seed"},
-    "maxprin": {"n_problems", "n_absolute", "sup_slack", "weighted_q",
-                "weighted_slack", "n_weighted"},
-    "barriers": {"drifts", "gamma", "big_c", "small_c", "n_points",
-                 "height_max"},
-    "interp": {"alpha", "eps"},
-    "schauder": {"alpha", "p", "ladder", "threshold", "n_points"},
-    "convergence": {"kind", "ladder", "mode", "min_order", "order_band",
-                    "boundary", "theta"},
-    "reduce": {"round_trip", "kind"},
+# Field presets: name -> (constructor, its keys in its argument order).
+PRESETS = {
+    "heston": (heston, {"kappa": (NUM, REQUIRED), "theta": (NUM, REQUIRED),
+                        "sigma": (NUM, REQUIRED), "rho": (NUM, REQUIRED),
+                        "r": (NUM, 0.0), "q": (NUM, 0.0)}),
+    "homogeneous-drift": (homogeneous_drift, {"nu": (NUM, REQUIRED),
+                                              "d": (INT, 2)}),
+    "constant": (constant_field, {
+        "a": (_list_of("lists of numbers", NUMS[1]), REQUIRED),
+        "b": (NUMS, REQUIRED), "c": (NUM, REQUIRED)}),
+    "expressions": (from_expressions, {
+        "d": (INT, REQUIRED),
+        "a": (_list_of("lists of strings", STRS[1]), REQUIRED),
+        "b": (STRS, REQUIRED), "c": (STR, REQUIRED), "delta": (NUM, REQUIRED),
+        "K": (NUM, REQUIRED), "nu": (NUM, REQUIRED)}),
 }
+
+
+def _check_value(name, value, spec):
+    (what, test), default = spec
+    if not (test(value) or value is None and default is None):
+        raise ConfigError("%s must be %s, not %s"
+                          % (name, what, json.dumps(value)))
 
 
 def validate_config(cfg):
+    """Check a whole config against CONFIG and PRESETS; return it as is."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for key, sub in cfg.items():
-        if key not in _SCHEMA:
+        spec = PRESETS if key == "field" else CONFIG.get(key)
+        if spec is None:
             raise ConfigError("unknown config section %r" % key)
-        allowed = _SCHEMA[key]
-        if allowed is None:
+        if isinstance(spec, tuple):
+            _check_value(key, sub, spec)
             continue
         if not isinstance(sub, dict):
             raise ConfigError("section %r must be an object" % key)
-        extra = set(sub) - allowed
+        if key == "field":
+            preset = sub.get("preset")
+            if not isinstance(preset, str) or preset not in PRESETS:
+                raise ConfigError("field.preset must be one of %s"
+                                  % sorted(PRESETS))
+            spec = dict(PRESETS[preset][1], preset=(STR, REQUIRED))
+        extra = sorted(set(sub) - set(spec))
         if extra:
-            raise ConfigError("unknown keys %s in section %r"
-                              % (sorted(extra), key))
-    fld = cfg.get("field")
-    if fld is not None:
-        preset = fld.get("preset")
-        if preset not in _FIELD_KEYS:
-            raise ConfigError("field.preset must be one of %s"
-                              % sorted(_FIELD_KEYS))
-        extra = set(fld) - _FIELD_KEYS[preset]
-        if extra:
-            raise ConfigError("unknown field keys %s for preset %r"
-                              % (sorted(extra), preset))
+            raise ConfigError(
+                "unknown field keys %s for preset %r" % (extra, preset)
+                if key == "field" else
+                "unknown keys %s in section %r" % (extra, key))
+        for name, name_spec in spec.items():
+            if name in sub:
+                _check_value(key + "." + name, sub[name], name_spec)
+            elif name_spec[1] is REQUIRED:
+                raise ConfigError("field preset %r needs key %r"
+                                  % (preset, name))
     return cfg
 
 
@@ -104,64 +157,53 @@ def load_config(path):
     return validate_config(cfg)
 
 
+def section(cfg, name, required=False):
+    """Section `name` of a validated config with its missing keys filled
+    in from CONFIG; a ConfigError if it is required and absent."""
+    if name not in cfg and required:
+        raise ConfigError("this command needs a %r section" % name)
+    given = cfg.get(name, {})
+    return {key: given.get(key, default)
+            for key, (_, default) in CONFIG[name].items()}
+
+
 def build_field(cfg):
-    """The field section's preset; a missing key or a value the preset
-    rejects is a ConfigError."""
+    """The configured field; a value its preset rejects is a ConfigError."""
     fld = cfg.get("field")
     if fld is None:
         raise ConfigError("this command needs a 'field' section")
-    preset = fld.get("preset")
+    make, spec = PRESETS[fld["preset"]]
     try:
-        if preset == "heston":
-            return heston(fld["kappa"], fld["theta"], fld["sigma"],
-                          fld["rho"], r=fld.get("r", 0.0),
-                          q=fld.get("q", 0.0))
-        if preset == "homogeneous-drift":
-            return homogeneous_drift(fld["nu"], fld.get("d", 2))
-        if preset == "constant":
-            return constant_field(fld["a"], fld["b"], fld["c"])
-        return from_expressions(fld["d"], fld["a"], fld["b"], fld["c"],
-                                fld["delta"], fld["K"], fld["nu"])
-    except KeyError as exc:
-        raise ConfigError("field preset %r needs key %s" % (preset, exc))
+        return make(*[fld.get(k, d) for k, (_, d) in spec.items()])
     except ValueError as exc:
-        raise ConfigError("field preset %r: %s" % (preset, exc))
+        raise ConfigError("field preset %r: %s" % (fld["preset"], exc))
 
 
-def build_grid(cfg):
-    g = cfg.get("grid")
-    if g is None:
-        raise ConfigError("this command needs a 'grid' section")
-    field = cfg.get("field") or {}
-    d = field.get("d", 2)
-    return Grid.build(d, g["x_extent"], g["height"], g["n_lateral"],
-                      g["n_height"], g["t_final"], g["n_slices"],
-                      grading=g.get("grading", "quadratic"))
+def build_grid(cfg, d, rung=None):
+    """The grid section's box in d dimensions; a ladder rung (n_lateral,
+    n_height, n_slices) replaces its node counts and its need to exist."""
+    g = section(cfg, "grid", required=rung is None)
+    n_lat, n_h, n_sl = rung or (g["n_lateral"], g["n_height"], g["n_slices"])
+    return Grid.build(d, g["x_extent"], g["height"], n_lat, n_h,
+                      g["t_final"], n_sl, grading=g["grading"])
 
 
 def build_problem(cfg, field):
-    data = cfg.get("data")
-    if data is None:
-        raise ConfigError("this command needs a 'data' section")
-    if "manufactured" in data:
-        g = cfg.get("grid", {})
-        return manufactured_problem(field, data["manufactured"],
-                                    x_extent=g.get("x_extent", 2.0),
-                                    height=g.get("height", 2.0))
-    if "g" not in data:
+    """The data section's Cauchy problem; data that do not parse, or an
+    unknown manufactured kind, are a ConfigError."""
+    data, grid = section(cfg, "data", required=True), section(cfg, "grid")
+    if data["manufactured"] is None and data["g"] is None:
         raise ConfigError("data needs 'g' (or 'manufactured')")
-    g = AnalyticFunction.from_text(data["g"], field.d)
-    f = None
-    if data.get("f") is not None:
-        f = AnalyticFunction.from_text(data["f"], field.d)
-    return CauchyProblem(field, f, g, name="configured")
-
-
-def _solve_options(cfg):
-    s = cfg.get("solve", {})
-    return dict(theta=s.get("theta", 1.0), certify=s.get("certify"),
-                boundary=s.get("boundary", "frozen"),
-                rtol=s.get("rtol", 1e-10))
+    try:
+        if data["manufactured"] is not None:
+            return manufactured_problem(field, data["manufactured"],
+                                        grid["x_extent"], grid["height"])
+        f, g = [None if text is None else
+                AnalyticFunction.from_text(text, field.d)
+                for text in (data["f"], data["g"])]
+        return CauchyProblem(field, f, g, name="configured")
+    except ValueError as exc:
+        raise ConfigError("data: %s" % exc)
 
 
 def _write(out, name, text):
@@ -174,9 +216,9 @@ def _write(out, name, text):
 
 def exp_solve(cfg, out, seed):
     field = build_field(cfg)
-    grid = build_grid(cfg)
-    problem = build_problem(cfg, field)
-    u, report = solve_cauchy(problem, grid, **_solve_options(cfg))
+    grid = build_grid(cfg, field.d)
+    u, report = solve_cauchy(build_problem(cfg, field), grid,
+                             **section(cfg, "solve"))
     gridio.save_grid_function(os.path.join(out, "solution.dgph"), u)
     _write(out, "solve_report.csv", gridio.solve_report_csv(report))
     residual, bound = report.max_residual(), report.rtol * 10
@@ -192,112 +234,83 @@ def exp_solve(cfg, out, seed):
 
 def exp_validate_coeffs(cfg, out, seed):
     field = build_field(cfg)
-    v = cfg.get("validate", {})
-    report = validate_assumptions(field,
-                                  n_samples=v.get("n_samples", 2000),
-                                  seed=v.get("seed", seed),
-                                  slack=v.get("slack", 1.05),
-                                  alpha=v.get("alpha", 0.5))
+    v = section(cfg, "validate")
+    v["seed"] = seed if v["seed"] is None else v["seed"]
+    report = validate_assumptions(field, **v)
     _write(out, "assumptions.csv", gridio.assumption_report_csv(report))
     _write(out, "assumptions.txt", report.summary() + "\n")
     declared = {"delta_hat": field.delta, "delta_interior_hat": field.delta,
                 "nu_hat": field.nu}
-    results = []
-    for name, value, ok in report.as_rows():
-        results.append(CheckResult("assumption-" + name,
-                                   "coefficient-assumptions", value,
-                                   declared.get(name, field.K),
-                                   report.slack, ok))
-    return results
+    return [CheckResult("assumption-" + name, "coefficient-assumptions",
+                        value, declared.get(name, field.K), report.slack, ok)
+            for name, value, ok in report.as_rows()]
 
 
 def exp_norms(cfg, out, seed):
     field = build_field(cfg)
-    grid = build_grid(cfg)
-    problem = build_problem(cfg, field)
-    u, _ = solve_cauchy(problem, grid, **_solve_options(cfg))
-    n = cfg.get("norms", {})
-    alpha = n.get("alpha", 0.5)
-    qs = n.get("q", [0.0])
+    grid = build_grid(cfg, field.d)
+    u, _ = solve_cauchy(build_problem(cfg, field), grid,
+                        **section(cfg, "solve"))
+    n = section(cfg, "norms")
     points, ti, si = grid_point_set(grid, grid.audited_mask(),
-                                    n_max=n.get("n_points", 1500),
-                                    seed=seed)
+                                    n_max=n["n_points"], seed=seed)
     cons = grid_constituents(u, ti, si)
     reports = []
-    for q in qs:
-        reports.append(split_holder_norm(gather(u, ti, si), points, alpha,
-                                         q=q, seed=seed))
-        total, parts = order2_norm(cons, points, alpha, q=q, seed=seed)
-        reports.extend(parts)
+    for q in n["q"]:
+        reports.append(split_holder_norm(gather(u, ti, si), points,
+                                         n["alpha"], q=q, seed=seed))
+        reports.extend(order2_norm(cons, points, n["alpha"], q=q,
+                                   seed=seed)[1])
     _write(out, "holder.csv", holder_reports_to_csv(reports))
     return []
 
 
 def exp_maxprin(cfg, out, seed):
-    m = cfg.get("maxprin", {})
-    results = maximum_principle_suite(m.get("n_problems", 50), seed=seed)
-    results += absolute_bound_suite(m.get("n_absolute", 20), seed=seed + 1,
-                                    slack=m.get("sup_slack", 1.02))
-    results += weighted_bound_suite(m.get("n_weighted", 20),
-                                    tuple(m.get("weighted_q", [1.0, 2.0])),
-                                    seed=seed + 2,
-                                    slack=m.get("weighted_slack", 1.05))
+    m = section(cfg, "maxprin")
+    results = maximum_principle_suite(m["n_problems"], seed=seed)
+    results += absolute_bound_suite(m["n_absolute"], seed=seed + 1,
+                                    slack=m["sup_slack"])
+    results += weighted_bound_suite(m["n_weighted"], tuple(m["weighted_q"]),
+                                    seed=seed + 2, slack=m["weighted_slack"])
     fld = build_field(cfg) if cfg.get("field") else homogeneous_drift(1.0)
-    results.append(check_quadratic_supersolution(fld, seed=seed))
-    return results
+    return results + [check_quadratic_supersolution(fld, seed=seed)]
 
 
 def exp_barriers(cfg, out, seed):
-    b = cfg.get("barriers", {})
-    results = []
-    for drift in b.get("drifts", [-2.0, 0.0, 2.0]):
-        results.append(check_barrier(
-            drift, gamma=b.get("gamma", 0.5), big_c=b.get("big_c", 6.0),
-            small_c=b.get("small_c", 0.5), n_points=b.get("n_points", 2000),
-            seed=seed, height_max=b.get("height_max", 3.0)))
-    return results
+    b = section(cfg, "barriers")
+    drifts = b.pop("drifts")
+    return [check_barrier(drift, seed=seed, **b) for drift in drifts]
 
 
 def exp_interp(cfg, out, seed):
-    icfg = cfg.get("interp", {})
+    icfg = section(cfg, "interp")
     fits, cases, results = interpolation_check(
-        alpha=icfg.get("alpha", 0.5),
-        eps_ladder=tuple(icfg.get("eps", [0.5, 0.25, 0.1])), seed=seed)
-    lines = ["inequality,C,m,n_cases"]
-    for k, f in fits.items():
-        lines.append("%s,%.17g,%.17g,%d" % (k, f.constant, f.exponent,
-                                            f.n_cases))
+        alpha=icfg["alpha"], eps_ladder=tuple(icfg["eps"]), seed=seed)
+    lines = ["inequality,C,m,n_cases"] + [
+        "%s,%.17g,%.17g,%d" % (k, f.constant, f.exponent, f.n_cases)
+        for k, f in fits.items()]
     _write(out, "interpolation.csv", "\n".join(lines) + "\n")
     return results
 
 
 def exp_schauder(cfg, out, seed):
-    s = cfg.get("schauder", {})
+    s = section(cfg, "schauder")
     field = build_field(cfg)
-    ladder = s.get("ladder", [[17, 17, 9], [25, 25, 13], [33, 33, 17]])
-    alpha, p = s.get("alpha", 0.5), s.get("p", 0.0)
-    gcfg = cfg.get("grid", {})
+    problem = build_problem(cfg, field)
     results = []
-    ratios = []
-    for (n_lat, n_h, n_sl) in ladder:
-        grid = Grid.build(field.d, gcfg.get("x_extent", 2.0),
-                          gcfg.get("height", 2.0), n_lat, n_h,
-                          gcfg.get("t_final", 0.5), n_sl,
-                          grading=gcfg.get("grading", "quadratic"))
-        problem = build_problem(cfg, field)
-        rep, _ = schauder_ratio(problem, grid, alpha=alpha, p=p,
-                                n_points=s.get("n_points", 1200),
-                                seed=seed,
-                                certify=cfg.get("solve", {}).get("certify"))
-        ratios.append(rep.ratio)
+    for rung in s["ladder"]:
+        rep, _ = schauder_ratio(problem, build_grid(cfg, field.d, rung),
+                                alpha=s["alpha"], p=s["p"],
+                                n_points=s["n_points"], seed=seed,
+                                certify=section(cfg, "solve")["certify"])
         results.append(CheckResult(
-            "schauder-ratio(n=%d)" % n_lat, "schauder-ratio", rep.ratio,
+            "schauder-ratio(n=%d)" % rung[0], "schauder-ratio", rep.ratio,
             float("inf"), 1.0, np.isfinite(rep.ratio),
             "num=%.6g den=%.6g" % (rep.numerator, rep.denominator)))
-    thr = s.get("threshold", 0.25)
-    variation = abs(ratios[-1] - ratios[-2]) / abs(ratios[-2])
+    variation = abs(results[-1].lhs - results[-2].lhs) / abs(results[-2].lhs)
     results.append(CheckResult("schauder-stability", "schauder-ratio",
-                               variation, thr, 1.0, variation <= thr,
+                               variation, s["threshold"], 1.0,
+                               variation <= s["threshold"],
                                "relative change between finest grids"))
     return results
 
@@ -307,56 +320,47 @@ def exp_reduce(cfg, out, seed):
     plan = build_reduction_plan(field)
     _write(out, "plan.txt", plan.describe() + "\n")
     tol = 1e-12
-    results = []
-    for name in ("orthogonality", "shear_offdiagonal", "model_diffusion",
-                 "inverse"):
-        val = plan.certificates[name]
-        results.append(CheckResult("reduction-" + name,
-                                   "reduction-certificates", val, tol, 1.0,
-                                   val <= tol))
+    results = [CheckResult("reduction-" + name, "reduction-certificates",
+                           plan.certificates[name], tol, 1.0,
+                           plan.certificates[name] <= tol)
+               for name in ("orthogonality", "shear_offdiagonal",
+                            "model_diffusion", "inverse")]
     bd = plan.certificates["model_drift_height"]
     results.append(CheckResult("reduction-inward-drift",
                                "reduction-certificates", bd, 0.0, 1.0,
                                bd > 0.0, "model drift height component"))
-    r = cfg.get("reduce", {})
-    if r.get("round_trip", False):
-        g = cfg.get("grid", {})
-        res, _ = reduction_round_trip(
-            field, kind=r.get("kind", "inner_bump"),
-            x_extent=g.get("x_extent", 2.0), height=g.get("height", 2.0),
-            n_lateral=g.get("n_lateral", 33), n_height=g.get("n_height", 33),
-            n_slices=g.get("n_slices", 25), t_final=g.get("t_final", 0.5))
-        results.append(res)
+    r = section(cfg, "reduce")
+    if r["round_trip"]:
+        g = section(cfg, "grid")
+        results.append(reduction_round_trip(
+            field, kind=r["kind"], x_extent=g["x_extent"], height=g["height"],
+            n_lateral=g["n_lateral"], n_height=g["n_height"],
+            n_slices=g["n_slices"], t_final=g["t_final"])[0])
     return results
 
 
 def exp_convergence(cfg, out, seed):
-    c = cfg.get("convergence", {})
+    c = section(cfg, "convergence")
     field = build_field(cfg)
-    g = cfg.get("grid", {})
+    g = section(cfg, "grid")
     study = convergence_study(
-        field, c.get("kind", "inner_bump"),
-        c.get("ladder", [[9, 9, 4], [17, 17, 10], [33, 33, 28]]),
-        x_extent=g.get("x_extent", 2.0), height=g.get("height", 2.0),
-        t_final=g.get("t_final", 0.5), theta=c.get("theta", 1.0),
-        mode=c.get("mode", "space"), boundary=c.get("boundary", "frozen"),
-        grading=g.get("grading", "quadratic"),
-        certify=cfg.get("solve", {}).get("certify"))
+        field, c["kind"], c["ladder"], x_extent=g["x_extent"],
+        height=g["height"], t_final=g["t_final"], theta=c["theta"],
+        mode=c["mode"], boundary=c["boundary"], grading=g["grading"],
+        certify=section(cfg, "solve")["certify"])
     _write(out, "convergence.csv", gridio.convergence_csv(study))
     _write(out, "convergence.txt", study.summary() + "\n")
     if study.order is None:
         return [CheckResult("convergence-order", "theta-scheme", 0.0, 0.0,
                             1.0, True, "errors at machine precision")]
-    if c.get("mode", "space") == "space":
-        min_order = c.get("min_order", 0.9)
+    if c["mode"] == "space":
         return [CheckResult("convergence-order(space)", "theta-scheme",
-                            study.order, min_order, 1.0,
-                            study.order >= min_order, "fit vs minimum")]
-    band = c.get("order_band", 0.3)
+                            study.order, c["min_order"], 1.0,
+                            study.order >= c["min_order"], "fit vs minimum")]
     return [CheckResult("convergence-order(time)", "theta-scheme",
                         study.order, 1.0, 1.0,
-                        abs(study.order - 1.0) <= band,
-                        "fit vs first order, band %.3g" % band)]
+                        abs(study.order - 1.0) <= c["order_band"],
+                        "fit vs first order, band %.3g" % c["order_band"])]
 
 
 EXPERIMENTS = {
@@ -384,10 +388,8 @@ def run_experiment(kind, cfg, out_root, seed):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="degenpde",
-        description="Degenerate-parabolic half-space solver and "
-                    "verification toolkit")
+    parser = argparse.ArgumentParser(prog="degenpde", description=(
+        "Degenerate-parabolic half-space solver and verification toolkit"))
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in list(EXPERIMENTS) + ["run"]:
         p = sub.add_parser(kind)
@@ -401,22 +403,19 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else \
+        cfg.get("seed", CONFIG["seed"][1])
     os.makedirs(args.out, exist_ok=True)
-
+    kinds = cfg.get("experiments") if args.command == "run" \
+        else [args.command]
     try:
-        if args.command == "run":
-            kinds = cfg.get("experiments")
-            if not kinds:
-                raise ConfigError("'run' needs an 'experiments' list")
-            bad = [k for k in kinds if k not in EXPERIMENTS]
-            if bad:
-                raise ConfigError("unknown experiments %s" % bad)
-            results = []
-            for k in kinds:
-                results.extend(run_experiment(k, cfg, args.out, seed))
-        else:
-            results = run_experiment(args.command, cfg, args.out, seed)
+        if not kinds:
+            raise ConfigError("'run' needs an 'experiments' list")
+        bad = [k for k in kinds if k not in EXPERIMENTS]
+        if bad:
+            raise ConfigError("unknown experiments %s" % bad)
+        results = [r for k in kinds
+                   for r in run_experiment(k, cfg, args.out, seed)]
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -76,6 +76,62 @@ class TestConfigValidation:
             cli.build_problem({"data": {"f": "0"}}, field)
 
 
+class TestConfigTable:
+    def test_readme_example_config_validates(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = json.loads(block)
+        assert cli.validate_config(cfg) == cfg
+
+    def test_partial_section_filled_from_table(self):
+        cfg = {"grid": {"height": 1.0, "n_lateral": 9}}
+        grid = cli.section(cli.validate_config(cfg), "grid")
+        assert grid == {"x_extent": 2.0, "height": 1.0, "n_lateral": 9,
+                        "n_height": 33, "n_slices": 25, "t_final": 0.5,
+                        "grading": "quadratic"}
+        assert cfg == {"grid": {"height": 1.0, "n_lateral": 9}}
+
+    def test_every_section_has_typed_defaults(self):
+        for name, spec in cli.CONFIG.items():
+            keys = spec if isinstance(spec, dict) else {name: spec}
+            for key, ((what, test), default) in keys.items():
+                assert default is not cli.REQUIRED, (name, key)
+                assert default is None or test(default), (name, key)
+        for preset, (make, spec) in cli.PRESETS.items():
+            for key, ((what, test), default) in spec.items():
+                assert default in (None, cli.REQUIRED) or test(default)
+
+    @pytest.mark.parametrize("cfg", [
+        {"grid": {"x_extent": 2}},
+        {"solve": {"certify": None, "theta": 0.5}},
+        {"data": {"f": None, "g": "x1"}},
+        {"field": {"preset": "heston", "kappa": 2, "theta": 1,
+                   "sigma": 1, "rho": 0}},
+    ], ids=["integer-for-number", "null-certify", "null-f", "integer-heston"])
+    def test_accepted_values(self, cfg):
+        assert cli.validate_config(cfg) == cfg
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"solve": {"theta": True}}, "solve.theta must be a number"),
+        ({"grid": {"n_lateral": 33.0}}, "grid.n_lateral must be an integer"),
+        ({"reduce": {"round_trip": 1}}, "reduce.round_trip must be true or"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"barriers": {"drifts": [0.0, "1"]}}, "barriers.drifts must be a "
+         "list of numbers"),
+        ({"convergence": {"ladder": [[9, 9]]}}, "convergence.ladder must"),
+        ({"field": {"preset": "constant", "a": [[1.0]], "b": [1.0],
+                    "c": "0"}}, "field.c must be a number"),
+        ({"field": {"preset": ["heston"]}}, "field.preset"),
+    ], ids=["bool-theta", "float-count", "int-flag", "null-seed",
+            "string-drift", "short-rung", "string-c", "list-preset"])
+    def test_rejected_values(self, cfg, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.validate_config(cfg)
+
+
 class TestGridFunctionFiles:
     def small(self):
         grid = Grid.build(2, 1.0, 1.0, 5, 6, 0.25, 3)
@@ -190,6 +246,70 @@ class TestMainExitCodes:
         assert len(err) == 1
         assert err[0].startswith("config error:") and message in err[0]
 
+    @pytest.mark.parametrize("change,message", [
+        ({"field": [1, 2]}, "section 'field' must be an object"),
+        ({"grid": dict(BASE_CFG["grid"], n_lateral="x")},
+         "grid.n_lateral must be an integer"),
+        ({"experiments": "solve"}, "experiments must be a list of strings"),
+        ({"solve": {"certify": "yes"}}, "solve.certify must be true or false"),
+        ({"field": {"preset": "heston", "theta": 0.25, "sigma": 1.0,
+                    "rho": 0.0}}, "needs key 'kappa'"),
+        ({"data": {"g": "x1 +"}}, "cannot parse expression 'x1 +'"),
+        ({"data": {"g": "x1", "f": "x1 +"}}, "cannot parse expression"),
+        ({"data": {"manufactured": "wave"}},
+         "unknown manufactured solution 'wave'"),
+        ({"experiments": ["verify-schauder"],
+          "schauder": {"ladder": [[9, 9, 5]]}},
+         "schauder.ladder must be a list of at least two"),
+    ], ids=["field-list", "string-n-lateral", "experiments-string",
+            "string-certify", "heston-without-kappa", "unparsable-g",
+            "unparsable-f", "unknown-manufactured", "one-rung-ladder"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
+        cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
+                                   **change})
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and message in err[0]
+        assert not (out / "verify-schauder").exists()
+
+    def test_bad_config_stops_run_before_any_experiment(self, tmp_path,
+                                                        capsys):
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, experiments=["verify-barriers", "solve"],
+            solve={"theta": "1"}))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "solve.theta must be a number" in capsys.readouterr().err
+        assert not (out / "verify-barriers").exists()
+
+    def test_partial_grid_section_solves(self, tmp_path, capsys):
+        grid = {k: v for k, v in BASE_CFG["grid"].items() if k != "height"}
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, grid=grid))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        full = dict(BASE_CFG, grid=dict(grid, height=2.0))
+        u = gridio.load_grid_function(str(out / "solve" / "solution.dgph"),
+                                      cli.build_grid(full, 2))
+        assert np.all(np.isfinite(u.values))
+
+    def test_constant_field_in_three_dimensions_solves(self, tmp_path,
+                                                       capsys):
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG,
+            field={"preset": "constant", "c": 0.0, "b": [0.0, 0.0, 1.0],
+                   "a": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            grid={"n_lateral": 5, "n_height": 5, "n_slices": 3}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        d, n_t, shape, values = gridio.load_grid_function(
+            str(out / "solve" / "solution.dgph"))
+        assert (d, n_t, shape) == (3, 3, (5, 5, 5))
+        assert np.all(np.isfinite(values))
+
     def test_run_without_experiments_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
         code = cli.main(["run", "--config", cfg,
@@ -211,7 +331,7 @@ class TestMainExitCodes:
         printed = capsys.readouterr().out
         assert "0 failed" in printed
         sol = out / "solve" / "solution.dgph"
-        grid = cli.build_grid(BASE_CFG)
+        grid = cli.build_grid(BASE_CFG, 2)
         u = gridio.load_grid_function(str(sol), grid)
         assert np.all(np.isfinite(u.values))
         checks = (out / "solve" / "checks.csv").read_text()
