@@ -23,11 +23,11 @@ from . import gridio
 from .analytic import AnalyticFunction
 from .fields import (constant_field, from_expressions, heston,
                      homogeneous_drift, validate_assumptions)
-from .grid import Grid
+from .grid import GRADINGS, Grid
 from .metrics import grid_constituents, grid_point_set, holder_reports_to_csv, \
     order2_norm, split_holder_norm, gather
-from .solver import (CauchyProblem, convergence_study, manufactured_problem,
-                     solve_cauchy)
+from .solver import (BOUNDARIES, CONVERGENCE_MODES, CauchyProblem,
+                     convergence_study, manufactured_problem, solve_cauchy)
 from .verification import (CheckResult, absolute_bound_suite, check_barrier,
                            check_quadratic_supersolution, checks_to_csv,
                            interpolation_check, maximum_principle_suite,
@@ -43,6 +43,11 @@ class ConfigError(ValueError):
 def _list_of(what, test, min_len=0):
     return ("a list of " + what, lambda v: type(v) is list
             and len(v) >= min_len and all(map(test, v)))
+
+
+def _one_of(names):
+    return ("one of " + ", ".join(map(json.dumps, names)),
+            lambda v: type(v) is str and v in names)
 
 
 # A key's type: its name in messages, and a test on type(v) (true is no int).
@@ -62,10 +67,11 @@ CONFIG = {
     "grid": {"x_extent": (NUM, 2.0), "height": (NUM, 2.0),
              "n_lateral": (INT, 33), "n_height": (INT, 33),
              "n_slices": (INT, 25), "t_final": (NUM, 0.5),
-             "grading": (STR, "quadratic")},
+             "grading": (_one_of(GRADINGS), "quadratic")},
     "data": {"f": (STR, None), "g": (STR, None), "manufactured": (STR, None)},
     "solve": {"theta": (NUM, 1.0), "certify": (BOOL, None),
-              "boundary": (STR, "frozen"), "rtol": (NUM, 1e-10)},
+              "boundary": (_one_of(BOUNDARIES), "frozen"),
+              "rtol": (NUM, 1e-10)},
     "norms": {"alpha": (NUM, 0.5), "q": (NUMS, [0.0]),
               "n_points": (INT, 1500)},
     "validate": {"n_samples": (INT, 2000), "slack": (NUM, 1.05),
@@ -81,11 +87,13 @@ CONFIG = {
     "schauder": {"alpha": (NUM, 0.5), "p": (NUM, 0.0),
                  "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
                  "threshold": (NUM, 0.25), "n_points": (INT, 1200)},
-    "convergence": {"kind": (STR, "inner_bump"), "mode": (STR, "space"),
+    "convergence": {"kind": (STR, "inner_bump"),
+                    "mode": (_one_of(CONVERGENCE_MODES), "space"),
                     "ladder": (LADDER, [[9, 9, 4], [17, 17, 10],
                                         [33, 33, 28]]),
                     "min_order": (NUM, 0.9), "order_band": (NUM, 0.3),
-                    "boundary": (STR, "frozen"), "theta": (NUM, 1.0)},
+                    "boundary": (_one_of(BOUNDARIES), "frozen"),
+                    "theta": (NUM, 1.0)},
     "reduce": {"round_trip": (BOOL, False), "kind": (STR, "inner_bump")},
 }
 
@@ -181,11 +189,15 @@ def build_field(cfg):
 
 def build_grid(cfg, d, rung=None):
     """The grid section's box in d dimensions; a ladder rung (n_lateral,
-    n_height, n_slices) replaces its node counts and its need to exist."""
+    n_height, n_slices) replaces its node counts and its need to exist.
+    Sizes the grid rejects are a ConfigError."""
     g = section(cfg, "grid", required=rung is None)
     n_lat, n_h, n_sl = rung or (g["n_lateral"], g["n_height"], g["n_slices"])
-    return Grid.build(d, g["x_extent"], g["height"], n_lat, n_h,
-                      g["t_final"], n_sl, grading=g["grading"])
+    try:
+        return Grid.build(d, g["x_extent"], g["height"], n_lat, n_h,
+                          g["t_final"], n_sl, grading=g["grading"])
+    except ValueError as exc:
+        raise ConfigError("grid: %s" % exc)
 
 
 def build_problem(cfg, field):

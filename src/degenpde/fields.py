@@ -163,6 +163,8 @@ def constant_field(a, b, c, name="constant"):
 def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
                      name="custom"):
     """Field from elementary-function expression strings in t, x1..xd."""
+    if [len(row) for row in a_texts] != [d] * d:
+        raise ValueError("a must be %d x %d" % (d, d))
     a = [[parse_expression(a_texts[i][j], d) for j in range(d)]
          for i in range(d)]
     b = [parse_expression(s, d) for s in b_texts]

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Height-axis gradings: name -> node placement of j in [0, 1].
+GRADINGS = {"quadratic": np.square, "uniform": lambda j: j}
+
 
 def _second_difference(values, x, axis):
     """Second derivative of values along one axis with nodes x.
@@ -115,14 +118,11 @@ class Grid:
         """
         if d < 2:
             raise ValueError("spatial dimension must be >= 2")
+        if grading not in GRADINGS:
+            raise ValueError("unknown grading %r" % (grading,))
         lateral = np.linspace(-x_extent, x_extent, n_lateral)
         j = np.arange(n_height, dtype=float) / (n_height - 1)
-        if grading == "quadratic":
-            vert = height * j ** 2
-        elif grading == "uniform":
-            vert = height * j
-        else:
-            raise ValueError("unknown grading %r" % (grading,))
+        vert = height * GRADINGS[grading](j)
         axes = tuple([lateral.copy() for _ in range(d - 1)] + [vert])
         times = np.linspace(0.0, t_final, n_slices)
         return cls(axes, times)

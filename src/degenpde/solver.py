@@ -10,7 +10,9 @@ problem avoids needing a boundary condition there.  Lateral and top
 truncation faces carry Dirichlet data, by default the initial condition
 frozen in time; verification runs that know the exact solution may
 request exact boundary values instead so artificial-boundary error does
-not contaminate convergence measurements.
+not contaminate convergence measurements.  The operator is assembled as
+one diagonal per stencil offset: each term adds its per-axis three-point
+weights into the diagonal of the neighbour they reach.
 
 Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
 first B is factored with a sparse LU (scipy's splu, minimum-degree
@@ -33,6 +35,7 @@ out of certification.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -48,6 +51,11 @@ from .grid import Grid, GridFunction
 # earlier matrix, before it factors its own; at 257^2 twenty cost about
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
+
+# Boundary data on the truncation faces, and refinement modes of a
+# convergence study.
+BOUNDARIES = ("frozen", "exact")
+CONVERGENCE_MODES = ("space", "time")
 
 
 class SolverError(RuntimeError):
@@ -103,112 +111,80 @@ class MonotonicityCertificate:
                 "certify=False" % (self.offending_node, self.detail))
 
 
+def _axis_weights(x):
+    """Three-point weights (below, at, above) of one axis at every node.
+
+    Returns the second, centered first, forward and backward differences
+    on the nodes x, each of shape (3, len(x)).  The second and centered
+    differences vanish at both end nodes, the forward difference at the
+    last and the backward difference at the first: a weight whose
+    neighbour lies off the axis is 0.
+    """
+    h = np.diff(x)
+    hm, hp = h[:-1], h[1:]
+    second, first, forward, backward = np.zeros((4, 3, len(x)))
+    second[:, 1:-1] = [2.0 / (hm * (hm + hp)), -2.0 / (hm * hp),
+                       2.0 / (hp * (hm + hp))]
+    first[:, 1:-1] = [-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp),
+                      hm / (hp * (hm + hp))]
+    forward[1:, :-1] = [-1.0 / h, 1.0 / h]
+    backward[:2, 1:] = [-1.0 / h, 1.0 / h]
+    return second, first, forward, backward
+
+
 def discretize_operator(field, grid, t):
     """Assemble the spatial operator A at time t as a CSR matrix.
 
-    Rows of truncation (Dirichlet) nodes are left empty; the implicit
-    matrix I + theta dt A therefore has identity rows there.  Returns
+    Each neighbour offset of the stencil (a sum of +-stride over at most
+    two axes) is one diagonal of A, summed from per-axis weights.  Rows
+    of truncation (Dirichlet) nodes are left empty; the implicit matrix
+    I + theta dt A therefore has identity rows there.  Returns
     (A, flat Dirichlet mask).
     """
-    d = grid.d
-    shape = grid.shape
+    d, shape = grid.d, grid.shape
     N = int(np.prod(shape))
     nodes = grid.nodes()
     idx = np.indices(shape).reshape(d, N)
-    strides = np.array([int(np.prod(shape[i + 1:], dtype=np.int64))
-                        for i in range(d)])
+    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
     dir_flat = grid.dirichlet_mask().ravel()
-    free = ~dir_flat
-    height = nodes[:, -1]
-
     t_arr = np.full(N, float(t))
-    a_vals = field.a(t_arr, nodes)
-    b_vals = field.b(t_arr, nodes)
-    c_vals = field.c(t_arr, nodes)
+    a_vals, b_vals, c_vals = (coef(t_arr, nodes)
+                              for coef in (field.a, field.b, field.c))
+    kappa = nodes[:, -1, None, None] * a_vals  # x_d a_ij at every node
+    weights = [[np.take(w, k, axis=1) for w in _axis_weights(ax)]
+               for ax, k in zip(grid.axes, idx)]
 
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    flat = np.arange(N)
-    diffs = [np.diff(ax) for ax in grid.axes]
-
+    # offset -> weight of that neighbour in every row of x_d a:D^2 + b.grad
+    # + c, before the sign flip to A
+    diagonals = defaultdict(float)
     for i in range(d):
-        k = idx[i]
-        n_i = shape[i]
-        dx = diffs[i]
-        hm = dx[np.clip(k - 1, 0, n_i - 2)]
-        hp = dx[np.clip(k, 0, n_i - 2)]
-        sl = strides[i]
-
-        # pure second derivative, coefficient height * a_ii
-        kappa = height * a_vals[:, i, i]
-        ok = free & (k >= 1) & (k <= n_i - 2) & (kappa != 0.0)
-        if np.any(ok):
-            f_ = flat[ok]
-            km, kp, kap = hm[ok], hp[ok], kappa[ok]
-            add(f_, f_ - sl, -kap * 2.0 / (km * (km + kp)))
-            add(f_, f_, kap * 2.0 / (km * kp))
-            add(f_, f_ + sl, -kap * 2.0 / (kp * (km + kp)))
-
-        # upwinded drift
+        second, first, forward, backward = weights[i]
         beta = b_vals[:, i]
-        fwd = free & (beta != 0.0) & ((beta > 0) | (k == 0)) & (k <= n_i - 2)
-        if np.any(fwd):
-            f_ = flat[fwd]
-            w = beta[fwd] / hp[fwd]
-            add(f_, f_, w)
-            add(f_, f_ + sl, -w)
-        bwd = free & (beta < 0) & (k >= 1)
-        bwd &= ~fwd
-        if np.any(bwd):
-            f_ = flat[bwd]
-            w = beta[bwd] / hm[bwd]
-            add(f_, f_, -w)
-            add(f_, f_ - sl, w)
-
+        # upwinded drift; the first node differences forward whatever the
+        # sign of the drift, so the bottom row reaches into the domain
+        up = (beta > 0) | (idx[i] == 0)
+        stencil = (kappa[:, i, i] * second
+                   + beta * np.where(up, forward, backward))
+        for s in (-1, 0, 1):
+            diagonals[s * strides[i]] += stencil[s + 1]
         # mixed second derivatives as products of centered first
         # differences; both signs appear among the weights, which is what
         # breaks the M-matrix property when a_ij != 0
         for j in range(i + 1, d):
-            kj = idx[j]
-            n_j = shape[j]
-            dxj = diffs[j]
-            hmj = dxj[np.clip(kj - 1, 0, n_j - 2)]
-            hpj = dxj[np.clip(kj, 0, n_j - 2)]
-            slj = strides[j]
-            kappa2 = 2.0 * height * a_vals[:, i, j]
-            ok = (free & (k >= 1) & (k <= n_i - 2)
-                  & (kj >= 1) & (kj <= n_j - 2) & (kappa2 != 0.0))
-            if not np.any(ok):
-                continue
-            f_ = flat[ok]
-            kap = kappa2[ok]
-            wi = [(-hp[ok] / (hm[ok] * (hm[ok] + hp[ok])), -sl),
-                  ((hp[ok] - hm[ok]) / (hm[ok] * hp[ok]), 0),
-                  (hm[ok] / (hp[ok] * (hm[ok] + hp[ok])), sl)]
-            wj = [(-hpj[ok] / (hmj[ok] * (hmj[ok] + hpj[ok])), -slj),
-                  ((hpj[ok] - hmj[ok]) / (hmj[ok] * hpj[ok]), 0),
-                  (hmj[ok] / (hpj[ok] * (hmj[ok] + hpj[ok])), slj)]
-            for w1, o1 in wi:
-                for w2, o2 in wj:
-                    add(f_, f_ + o1 + o2, -kap * w1 * w2)
+            for si in (-1, 0, 1):
+                for sj in (-1, 0, 1):
+                    diagonals[si * strides[i] + sj * strides[j]] += (
+                        2.0 * kappa[:, i, j] * first[si + 1]
+                        * weights[j][1][sj + 1])
+    diagonals[0] += c_vals
 
-    # zeroth order
-    if np.any(free & (c_vals != 0.0)):
-        ok = free & (c_vals != 0.0)
-        add(flat[ok], flat[ok], -c_vals[ok])
-
-    if rows:
-        A = sparse.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N)).tocsr()
-    else:
-        A = sparse.csr_matrix((N, N))
+    # Row r holds its offset-o weight at column r + o.  No entry wraps
+    # around the grid edge, since an off-grid neighbour has weight 0, and
+    # the CSR conversion drops the zero weights.
+    offsets = list(diagonals)
+    A = sparse.diags([-np.where(dir_flat, 0.0, diagonals[o])
+                      [max(-o, 0):N - max(o, 0)] for o in offsets],
+                     offsets, shape=(N, N), format="csr")
     return A, dir_flat
 
 
@@ -323,8 +299,8 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
     """
     if certify is None:
         certify = theta == 1.0
-    if boundary not in ("frozen", "exact"):
-        raise ValueError("boundary must be 'frozen' or 'exact'")
+    if boundary not in BOUNDARIES:
+        raise ValueError("boundary must be one of %s" % (BOUNDARIES,))
     if boundary == "exact" and problem.exact is None:
         raise ValueError("exact boundary values need problem.exact")
     start = time.perf_counter()
@@ -500,6 +476,8 @@ def convergence_study(field, kind, ladder, x_extent=2.0, height=2.0,
     least-squares slope of log error against log h (mode 'space', h the
     largest spatial spacing) or log dt (mode 'time').
     """
+    if mode not in CONVERGENCE_MODES:
+        raise ValueError("mode must be one of %s" % (CONVERGENCE_MODES,))
     problem = manufactured_problem(field, kind, x_extent, height)
     rows = []
     for n_lat, n_h, n_sl in ladder:

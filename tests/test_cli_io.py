@@ -1,5 +1,6 @@
 """Config schema, binary grid-function files, CSV reports, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +22,10 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path.write_text(json.dumps(cfg))
     return str(path)
 
+
+EXPRESSIONS_FIELD = {"preset": "expressions", "d": 2,
+                     "a": [["1", "0"], ["0", "1"]], "b": ["0", "1"],
+                     "c": "0", "delta": 1.0, "K": 4.0, "nu": 1.0}
 
 BASE_CFG = {
     "field": {"preset": "homogeneous-drift", "nu": 1.0},
@@ -86,6 +91,19 @@ class TestConfigTable:
         cfg = json.loads(block)
         assert cli.validate_config(cfg) == cfg
 
+    @pytest.mark.parametrize("workload", ["heston-ladder", "heston-timedep",
+                                          "readme-run"])
+    @pytest.mark.parametrize("size", ["tiny", "full"])
+    def test_benchmark_configs_validate(self, workload, size):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs, _ = workloads.build(workload, size)
+        for cfg in configs.values():
+            assert cli.validate_config(cfg) == cfg
+
     def test_partial_section_filled_from_table(self):
         cfg = {"grid": {"height": 1.0, "n_lateral": 9}}
         grid = cli.section(cli.validate_config(cfg), "grid")
@@ -125,8 +143,12 @@ class TestConfigTable:
         ({"field": {"preset": "constant", "a": [[1.0]], "b": [1.0],
                     "c": "0"}}, "field.c must be a number"),
         ({"field": {"preset": ["heston"]}}, "field.preset"),
+        ({"convergence": {"boundary": "edge"}},
+         "convergence.boundary must be one of"),
+        ({"grid": {"grading": ["uniform"]}}, "grid.grading must be one of"),
     ], ids=["bool-theta", "float-count", "int-flag", "null-seed",
-            "string-drift", "short-rung", "string-c", "list-preset"])
+            "string-drift", "short-rung", "string-c", "list-preset",
+            "convergence-boundary", "list-grading"])
     def test_rejected_values(self, cfg, message):
         with pytest.raises(cli.ConfigError, match=message):
             cli.validate_config(cfg)
@@ -261,9 +283,23 @@ class TestMainExitCodes:
         ({"experiments": ["verify-schauder"],
           "schauder": {"ladder": [[9, 9, 5]]}},
          "schauder.ladder must be a list of at least two"),
+        ({"grid": dict(BASE_CFG["grid"], grading="cubic")},
+         'grid.grading must be one of "quadratic", "uniform", not "cubic"'),
+        ({"solve": {"boundary": "edge"}}, "solve.boundary must be one of"),
+        ({"convergence": {"mode": "spcae"}},
+         'convergence.mode must be one of "space", "time", not "spcae"'),
+        ({"grid": dict(BASE_CFG["grid"], n_lateral=2)},
+         "grid: every spatial axis needs at least 3 nodes"),
+        ({"field": dict(EXPRESSIONS_FIELD, a=[["1"]])}, "a must be 2 x 2"),
+        ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "0", "0"],
+                                              ["0", "1", "0"],
+                                              ["0", "0", "1"]])},
+         "a must be 2 x 2"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
-            "unparsable-f", "unknown-manufactured", "one-rung-ladder"])
+            "unparsable-f", "unknown-manufactured", "one-rung-ladder",
+            "cubic-grading", "edge-boundary", "misspelled-mode",
+            "two-node-axis", "expressions-a-1x1", "expressions-a-3x3"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})

@@ -140,6 +140,15 @@ class TestExpressions:
             from_expressions(2, [["1", "x1"], ["0", "1"]], ["0", "1"], "0",
                              1.0, 10.0, 1.0)
 
+    @pytest.mark.parametrize("a", [
+        [["1"]], [["1", "0"], ["0"]],
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "1", "0"]]],
+        ids=["1x1", "ragged", "3x3", "2x3"])
+    def test_diffusion_must_be_d_by_d(self, a):
+        with pytest.raises(ValueError, match="a must be 2 x 2"):
+            from_expressions(2, a, ["0", "1"], "0", 1.0, 10.0, 1.0)
+
 
 class TestValidation:
     def test_overstated_ellipticity_fails(self):

@@ -123,6 +123,155 @@ class TestAssembly:
         assert np.allclose(got[free], want[free], rtol=0, atol=1e-10)
 
 
+def coo_reference(field, grid, t):
+    """Reference for discretize_operator: the operator assembled entry by
+    entry into COO lists under per-axis validity masks, then summed by
+    the CSR conversion."""
+    d = grid.d
+    shape = grid.shape
+    N = int(np.prod(shape))
+    nodes = grid.nodes()
+    idx = np.indices(shape).reshape(d, N)
+    strides = np.array([int(np.prod(shape[i + 1:], dtype=np.int64))
+                        for i in range(d)])
+    dir_flat = grid.dirichlet_mask().ravel()
+    free = ~dir_flat
+    height = nodes[:, -1]
+
+    t_arr = np.full(N, float(t))
+    a_vals = field.a(t_arr, nodes)
+    b_vals = field.b(t_arr, nodes)
+    c_vals = field.c(t_arr, nodes)
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    flat = np.arange(N)
+    diffs = [np.diff(ax) for ax in grid.axes]
+
+    for i in range(d):
+        k = idx[i]
+        n_i = shape[i]
+        dx = diffs[i]
+        hm = dx[np.clip(k - 1, 0, n_i - 2)]
+        hp = dx[np.clip(k, 0, n_i - 2)]
+        sl = strides[i]
+
+        # pure second derivative, coefficient height * a_ii
+        kappa = height * a_vals[:, i, i]
+        ok = free & (k >= 1) & (k <= n_i - 2) & (kappa != 0.0)
+        if np.any(ok):
+            f_ = flat[ok]
+            km, kp, kap = hm[ok], hp[ok], kappa[ok]
+            add(f_, f_ - sl, -kap * 2.0 / (km * (km + kp)))
+            add(f_, f_, kap * 2.0 / (km * kp))
+            add(f_, f_ + sl, -kap * 2.0 / (kp * (km + kp)))
+
+        # upwinded drift
+        beta = b_vals[:, i]
+        fwd = free & (beta != 0.0) & ((beta > 0) | (k == 0)) & (k <= n_i - 2)
+        if np.any(fwd):
+            f_ = flat[fwd]
+            w = beta[fwd] / hp[fwd]
+            add(f_, f_, w)
+            add(f_, f_ + sl, -w)
+        bwd = free & (beta < 0) & (k >= 1)
+        bwd &= ~fwd
+        if np.any(bwd):
+            f_ = flat[bwd]
+            w = beta[bwd] / hm[bwd]
+            add(f_, f_, -w)
+            add(f_, f_ - sl, w)
+
+        # mixed second derivatives as products of centered first
+        # differences; both signs appear among the weights, which is what
+        # breaks the M-matrix property when a_ij != 0
+        for j in range(i + 1, d):
+            kj = idx[j]
+            n_j = shape[j]
+            dxj = diffs[j]
+            hmj = dxj[np.clip(kj - 1, 0, n_j - 2)]
+            hpj = dxj[np.clip(kj, 0, n_j - 2)]
+            slj = strides[j]
+            kappa2 = 2.0 * height * a_vals[:, i, j]
+            ok = (free & (k >= 1) & (k <= n_i - 2)
+                  & (kj >= 1) & (kj <= n_j - 2) & (kappa2 != 0.0))
+            if not np.any(ok):
+                continue
+            f_ = flat[ok]
+            kap = kappa2[ok]
+            wi = [(-hp[ok] / (hm[ok] * (hm[ok] + hp[ok])), -sl),
+                  ((hp[ok] - hm[ok]) / (hm[ok] * hp[ok]), 0),
+                  (hm[ok] / (hp[ok] * (hm[ok] + hp[ok])), sl)]
+            wj = [(-hpj[ok] / (hmj[ok] * (hmj[ok] + hpj[ok])), -slj),
+                  ((hpj[ok] - hmj[ok]) / (hmj[ok] * hpj[ok]), 0),
+                  (hmj[ok] / (hpj[ok] * (hmj[ok] + hpj[ok])), slj)]
+            for w1, o1 in wi:
+                for w2, o2 in wj:
+                    add(f_, f_ + o1 + o2, -kap * w1 * w2)
+
+    # zeroth order
+    if np.any(free & (c_vals != 0.0)):
+        ok = free & (c_vals != 0.0)
+        add(flat[ok], flat[ok], -c_vals[ok])
+
+    return sparse.coo_matrix(
+        (np.concatenate(vals),
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N)).tocsr()
+
+
+def random_spd_field(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d))
+    return constant_field(m @ m.T + 0.5 * np.eye(d), rng.normal(size=d),
+                          -0.3, name="random-spd")
+
+
+# (field, d, times): x-dependent cross diffusion with drift that changes
+# sign along both axes, negative at part of the bottom row; and the
+# benchmark's time-dependent Heston field at two times.
+ASSEMBLY_CASES = {
+    "heston-rho0": (lambda: heston(2.0, 0.25, 1.0, 0.0, r=0.05), 2, [0.0]),
+    "heston-rho-0.5": (lambda: heston(2.0, 0.25, 1.0, -0.5, r=0.05), 2,
+                       [0.0]),
+    "random-spd-3d": (lambda: random_spd_field(3, 7), 3, [0.0]),
+    "expressions-cross": (lambda: from_expressions(
+        2, [["1 + 0.5*sin(x1)", "0.3*cos(x1)*(1 + x2)"],
+            ["0.3*cos(x1)*(1 + x2)", "1 + x2/4"]],
+        ["x2 - 1 - x1/2", "x1 - x2/2 + 0.25"], "-0.1 - x1**2/10",
+        delta=0.2, K=10.0, nu=0.1), 2, [0.0]),
+    "heston-timedep": (lambda: from_expressions(
+        2, [["0.5", "0"], ["0", "0.5"]],
+        ["0.05 - x2/2", "2*(0.25*(1 + t) - x2)"], "-0.05",
+        delta=0.5, K=12.0, nu=0.5), 2, [0.0, 0.5]),
+}
+
+
+class TestDiagonalAssembly:
+    @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_matches_coo_reference(self, case, grading):
+        make, d, times = ASSEMBLY_CASES[case]
+        field = make()
+        grid = Grid.build(d, 2.0, 2.0, 7, 9, 0.5, 3, grading=grading)
+        for t in times:
+            A, dir_flat = discretize_operator(field, grid, t)
+            ref = coo_reference(field, grid, t)
+            A.sort_indices()
+            ref.sort_indices()
+            assert A.nnz == ref.nnz
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            scale = np.max(np.abs(ref.data))
+            assert np.max(np.abs(A.data - ref.data)) <= 1e-14 * scale
+            assert A[dir_flat].nnz == 0
+
+
 def implicit_matrix(field, grid, theta=1.0):
     A, _ = discretize_operator(field, grid, 0.0)
     return (sparse.eye(A.shape[0], format="csr")
@@ -524,6 +673,11 @@ class TestConvergence:
             mode="time", boundary="exact")
         assert study.order is not None
         assert abs(study.order - 1.0) <= 0.4
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            convergence_study(homogeneous_drift(1.0), "constant",
+                              [(7, 7, 4), (9, 9, 5)], mode="spcae")
 
     def test_exact_family_reports_no_order(self):
         study = convergence_study(
