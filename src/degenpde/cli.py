@@ -26,8 +26,9 @@ from .fields import (constant_field, from_expressions, heston,
 from .grid import GRADINGS, Grid
 from .metrics import grid_constituents, grid_point_set, holder_reports_to_csv, \
     order2_norm, split_holder_norm, gather
-from .solver import (BOUNDARIES, CONVERGENCE_MODES, CauchyProblem,
-                     convergence_study, manufactured_problem, solve_cauchy)
+from .solver import (BOUNDARIES, CONVERGENCE_MODES, MANUFACTURED_KINDS,
+                     CauchyProblem, convergence_study, manufactured_problem,
+                     solve_cauchy)
 from .verification import (CheckResult, absolute_bound_suite, check_barrier,
                            check_quadratic_supersolution, checks_to_csv,
                            interpolation_check, maximum_principle_suite,
@@ -55,7 +56,10 @@ NUM = ("a number", lambda v: type(v) in (int, float))
 INT = ("an integer", lambda v: type(v) is int)
 BOOL = ("true or false", lambda v: type(v) is bool)
 STR = ("a string", lambda v: type(v) is str)
+FRACTION = ("a number in (0, 1)", lambda v: NUM[1](v) and 0 < v < 1)
 NUMS, STRS = _list_of("numbers", NUM[1]), _list_of("strings", STR[1])
+EPS = _list_of("at least one number in (0, 1)", FRACTION[1], min_len=1)
+KIND = _one_of(MANUFACTURED_KINDS)
 LADDER = _list_of("at least two [n_lateral, n_height, n_slices] rungs",
                   lambda r: type(r) is list and len(r) == 3
                   and all(map(INT[1], r)), min_len=2)
@@ -68,14 +72,14 @@ CONFIG = {
              "n_lateral": (INT, 33), "n_height": (INT, 33),
              "n_slices": (INT, 25), "t_final": (NUM, 0.5),
              "grading": (_one_of(GRADINGS), "quadratic")},
-    "data": {"f": (STR, None), "g": (STR, None), "manufactured": (STR, None)},
+    "data": {"f": (STR, None), "g": (STR, None), "manufactured": (KIND, None)},
     "solve": {"theta": (NUM, 1.0), "certify": (BOOL, None),
               "boundary": (_one_of(BOUNDARIES), "frozen"),
               "rtol": (NUM, 1e-10)},
-    "norms": {"alpha": (NUM, 0.5), "q": (NUMS, [0.0]),
+    "norms": {"alpha": (FRACTION, 0.5), "q": (NUMS, [0.0]),
               "n_points": (INT, 1500)},
     "validate": {"n_samples": (INT, 2000), "slack": (NUM, 1.05),
-                 "alpha": (NUM, 0.5), "seed": (INT, None)},
+                 "alpha": (FRACTION, 0.5), "seed": (INT, None)},
     "maxprin": {"n_problems": (INT, 50), "n_absolute": (INT, 20),
                 "n_weighted": (INT, 20), "sup_slack": (NUM, 1.02),
                 "weighted_q": (NUMS, [1.0, 2.0]),
@@ -83,18 +87,18 @@ CONFIG = {
     "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]), "gamma": (NUM, 0.5),
                  "big_c": (NUM, 6.0), "small_c": (NUM, 0.5),
                  "n_points": (INT, 2000), "height_max": (NUM, 3.0)},
-    "interp": {"alpha": (NUM, 0.5), "eps": (NUMS, [0.5, 0.25, 0.1])},
-    "schauder": {"alpha": (NUM, 0.5), "p": (NUM, 0.0),
+    "interp": {"alpha": (FRACTION, 0.5), "eps": (EPS, [0.5, 0.25, 0.1])},
+    "schauder": {"alpha": (FRACTION, 0.5), "p": (NUM, 0.0),
                  "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
                  "threshold": (NUM, 0.25), "n_points": (INT, 1200)},
-    "convergence": {"kind": (STR, "inner_bump"),
+    "convergence": {"kind": (KIND, "inner_bump"),
                     "mode": (_one_of(CONVERGENCE_MODES), "space"),
                     "ladder": (LADDER, [[9, 9, 4], [17, 17, 10],
                                         [33, 33, 28]]),
                     "min_order": (NUM, 0.9), "order_band": (NUM, 0.3),
                     "boundary": (_one_of(BOUNDARIES), "frozen"),
                     "theta": (NUM, 1.0)},
-    "reduce": {"round_trip": (BOOL, False), "kind": (STR, "inner_bump")},
+    "reduce": {"round_trip": (BOOL, False), "kind": (KIND, "inner_bump")},
 }
 
 # Field presets: name -> (constructor, its keys in its argument order).
@@ -201,15 +205,15 @@ def build_grid(cfg, d, rung=None):
 
 
 def build_problem(cfg, field):
-    """The data section's Cauchy problem; data that do not parse, or an
-    unknown manufactured kind, are a ConfigError."""
+    """The data section's Cauchy problem; data that do not parse are a
+    ConfigError."""
     data, grid = section(cfg, "data", required=True), section(cfg, "grid")
-    if data["manufactured"] is None and data["g"] is None:
+    if data["manufactured"] is not None:
+        return manufactured_problem(field, data["manufactured"],
+                                    grid["x_extent"], grid["height"])
+    if data["g"] is None:
         raise ConfigError("data needs 'g' (or 'manufactured')")
     try:
-        if data["manufactured"] is not None:
-            return manufactured_problem(field, data["manufactured"],
-                                        grid["x_extent"], grid["height"])
         f, g = [None if text is None else
                 AnalyticFunction.from_text(text, field.d)
                 for text in (data["f"], data["g"])]
@@ -354,6 +358,8 @@ def exp_reduce(cfg, out, seed):
 def exp_convergence(cfg, out, seed):
     c = section(cfg, "convergence")
     field = build_field(cfg)
+    for rung in c["ladder"]:
+        build_grid(cfg, field.d, rung)  # a rung Grid rejects is a ConfigError
     g = section(cfg, "grid")
     study = convergence_study(
         field, c["kind"], c["ladder"], x_extent=g["x_extent"],

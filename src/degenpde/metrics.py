@@ -15,12 +15,15 @@ that the parabolic norms miss.
 
 Seminorm estimation enumerates point pairs exhaustively below a cap and
 falls back to seeded pair sampling above it, so every reported value is a
-certified lower bound of the true supremum over the sampled region.
+certified lower bound of the true supremum over the sampled region.  The
+pairs and their powered distances depend only on the points, so each
+point set builds one pair table per (metric, alpha, cap, sample size,
+seed) and every seminorm on it reuses that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,17 +121,27 @@ class SeminormEstimate:
 
 @dataclass
 class PointSet:
-    """Evaluation points for norm estimation."""
+    """Evaluation points for norm estimation.
+
+    t and x are never mutated after construction: the point set memoizes
+    its subsets and pair tables in `_tables`, which would go stale.
+    """
 
     t: np.ndarray
     x: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def size(self):
         return len(self.t)
 
     def subset(self, mask):
-        return PointSet(self.t[mask], self.x[mask])
+        mask = np.asarray(mask)
+        key = ("subset", mask.dtype.str, mask.tobytes())
+        if key not in self._tables:
+            self._tables[key] = PointSet(self.t[mask], self.x[mask])
+        return self._tables[key]
 
     def point(self, k):
         return SpaceTimePoint(float(self.t[k]), tuple(self.x[k]))
@@ -164,15 +177,23 @@ def gather(gridfn, ti, si):
     return gridfn.values.reshape(gridfn.grid.n_t, -1)[ti, si]
 
 
-def _pair_indices(m, exhaustive_cap, sampled_pairs, seed):
-    total = m * (m - 1) // 2
-    if total <= exhaustive_cap:
-        return np.triu_indices(m, k=1)
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, m, size=sampled_pairs)
-    j = rng.integers(0, m - 1, size=sampled_pairs)
-    j = j + (j >= i)
-    return i, j
+def _pair_table(points, metric, alpha, exhaustive_cap, sampled_pairs, seed):
+    """(i, j, dist ** alpha, dist > 0) of every pair below the cap, of
+    seeded pairs i != j above it; built once per point set and key."""
+    key = (metric, alpha, exhaustive_cap, sampled_pairs, seed)
+    if key not in points._tables:
+        m = points.size
+        if m * (m - 1) // 2 <= exhaustive_cap:
+            i, j = np.triu_indices(m, k=1)
+        else:
+            rng = np.random.default_rng(seed)
+            i = rng.integers(0, m, size=sampled_pairs)
+            j = rng.integers(0, m - 1, size=sampled_pairs)
+            j = j + (j >= i)
+        dist = _METRICS[metric](points.t[i], points.x[i],
+                                points.t[j], points.x[j])
+        points._tables[key] = (i, j, dist ** alpha, dist > 0)
+    return points._tables[key]
 
 
 def seminorm(values, points, alpha, metric, exhaustive_cap=EXHAUSTIVE_CAP,
@@ -186,11 +207,10 @@ def seminorm(values, points, alpha, metric, exhaustive_cap=EXHAUSTIVE_CAP,
     if m < 2:
         return SeminormEstimate(0.0, 0)
     values = np.asarray(values, dtype=float)
-    i, j = _pair_indices(m, exhaustive_cap, sampled_pairs, seed)
-    dist = _METRICS[metric](points.t[i], points.x[i], points.t[j], points.x[j])
+    i, j, powered, apart = _pair_table(points, metric, alpha, exhaustive_cap,
+                                       sampled_pairs, seed)
     diff = np.abs(values[i] - values[j])
-    quot = np.divide(diff, dist ** alpha,
-                     out=np.zeros_like(diff), where=dist > 0)
+    quot = np.divide(diff, powered, out=np.zeros_like(diff), where=apart)
     k = int(np.argmax(quot)) if len(quot) else 0
     if len(quot) == 0 or quot[k] == 0.0:
         return SeminormEstimate(0.0, len(quot))

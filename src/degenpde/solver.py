@@ -52,10 +52,11 @@ from .grid import Grid, GridFunction
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
 
-# Boundary data on the truncation faces, and refinement modes of a
-# convergence study.
+# Boundary data on the truncation faces, refinement modes of a convergence
+# study, and the exact solutions of `manufactured_solution`.
 BOUNDARIES = ("frozen", "exact")
 CONVERGENCE_MODES = ("space", "time")
+MANUFACTURED_KINDS = ("constant", "affine_height", "inner_bump")
 
 
 class SolverError(RuntimeError):
@@ -416,7 +417,8 @@ def manufactured_solution(field, kind, x_extent=2.0, height=2.0):
                     [0.6 * x_extent] * (d - 1) + [0.6 * height])
         expr = 1 + sp.exp(-_TIME) * prof.expr
     else:
-        raise ValueError("unknown manufactured solution %r" % (kind,))
+        raise ValueError("manufactured kind must be one of %s"
+                         % (MANUFACTURED_KINDS,))
     return AnalyticFunction(d, expr)
 
 

@@ -279,7 +279,8 @@ class TestMainExitCodes:
         ({"data": {"g": "x1 +"}}, "cannot parse expression 'x1 +'"),
         ({"data": {"g": "x1", "f": "x1 +"}}, "cannot parse expression"),
         ({"data": {"manufactured": "wave"}},
-         "unknown manufactured solution 'wave'"),
+         'data.manufactured must be one of "constant", "affine_height", '
+         '"inner_bump", not "wave"'),
         ({"experiments": ["verify-schauder"],
           "schauder": {"ladder": [[9, 9, 5]]}},
          "schauder.ladder must be a list of at least two"),
@@ -295,11 +296,33 @@ class TestMainExitCodes:
                                               ["0", "1", "0"],
                                               ["0", "0", "1"]])},
          "a must be 2 x 2"),
+        ({"norms": {"alpha": 1.5}},
+         "norms.alpha must be a number in (0, 1), not 1.5"),
+        ({"validate": {"alpha": -0.5}}, "validate.alpha must be a number"),
+        ({"interp": {"alpha": 0}}, "interp.alpha must be a number in (0, 1)"),
+        ({"schauder": {"alpha": 1}},
+         "schauder.alpha must be a number in (0, 1), not 1"),
+        ({"experiments": ["convergence"], "convergence": {"kind": "wave"}},
+         "convergence.kind must be one of"),
+        ({"experiments": ["reduce"],
+          "reduce": {"round_trip": True, "kind": "wave"}},
+         'reduce.kind must be one of "constant", "affine_height", '
+         '"inner_bump", not "wave"'),
+        ({"experiments": ["convergence"],
+          "convergence": {"ladder": [[2, 7, 3], [9, 9, 4]]}},
+         "grid: every spatial axis needs at least 3 nodes"),
+        ({"experiments": ["verify-interp"], "interp": {"eps": []}},
+         "interp.eps must be a list of at least one number in (0, 1)"),
+        ({"interp": {"eps": [0.5, 1.0]}}, "interp.eps must be a list"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
             "cubic-grading", "edge-boundary", "misspelled-mode",
-            "two-node-axis", "expressions-a-1x1", "expressions-a-3x3"])
+            "two-node-axis", "expressions-a-1x1", "expressions-a-3x3",
+            "norms-alpha-1.5", "validate-alpha-negative", "interp-alpha-0",
+            "schauder-alpha-1", "unknown-convergence-kind",
+            "unknown-reduce-kind", "two-node-rung", "empty-eps",
+            "eps-one"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import sympy as sp
 
 from degenpde.analytic import AnalyticFunction, space_symbols
+from degenpde import metrics
 from degenpde.grid import Grid, SpaceTimePoint
 from degenpde.metrics import (
     HOLDER_CSV_COLUMNS,
     PointSet,
+    SeminormEstimate,
     analytic_constituents,
     cycloidal_distance,
     cycloidal_distance_arrays,
@@ -32,6 +34,7 @@ from degenpde.metrics import (
     split_holder_norm,
     weight,
 )
+from degenpde.verification import interpolation_cases
 
 
 def brute_seminorm(values, pts, alpha, dist_fn):
@@ -339,6 +342,125 @@ class TestNorms:
         assert len(reports) == 4
         assert abs(total - sum(r.total for r in reports)) <= 1e-12 * total
         assert all(r.q == 1.0 for r in reports)
+
+
+def reference_seminorm(values, pts, alpha, metric, exhaustive_cap=50_000,
+                       sampled_pairs=200_000, seed=0):
+    # the estimate written out from its formula, with no pair table:
+    # all pairs i < j up to the cap, seeded pairs i != j above it
+    m = pts.size
+    if m < 2:
+        return SeminormEstimate(0.0, 0)
+    if m * (m - 1) // 2 <= exhaustive_cap:
+        i, j = np.triu_indices(m, k=1)
+    else:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, m, size=sampled_pairs)
+        j = rng.integers(0, m - 1, size=sampled_pairs)
+        j = j + (j >= i)
+    dist_fn = {"s": cycloidal_distance_arrays,
+               "rho": parabolic_distance_arrays}[metric]
+    dist = dist_fn(pts.t[i], pts.x[i], pts.t[j], pts.x[j])
+    diff = np.abs(values[i] - values[j])
+    quot = np.divide(diff, dist ** alpha, out=np.zeros_like(diff),
+                     where=dist > 0)
+    k = int(np.argmax(quot))
+    if quot[k] == 0.0:
+        return SeminormEstimate(0.0, len(quot))
+    return SeminormEstimate(float(quot[k]), len(quot), pts.point(i[k]),
+                            pts.point(j[k]))
+
+
+def fresh(pts):
+    # an equal point set with no tables of its own
+    return PointSet(pts.t.copy(), pts.x.copy())
+
+
+class TestPairTables:
+    # (metric, alpha, exhaustive_cap, sampled_pairs, seed): one point set
+    # sees every key in turn, so a table reused under a key that misses
+    # any of these fields returns the pairs or distances of another key
+    KEYS = [(metric, alpha, cap, pairs, seed)
+            for metric in ("s", "rho") for alpha in (0.3, 0.7)
+            for cap, pairs, seed in ((50_000, 700, 1), (10, 700, 1),
+                                     (10, 700, 2), (10, 900, 1))]
+
+    def test_tabled_estimate_matches_reference(self):
+        rng = np.random.default_rng(21)
+        pts = random_points(rng, 40)
+        for u in (rng.normal(size=40), rng.normal(size=40)):
+            for metric, alpha, cap, pairs, seed in self.KEYS:
+                kw = dict(exhaustive_cap=cap, sampled_pairs=pairs,
+                          seed=seed)
+                got = seminorm(u, pts, alpha, metric, **kw)
+                want = reference_seminorm(u, fresh(pts), alpha, metric,
+                                          **kw)
+                assert got == want
+                assert got.n_pairs == (40 * 39 // 2 if cap == 50_000
+                                       else pairs)
+                assert got.argmax_p1 is not None
+
+    def test_split_norm_matches_reference(self):
+        rng = np.random.default_rng(22)
+        pts = random_points(rng, 60, height_hi=2.0)
+        u = rng.normal(size=60)
+        for cap, pairs, seed in ((50_000, 200_000, 0), (10, 500, 3),
+                                 (10, 500, 4)):
+            kw = dict(exhaustive_cap=cap, sampled_pairs=pairs, seed=seed)
+            for q in (0.0, 1.0):
+                rep = split_holder_norm(u, pts, 0.5, q=q, **kw)
+                wu = weight(pts, q) * u
+                low = pts.x[:, -1] <= 1.0 + 1e-12
+                high = pts.x[:, -1] >= 1.0 - 1e-12
+                est_s = reference_seminorm(wu[low], fresh(pts).subset(low),
+                                           0.5, "s", **kw)
+                est_r = reference_seminorm(wu[high],
+                                           fresh(pts).subset(high), 0.5,
+                                           "rho", **kw)
+                best = est_s if est_s.value >= est_r.value else est_r
+                assert rep.seminorm == est_s.value + est_r.value
+                assert rep.n_pairs == est_s.n_pairs + est_r.n_pairs
+                assert (rep.argmax_p1, rep.argmax_p2) \
+                    == (best.argmax_p1, best.argmax_p2)
+                assert rep.argmax_p1 is not None
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        calls = []
+
+        def counting(metric, fn):
+            def wrapped(*args):
+                calls.append(metric)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(metrics, "_METRICS", {
+            k: counting(k, fn) for k, fn in metrics._METRICS.items()})
+        return calls
+
+    def test_order2_norm_computes_each_distance_once(self, distance_calls):
+        rng = np.random.default_rng(23)
+        pts = random_points(rng, 80, height_hi=2.0)
+        syms = space_symbols(2)
+        u = AnalyticFunction(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
+        cons = analytic_constituents(u, pts)
+        for q in (0.0, 1.0):
+            order2_norm(cons, pts, 0.5, q=q, seed=5)
+        # 7 constituents x 2 weights, each split over a low (s) and a high
+        # (rho) subset, yet one distance computation per (subset, metric)
+        assert sorted(distance_calls) == ["rho", "s"]
+
+    def test_interpolation_cases_compute_distances_once(self,
+                                                        distance_calls):
+        rng = np.random.default_rng(24)
+        pts = random_points(rng, 60, height_hi=1.3)
+        syms = space_symbols(2)
+        u = AnalyticFunction(2, sp.cos(syms[0]) * syms[1] ** 2)
+        interpolation_cases(u, pts, 0.5, seed=6)
+        assert distance_calls == ["s"]
+        # a second point set pays for its own table
+        interpolation_cases(u, fresh(pts), 0.5, seed=6)
+        assert distance_calls == ["s", "s"]
 
 
 class TestPointSets:
