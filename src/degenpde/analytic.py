@@ -31,7 +31,8 @@ def parse_expression(text, d):
     """Parse a coefficient or data expression in variables t, x1..xd.
 
     Only elementary functions are allowed; unknown names are an error so
-    a typo in a config cannot silently evaluate to zero.
+    a typo in a config cannot silently evaluate to zero; so are I, zoo,
+    oo and nan, which numpy would drop or carry into the solve.
     """
     syms = space_symbols(d)
     local = dict(_PARSE_FUNCS)
@@ -52,7 +53,18 @@ def parse_expression(text, d):
         raise ValueError("expression %r uses unknown functions %s"
                          % (text, sorted({f.func.__name__
                                           for f in undefined})))
+    if expr.has(sp.I, sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise ValueError("expression %r must have finite real values; it "
+                         "contains I, zoo, oo or nan" % (text,))
     return expr
+
+
+class _FloatPrinter(sp.printing.numpy.NumPyPrinter):
+    """numpy code printer that writes each Float as its exact double
+    (the default printer rounds it to 15 significant digits)."""
+
+    def _print_Float(self, expr):
+        return repr(float(expr))
 
 
 def cached_lambdify(cache, key, symbols, expr):
@@ -61,11 +73,15 @@ def cached_lambdify(cache, key, symbols, expr):
     x is an array of points of shape (..., d), or a tuple of d coordinate
     arrays that broadcast together, such as the sparse axes of
     np.meshgrid.  The result is broadcast to the common shape of t and
-    the coordinates and returned as a fresh float array.
+    the coordinates and returned as a fresh float array.  An expr that is
+    a number compiles no code; a compiled closure carries every float
+    constant at full precision.
     """
     fn = cache.get(key)
     if fn is None:
-        raw = sp.lambdify(symbols, expr, modules="numpy")
+        raw = (lambda *args, _value=float(expr): _value) if expr.is_number \
+            else sp.lambdify(symbols, expr, modules="numpy", printer=(
+                _FloatPrinter({"fully_qualified_modules": False})))
         d = len(symbols) - 1
 
         def fn(t, x, _raw=raw):
@@ -137,10 +153,6 @@ class AnalyticFunction:
         return self._closure(("xx", i, j), self.symbols[1 + i],
                              self.symbols[1 + j])(t, x)
 
-    def at(self, t, xpoint):
-        return float(self.value(np.asarray(t, dtype=float),
-                                np.asarray(xpoint, dtype=float)))
-
     def grid_callable(self):
         """Adapter for GridFunction.from_callable(t, *mesh arrays)."""
 
@@ -161,18 +173,15 @@ class AnalyticFunction:
 
     __rmul__ = __mul__
 
-    def affine_pullback(self, A, shift=None):
-        """Return v(t, z) = self(t, A z + shift) with exact derivatives."""
+    def affine_pullback(self, A):
+        """Return v(t, z) = self(t, A z) with exact derivatives."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.d, self.d):
             raise ValueError("matrix shape mismatch")
-        if shift is None:
-            shift = np.zeros(self.d)
         zs = space_symbols(self.d)
         subs = {}
         for i, xs in enumerate(self.symbols[1:]):
-            subs[xs] = sum(sp.Float(A[i, k]) * zs[k]
-                           for k in range(self.d)) + sp.Float(shift[i])
+            subs[xs] = sum(sp.Float(A[i, k]) * zs[k] for k in range(self.d))
         return AnalyticFunction(self.d, self.expr.subs(subs, simultaneous=True))
 
 

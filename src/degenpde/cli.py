@@ -348,6 +348,9 @@ def exp_reduce(cfg, out, seed):
     r = section(cfg, "reduce")
     if r["round_trip"]:
         g = section(cfg, "grid")
+        # a size Grid rejects is a ConfigError, as for a convergence rung
+        build_grid(cfg, field.d,
+                   [g[k] for k in ("n_lateral", "n_height", "n_slices")])
         results.append(reduction_round_trip(
             field, kind=r["kind"], x_extent=g["x_extent"], height=g["height"],
             n_lateral=g["n_lateral"], n_height=g["n_height"],

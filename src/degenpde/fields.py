@@ -9,6 +9,10 @@ the height coordinate, so ellipticity degenerates linearly at the bottom
 boundary; wellposedness without a boundary condition there rests on the
 inward drift b^d >= nu > 0 at height 0.
 
+A field holds (a, b, c) once, as sympy matrices that operator_apply can
+differentiate; presets build them from their numbers, and only entries
+that vary with t or x are compiled.
+
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on
 high heights, coefficient bounds and Holder constants up to K, inward
@@ -32,7 +36,10 @@ from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
 
 
 class CoefficientField:
-    """Symbolically defined coefficients with vectorized evaluation."""
+    """Symbolically defined coefficients with vectorized evaluation.
+
+    a_sym, b_sym and c_sym take expressions, numbers or arrays of either.
+    """
 
     def __init__(self, d, a_sym, b_sym, c_sym, delta, K, nu, name="custom"):
         self.d = d
@@ -41,23 +48,15 @@ class CoefficientField:
         self.c_sym = sp.sympify(c_sym)
         if self.a_sym.shape != (d, d) or self.b_sym.shape != (d, 1):
             raise ValueError("coefficient shapes do not match dimension")
-        for i in range(d):
-            for j in range(i + 1, d):
-                if sp.simplify(self.a_sym[i, j] - self.a_sym[j, i]) != 0:
-                    raise ValueError("diffusion matrix must be symmetric")
-        self.delta = float(delta)
-        self.K = float(K)
-        self.nu = float(nu)
+        if not sp.simplify(self.a_sym - self.a_sym.T).is_zero_matrix:
+            raise ValueError("diffusion matrix must be symmetric")
+        self.free_symbols = (self.a_sym.free_symbols | self.b_sym.free_symbols
+                             | self.c_sym.free_symbols)
+        self.time_dependent = _TIME in self.free_symbols
+        self.delta, self.K, self.nu = float(delta), float(K), float(nu)
         self.name = name
         self.symbols = (_TIME,) + tuple(space_symbols(d))
         self._cache = {}
-
-    @property
-    def time_dependent(self):
-        free = set()
-        for e in list(self.a_sym) + list(self.b_sym) + [self.c_sym]:
-            free |= e.free_symbols
-        return _TIME in free
 
     def _fn(self, key, expr):
         return cached_lambdify(self._cache, key, self.symbols, expr)
@@ -78,9 +77,7 @@ class CoefficientField:
         return self._fn("c", self.c_sym)(t, x)
 
     def is_constant(self):
-        return all(len(e.free_symbols) == 0
-                   for e in list(self.a_sym) + list(self.b_sym)
-                   + [self.c_sym])
+        return not self.free_symbols
 
     def constant_parts(self):
         """(a, b, c) as plain arrays; only for constant-coefficient fields."""
@@ -111,10 +108,6 @@ def heston(kappa, theta, sigma, rho, r=0.0, q=0.0):
         raise ValueError("correlation must satisfy |rho| < 1; the diffusion "
                          "matrix is singular at |rho| = 1")
     y = space_symbols(2)[1]
-    a = [[sp.Rational(1, 2), sp.Float(rho * sigma / 2)],
-         [sp.Float(rho * sigma / 2), sp.Float(sigma ** 2 / 2)]]
-    b = [sp.Float(r - q) - y / 2, sp.Float(kappa) * (sp.Float(theta) - y)]
-    c = sp.Float(-r)
     amat = np.array([[0.5, rho * sigma / 2],
                      [rho * sigma / 2, sigma ** 2 / 2]])
     delta = float(np.linalg.eigvalsh(amat)[0])
@@ -123,8 +116,8 @@ def heston(kappa, theta, sigma, rho, r=0.0, q=0.0):
             abs(r - q) + 1.0, kappa * (theta + 2.0), abs(r),
             6.0 * max(0.5, kappa),
             a_abs + abs(r - q) + kappa * (theta + 1.0) + abs(r) + 1.0)
-    return CoefficientField(2, a, b, c, delta, K, kappa * theta,
-                            name="heston")
+    return CoefficientField(2, amat, [r - q - y / 2, kappa * (theta - y)],
+                            -r, delta, K, kappa * theta, name="heston")
 
 
 def homogeneous_drift(nu, d=2):
@@ -133,10 +126,8 @@ def homogeneous_drift(nu, d=2):
         raise ValueError("inward drift must be positive")
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    a = sp.eye(d)
-    b = [sp.Integer(0)] * (d - 1) + [sp.Float(nu)]
     # growth constant: sup (x_d tr(a) + nu) / (1 + |x|) = max(d, nu)
-    return CoefficientField(d, a, b, sp.Integer(0), 1.0,
+    return CoefficientField(d, np.eye(d), [0.0] * (d - 1) + [nu], 0.0, 1.0,
                             max(float(d), nu, 1.0), nu,
                             name="homogeneous-drift")
 
@@ -154,10 +145,8 @@ def constant_field(a, b, c, name="constant"):
     K = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), abs(float(c)),
             float(np.sum(np.abs(a))) + float(np.sum(np.abs(b)))
             + abs(float(c)), 1.0)
-    return CoefficientField(
-        d, [[sp.Float(a[i, j]) for j in range(d)] for i in range(d)],
-        [sp.Float(v) for v in b], sp.Float(c),
-        float(lams[0]), K, float(b[-1]), name=name)
+    return CoefficientField(d, a, b, c, float(lams[0]), K, float(b[-1]),
+                            name=name)
 
 
 def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,

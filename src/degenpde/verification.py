@@ -214,15 +214,18 @@ def nonpositivity_check(u, problem, theta=1.0, tol=1e-8):
 # ---------------------------------------------------------------------------
 # randomized maximum-principle suite
 
+def _random_heston(rng):
+    return heston(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.3, 1.0)),
+                  float(rng.uniform(0.5, 1.5)), 0.0,
+                  r=float(rng.uniform(0.0, 0.2)))
+
+
 def _random_certified_field(rng, d=2):
     pick = rng.integers(0, 3)
     if pick == 0:
         return homogeneous_drift(float(rng.uniform(0.5, 2.0)), d)
     if pick == 1 and d == 2:
-        return heston(float(rng.uniform(0.5, 2.0)),
-                      float(rng.uniform(0.3, 1.0)),
-                      float(rng.uniform(0.5, 1.5)), 0.0,
-                      r=float(rng.uniform(0.0, 0.2)))
+        return _random_heston(rng)
     diag = rng.uniform(0.3, 2.0, d)
     b = rng.uniform(-1.0, 1.0, d)
     b[-1] = rng.uniform(0.3, 2.0)
@@ -386,13 +389,8 @@ def weighted_bound_suite(n_problems=20, q_values=(1.0, 2.0), seed=2, d=2,
     rng = np.random.default_rng(seed)
     results = []
     for k in range(n_problems):
-        if k % 4 == 0 and d == 2:
-            fld = heston(float(rng.uniform(0.5, 2.0)),
-                         float(rng.uniform(0.3, 1.0)),
-                         float(rng.uniform(0.5, 1.5)), 0.0,
-                         r=float(rng.uniform(0.0, 0.2)))
-        else:
-            fld = _random_certified_field(rng, d)
+        fld = _random_heston(rng) if k % 4 == 0 and d == 2 \
+            else _random_certified_field(rng, d)
         grid = Grid.build(d, x_extent, height, n_lateral, n_height,
                           t_final, n_slices)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0

@@ -314,6 +314,18 @@ class TestMainExitCodes:
         ({"experiments": ["verify-interp"], "interp": {"eps": []}},
          "interp.eps must be a list of at least one number in (0, 1)"),
         ({"interp": {"eps": [0.5, 1.0]}}, "interp.eps must be a list"),
+        ({"data": {"g": "sqrt(-1)*x1"}},
+         "expression 'sqrt(-1)*x1' must have finite real values"),
+        ({"data": {"g": "1/0"}}, "must have finite real values"),
+        ({"data": {"g": "log(0)"}}, "must have finite real values"),
+        ({"data": {"g": "nan"}}, "must have finite real values"),
+        ({"field": dict(EXPRESSIONS_FIELD, c="nan")},
+         "must have finite real values"),
+        ({"field": dict(EXPRESSIONS_FIELD, c="1/0")},
+         "must have finite real values"),
+        ({"experiments": ["reduce"], "reduce": {"round_trip": True},
+          "grid": dict(BASE_CFG["grid"], n_lateral=2)},
+         "grid: every spatial axis needs at least 3 nodes"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
@@ -322,7 +334,9 @@ class TestMainExitCodes:
             "norms-alpha-1.5", "validate-alpha-negative", "interp-alpha-0",
             "schauder-alpha-1", "unknown-convergence-kind",
             "unknown-reduce-kind", "two-node-rung", "empty-eps",
-            "eps-one"])
+            "eps-one", "imaginary-g", "g-divides-by-zero", "g-log-zero",
+            "g-nan", "expressions-c-nan", "expressions-c-divides-by-zero",
+            "round-trip-two-node-axis"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})

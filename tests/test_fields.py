@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from degenpde.analytic import AnalyticFunction, space_symbols
 from degenpde.fields import (
     CoefficientField,
     constant_field,
@@ -13,6 +15,8 @@ from degenpde.fields import (
     homogeneous_drift,
     validate_assumptions,
 )
+from degenpde.grid import Grid
+from degenpde.solver import discretize_operator
 
 
 class TestHeston:
@@ -203,3 +207,64 @@ def test_vectorized_shapes():
     assert f.c(t, x).shape == (7,)
     # scalar time broadcasts across the node axis
     assert f.b(0.0, x).shape == (7, 2)
+
+
+@pytest.fixture
+def lambdified(monkeypatch):
+    """The expressions sympy.lambdify is called with."""
+    real, seen = sp.lambdify, []
+
+    def counting(args, expr, *rest, **kwargs):
+        seen.append(expr)
+        return real(args, expr, *rest, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    return seen
+
+
+class TestCompiledEntries:
+    @pytest.mark.parametrize("make,d,compiled", [
+        (lambda: homogeneous_drift(0.7, 3), 3, 0),
+        (lambda: constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5),
+         2, 0),
+        (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 2),
+    ], ids=["homogeneous-drift", "constant", "heston"])
+    def test_only_varying_entries_compile(self, lambdified, make, d,
+                                          compiled):
+        # Heston's drift is the only entry that depends on x
+        field = make()
+        grid = Grid.build(d, 1.0, 1.0, 5, 5, 0.5, 3)
+        discretize_operator(field, grid, 0.0)
+        assert len(lambdified) == compiled
+        assert all(e.free_symbols for e in lambdified)
+
+    def test_number_derivative_compiles_nothing(self, lambdified):
+        u = AnalyticFunction.from_text("x1 + 3*x2", 2)
+        x = np.ones((4, 1, 2))
+        t = np.zeros(3)
+        first = u.dxx(0, 1, t, x)
+        second = u.dxx(0, 1, t, x)
+        assert lambdified == []
+        assert first.shape == second.shape == (4, 3)
+        assert first.dtype == float and np.all(first == 0.0)
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        first[0, 0] = 5.0
+        assert np.all(u.dxx(0, 1, t, x) == 0.0)
+        axes = (np.ones((3, 1)), np.ones((1, 4)))
+        slope = u.dx(1, 0.0, axes)
+        assert slope.shape == (3, 4) and np.all(slope == 3.0)
+        assert slope.flags.writeable and lambdified == []
+
+    def test_floats_keep_full_precision(self):
+        # 17 significant digits; 15 would round each of them
+        v, r = 0.7123456789012346, 0.012345678901234568
+        x = np.array([[0.5, 0.0], [1.0, 0.0]])
+        assert np.all(homogeneous_drift(v).b(0.0, x)[:, 1] == v)
+        f = heston(2.0, 0.25, 1.0, 0.0, r=r)
+        assert np.all(f.c(0.0, x) == -r)
+        assert np.all(f.b(0.0, x)[:, 0] == r)  # r - q - x2 / 2 at x2 = 0
+        x1, x2 = space_symbols(2)
+        u = AnalyticFunction(2, sp.Float(v) * x1 + x2)
+        assert np.all(u.value(0.0, np.array([[1.0, 0.0]])) == v)
+        w = AnalyticFunction.from_text("%r * x1 + x2" % v, 2)
+        assert np.all(w.value(0.0, np.array([[1.0, 0.0]])) == v)

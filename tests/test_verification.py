@@ -279,6 +279,24 @@ class TestRandomData:
                            rtol=1e-9, atol=0)
         assert np.allclose([r.rhs for r in results[1::2]], sup_rhs,
                            rtol=1e-9, atol=0)
+        # problems 0 and 4 are the suite's own Heston draws
+        fields = [(0.819, "heston"), (1.4, "heston"),
+                  (1.65, "homogeneous-drift"), (2.54, "random-diag"),
+                  (0.753, "heston")]
+        lhs = [3.1154792360995303, 9.312341321351203, 3.9458507120597237,
+               12.79366091736126, 1.66282725906689, 5.675409238411111,
+               3.3262494271115224, 9.155121215712251, 3.037686974404069,
+               9.09357478745116]
+        rhs = [53.01471211266513, 2695.033523423381, 334.75649538366775,
+               176241.38887918342, 512.0416371814385, 555350.7185691167,
+               6779.67586311312, 156536827.1264733, 47.4833701908287,
+               2442.551024327147]
+        results = weighted_bound_suite(n_problems=5, seed=12)
+        assert [r.check for r in results] == [
+            "weighted-bound(q=%d,K=%.3g)[%d:%s]" % (q, K, k, fld)
+            for k, (K, fld) in enumerate(fields) for q in (1, 2)]
+        assert np.allclose([r.lhs for r in results], lhs, rtol=1e-9, atol=0)
+        assert np.allclose([r.rhs for r in results], rhs, rtol=1e-9, atol=0)
 
     def test_data_are_not_lambdified(self, monkeypatch):
         # the only lambdify calls left are the fields' coefficient closures
