@@ -57,6 +57,10 @@ INT = ("an integer", lambda v: type(v) is int)
 BOOL = ("true or false", lambda v: type(v) is bool)
 STR = ("a string", lambda v: type(v) is str)
 FRACTION = ("a number in (0, 1)", lambda v: NUM[1](v) and 0 < v < 1)
+UNIT = ("a number in [0, 1]", lambda v: NUM[1](v) and 0 <= v <= 1)
+POSITIVE = ("a number > 0", lambda v: NUM[1](v) and v > 0)
+COUNT = ("an integer >= 1", lambda v: INT[1](v) and v >= 1)
+NATURAL = ("an integer >= 0", lambda v: INT[1](v) and v >= 0)
 NUMS, STRS = _list_of("numbers", NUM[1]), _list_of("strings", STR[1])
 EPS = _list_of("at least one number in (0, 1)", FRACTION[1], min_len=1)
 KIND = _one_of(MANUFACTURED_KINDS)
@@ -67,37 +71,38 @@ REQUIRED = object()  # default of a preset key the field must give
 
 # Every top-level key and section: key -> (type, default).
 CONFIG = {
-    "seed": (INT, 0), "experiments": (STRS, None),
+    "seed": (NATURAL, 0), "experiments": (STRS, None),
     "grid": {"x_extent": (NUM, 2.0), "height": (NUM, 2.0),
              "n_lateral": (INT, 33), "n_height": (INT, 33),
              "n_slices": (INT, 25), "t_final": (NUM, 0.5),
              "grading": (_one_of(GRADINGS), "quadratic")},
     "data": {"f": (STR, None), "g": (STR, None), "manufactured": (KIND, None)},
-    "solve": {"theta": (NUM, 1.0), "certify": (BOOL, None),
+    "solve": {"theta": (UNIT, 1.0), "certify": (BOOL, None),
               "boundary": (_one_of(BOUNDARIES), "frozen"),
-              "rtol": (NUM, 1e-10)},
+              "rtol": (POSITIVE, 1e-10)},
     "norms": {"alpha": (FRACTION, 0.5), "q": (NUMS, [0.0]),
-              "n_points": (INT, 1500)},
-    "validate": {"n_samples": (INT, 2000), "slack": (NUM, 1.05),
-                 "alpha": (FRACTION, 0.5), "seed": (INT, None)},
-    "maxprin": {"n_problems": (INT, 50), "n_absolute": (INT, 20),
-                "n_weighted": (INT, 20), "sup_slack": (NUM, 1.02),
+              "n_points": (COUNT, 1500)},
+    "validate": {"n_samples": (COUNT, 2000), "slack": (POSITIVE, 1.05),
+                 "alpha": (FRACTION, 0.5), "seed": (NATURAL, None)},
+    "maxprin": {"n_problems": (NATURAL, 50), "n_absolute": (NATURAL, 20),
+                "n_weighted": (NATURAL, 20), "sup_slack": (POSITIVE, 1.02),
                 "weighted_q": (NUMS, [1.0, 2.0]),
-                "weighted_slack": (NUM, 1.05)},
-    "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]), "gamma": (NUM, 0.5),
+                "weighted_slack": (POSITIVE, 1.05)},
+    "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]),
+                 "gamma": (FRACTION, 0.5),
                  "big_c": (NUM, 6.0), "small_c": (NUM, 0.5),
-                 "n_points": (INT, 2000), "height_max": (NUM, 3.0)},
+                 "n_points": (COUNT, 2000), "height_max": (NUM, 3.0)},
     "interp": {"alpha": (FRACTION, 0.5), "eps": (EPS, [0.5, 0.25, 0.1])},
     "schauder": {"alpha": (FRACTION, 0.5), "p": (NUM, 0.0),
                  "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
-                 "threshold": (NUM, 0.25), "n_points": (INT, 1200)},
+                 "threshold": (NUM, 0.25), "n_points": (COUNT, 1200)},
     "convergence": {"kind": (KIND, "inner_bump"),
                     "mode": (_one_of(CONVERGENCE_MODES), "space"),
                     "ladder": (LADDER, [[9, 9, 4], [17, 17, 10],
                                         [33, 33, 28]]),
                     "min_order": (NUM, 0.9), "order_band": (NUM, 0.3),
                     "boundary": (_one_of(BOUNDARIES), "frozen"),
-                    "theta": (NUM, 1.0)},
+                    "theta": (UNIT, 1.0)},
     "reduce": {"round_trip": (BOOL, False), "kind": (KIND, "inner_bump")},
 }
 
@@ -196,7 +201,7 @@ def build_grid(cfg, d, rung=None):
     n_height, n_slices) replaces its node counts and its need to exist.
     Sizes the grid rejects are a ConfigError."""
     g = section(cfg, "grid", required=rung is None)
-    n_lat, n_h, n_sl = rung or (g["n_lateral"], g["n_height"], g["n_slices"])
+    n_lat, n_h, n_sl = rung or _counts(g)
     try:
         return Grid.build(d, g["x_extent"], g["height"], n_lat, n_h,
                           g["t_final"], n_sl, grading=g["grading"])
@@ -204,22 +209,36 @@ def build_grid(cfg, d, rung=None):
         raise ConfigError("grid: %s" % exc)
 
 
+def _counts(g):
+    """(n_lateral, n_height, n_slices) of a filled-in grid section."""
+    return [g[k] for k in ("n_lateral", "n_height", "n_slices")]
+
+
 def build_problem(cfg, field):
-    """The data section's Cauchy problem; data that do not parse are a
-    ConfigError."""
-    data, grid = section(cfg, "data", required=True), section(cfg, "grid")
+    """The data section's Cauchy problem.  Data that do not parse, or
+    that are not finite on the grid section's grid (g at t = 0, f at
+    every slice), are a ConfigError."""
+    data, g_sec = section(cfg, "data", required=True), section(cfg, "grid")
     if data["manufactured"] is not None:
         return manufactured_problem(field, data["manufactured"],
-                                    grid["x_extent"], grid["height"])
+                                    g_sec["x_extent"], g_sec["height"])
     if data["g"] is None:
         raise ConfigError("data needs 'g' (or 'manufactured')")
     try:
         f, g = [None if text is None else
                 AnalyticFunction.from_text(text, field.d)
                 for text in (data["f"], data["g"])]
-        return CauchyProblem(field, f, g, name="configured")
+        problem = CauchyProblem(field, f, g, name="configured")
     except ValueError as exc:
         raise ConfigError("data: %s" % exc)
+    grid = build_grid(cfg, field.d, _counts(g_sec))
+    for key, fn, times in (("g", g, grid.times[:1]), ("f", f, grid.times)):
+        with np.errstate(all="ignore"):
+            if fn is not None and not all(
+                    np.isfinite(fn.on_grid(t, grid)).all() for t in times):
+                raise ConfigError("data.%s: expression %r is not finite on "
+                                  "the grid" % (key, data[key]))
+    return problem
 
 
 def _write(out, name, text):
@@ -349,8 +368,7 @@ def exp_reduce(cfg, out, seed):
     if r["round_trip"]:
         g = section(cfg, "grid")
         # a size Grid rejects is a ConfigError, as for a convergence rung
-        build_grid(cfg, field.d,
-                   [g[k] for k in ("n_lateral", "n_height", "n_slices")])
+        build_grid(cfg, field.d, _counts(g))
         results.append(reduction_round_trip(
             field, kind=r["kind"], x_extent=g["x_extent"], height=g["height"],
             n_lateral=g["n_lateral"], n_height=g["n_height"],
@@ -421,6 +439,8 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            _check_value("--seed", args.seed, (NATURAL, 0))
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -243,24 +243,23 @@ def _paired_samples(rng, region, n, height_lo, height_hi):
     return t1, x1, t2, x2
 
 
-def validate_assumptions(field, region=None, n_samples=2000, seed=0,
-                         slack=1.05, alpha=0.5):
+def validate_assumptions(field, n_samples=2000, seed=0, slack=1.05,
+                         alpha=0.5):
     """Estimate the assumption constants by sampling and compare.
 
+    Samples come from Region.sampling_box, whose top height 4 lies above
+    the split height 2 of the low and high ellipticity checks.
     Lower-bound constants (delta, nu) must be met up to 1/slack, suprema
     (K and the Holder/growth constants) up to a factor slack.  Holder
     quotients are taken over perturbed pairs at metric distance <= 1, the
     range the assumption constrains.
     """
-    d = field.d
-    if region is None:
-        region = Region(0.0, 1.0, tuple([-4.0] * (d - 1) + [0.0]),
-                        tuple([4.0] * (d - 1) + [4.0]))
+    region = Region.sampling_box(field.d)
     rng = np.random.default_rng(seed)
     top = region.x_hi[-1]
 
     t_low, x_low = region.sample(rng, n_samples)
-    x_low[:, -1] = rng.uniform(0.0, min(2.0, top), n_samples)
+    x_low[:, -1] = rng.uniform(0.0, 2.0, n_samples)
     a_low = field.a(t_low, x_low)
     a_low = 0.5 * (a_low + np.swapaxes(a_low, -1, -2))
     delta_hat = float(np.min(np.linalg.eigvalsh(a_low)[..., 0]))
@@ -272,14 +271,11 @@ def validate_assumptions(field, region=None, n_samples=2000, seed=0,
     x_bd[:, -1] = 0.0
     nu_hat = float(np.min(field.b(t_bd, x_bd)[:, -1]))
 
-    if top > 2.0:
-        t_hi, x_hi = region.sample(rng, n_samples)
-        x_hi[:, -1] = rng.uniform(2.0, top, n_samples)
-        a_hi = field.a(t_hi, x_hi) * x_hi[:, -1, None, None]
-        a_hi = 0.5 * (a_hi + np.swapaxes(a_hi, -1, -2))
-        delta_interior_hat = float(np.min(np.linalg.eigvalsh(a_hi)[..., 0]))
-    else:
-        delta_interior_hat = float("inf")
+    t_hi, x_hi = region.sample(rng, n_samples)
+    x_hi[:, -1] = rng.uniform(2.0, top, n_samples)
+    a_hi = field.a(t_hi, x_hi) * x_hi[:, -1, None, None]
+    a_hi = 0.5 * (a_hi + np.swapaxes(a_hi, -1, -2))
+    delta_interior_hat = float(np.min(np.linalg.eigvalsh(a_hi)[..., 0]))
 
     t_all, x_all = region.sample(rng, n_samples)
     a_all = np.abs(field.a(t_all, x_all)) * x_all[:, -1, None, None]
@@ -289,26 +285,20 @@ def validate_assumptions(field, region=None, n_samples=2000, seed=0,
     growth_hat = float(np.max(num / (1.0 + np.linalg.norm(x_all, axis=1))))
     c_max_hat = float(np.max(field.c(t_all, x_all)))
 
-    t1, x1, t2, x2 = _paired_samples(rng, region, n_samples, 0.0,
-                                     min(2.0, top))
+    t1, x1, t2, x2 = _paired_samples(rng, region, n_samples, 0.0, 2.0)
     holder_s_hat = _holder_quotients(
         field, t1, x1, t2, x2,
         cycloidal_distance_arrays(t1, x1, t2, x2), alpha)
-    if top > 2.0:
-        t1, x1, t2, x2 = _paired_samples(rng, region, n_samples, 2.0, top)
-        holder_rho_hat = _holder_quotients(
-            field, t1, x1, t2, x2,
-            parabolic_distance_arrays(t1, x1, t2, x2), alpha,
-            weight_a=lambda x: x[:, -1])
-    else:
-        holder_rho_hat = 0.0
+    t1, x1, t2, x2 = _paired_samples(rng, region, n_samples, 2.0, top)
+    holder_rho_hat = _holder_quotients(
+        field, t1, x1, t2, x2,
+        parabolic_distance_arrays(t1, x1, t2, x2), alpha,
+        weight_a=lambda x: x[:, -1])
 
     tol = 1e-12
     flags = {
         "ellipticity_low": delta_hat >= field.delta / slack - tol,
-        "ellipticity_high": (delta_interior_hat == float("inf")
-                             or delta_interior_hat >= field.delta / slack
-                             - tol),
+        "ellipticity_high": delta_interior_hat >= field.delta / slack - tol,
         "inward_drift": nu_hat >= field.nu / slack - tol and nu_hat > 0,
         "bounds": K_hat <= field.K * slack + tol,
         "zeroth_order": c_max_hat <= field.K * slack + tol,

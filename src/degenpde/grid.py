@@ -52,9 +52,6 @@ class SpaceTimePoint:
     def height(self):
         return self.x[-1]
 
-    def as_arrays(self):
-        return np.asarray([self.t]), np.asarray([self.x], dtype=float)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -70,6 +67,12 @@ class Region:
             raise ValueError("bound dimension mismatch")
         if self.x_lo[-1] < 0:
             raise ValueError("height bound must be nonnegative")
+
+    @classmethod
+    def sampling_box(cls, d):
+        """[0, 1] x [-4, 4]^(d-1) x [0, 4]: where coefficient assumptions
+        and supersolutions are sampled."""
+        return cls(0.0, 1.0, (-4.0,) * (d - 1) + (0.0,), (4.0,) * d)
 
     @property
     def d(self):
@@ -102,8 +105,9 @@ class Grid:
                 raise ValueError("axis nodes must increase strictly")
         if axes[-1][0] != 0.0:
             raise ValueError("height axis must start at 0")
-        if len(times) < 2 or times[0] != 0.0:
-            raise ValueError("time axis must start at 0 with >= 2 slices")
+        if len(times) < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+            raise ValueError("time axis must start at 0 and increase "
+                             "strictly over >= 2 slices")
         self.axes = axes
         self.times = times
 
@@ -178,31 +182,21 @@ class Grid:
         mask[tuple(idx_top)] = True
         return mask
 
-    def audited_mask(self, margin_frac=0.25):
+    def audited_mask(self):
         """True on the audited subregion away from the truncation faces.
 
-        Lateral coordinates within (1 - margin_frac) * X of the center and
-        heights below (1 - margin_frac) * Y are kept; the outer margin
-        absorbs artificial-boundary error.
+        Lateral coordinates within 0.75 X of the center and heights below
+        0.75 Y are kept; the outer quarter absorbs artificial-boundary
+        error.
         """
         mask = np.ones(self.shape, dtype=bool)
         mesh = self.meshes()
         for i in range(self.d - 1):
             ext = np.max(np.abs(self.axes[i]))
-            mask &= np.abs(mesh[i]) <= (1.0 - margin_frac) * ext + 1e-12
+            mask &= np.abs(mesh[i]) <= 0.75 * ext + 1e-12
         top = self.axes[-1][-1]
-        mask &= mesh[-1] <= (1.0 - margin_frac) * top + 1e-12
+        mask &= mesh[-1] <= 0.75 * top + 1e-12
         return mask
-
-    def audited_region(self, margin_frac=0.25):
-        lo = [float(a[0]) for a in self.axes]
-        hi = [float(a[-1]) for a in self.axes]
-        for i in range(self.d - 1):
-            ext = max(abs(lo[i]), abs(hi[i]))
-            lo[i], hi[i] = -(1 - margin_frac) * ext, (1 - margin_frac) * ext
-        hi[-1] = (1 - margin_frac) * hi[-1]
-        return Region(float(self.times[0]), float(self.times[-1]),
-                      tuple(lo), tuple(hi))
 
     def max_spacing(self):
         return max(float(np.max(np.diff(a))) for a in self.axes)

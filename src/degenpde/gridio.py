@@ -101,7 +101,7 @@ def assumption_report_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(path, config, command, seed, extra=None):
+def write_manifest(path, config, command, seed):
     payload = {
         "command": command,
         "seed": seed,
@@ -109,8 +109,6 @@ def write_manifest(path, config, command, seed, extra=None):
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

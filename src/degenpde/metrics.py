@@ -75,11 +75,11 @@ def parabolic_distance(p1, p2):
 _METRICS = {"s": cycloidal_distance_arrays, "rho": parabolic_distance_arrays}
 
 
-def slab_equivalence_constants(d, y0, y1, n_pairs, seed, t_hi=1.0,
-                               x_extent=4.0):
+def slab_equivalence_constants(d, y0, y1, n_pairs, seed):
     """Empirical two-sided comparison of s and rho on a height slab.
 
-    Samples pairs with heights in [y0, y1] (y0 > 0), plus a handful of
+    Samples pairs at times in [0, 1], lateral coordinates in [-4, 4] and
+    heights in [y0, y1] (y0 > 0), plus a handful of
     pure-time pairs whose ratio is exactly 1, and returns
     (c_lower, c_upper, all_hold) where the constants are the extreme
     observed ratios s/rho and all_hold confirms every sampled pair
@@ -89,15 +89,15 @@ def slab_equivalence_constants(d, y0, y1, n_pairs, seed, t_hi=1.0,
         raise ValueError("need 0 < y0 < y1")
     rng = np.random.default_rng(seed)
     m = int(n_pairs)
-    t1 = rng.uniform(0.0, t_hi, m)
-    t2 = rng.uniform(0.0, t_hi, m)
-    x1 = rng.uniform(-x_extent, x_extent, (m, d))
-    x2 = rng.uniform(-x_extent, x_extent, (m, d))
+    t1 = rng.uniform(0.0, 1.0, m)
+    t2 = rng.uniform(0.0, 1.0, m)
+    x1 = rng.uniform(-4.0, 4.0, (m, d))
+    x2 = rng.uniform(-4.0, 4.0, (m, d))
     x1[:, -1] = rng.uniform(y0, y1, m)
     x2[:, -1] = rng.uniform(y0, y1, m)
     n_time = max(2, m // 1000)
     x2[:n_time] = x1[:n_time]
-    t2[:n_time] = np.minimum(t1[:n_time] + 0.1, t_hi + 0.1)
+    t2[:n_time] = np.minimum(t1[:n_time] + 0.1, 1.1)
     s = cycloidal_distance_arrays(t1, x1, t2, x2)
     rho = parabolic_distance_arrays(t1, x1, t2, x2)
     keep = rho > 0
@@ -276,11 +276,11 @@ def holder_norm(values, points, alpha, metric, q=0.0, **kw):
                         est.n_pairs, est.argmax_p1, est.argmax_p2)
 
 
-def split_holder_norm(values, points, alpha, q=0.0, split_height=1.0, **kw):
+def split_holder_norm(values, points, alpha, q=0.0, **kw):
     """Weighted norm of order alpha on the split region.
 
-    Cycloidal seminorm where the height is <= split_height, parabolic
-    seminorm where it is >= split_height (the interface belongs to both),
+    Cycloidal seminorm where the height is <= 1, parabolic seminorm where
+    it is >= 1 (the interface belongs to both),
     plus the weighted sup.  This is the norm the solution theory is
     phrased in; q = 0 recovers the unweighted version.
     """
@@ -288,8 +288,8 @@ def split_holder_norm(values, points, alpha, q=0.0, split_height=1.0, **kw):
     wv = w * np.asarray(values, dtype=float)
     sup = float(np.max(np.abs(wv))) if points.size else 0.0
     h = points.x[:, -1]
-    low = h <= split_height + 1e-12
-    high = h >= split_height - 1e-12
+    low = h <= 1.0 + 1e-12
+    high = h >= 1.0 - 1e-12
     est_s = seminorm(wv[low], points.subset(low), alpha, "s", **kw)
     est_r = seminorm(wv[high], points.subset(high), alpha, "rho", **kw)
     semi = est_s.value + est_r.value
@@ -326,7 +326,7 @@ def grid_constituents(u, ti, si):
     return vals, dt_vals, du, wdd
 
 
-def order2_norm(constituents, points, alpha, q=0.0, split_height=1.0, **kw):
+def order2_norm(constituents, points, alpha, q=0.0, **kw):
     """Weighted norm of order 2+alpha from precomputed constituents.
 
     Sum of the split norms of u, u_t, the worst first derivative and the
@@ -335,12 +335,10 @@ def order2_norm(constituents, points, alpha, q=0.0, split_height=1.0, **kw):
     """
     vals, dt_vals, du, wdd = constituents
     reports = []
-    r_u = split_holder_norm(vals, points, alpha, q, split_height, **kw)
-    r_t = split_holder_norm(dt_vals, points, alpha, q, split_height, **kw)
-    r_du = [split_holder_norm(v, points, alpha, q, split_height, **kw)
-            for v in du]
-    r_dd = [split_holder_norm(v, points, alpha, q, split_height, **kw)
-            for v in wdd]
+    r_u = split_holder_norm(vals, points, alpha, q, **kw)
+    r_t = split_holder_norm(dt_vals, points, alpha, q, **kw)
+    r_du = [split_holder_norm(v, points, alpha, q, **kw) for v in du]
+    r_dd = [split_holder_norm(v, points, alpha, q, **kw) for v in wdd]
     best_du = max(r_du, key=lambda r: r.total)
     best_dd = max(r_dd, key=lambda r: r.total)
     total = r_u.total + r_t.total + best_du.total + best_dd.total

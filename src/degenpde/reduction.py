@@ -77,9 +77,6 @@ class ReductionPlan:
         """Map source coordinates to model coordinates, z = F x."""
         return np.asarray(x, dtype=float) @ self.forward.T
 
-    def backward_points(self, z):
-        return np.asarray(z, dtype=float) @ self.backward.T
-
     def multiplier(self, t):
         """Recovery factor exp(c t): u = multiplier * (w mapped back)."""
         return np.exp(self.c * np.asarray(t, dtype=float))
@@ -126,19 +123,6 @@ class ReductionPlan:
         for k, v in sorted(self.certificates.items()):
             lines.append("    %-24s %.17g" % (k, v))
         return "\n".join(lines)
-
-
-def eliminate_zeroth_order(field):
-    """Drop the zeroth-order term; returns (c, field with c = 0).
-
-    Only the rate is needed downstream: data pick up the factor
-    exp(-c t) and solutions are recovered with exp(+c t).
-    """
-    if not field.is_constant():
-        raise ValueError("zeroth-order elimination needs constant "
-                         "coefficients")
-    a, b, c = field.constant_parts()
-    return c, constant_field(a, b, 0.0, name=field.name + "-nozeroth")
 
 
 def shear_transform(a):

@@ -326,6 +326,42 @@ class TestMainExitCodes:
         ({"experiments": ["reduce"], "reduce": {"round_trip": True},
           "grid": dict(BASE_CFG["grid"], n_lateral=2)},
          "grid: every spatial axis needs at least 3 nodes"),
+        ({"barriers": {"gamma": 1.0}},
+         "barriers.gamma must be a number in (0, 1), not 1.0"),
+        ({"barriers": {"gamma": 0.0}}, "barriers.gamma must be a number"),
+        ({"grid": dict(BASE_CFG["grid"], t_final=0)},
+         "grid: time axis must start at 0 and increase strictly"),
+        ({"grid": dict(BASE_CFG["grid"], t_final=-0.5)},
+         "grid: time axis must start at 0 and increase strictly"),
+        ({"solve": {"theta": 2.0}},
+         "solve.theta must be a number in [0, 1], not 2.0"),
+        ({"solve": {"theta": -1.0}}, "solve.theta must be a number in [0, 1]"),
+        ({"convergence": {"theta": 1.5}},
+         "convergence.theta must be a number in [0, 1]"),
+        ({"solve": {"rtol": 0}}, "solve.rtol must be a number > 0, not 0"),
+        ({"validate": {"slack": 0}}, "validate.slack must be a number > 0"),
+        ({"maxprin": {"sup_slack": 0}}, "maxprin.sup_slack must be a number"),
+        ({"maxprin": {"weighted_slack": -1.0}},
+         "maxprin.weighted_slack must be a number > 0"),
+        ({"validate": {"n_samples": 0}},
+         "validate.n_samples must be an integer >= 1, not 0"),
+        ({"barriers": {"n_points": 0}},
+         "barriers.n_points must be an integer >= 1"),
+        ({"schauder": {"n_points": 0}},
+         "schauder.n_points must be an integer >= 1"),
+        ({"norms": {"n_points": 0}}, "norms.n_points must be an integer >= 1"),
+        ({"maxprin": {"n_problems": -1}},
+         "maxprin.n_problems must be an integer >= 0, not -1"),
+        ({"maxprin": {"n_absolute": -1}},
+         "maxprin.n_absolute must be an integer >= 0"),
+        ({"maxprin": {"n_weighted": -1}},
+         "maxprin.n_weighted must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0, not -1"),
+        ({"validate": {"seed": -1}}, "validate.seed must be an integer >= 0"),
+        ({"data": {"g": "sqrt(x1 - 5)"}},
+         "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
+        ({"data": {"g": "x1", "f": "log(t)"}},
+         "data.f: expression 'log(t)' is not finite on the grid"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
@@ -336,7 +372,15 @@ class TestMainExitCodes:
             "unknown-reduce-kind", "two-node-rung", "empty-eps",
             "eps-one", "imaginary-g", "g-divides-by-zero", "g-log-zero",
             "g-nan", "expressions-c-nan", "expressions-c-divides-by-zero",
-            "round-trip-two-node-axis"])
+            "round-trip-two-node-axis", "barrier-gamma-1", "barrier-gamma-0",
+            "t-final-0", "t-final-negative", "solve-theta-2",
+            "solve-theta-negative", "convergence-theta-1.5", "rtol-0",
+            "validate-slack-0", "sup-slack-0", "weighted-slack-negative",
+            "validate-n-samples-0", "barriers-n-points-0",
+            "schauder-n-points-0", "norms-n-points-0", "n-problems-negative",
+            "n-absolute-negative", "n-weighted-negative", "seed-negative",
+            "validate-seed-negative", "g-not-finite-on-grid",
+            "f-not-finite-at-t-0"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})
@@ -347,6 +391,16 @@ class TestMainExitCodes:
         assert len(err) == 1
         assert err[0].startswith("config error:") and message in err[0]
         assert not (out / "verify-schauder").exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG))
+        code = cli.main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / "out"), "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: --seed must be an integer >= 0, "
+                       "not -1"]
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_stops_run_before_any_experiment(self, tmp_path,
                                                         capsys):

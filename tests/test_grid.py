@@ -126,6 +126,9 @@ class TestGrid:
             Grid(([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5]), [0.0, 1.0])
         with pytest.raises(ValueError):
             Grid(([-1.0, 0.0, 1.0], [0.0, 0.5, 1.0]), [0.5, 1.0])
+        for t_final in (0.0, -0.5):
+            with pytest.raises(ValueError, match="increase strictly"):
+                Grid.build(2, 1.0, 1.0, 5, 5, t_final, 3)
 
     def test_dirichlet_mask_layout(self):
         grid = Grid.build(2, 1.0, 1.0, 5, 4, 1.0, 3)
@@ -138,13 +141,10 @@ class TestGrid:
 
     def test_audited_mask_margin(self):
         grid = Grid.build(2, 2.0, 2.0, 9, 9, 1.0, 3, grading="uniform")
-        mask = grid.audited_mask(0.25)
+        mask = grid.audited_mask()
         mesh = grid.meshes()
         inside = (np.abs(mesh[0]) <= 1.5 + 1e-12) & (mesh[1] <= 1.5 + 1e-12)
         assert np.array_equal(mask, inside)
-        region = grid.audited_region(0.25)
-        assert region.x_hi == (1.5, 1.5)
-        assert region.x_lo[0] == -1.5 and region.x_lo[1] == 0.0
 
     def test_nodes_row_major(self):
         grid = Grid.build(2, 1.0, 1.0, 3, 3, 1.0, 3)
@@ -168,6 +168,11 @@ class TestRegion:
         assert t.shape == (500,) and x.shape == (500, 2)
         assert t.min() >= 0.0 and t.max() <= 2.0
         assert x[:, 0].min() >= -1.0 and x[:, 1].max() <= 3.0
+
+    def test_sampling_box(self):
+        box = Region.sampling_box(3)
+        assert (box.t_lo, box.t_hi) == (0.0, 1.0)
+        assert box.x_lo == (-4.0, -4.0, 0.0) and box.x_hi == (4.0,) * 3
 
     def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
@@ -217,5 +222,3 @@ def test_space_time_point_is_frozen():
     assert p.height == 2.0
     with pytest.raises(Exception):
         p.t = 1.0
-    t, x = p.as_arrays()
-    assert t.shape == (1,) and x.shape == (1, 2)

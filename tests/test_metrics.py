@@ -251,7 +251,7 @@ class TestNorms:
         rng = np.random.default_rng(10)
         pts = random_points(rng, 40)
         u = rng.normal(size=40)
-        rep = split_holder_norm(u, pts, 0.5, q=1.0, split_height=1.0)
+        rep = split_holder_norm(u, pts, 0.5, q=1.0)
         wu = weight(pts, 1.0) * u
         low = pts.x[:, -1] <= 1.0 + 1e-12
         high = pts.x[:, -1] >= 1.0 - 1e-12
@@ -472,7 +472,7 @@ class TestPointSets:
 
     def test_subsample_deterministic_and_masked(self):
         grid = Grid.build(2, 1.0, 1.0, 9, 9, 0.5, 6)
-        mask = grid.audited_mask(0.25)
+        mask = grid.audited_mask()
         a = grid_point_set(grid, mask, n_max=100, seed=3)[0]
         b = grid_point_set(grid, mask, n_max=100, seed=3)[0]
         assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x)

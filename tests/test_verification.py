@@ -31,7 +31,6 @@ from degenpde.verification import (
     interpolation_check,
     maximum_principle_suite,
     nonpositivity_check,
-    quadratic_supersolution,
     reduction_round_trip,
     schauder_ratio,
     weighted_bound_suite,
@@ -70,13 +69,6 @@ class TestSupersolutions:
         res = check_quadratic_supersolution(homogeneous_drift(1.0),
                                             lam=-10.0, seed=1)
         assert not res.passed
-
-    def test_quadratic_supersolution_closed_form(self):
-        h = quadratic_supersolution(2)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(40, 2))
-        assert np.allclose(h.value(np.zeros(40), x),
-                           1 + np.sum(x ** 2, axis=1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_weighted_supersolution_dominates_itself(self, q):
@@ -179,6 +171,11 @@ class TestComparison:
                             name="positive-data")
         res2 = nonpositivity_check(u1, pos)
         assert res2.passed and "not-applicable" in res2.check
+        # nonpositive data with a positive u: the conclusion row fails
+        flipped = GridFunction(grid, 1.0 - u1.values)
+        res3 = nonpositivity_check(flipped, p1)
+        assert not res3.passed and "not-applicable" not in res3.check
+        assert res3.lhs == float(np.max(flipped.values)) > 1.0
 
 
 class TestSuites:
@@ -200,6 +197,22 @@ class TestSuites:
         assert len(results) == 8
         assert all(r.passed for r in results)
         assert any("heston" in r.check for r in results)
+
+    @pytest.mark.parametrize("suite", [maximum_principle_suite,
+                                       absolute_bound_suite,
+                                       weighted_bound_suite])
+    def test_one_grid_per_suite(self, suite, monkeypatch):
+        built = []
+        real = Grid.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, "build", classmethod(counting))
+        results = suite(n_problems=3)
+        assert len(results) == 6
+        assert built == [(2, 3.0, 3.0, 14, 14, 0.5, 12)]
 
 
 def sympy_profile(rng, d):
@@ -357,6 +370,12 @@ class TestBarrier:
         got = bar.model_operator(t, x)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.0, 1.5, -1.0])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        # gamma >= 1 leaves an empty window, where sampling never ends
+        with pytest.raises(ValueError, match="gamma"):
+            Barrier(2, 0, [0.0, 0.0], gamma=gamma)
+
     def test_window_geometry(self):
         bar = Barrier(2, 0, [2.0, 0.0], gamma=0.5)
         assert bar.speed == 3.0
@@ -462,6 +481,9 @@ class TestSchauderAndBoundary:
         assert len(vals) == 2
         assert res.passed
         assert vals[1] < vals[0]
+        # frozen from the version whose box and slack were arguments
+        assert np.allclose(vals, [0.1699295311833513, 0.043344855402374094],
+                           rtol=1e-12, atol=0)
 
 
 class TestRoundTrip:
