@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,8 +52,10 @@ def _one_of(names):
             lambda v: type(v) is str and v in names)
 
 
-# A key's type: its name in messages, and a test on type(v) (true is no int).
-NUM = ("a number", lambda v: type(v) in (int, float))
+# A key's type: its name in messages, and a test on type(v) (true is no int,
+# and NaN and the infinities, which json.load accepts, are no number).
+NUM = ("a number", lambda v: type(v) is int
+       or type(v) is float and math.isfinite(v))
 INT = ("an integer", lambda v: type(v) is int)
 BOOL = ("true or false", lambda v: type(v) is bool)
 STR = ("a string", lambda v: type(v) is str)
@@ -91,7 +94,7 @@ CONFIG = {
     "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]),
                  "gamma": (FRACTION, 0.5),
                  "big_c": (NUM, 6.0), "small_c": (NUM, 0.5),
-                 "n_points": (COUNT, 2000), "height_max": (NUM, 3.0)},
+                 "n_points": (COUNT, 2000), "height_max": (POSITIVE, 3.0)},
     "interp": {"alpha": (FRACTION, 0.5), "eps": (EPS, [0.5, 0.25, 0.1])},
     "schauder": {"alpha": (FRACTION, 0.5), "p": (NUM, 0.0),
                  "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
@@ -274,11 +277,9 @@ def exp_validate_coeffs(cfg, out, seed):
     report = validate_assumptions(field, **v)
     _write(out, "assumptions.csv", gridio.assumption_report_csv(report))
     _write(out, "assumptions.txt", report.summary() + "\n")
-    declared = {"delta_hat": field.delta, "delta_interior_hat": field.delta,
-                "nu_hat": field.nu}
     return [CheckResult("assumption-" + name, "coefficient-assumptions",
-                        value, declared.get(name, field.K), report.slack, ok)
-            for name, value, ok in report.as_rows()]
+                        value, declared, report.slack, ok)
+            for name, value, declared, ok in report.rows]
 
 
 def exp_norms(cfg, out, seed):
@@ -321,10 +322,9 @@ def exp_interp(cfg, out, seed):
     icfg = section(cfg, "interp")
     fits, cases, results = interpolation_check(
         alpha=icfg["alpha"], eps_ladder=tuple(icfg["eps"]), seed=seed)
-    lines = ["inequality,C,m,n_cases"] + [
-        "%s,%.17g,%.17g,%d" % (k, f.constant, f.exponent, f.n_cases)
-        for k, f in fits.items()]
-    _write(out, "interpolation.csv", "\n".join(lines) + "\n")
+    _write(out, "interpolation.csv", gridio.csv_text(
+        ("inequality", "C", "m", "n_cases"),
+        [(k, f.constant, f.exponent, f.n_cases) for k, f in fits.items()]))
     return results
 
 
@@ -366,13 +366,8 @@ def exp_reduce(cfg, out, seed):
                                bd > 0.0, "model drift height component"))
     r = section(cfg, "reduce")
     if r["round_trip"]:
-        g = section(cfg, "grid")
-        # a size Grid rejects is a ConfigError, as for a convergence rung
-        build_grid(cfg, field.d, _counts(g))
-        results.append(reduction_round_trip(
-            field, kind=r["kind"], x_extent=g["x_extent"], height=g["height"],
-            n_lateral=g["n_lateral"], n_height=g["n_height"],
-            n_slices=g["n_slices"], t_final=g["t_final"])[0])
+        grid = build_grid(cfg, field.d, _counts(section(cfg, "grid")))
+        results.append(reduction_round_trip(field, r["kind"], grid)[0])
     return results
 
 

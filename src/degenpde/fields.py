@@ -163,44 +163,23 @@ def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
 
 @dataclass
 class AssumptionReport:
-    """Sampled estimates of the standing-assumption constants."""
+    """Sampled estimates of the standing-assumption constants: rows of
+    (name, estimate, declared constant, passed)."""
 
     field_name: str
     n_samples: int
     seed: int
     slack: float
-    alpha: float
-    delta_hat: float
-    delta_interior_hat: float
-    nu_hat: float
-    K_hat: float
-    c_max_hat: float
-    holder_s_hat: float
-    holder_rho_hat: float
-    growth_hat: float
-    flags: dict
+    rows: list
 
     @property
     def passed(self):
-        return all(self.flags.values())
-
-    def as_rows(self):
-        rows = [("delta_hat", self.delta_hat, self.flags["ellipticity_low"]),
-                ("delta_interior_hat", self.delta_interior_hat,
-                 self.flags["ellipticity_high"]),
-                ("nu_hat", self.nu_hat, self.flags["inward_drift"]),
-                ("K_hat", self.K_hat, self.flags["bounds"]),
-                ("c_max_hat", self.c_max_hat, self.flags["zeroth_order"]),
-                ("holder_s_hat", self.holder_s_hat, self.flags["holder_s"]),
-                ("holder_rho_hat", self.holder_rho_hat,
-                 self.flags["holder_rho"]),
-                ("growth_hat", self.growth_hat, self.flags["growth"])]
-        return rows
+        return all(ok for *_, ok in self.rows)
 
     def summary(self):
         lines = ["assumption check: %s (n=%d, seed=%d, slack=%.3g)"
                  % (self.field_name, self.n_samples, self.seed, self.slack)]
-        for name, value, ok in self.as_rows():
+        for name, value, _, ok in self.rows:
             lines.append("  %-22s %-24.17g %s"
                          % (name, value, "pass" if ok else "FAIL"))
         lines.append("  overall: %s" % ("pass" if self.passed else "FAIL"))
@@ -296,17 +275,16 @@ def validate_assumptions(field, n_samples=2000, seed=0, slack=1.05,
         weight_a=lambda x: x[:, -1])
 
     tol = 1e-12
-    flags = {
-        "ellipticity_low": delta_hat >= field.delta / slack - tol,
-        "ellipticity_high": delta_interior_hat >= field.delta / slack - tol,
-        "inward_drift": nu_hat >= field.nu / slack - tol and nu_hat > 0,
-        "bounds": K_hat <= field.K * slack + tol,
-        "zeroth_order": c_max_hat <= field.K * slack + tol,
-        "holder_s": holder_s_hat <= field.K * slack + tol,
-        "holder_rho": holder_rho_hat <= field.K * slack + tol,
-        "growth": growth_hat <= field.K * slack + tol,
-    }
-    return AssumptionReport(field.name, n_samples, seed, slack, alpha,
-                            delta_hat, delta_interior_hat, nu_hat, K_hat,
-                            c_max_hat, holder_s_hat, holder_rho_hat,
-                            growth_hat, flags)
+    low = field.delta / slack - tol
+    rows = [("delta_hat", delta_hat, field.delta, delta_hat >= low),
+            ("delta_interior_hat", delta_interior_hat, field.delta,
+             delta_interior_hat >= low),
+            ("nu_hat", nu_hat, field.nu,
+             nu_hat >= field.nu / slack - tol and nu_hat > 0)]
+    rows += [(name, value, field.K, value <= field.K * slack + tol)
+             for name, value in (
+                 ("K_hat", K_hat), ("c_max_hat", c_max_hat),
+                 ("holder_s_hat", holder_s_hat),
+                 ("holder_rho_hat", holder_rho_hat),
+                 ("growth_hat", growth_hat))]
+    return AssumptionReport(field.name, n_samples, seed, slack, rows)

@@ -6,9 +6,11 @@ values as f64 in row-major (time-major) order.  Loading validates the
 magic and that the payload length matches the header exactly; grid
 geometry is not stored and must be supplied by the caller.
 
-CSV files use '.' as the decimal separator and 17 significant digits so
-every float round-trips.  Reruns with the same config and seed produce
-byte-identical CSVs; only the manifest carries a timestamp.
+Every CSV file is written by csv_text, the one home of the CSV format:
+a header line, one comma-joined line per row and a trailing newline, with
+each float printed to 17 significant digits ('.' as the decimal
+separator) so that it round-trips.  Reruns with the same config and seed
+produce byte-identical CSVs; only the manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -68,6 +70,18 @@ def load_grid_function(path, grid=None):
     return GridFunction(grid, values.copy())
 
 
+def csv_text(columns, rows):
+    """CSV text: a header of columns, then one line per row; a float cell
+    is printed as %.17g and any other cell with str."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cell(v):
+    return "%.17g" % v if isinstance(v, float) else str(v)
+
+
 def solve_report_csv(report):
     """One row per time step: step, iterations, true relative residual.
 
@@ -77,28 +91,21 @@ def solve_report_csv(report):
     preconditioned by an LU of an earlier matrix.  A step whose right
     side is zero is 0.
     """
-    lines = ["step,iterations,residual"]
-    for step, iters, res in report.steps:
-        lines.append("%d,%d,%.17g" % (step, iters, res))
-    return "\n".join(lines) + "\n"
+    return csv_text(("step", "iterations", "residual"), report.steps)
 
 
 def convergence_csv(study):
-    lines = ["h,dt,sup_error"]
-    for h, dt, err in study.rows:
-        lines.append("%.17g,%.17g,%.17g" % (h, dt, err))
+    """One row per rung, then the fitted order as a comment line."""
+    text = csv_text(("h", "dt", "sup_error"), study.rows)
     if study.order is not None:
-        lines.append("# fitted order (%s): %.17g" % (study.mode,
-                                                     study.order))
-    return "\n".join(lines) + "\n"
+        text += "# fitted order (%s): %s\n" % (study.mode, _cell(study.order))
+    return text
 
 
 def assumption_report_csv(report):
-    lines = ["quantity,value,pass"]
-    for name, value, ok in report.as_rows():
-        lines.append("%s,%.17g,%s" % (name, value,
-                                      "pass" if ok else "fail"))
-    return "\n".join(lines) + "\n"
+    return csv_text(("quantity", "value", "pass"),
+                    [(name, value, "pass" if ok else "fail")
+                     for name, value, _, ok in report.rows])
 
 
 def write_manifest(path, config, command, seed):

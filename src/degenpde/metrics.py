@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SpaceTimePoint
+from .gridio import csv_text
 
 EXHAUSTIVE_CAP = 50_000
 SAMPLED_PAIRS = 200_000
@@ -252,14 +253,10 @@ HOLDER_CSV_COLUMNS = ("metric", "alpha", "q", "sup", "seminorm", "total",
 
 
 def holder_reports_to_csv(reports):
-    lines = [",".join(HOLDER_CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join([
-            r.metric, "%.17g" % r.alpha, "%.17g" % r.q, "%.17g" % r.sup,
-            "%.17g" % r.seminorm, "%.17g" % r.total, "%d" % r.n_pairs,
-            '"%s"' % _fmt_point(r.argmax_p1), '"%s"' % _fmt_point(r.argmax_p2),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_text(HOLDER_CSV_COLUMNS, [
+        (r.metric, float(r.alpha), float(r.q), r.sup, r.seminorm, r.total,
+         r.n_pairs, '"%s"' % _fmt_point(r.argmax_p1),
+         '"%s"' % _fmt_point(r.argmax_p2)) for r in reports])
 
 
 def holder_norm(values, points, alpha, metric, q=0.0, **kw):

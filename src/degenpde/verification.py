@@ -20,6 +20,7 @@ import sympy as sp
 from .analytic import _TIME, AnalyticFunction, bump, space_symbols
 from .fields import constant_field, heston, homogeneous_drift
 from .grid import Grid, GridFunction, Region
+from .gridio import csv_text
 from .metrics import (analytic_constituents, grid_constituents,
                       grid_point_set, holder_norm, order2_norm,
                       split_holder_norm)
@@ -42,11 +43,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def csv_row(self):
-        return ",".join([self.check, self.anchor, "%.17g" % self.lhs,
-                         "%.17g" % self.rhs, "%.17g" % self.slack,
-                         "pass" if self.passed else "fail"])
-
     def line(self):
         return ("[%s] %-34s lhs=%.6g rhs=%.6g slack=%.3g %s"
                 % ("pass" if self.passed else "FAIL", self.check,
@@ -55,9 +51,9 @@ class CheckResult:
 
 
 def checks_to_csv(results):
-    lines = [",".join(CHECK_CSV_COLUMNS)]
-    lines += [r.csv_row() for r in results]
-    return "\n".join(lines) + "\n"
+    return csv_text(CHECK_CSV_COLUMNS, [
+        (r.check, r.anchor, float(r.lhs), float(r.rhs), float(r.slack),
+         "pass" if r.passed else "fail") for r in results])
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +80,6 @@ def check_quadratic_supersolution(field, lam=None, seed=0):
                        "quadratic-supersolution", lhs, 0.0, 1.0,
                        lhs >= -1e-12 * max(1.0, lam) * float(np.max(h)),
                        "min residual over %d samples" % n_samples)
-
-
-def weighted_supersolution(K, q, data_norm):
-    """v2 = e^{lambda t} k / (1+|x|^2)^{q/2} in two space dimensions, with
-    lambda = 1 + q(q+4)K."""
-    lam = 1.0 + q * (q + 4.0) * K
-    x1, x2 = space_symbols(2)
-    expr = (sp.exp(sp.Float(lam) * _TIME) * sp.Float(data_norm)
-            / (1 + x1 ** 2 + x2 ** 2) ** (sp.Float(q) / 2))
-    return AnalyticFunction(2, expr), lam
 
 
 # ---------------------------------------------------------------------------
@@ -397,49 +383,42 @@ def weighted_bound_suite(n_problems=20, q_values=(1.0, 2.0), seed=2,
 
 @dataclass
 class Barrier:
-    """Traveling barrier along one lateral coordinate.
+    """Traveling barrier along x1 in two dimensions, with x1 drift `drift`.
 
-    phi = (1 + x_i - b t)^-2 + (1 - x_i - b t)^-2 with speed
-    b = |drift_i| + 1, valid while both bases stay >= gamma; the window
+    phi = (1 + x1 - b t)^-2 + (1 - x1 - b t)^-2 with speed
+    b = |drift| + 1, valid while both bases stay >= gamma; the window
     length (1 - gamma) / b guarantees that on [0, 0.9 window].  gamma
     must lie in (0, 1), or the window is empty.
     """
 
-    d: int
-    axis: int
-    drift: np.ndarray
+    drift: float
     gamma: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise ValueError("barrier gamma must lie in (0, 1), not %r"
                              % (self.gamma,))
-        self.drift = np.asarray(self.drift, dtype=float)
-        self.speed = abs(float(self.drift[self.axis])) + 1.0
+        self.drift = float(self.drift)
+        self.speed = abs(self.drift) + 1.0
         self.window = 0.9 * (1.0 - self.gamma) / self.speed
-        syms = space_symbols(self.d)
-        xi = syms[self.axis]
+        x1 = space_symbols(2)[0]
         shift = sp.Float(self.speed) * _TIME
-        self.plus = AnalyticFunction(self.d, (1 + xi - shift) ** -2)
-        self.minus = AnalyticFunction(self.d, (1 - xi - shift) ** -2)
-        self.phi = AnalyticFunction(self.d, self.plus.expr
-                                    + self.minus.expr)
+        self.plus = AnalyticFunction(2, (1 + x1 - shift) ** -2)
+        self.minus = AnalyticFunction(2, (1 - x1 - shift) ** -2)
+        self.phi = AnalyticFunction(2, self.plus.expr + self.minus.expr)
 
     def in_window(self, t, x):
-        xi = x[..., self.axis]
+        x1 = x[..., 0]
         shift = self.speed * t
-        return ((1 + xi - shift >= self.gamma)
-                & (1 - xi - shift >= self.gamma)
+        return ((1 + x1 - shift >= self.gamma)
+                & (1 - x1 - shift >= self.gamma)
                 & (t >= 0.0) & (t <= self.window))
 
     def model_operator(self, t, x):
-        """L0 phi with L0 = d_t - x_d Laplacian - drift . grad, exact."""
-        out = self.phi.dt(t, x)
-        h = x[..., -1]
-        for i in range(self.d):
-            out = out - h * self.phi.dxx(i, i, t, x)
-            out = out - self.drift[i] * self.phi.dx(i, t, x)
-        return out
+        """L0 phi with L0 = d_t - x2 Laplacian - drift d_x1, exact; phi
+        does not depend on x2, so its x2 terms are 0."""
+        return (self.phi.dt(t, x) - x[..., -1] * self.phi.dxx(0, 0, t, x)
+                - self.drift * self.phi.dx(0, t, x))
 
     def residual(self, t, x, big_c=6.0, small_c=0.5):
         """L0 phi + C x_d phi^2 - c phi^(3/2) - c; positive in the window."""
@@ -453,7 +432,7 @@ def check_barrier(drift_i, gamma=0.5, big_c=6.0, small_c=0.5, n_points=2000,
                   seed=0, height_max=3.0):
     """Strict positivity of the barrier residual over a sampled window of
     the two-dimensional barrier along x1 with drift (drift_i, 0)."""
-    bar = Barrier(2, 0, [drift_i, 0.0], gamma)
+    bar = Barrier(drift_i, gamma)
     rng = np.random.default_rng(seed)
     pts_t = np.empty(0)
     pts_x = np.empty((0, 2))
@@ -674,34 +653,30 @@ def boundary_vanishing_check(field, g, levels):
 # ---------------------------------------------------------------------------
 # reduction round trip
 
-def reduction_round_trip(field, kind="inner_bump", x_extent=2.0, height=2.0,
-                         n_lateral=33, n_height=33, n_slices=25,
-                         t_final=0.5):
+def reduction_round_trip(field, kind="inner_bump", grid=None):
     """Solve directly and through the model form; compare on the audit set.
 
-    The transformed problem lives on the bounding box of the image of the
-    original box, with the height axis graded so mapped height nodes
-    coincide exactly.  Pass criterion: the sup discrepancy between the
-    two solutions is at most 3 times the direct manufactured error at
-    the same resolution.
+    grid defaults to Grid.build(d, 2.0, 2.0, 33, 33, 0.5, 25).  The
+    transformed problem lives on the bounding box of the image of the
+    grid's box, with the image of the grid's height nodes as its height
+    axis, so that mapped height nodes coincide exactly.  Pass criterion:
+    the sup discrepancy between the two solutions is at most 3 times the
+    direct manufactured error at the same resolution.
     """
     plan = build_reduction_plan(field)
-    problem = manufactured_problem(field, kind, x_extent, height)
-    grid = Grid.build(field.d, x_extent, height, n_lateral, n_height,
-                      t_final, n_slices, grading="quadratic")
+    if grid is None:
+        grid = Grid.build(field.d, 2.0, 2.0, 33, 33, 0.5, 25)
+    problem = manufactured_problem(field, kind, grid.axes[0][-1],
+                                   grid.axes[-1][-1])
     u_direct, _ = solve_cauchy(problem, grid, boundary="exact",
                                certify=False)
 
     corners = list(itertools.product(*[(a[0], a[-1]) for a in grid.axes]))
     z_corners = plan.forward_points(corners)
     d = field.d
-    axes = []
-    for i in range(d - 1):
-        lo, hi = float(np.min(z_corners[:, i])), float(np.max(z_corners[:, i]))
-        axes.append(np.linspace(lo, hi, n_lateral))
-    z_top = float(np.max(z_corners[:, -1]))
-    j = np.arange(n_height, dtype=float) / (n_height - 1)
-    axes.append(z_top * j ** 2)
+    axes = [np.linspace(np.min(z_corners[:, i]), np.max(z_corners[:, i]),
+                        len(grid.axes[i])) for i in range(d - 1)]
+    axes.append(plan.forward[-1, -1] * grid.axes[-1])
     z_grid = Grid(axes, grid.times)
 
     u_bar = plan.transform_analytic(problem.exact)

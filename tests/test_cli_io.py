@@ -220,6 +220,15 @@ class TestCsvWriters:
         step, iters, res = lines[1].split(",")
         assert int(step) == 1 and float(res) < 1e-8
 
+    def test_csv_text_cells(self):
+        text = gridio.csv_text(("x", "n", "s"),
+                               [(0.1, 3, "pass"), (np.float64(1 / 3), 10, "a")])
+        lines = text.split("\n")
+        assert lines[0] == "x,n,s" and lines[-1] == ""
+        assert lines[1] == "0.10000000000000001,3,pass"
+        cells = lines[2].split(",")
+        assert float(cells[0]) == 1 / 3 and cells[1:] == ["10", "a"]
+
     def test_assumption_csv_deterministic(self):
         from degenpde.fields import validate_assumptions
         from degenpde.gridio import assumption_report_csv
@@ -362,6 +371,25 @@ class TestMainExitCodes:
          "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
         ({"data": {"g": "x1", "f": "log(t)"}},
          "data.f: expression 'log(t)' is not finite on the grid"),
+        ({"barriers": {"height_max": -1.0}},
+         "barriers.height_max must be a number > 0, not -1.0"),
+        ({"barriers": {"height_max": 0}},
+         "barriers.height_max must be a number > 0, not 0"),
+        ({"barriers": {"big_c": float("nan")}},
+         "barriers.big_c must be a number, not NaN"),
+        ({"schauder": {"p": float("nan")}},
+         "schauder.p must be a number, not NaN"),
+        ({"field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
+                    "sigma": 1.0, "rho": float("nan")}},
+         "field.rho must be a number, not NaN"),
+        ({"solve": {"rtol": float("inf")}},
+         "solve.rtol must be a number > 0, not Infinity"),
+        ({"maxprin": {"sup_slack": float("inf")}},
+         "maxprin.sup_slack must be a number > 0, not Infinity"),
+        ({"grid": dict(BASE_CFG["grid"], x_extent=float("-inf"))},
+         "grid.x_extent must be a number, not -Infinity"),
+        ({"norms": {"q": [0.0, float("-inf")]}},
+         "norms.q must be a list of numbers, not [0.0, -Infinity]"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
@@ -380,7 +408,10 @@ class TestMainExitCodes:
             "schauder-n-points-0", "norms-n-points-0", "n-problems-negative",
             "n-absolute-negative", "n-weighted-negative", "seed-negative",
             "validate-seed-negative", "g-not-finite-on-grid",
-            "f-not-finite-at-t-0"])
+            "f-not-finite-at-t-0", "height-max-negative", "height-max-0",
+            "big-c-nan", "schauder-p-nan", "heston-rho-nan", "rtol-infinity",
+            "sup-slack-infinity", "x-extent-minus-infinity",
+            "norms-q-minus-infinity"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})
@@ -516,6 +547,40 @@ class TestMainExitCodes:
         assert (out / "validate-coeffs" / "assumptions.txt").exists()
 
 
+    @pytest.mark.parametrize("field", [
+        {"preset": "heston", "kappa": 2.0, "theta": 0.25, "sigma": 1.0,
+         "rho": 0.3},
+        {"preset": "expressions", "d": 2, "a": [["1", "0"], ["0", "1"]],
+         "b": ["0", "0"], "c": "10", "delta": 5.0, "K": 3.0, "nu": 1.0},
+    ], ids=["heston", "overstated"])
+    def test_validate_coeffs_rows_carry_declared_bounds(self, tmp_path,
+                                                        field):
+        cfg = {"field": field, "validate": {"n_samples": 400, "slack": 1.1}}
+        out = tmp_path / "out"
+        cli.main(["validate-coeffs", "--config", write_cfg(tmp_path, cfg),
+                  "--out", str(out)])
+        declared = cli.build_field(cfg)
+        lower = {"delta_hat": declared.delta,
+                 "delta_interior_hat": declared.delta, "nu_hat": declared.nu}
+        text = (out / "validate-coeffs" / "checks.csv").read_text()
+        rows = [r.split(",") for r in text.splitlines()[1:]]
+        assert len(rows) == 8
+        for check, _, lhs, rhs, slack, verdict in rows:
+            name = check[len("assumption-"):]
+            lhs, rhs, slack = float(lhs), float(rhs), float(slack)
+            assert slack == 1.1
+            if name in lower:
+                assert rhs == lower[name]
+                ok = lhs >= rhs / slack - 1e-12 and (name != "nu_hat"
+                                                     or lhs > 0)
+            else:
+                assert rhs == declared.K
+                ok = lhs <= rhs * slack + 1e-12
+            assert verdict == ("pass" if ok else "fail"), check
+        if field["preset"] == "expressions":
+            assert {r[-1] for r in rows} == {"pass", "fail"}
+
+
 class TestExperiments:
     def test_run_dispatches_every_experiment(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -567,6 +632,30 @@ class TestExperiments:
                      "model_diffusion", "inverse", "inward-drift"):
             assert name in checks
         assert (out / "reduce" / "plan.txt").exists()
+
+    @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
+    def test_reduce_round_trip_uses_configured_grid(self, tmp_path,
+                                                    monkeypatch, grading):
+        seen = []
+        round_trip = cli.reduction_round_trip
+
+        def spy(field, kind, grid):
+            seen.append(grid)
+            return round_trip(field, kind, grid)
+
+        monkeypatch.setattr(cli, "reduction_round_trip", spy)
+        cfg = {"field": {"preset": "constant",
+                         "a": [[2.0, 1.0], [1.0, 1.0]], "b": [1.0, 2.0],
+                         "c": -0.5},
+               "grid": {"n_lateral": 9, "n_height": 9, "n_slices": 5,
+                        "grading": grading},
+               "reduce": {"round_trip": True}}
+        cli.main(["reduce", "--config", write_cfg(tmp_path, cfg),
+                  "--out", str(tmp_path / "out")])
+        assert seen == [cli.build_grid(cfg, 2)]
+        heights = seen[0].axes[-1]
+        assert np.allclose(np.diff(heights), heights[1], rtol=1e-12) \
+            == (grading == "uniform")
 
     def test_convergence_experiment_constant_kind(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(

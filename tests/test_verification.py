@@ -34,7 +34,6 @@ from degenpde.verification import (
     reduction_round_trip,
     schauder_ratio,
     weighted_bound_suite,
-    weighted_supersolution,
 )
 
 
@@ -76,9 +75,14 @@ class TestSupersolutions:
         # growth constant measured on the sampling box
         field = heston(2.0, 0.25, 1.0, 0.0)
         grid = Grid.build(2, 3.0, 3.0, 14, 14, 0.5, 12)
+        import sympy as sp
         K = growth_constant_on_grid(field, grid)
-        v2, lam = weighted_supersolution(K, q, 1.0)
-        assert abs(lam - (1.0 + q * (q + 4.0) * K)) <= 1e-12
+        lam = 1.0 + q * (q + 4.0) * K
+        x1, x2 = space_symbols(2)
+        t_sym = sp.Symbol("t", real=True)
+        # v2 = e^{lambda t} / (1+|x|^2)^{q/2}
+        v2 = AnalyticFunction(2, sp.exp(sp.Float(lam) * t_sym)
+                              / (1 + x1 ** 2 + x2 ** 2) ** (sp.Float(q) / 2))
         lv2 = operator_apply(field, v2)
         rng = np.random.default_rng(3)
         t = rng.uniform(0.0, 0.5, 2000)
@@ -335,7 +339,7 @@ class TestBarrier:
     def test_piece_identities(self):
         # time and space derivatives of each traveling piece close over
         # powers of the piece itself
-        bar = Barrier(2, 0, [2.0, 0.0])
+        bar = Barrier(2.0)
         rng = np.random.default_rng(4)
         t = rng.uniform(0.0, bar.window, 500)
         x = rng.uniform(-0.2, 0.2, (500, 2))
@@ -355,7 +359,7 @@ class TestBarrier:
 
     def test_model_operator_closed_form(self):
         drift = -2.0
-        bar = Barrier(2, 0, [drift, 0.0])
+        bar = Barrier(drift)
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, bar.window, 400)
         x = rng.uniform(-0.2, 0.2, (400, 2))
@@ -374,10 +378,10 @@ class TestBarrier:
     def test_gamma_outside_unit_interval_rejected(self, gamma):
         # gamma >= 1 leaves an empty window, where sampling never ends
         with pytest.raises(ValueError, match="gamma"):
-            Barrier(2, 0, [0.0, 0.0], gamma=gamma)
+            Barrier(0.0, gamma=gamma)
 
     def test_window_geometry(self):
-        bar = Barrier(2, 0, [2.0, 0.0], gamma=0.5)
+        bar = Barrier(2.0, gamma=0.5)
         assert bar.speed == 3.0
         assert abs(bar.window - 0.9 * 0.5 / 3.0) <= 1e-15
         inside = bar.in_window(np.array([0.0]), np.array([[0.0, 1.0]]))
@@ -490,8 +494,8 @@ class TestRoundTrip:
     def test_unit_corner_field(self):
         f = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5,
                            name="unit-corner")
-        res, plan = reduction_round_trip(f, n_lateral=17, n_height=17,
-                                         n_slices=9)
+        grid = Grid.build(2, 2.0, 2.0, 17, 17, 0.5, 9, grading="quadratic")
+        res, plan = reduction_round_trip(f, grid=grid)
         assert res.passed, res.line()
         assert plan.certificates["model_diffusion"] <= 1e-12
         assert res.lhs <= res.rhs
