@@ -110,6 +110,9 @@ class Grid:
                              "strictly over >= 2 slices")
         self.axes = axes
         self.times = times
+        # the solver's stencil plan, built on first use; axes are never
+        # mutated after construction, or it would go stale
+        self._stencil = None
 
     @classmethod
     def build(cls, d, x_extent, height, n_lateral, n_height, t_final,

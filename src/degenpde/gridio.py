@@ -9,8 +9,10 @@ geometry is not stored and must be supplied by the caller.
 Every CSV file is written by csv_text, the one home of the CSV format:
 a header line, one comma-joined line per row and a trailing newline, with
 each float printed to 17 significant digits ('.' as the decimal
-separator) so that it round-trips.  Reruns with the same config and seed
-produce byte-identical CSVs; only the manifest carries a timestamp.
+separator) so that it round-trips, and a text cell quoted as RFC 4180
+asks when it holds a comma, a double quote or a line break.  Reruns with
+the same config and seed produce byte-identical CSVs; only the manifest
+carries a timestamp.
 """
 
 from __future__ import annotations
@@ -72,14 +74,20 @@ def load_grid_function(path, grid=None):
 
 def csv_text(columns, rows):
     """CSV text: a header of columns, then one line per row; a float cell
-    is printed as %.17g and any other cell with str."""
+    is printed as %.17g and any other cell with str, in double quotes
+    (doubled inside) if it holds a comma, a double quote or a newline."""
     lines = [",".join(columns)]
     lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _cell(v):
-    return "%.17g" % v if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return "%.17g" % v
+    text = str(v)
+    if any(ch in text for ch in ',"\n\r'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def solve_report_csv(report):
@@ -87,8 +95,10 @@ def solve_report_csv(report):
 
     The iterations column is 1 for a step that back-solves with a sparse
     LU, including a step that factored its own matrix after BiCGStab ran
-    out of budget, and the BiCGStab iteration count for a step
-    preconditioned by an LU of an earlier matrix.  A step whose right
+    out of budget.  For a step preconditioned by an LU of an earlier
+    matrix it is the BiCGStab iteration count, taken as the
+    preconditioner's applications halved and rounded up, so that an
+    iteration that stops at its half step counts too.  A step whose right
     side is zero is 0.
     """
     return csv_text(("step", "iterations", "residual"), report.steps)

@@ -255,8 +255,8 @@ HOLDER_CSV_COLUMNS = ("metric", "alpha", "q", "sup", "seminorm", "total",
 def holder_reports_to_csv(reports):
     return csv_text(HOLDER_CSV_COLUMNS, [
         (r.metric, float(r.alpha), float(r.q), r.sup, r.seminorm, r.total,
-         r.n_pairs, '"%s"' % _fmt_point(r.argmax_p1),
-         '"%s"' % _fmt_point(r.argmax_p2)) for r in reports])
+         r.n_pairs, _fmt_point(r.argmax_p1), _fmt_point(r.argmax_p2))
+        for r in reports])
 
 
 def holder_norm(values, points, alpha, metric, q=0.0, **kw):

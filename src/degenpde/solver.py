@@ -10,19 +10,27 @@ problem avoids needing a boundary condition there.  Lateral and top
 truncation faces carry Dirichlet data, by default the initial condition
 frozen in time; verification runs that know the exact solution may
 request exact boundary values instead so artificial-boundary error does
-not contaminate convergence measurements.  The operator is assembled as
-one diagonal per stencil offset: each term adds its per-axis three-point
-weights into the diagonal of the neighbour they reach.
+not contaminate convergence measurements.  Everything of the stencil
+that depends only on the grid (per-axis weights, upwind first-node
+masks, Dirichlet rows, the offsets and the CSR pattern with its gather
+index) is one plan, built on a grid's first assembly and kept on the
+grid.  An assembly then evaluates a, b and c, adds each term's per-axis
+three-point weights into the row of the offset they reach, and gathers
+those rows into the CSR values, dropping zeros.
 
 Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
 first B is factored with a sparse LU (scipy's splu, minimum-degree
 ordering on the symmetric pattern of the 5-point stencil).  A step whose
 B is the factored matrix, which is every step of a field that does not
-depend on time, is one back-solve.  A step whose B differs runs BiCGStab
-from the previous solution, preconditioned by the factored LU, for a
-small fixed number of iterations; a time-dependent field changes slowly,
-so one or two usually suffice.  If BiCGStab does not converge within
-that budget, the step factors its own B and back-solves, and that LU
+depend on time, is one back-solve.  A step whose B differs runs BiCGStab,
+preconditioned by the factored LU, for a small fixed number of
+iterations, started from the polynomial through the last three (at the
+second step two) solution slices at the new time; a time-dependent field
+changes slowly, so on the 257^2 x 33 Heston benchmark with a moving mean
+level every step takes one iteration.  Its iterations are counted as the
+preconditioner's applications halved, rounded up, so that one stopped at
+its half step counts.  If BiCGStab does not converge within that budget,
+the step factors its own B and back-solves, and that LU
 preconditions the steps that follow.  The true relative residual of
 every step is stored; SolverError is raised on a non-finite solution
 and on a back-solve whose residual exceeds rtol.  For theta = 1 every
@@ -34,8 +42,8 @@ out of certification.
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -51,6 +59,11 @@ from .grid import Grid, GridFunction
 # earlier matrix, before it factors its own; at 257^2 twenty cost about
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
+
+# Weights of the last two or three slices (oldest first) in the
+# polynomial through them at the next time: BiCGStab's starting guess.
+# BiCGStab runs from the second step on, once the first B is factored.
+_EXTRAPOLATION = ((-1.0, 2.0), (1.0, -3.0, 3.0))
 
 # Boundary data on the truncation faces, refinement modes of a convergence
 # study, and the exact solutions of `manufactured_solution`.
@@ -133,60 +146,116 @@ def _axis_weights(x):
     return second, first, forward, backward
 
 
+class _StencilPlan:
+    """Everything of the operator's stencil that depends only on the grid.
+
+    Built on a grid's first assembly and kept on it.  The per-axis weights
+    and first-node masks are shaped to broadcast against arrays of the
+    grid's shape.  Assembly fills an (offsets x N) array, one row per
+    stencil offset (a sum of +-stride over at most two axes, ascending),
+    and `gather` takes it into the stencil's CSR pattern: each free node
+    and its in-grid neighbours in the row of each free node.  Rows of
+    Dirichlet nodes hold nothing.
+    """
+
+    def __init__(self, grid):
+        d, shape = grid.d, grid.shape
+        N = int(np.prod(shape))
+
+        def along(i, v):
+            """v over axis i (last dimension), broadcast to the grid."""
+            return v.reshape(v.shape[:-1] + tuple(
+                n if j == i else 1 for j, n in enumerate(shape)))
+
+        self.N = N
+        self.strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
+        self.nodes = grid.nodes()
+        self.height = along(d - 1, grid.axes[-1])
+        self.dir_flat = grid.dirichlet_mask().ravel()
+        self.dir_flat.flags.writeable = False  # handed to callers
+        self.weights = [[along(i, w) for w in _axis_weights(ax)]
+                        for i, ax in enumerate(grid.axes)]
+        self.first_node = [along(i, np.arange(n) == 0)
+                           for i, n in enumerate(shape)]
+        steps = sorted((s for s in itertools.product((-1, 0, 1), repeat=d)
+                        if np.count_nonzero(s) <= 2),
+                       key=lambda s: np.dot(s, self.strides))
+        self.offsets = np.array([np.dot(s, self.strides) for s in steps])
+        self.slot = {int(o): k for k, o in enumerate(self.offsets)}
+        valid = []  # per offset: a free node whose neighbour is in the grid
+        for s in steps:
+            ok = ~self.dir_flat.reshape(shape)
+            for i, (si, n) in enumerate(zip(s, shape)):
+                ok = ok & along(i, (np.arange(n) + si >= 0)
+                                & (np.arange(n) + si < n))
+            valid.append(ok.ravel())
+        # (node, offset) in row-major order is the CSR order; int32
+        # indices hold any grid whose pattern fits in memory
+        valid = np.array(valid)
+        entries = np.flatnonzero(valid.T)
+        node = entries // len(steps)
+        k = entries - len(steps) * node
+        self.gather = k * N + node
+        self.indices = (node + self.offsets[k]).astype(np.int32)
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(valid.sum(axis=0)))).astype(np.int32)
+
+
 def discretize_operator(field, grid, t):
     """Assemble the spatial operator A at time t as a CSR matrix.
 
-    Each neighbour offset of the stencil (a sum of +-stride over at most
-    two axes) is one diagonal of A, summed from per-axis weights.  Rows
-    of truncation (Dirichlet) nodes are left empty; the implicit matrix
-    I + theta dt A therefore has identity rows there.  Returns
-    (A, flat Dirichlet mask).
+    Each neighbour offset of the stencil is one row of the plan's value
+    array, summed from per-axis weights and gathered into CSR; zero
+    weights are dropped.  Rows of truncation (Dirichlet) nodes are left
+    empty; the implicit matrix I + theta dt A therefore has identity rows
+    there.  Returns (A, flat Dirichlet mask); the mask is the plan's and
+    read-only.
     """
-    d, shape = grid.d, grid.shape
-    N = int(np.prod(shape))
-    nodes = grid.nodes()
-    idx = np.indices(shape).reshape(d, N)
-    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
-    dir_flat = grid.dirichlet_mask().ravel()
-    t_arr = np.full(N, float(t))
-    a_vals, b_vals, c_vals = (coef(t_arr, nodes)
+    plan = grid._stencil
+    if plan is None:
+        plan = grid._stencil = _StencilPlan(grid)
+    shape = grid.shape
+    t_arr = np.full(plan.N, float(t))
+    a_vals, b_vals, c_vals = (coef(t_arr, plan.nodes)
                               for coef in (field.a, field.b, field.c))
-    kappa = nodes[:, -1, None, None] * a_vals  # x_d a_ij at every node
-    weights = [[np.take(w, k, axis=1) for w in _axis_weights(ax)]
-               for ax, k in zip(grid.axes, idx)]
+    a_vals = a_vals.reshape(shape + a_vals.shape[1:])
+    b_vals = b_vals.reshape(shape + b_vals.shape[1:])
 
-    # offset -> weight of that neighbour in every row of x_d a:D^2 + b.grad
-    # + c, before the sign flip to A
-    diagonals = defaultdict(float)
-    for i in range(d):
-        second, first, forward, backward = weights[i]
-        beta = b_vals[:, i]
+    # row k: weight of the neighbour at offsets[k] in every row of
+    # x_d a:D^2 + b.grad + c, before the sign flip to A
+    values = np.zeros((len(plan.offsets),) + shape)
+    for i in range(grid.d):
+        second, first, forward, backward = plan.weights[i]
+        beta = b_vals[..., i]
         # upwinded drift; the first node differences forward whatever the
         # sign of the drift, so the bottom row reaches into the domain
-        up = (beta > 0) | (idx[i] == 0)
-        stencil = (kappa[:, i, i] * second
+        up = (beta > 0) | plan.first_node[i]
+        stencil = (plan.height * a_vals[..., i, i] * second
                    + beta * np.where(up, forward, backward))
         for s in (-1, 0, 1):
-            diagonals[s * strides[i]] += stencil[s + 1]
+            values[plan.slot[s * plan.strides[i]]] += stencil[s + 1]
         # mixed second derivatives as products of centered first
         # differences; both signs appear among the weights, which is what
-        # breaks the M-matrix property when a_ij != 0
-        for j in range(i + 1, d):
+        # breaks the M-matrix property when a_ij != 0.  A zero a_ij adds
+        # only zeros.
+        for j in range(i + 1, grid.d):
+            kappa = plan.height * a_vals[..., i, j]
+            if not np.any(kappa):
+                continue
             for si in (-1, 0, 1):
                 for sj in (-1, 0, 1):
-                    diagonals[si * strides[i] + sj * strides[j]] += (
-                        2.0 * kappa[:, i, j] * first[si + 1]
-                        * weights[j][1][sj + 1])
-    diagonals[0] += c_vals
-
-    # Row r holds its offset-o weight at column r + o.  No entry wraps
-    # around the grid edge, since an off-grid neighbour has weight 0, and
-    # the CSR conversion drops the zero weights.
-    offsets = list(diagonals)
-    A = sparse.diags([-np.where(dir_flat, 0.0, diagonals[o])
-                      [max(-o, 0):N - max(o, 0)] for o in offsets],
-                     offsets, shape=(N, N), format="csr")
-    return A, dir_flat
+                    values[plan.slot[si * plan.strides[i]
+                                     + sj * plan.strides[j]]] += (
+                        2.0 * kappa * first[si + 1]
+                        * plan.weights[j][1][sj + 1])
+    values = values.reshape(len(plan.offsets), plan.N)
+    values[plan.slot[0]] += c_vals
+    data = values.ravel()[plan.gather]
+    # the plan's index arrays are copied, since dropping zeros edits them
+    A = sparse.csr_matrix((np.negative(data, out=data), plan.indices.copy(),
+                           plan.indptr.copy()), shape=(plan.N, plan.N))
+    A.eliminate_zeros()
+    return A, plan.dir_flat
 
 
 def monotonicity_certificate(B, grid):
@@ -274,18 +343,20 @@ def _factor(B):
 def _preconditioned_bicgstab(B, rhs, x0, lu, rtol):
     """BiCGStab on B from x0, preconditioned by lu, within the budget.
 
-    Returns (x, info, iterations); info != 0 means not converged.
+    Returns (x, info, iterations); info != 0 means not converged.  An
+    iteration applies the preconditioner twice and may stop after the
+    first, so iterations counts its applications halved, rounded up.
     """
-    counter = [0]
+    solves = [0]
 
-    def count(_xk):
-        counter[0] += 1
+    def precondition(r):
+        solves[0] += 1
+        return lu.solve(r)
 
-    precond = LinearOperator(B.shape, matvec=lu.solve, dtype=float)
+    precond = LinearOperator(B.shape, matvec=precondition, dtype=float)
     x, info = bicgstab(B, rhs, x0=x0, rtol=rtol, atol=0.0,
-                       maxiter=_PRECONDITIONED_ITERATIONS, M=precond,
-                       callback=count)
-    return x, info, counter[0]
+                       maxiter=_PRECONDITIONED_ITERATIONS, M=precond)
+    return x, info, (solves[0] + 1) // 2
 
 
 def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
@@ -350,7 +421,9 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
             report.steps.append((n + 1, 0, 0.0))
         else:
             if B is not factored:
-                x, info, iters = _preconditioned_bicgstab(B, rhs, u, lu,
+                past = values[max(n - 2, 0):n + 1]
+                x0 = np.dot(_EXTRAPOLATION[len(past) - 2], past)
+                x, info, iters = _preconditioned_bicgstab(B, rhs, x0, lu,
                                                           rtol)
                 if info != 0:
                     lu, factored = _factor(B), B

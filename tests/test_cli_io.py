@@ -1,6 +1,8 @@
 """Config schema, binary grid-function files, CSV reports, CLI exit codes."""
 
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -228,6 +230,16 @@ class TestCsvWriters:
         assert lines[1] == "0.10000000000000001,3,pass"
         cells = lines[2].split(",")
         assert float(cells[0]) == 1 / 3 and cells[1:] == ["10", "a"]
+
+    def test_csv_text_quotes_text_cells(self):
+        # RFC 4180: a text cell with a comma, a double quote or a line
+        # break is quoted, with its double quotes doubled
+        cells = ["barrier(drift=-2,C=6,c=0.5)", 'say "hi"', "two\nlines",
+                 "plain", ""]
+        text = gridio.csv_text(("a", "b", "c", "d", "e"), [cells])
+        assert text.split("\n")[1] == \
+            '"barrier(drift=-2,C=6,c=0.5)","say ""hi""","two'
+        assert list(csv.reader(io.StringIO(text)))[1] == cells
 
     def test_assumption_csv_deterministic(self):
         from degenpde.fields import validate_assumptions
@@ -680,6 +692,27 @@ class TestExperiments:
             outs.append(
                 (out / "verify-barriers" / "checks.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_every_run_csv_parses_to_its_header_width(tmp_path):
+    # check names such as barrier(drift=-2,C=6,c=0.5) hold commas; a
+    # '#' line is the fitted-order comment of convergence.csv
+    cfg = write_cfg(tmp_path, dict(
+        BASE_CFG, experiments=sorted(cli.EXPERIMENTS),
+        validate={"n_samples": 200}, norms={"n_points": 120},
+        maxprin={"n_problems": 1, "n_absolute": 1, "n_weighted": 1},
+        barriers={"n_points": 200},
+        schauder={"ladder": [[9, 9, 5], [13, 13, 7], [17, 17, 9]],
+                  "n_points": 150},
+        convergence={"ladder": [[9, 9, 4], [17, 17, 10]]}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    paths = sorted(out.rglob("*.csv"))
+    assert {p.parent.name for p in paths} == set(cli.EXPERIMENTS)
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert {len(r) for r in rows} == {len(rows[0])}, path
 
 
 def test_import_leaves_scipy_interpolate_unloaded():

@@ -234,7 +234,7 @@ def random_spd_field(d, seed):
 
 # (field, d, times): x-dependent cross diffusion with drift that changes
 # sign along both axes, negative at part of the bottom row; and the
-# benchmark's time-dependent Heston field at two times.
+# benchmark's time-dependent Heston field at three times.
 ASSEMBLY_CASES = {
     "heston-rho0": (lambda: heston(2.0, 0.25, 1.0, 0.0, r=0.05), 2, [0.0]),
     "heston-rho-0.5": (lambda: heston(2.0, 0.25, 1.0, -0.5, r=0.05), 2,
@@ -248,7 +248,7 @@ ASSEMBLY_CASES = {
     "heston-timedep": (lambda: from_expressions(
         2, [["0.5", "0"], ["0", "0.5"]],
         ["0.05 - x2/2", "2*(0.25*(1 + t) - x2)"], "-0.05",
-        delta=0.5, K=12.0, nu=0.5), 2, [0.0, 0.5]),
+        delta=0.5, K=12.0, nu=0.5), 2, [0.0, 0.25, 0.5]),
 }
 
 
@@ -256,10 +256,11 @@ class TestDiagonalAssembly:
     @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
     @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
     def test_matches_coo_reference(self, case, grading):
+        # the second pass assembles from the plan the first one stored
         make, d, times = ASSEMBLY_CASES[case]
         field = make()
         grid = Grid.build(d, 2.0, 2.0, 7, 9, 0.5, 3, grading=grading)
-        for t in times:
+        for t in times * 2:
             A, dir_flat = discretize_operator(field, grid, t)
             ref = coo_reference(field, grid, t)
             A.sort_indices()
@@ -270,6 +271,49 @@ class TestDiagonalAssembly:
             scale = np.max(np.abs(ref.data))
             assert np.max(np.abs(A.data - ref.data)) <= 1e-14 * scale
             assert A[dir_flat].nnz == 0
+
+
+class TestStencilPlan:
+    def test_built_once_per_grid(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_StencilPlan")
+        field = accelerating_field()
+        grid = small_grid(n=9, n_slices=5)
+        u, _ = solve_cauchy(manufactured_problem(field, "inner_bump"), grid,
+                            theta=0.5)
+        apply_discrete_operator(u, field, theta=0.5)
+        discretize_operator(homogeneous_drift(1.0), grid, 0.0)
+        assert len(calls) == 1
+        discretize_operator(field, small_grid(n=9, n_slices=5), 0.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("make,passed", [
+        (ASSEMBLY_CASES["heston-timedep"][0], True),
+        (lambda: heston(2.0, 0.25, 1.0, 0.5), False)],
+        ids=["heston-timedep", "heston-rho-0.5"])
+    def test_certificate_matches_eye_formula(self, monkeypatch, make,
+                                             passed):
+        # each matrix the solver certifies against I + theta dt A(t)
+        # formed with sparse.eye from an assembly on a fresh grid
+        field = make()
+        calls = count_calls(monkeypatch, "monotonicity_certificate")
+        grid = small_grid(n=9, n_slices=4)
+        problem = manufactured_problem(field, "inner_bump")
+        if passed:
+            solve_cauchy(problem, grid)
+        else:
+            with pytest.raises(CertificateError):
+                solve_cauchy(problem, grid)
+        assert len(calls) == (grid.n_t - 1 if passed else 1)
+        for (B, _), t in zip(calls, grid.times[1:]):
+            fresh = small_grid(n=9, n_slices=4)
+            A, _ = discretize_operator(field, fresh, t)
+            want = (sparse.eye(A.shape[0], format="csr")
+                    + grid.dt * A).tocsr()
+            got, ref = (monotonicity_certificate(M, grid) for M in (B, want))
+            assert got.passed is ref.passed is passed
+            assert (got.offdiag_max, got.margin_min, got.offending_node,
+                    got.detail) == (ref.offdiag_max, ref.margin_min,
+                                    ref.offending_node, ref.detail)
 
 
 def implicit_matrix(field, grid, theta=1.0):
@@ -559,6 +603,57 @@ class TestDirectSolve:
         problem = manufactured_problem(accelerating_field(), "inner_bump")
         with pytest.raises(SolverError, match="step 2 .*back-solve"):
             solve_cauchy(problem, small_grid(n=33, n_slices=5))
+
+
+class TestExtrapolatedStart:
+    def test_matches_per_step_factoring_with_fewer_solves(self,
+                                                          monkeypatch):
+        # heston-timedep at 65^2 x 9; started from the previous slice,
+        # BiCGStab took 38 LU solves in all
+        solves = []
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(1)
+                return self.lu.solve(rhs)
+
+        count_calls(monkeypatch, "splu", wrap=Counted)
+        problem = manufactured_problem(ASSEMBLY_CASES["heston-timedep"][0](),
+                                       "inner_bump")
+        grid = small_grid(n=65, n_slices=9)
+        u, report = solve_cauchy(problem, grid)
+        assert report.max_residual() <= report.rtol
+        assert len(solves) < 38
+        want = reference_solve(problem, grid)
+        assert float(np.max(np.abs(u.values - want))) <= 1e-8
+
+    def test_iterations_count_half_steps(self, monkeypatch):
+        # an iteration is two preconditioner applications; one that stops
+        # at its half step still counts
+        applied = []
+        original = solver.bicgstab
+
+        def bicgstab(B, rhs, M, **kw):
+            count = [0]
+
+            def precondition(r):
+                count[0] += 1
+                return M.matvec(r)
+
+            result = original(B, rhs, M=solver.LinearOperator(
+                B.shape, matvec=precondition, dtype=float), **kw)
+            applied.append(count[0])
+            return result
+
+        monkeypatch.setattr(solver, "bicgstab", bicgstab)
+        problem = manufactured_problem(accelerating_field(), "inner_bump")
+        _, report = solve_cauchy(problem, small_grid(n=33, n_slices=6))
+        assert len(applied) == len(report.steps) - 1
+        assert [s[1] for s in report.steps[1:]] == [
+            (k + 1) // 2 for k in applied]
 
 
 class TestTimeDependent:
