@@ -3,8 +3,16 @@
 Everything that feeds a norm estimate or a residual check (manufactured
 solutions, supersolutions, barriers, test bumps) is represented
 symbolically so first and second derivatives are exact rather than
-re-differenced.  Evaluation is vectorized through lambdified numpy
-closures, built lazily and cached.
+re-differenced.
+
+derivative differentiates by rule, one symbol at a time: a term free of
+the symbol gives 0, a sum goes term by term and a product by the product
+rule over only the factors that hold the symbol, so the one-coordinate
+factors of a product bump are never differentiated along another axis.
+Evaluation is vectorized through lambdified numpy closures, built lazily;
+cached_lambdify compiles each (symbols, expression) pair once per
+process, so the same manufactured data rebuilt by several experiments
+share their code.
 """
 
 from __future__ import annotations
@@ -67,8 +75,32 @@ class _FloatPrinter(sp.printing.numpy.NumPyPrinter):
         return repr(float(expr))
 
 
-def cached_lambdify(cache, key, symbols, expr):
-    """Vectorized closure fn(t, x) of expr in (t, x1..xd), cached by key.
+def derivative(expr, *syms):
+    """Exact derivative of expr along syms, taken in order (none: expr)."""
+    for s in syms:
+        expr = _derivative(expr, s)
+    return expr
+
+
+def _derivative(expr, s):
+    if not expr.has(s):
+        return sp.S.Zero
+    if expr.is_Add:
+        return sp.Add(*[_derivative(term, s) for term in expr.args])
+    if expr.is_Mul:
+        factors = expr.args
+        return sp.Add(*[sp.Mul(*factors[:k], _derivative(f, s),
+                               *factors[k + 1:])
+                        for k, f in enumerate(factors) if f.has(s)])
+    return sp.diff(expr, s)
+
+
+# One compiled closure per (symbols, expr) for the life of the process.
+_COMPILED = {}
+
+
+def cached_lambdify(symbols, expr):
+    """Vectorized closure fn(t, x) of expr in (t, x1..xd), compiled once.
 
     x is an array of points of shape (..., d), or a tuple of d coordinate
     arrays that broadcast together, such as the sparse axes of
@@ -77,11 +109,15 @@ def cached_lambdify(cache, key, symbols, expr):
     a number compiles no code; a compiled closure carries every float
     constant at full precision.
     """
-    fn = cache.get(key)
+    key = (symbols, expr)
+    fn = _COMPILED.get(key)
     if fn is None:
+        # docstring_limit=0: lambdify would otherwise print expr a second
+        # time, for a docstring of raw that nothing reads
         raw = (lambda *args, _value=float(expr): _value) if expr.is_number \
-            else sp.lambdify(symbols, expr, modules="numpy", printer=(
-                _FloatPrinter({"fully_qualified_modules": False})))
+            else sp.lambdify(symbols, expr, modules="numpy",
+                             docstring_limit=0, printer=_FloatPrinter(
+                                 {"fully_qualified_modules": False}))
         d = len(symbols) - 1
 
         def fn(t, x, _raw=raw):
@@ -96,7 +132,7 @@ def cached_lambdify(cache, key, symbols, expr):
             return np.broadcast_to(np.asarray(out, dtype=float),
                                    shape).copy()
 
-        cache[key] = fn
+        _COMPILED[key] = fn
     return fn
 
 
@@ -118,15 +154,15 @@ class AnalyticFunction:
         return cls(d, parse_expression(text, d))
 
     def _closure(self, key, *syms):
-        """Cached closure of the derivative of expr along syms (none: expr).
+        """Closure of the derivative of expr along syms (none: expr).
 
-        The cache is looked up first, so a cached derivative costs no
-        symbolic differentiation.
+        The object keeps its closures by key, so a derivative taken once
+        costs no further symbolic differentiation.
         """
         fn = self._cache.get(key)
         if fn is None:
-            expr = sp.diff(self.expr, *syms) if syms else self.expr
-            fn = cached_lambdify(self._cache, key, self.symbols, expr)
+            fn = self._cache[key] = cached_lambdify(
+                self.symbols, derivative(self.expr, *syms))
         return fn
 
     def value(self, t, x):

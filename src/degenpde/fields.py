@@ -56,25 +56,21 @@ class CoefficientField:
         self.delta, self.K, self.nu = float(delta), float(K), float(nu)
         self.name = name
         self.symbols = (_TIME,) + tuple(space_symbols(d))
-        self._cache = {}
-
-    def _fn(self, key, expr):
-        return cached_lambdify(self._cache, key, self.symbols, expr)
 
     def a(self, t, x):
         """Diffusion matrix at (t, x); shape (..., d, d)."""
-        cols = [self._fn(("a", i, j), self.a_sym[i, j])(t, x)
+        cols = [cached_lambdify(self.symbols, self.a_sym[i, j])(t, x)
                 for i in range(self.d) for j in range(self.d)]
         out = np.stack(cols, axis=-1)
         return out.reshape(out.shape[:-1] + (self.d, self.d))
 
     def b(self, t, x):
-        cols = [self._fn(("b", i), self.b_sym[i])(t, x)
+        cols = [cached_lambdify(self.symbols, self.b_sym[i])(t, x)
                 for i in range(self.d)]
         return np.stack(cols, axis=-1)
 
     def c(self, t, x):
-        return self._fn("c", self.c_sym)(t, x)
+        return cached_lambdify(self.symbols, self.c_sym)(t, x)
 
     def is_constant(self):
         return not self.free_symbols

@@ -51,7 +51,8 @@ import scipy.sparse as sparse
 import sympy as sp
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .analytic import _TIME, AnalyticFunction, bump, space_symbols
+from .analytic import (_TIME, AnalyticFunction, bump, derivative,
+                       space_symbols)
 from .grid import Grid, GridFunction
 
 
@@ -496,15 +497,20 @@ def manufactured_solution(field, kind, x_extent=2.0, height=2.0):
 
 
 def operator_apply(field, u):
-    """f = L u computed symbolically from a field and analytic function."""
+    """f = L u computed symbolically from a field and analytic function.
+
+    a is symmetric, so each mixed pair i < j enters once, with weight 2.
+    """
     d = field.d
     syms = space_symbols(d)
-    lap = sp.Integer(0)
+    du = [derivative(u.expr, s) for s in syms]
+    lap = sp.S.Zero
     for i in range(d):
-        for j in range(d):
-            lap += field.a_sym[i, j] * sp.diff(u.expr, syms[i], syms[j])
-    drift = sum(field.b_sym[i] * sp.diff(u.expr, syms[i]) for i in range(d))
-    f_expr = (sp.diff(u.expr, _TIME) - syms[-1] * lap - drift
+        for j in range(i, d):
+            weight = 1 if i == j else 2
+            lap += weight * field.a_sym[i, j] * derivative(du[i], syms[j])
+    drift = sum(field.b_sym[i] * du[i] for i in range(d))
+    f_expr = (derivative(u.expr, _TIME) - syms[-1] * lap - drift
               - field.c_sym * u.expr)
     return AnalyticFunction(d, f_expr)
 

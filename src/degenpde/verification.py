@@ -324,10 +324,12 @@ def absolute_bound_suite(n_problems=20, seed=1, slack=1.02):
         f_sup, g_sup = data_sups(prob, grid)
         v1 = GridFunction(grid, np.broadcast_to(
             (f_sup * grid.times + g_sup)[:, None, None], u.values.shape))
+        tag = "[%d:%s]" % (k, fld.name)
         r = comparison_check(u, v1, fld, absolute=True)
-        r.check = "absolute-bound[%d:%s]" % (k, fld.name)
-        results.append(r)
-        results.append(check_sup_bound(u, prob, 0.0, slack=slack))
+        r.check = "absolute-bound" + tag
+        sup = check_sup_bound(u, prob, 0.0, slack=slack)
+        sup.check += tag
+        results.extend((r, sup))
     return results
 
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenpde.analytic import AnalyticFunction, space_symbols
+from degenpde.analytic import AnalyticFunction, derivative, space_symbols
 from degenpde.fields import (
     CoefficientField,
     constant_field,
@@ -17,6 +19,7 @@ from degenpde.fields import (
 )
 from degenpde.grid import Grid
 from degenpde.solver import discretize_operator
+from degenpde.verification import default_interpolation_functions
 
 
 def row(report, name):
@@ -217,8 +220,9 @@ def test_vectorized_shapes():
 
 
 @pytest.fixture
-def lambdified(monkeypatch):
-    """The expressions sympy.lambdify is called with."""
+def lambdified(monkeypatch, fresh_compiles):
+    """The expressions sympy.lambdify is called with, from an empty
+    process memo."""
     real, seen = sp.lambdify, []
 
     def counting(args, expr, *rest, **kwargs):
@@ -262,6 +266,26 @@ class TestCompiledEntries:
         assert slope.shape == (3, 4) and np.all(slope == 3.0)
         assert slope.flags.writeable and lambdified == []
 
+    def test_each_expression_compiles_once(self, lambdified):
+        text = "exp(-t) * sin(x1) * (1 + x2)"
+        x = np.array([[0.5, 0.25], [1.0, 2.0]])
+        u, v = (AnalyticFunction.from_text(text, 2) for _ in range(2))
+        assert np.array_equal(u.value(0.5, x), v.value(0.5, x))
+        assert np.array_equal(u.dx(0, 0.5, x), v.dx(0, 0.5, x))
+        assert len(lambdified) == 2
+        # fields rebuilt from the same numbers share their code too
+        for _ in range(2):
+            heston(2.0, 0.25, 1.0, 0.3, r=0.05).b(0.0, x)
+        assert len(lambdified) == 4
+        # the same expression in d = 3 has other arguments: new code
+        w = AnalyticFunction.from_text(text, 3)
+        assert np.array_equal(
+            w.value(0.5, np.array([[0.5, 0.25, 7.0], [1.0, 2.0, 7.0]])),
+            u.value(0.5, x))
+        assert len(lambdified) == 5
+        assert np.all(AnalyticFunction(2, 2.5).value(0.5, x) == 2.5)
+        assert len(lambdified) == 5
+
     def test_floats_keep_full_precision(self):
         # 17 significant digits; 15 would round each of them
         v, r = 0.7123456789012346, 0.012345678901234568
@@ -275,3 +299,69 @@ class TestCompiledEntries:
         assert np.all(u.value(0.0, np.array([[1.0, 0.0]])) == v)
         w = AnalyticFunction.from_text("%r * x1 + x2" % v, 2)
         assert np.all(w.value(0.0, np.array([[1.0, 0.0]])) == v)
+
+
+# The interpolation lattice: 6 times in [0, 1], x1 on 13 nodes of
+# [-1.3, 1.3] and x2 on 9 of [0, 1.3].
+T_SYM = sp.Symbol("t", real=True)
+X1, X2 = space_symbols(2)
+_LATTICE = [a.ravel() for a in np.meshgrid(
+    np.linspace(0.0, 1.0, 6), np.linspace(-1.3, 1.3, 13),
+    np.linspace(0.0, 1.3, 9), indexing="ij")]
+
+
+def assert_values_agree(got, want):
+    """got and want agree within 1e-12 of want's largest magnitude."""
+    got, want = np.broadcast_arrays(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def lattice_values(exprs):
+    """Each expression of exprs on the lattice, compiled together."""
+    fn = sp.lambdify((T_SYM, X1, X2), list(exprs), modules="numpy")
+    return [np.broadcast_to(np.asarray(v, dtype=float), _LATTICE[0].shape)
+            for v in fn(*_LATTICE)]
+
+
+# One-coordinate factors in t, x1 and x2, Piecewise bumps included, and
+# one factor that holds two variables.
+FACTORS = [make(v) for v in (T_SYM, X1, X2) for make in (
+    lambda v: v,
+    lambda v: (1 + v) ** 3,
+    lambda v: sp.sin(2 * v),
+    lambda v: sp.exp(-v / 2),
+    lambda v: sp.Piecewise(((1 - v ** 2) ** 4, sp.Abs(v) < 1), (0, True)),
+)] + [sp.Float(2.5), (1 + X1 * X2) ** 2]
+ORDERS = [(T_SYM,), (X1,), (X2,), (X1, X1), (X1, X2), (X2, X1), (X2, X2),
+          (T_SYM, X2)]
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("k", range(5))
+    def test_interpolation_functions_match_diff(self, k):
+        # every derivative analytic_constituents takes, through the
+        # closures of the function itself
+        u = default_interpolation_functions()[k]
+        t, x = _LATTICE[0], np.stack(_LATTICE[1:], axis=-1)
+        want = lattice_values(sp.diff(u.expr, *syms) for syms in
+                              [(T_SYM,), (X1,), (X2,), (X1, X1), (X1, X2),
+                               (X2, X2)])
+        got = [u.dt(t, x), u.dx(0, t, x), u.dx(1, t, x), u.dxx(0, 0, t, x),
+               u.dxx(0, 1, t, x), u.dxx(1, 1, t, x)]
+        for g, w in zip(got, want):
+            assert_values_agree(g, w)
+
+    def test_free_term_gives_zero(self):
+        assert derivative(sp.sin(X1) * sp.exp(-T_SYM), X2) == 0
+        assert derivative(X1 ** 2, X1, X1, X2) == 0
+        assert derivative(X1 + 1) == X1 + 1
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.lists(st.sampled_from(FACTORS), min_size=1,
+                             max_size=4), min_size=1, max_size=3))
+    def test_sums_of_products_match_diff(self, terms):
+        expr = sp.Add(*[sp.Mul(*factors) for factors in terms])
+        got = lattice_values(derivative(expr, *syms) for syms in ORDERS)
+        want = lattice_values(sp.diff(expr, *syms) for syms in ORDERS)
+        for g, w in zip(got, want):
+            assert_values_agree(g, w)

@@ -699,7 +699,37 @@ class TestTimeDependent:
         assert worst <= 1e-6
 
 
+def operator_apply_reference(field, u):
+    """L u with sp.diff over every ordered pair (i, j)."""
+    d = field.d
+    syms = space_symbols(d)
+    lap = sum(field.a_sym[i, j] * sp.diff(u.expr, syms[i], syms[j])
+              for i in range(d) for j in range(d))
+    drift = sum(field.b_sym[i] * sp.diff(u.expr, syms[i]) for i in range(d))
+    return (sp.diff(u.expr, sp.Symbol("t", real=True)) - syms[-1] * lap
+            - drift - field.c_sym * u.expr)
+
+
 class TestManufactured:
+    @pytest.mark.parametrize("kind", ["affine_height", "inner_bump"])
+    @pytest.mark.parametrize("case", ["heston-rho0", "heston-timedep",
+                                      "correlated-constant"])
+    def test_operator_apply_matches_diff(self, case, kind):
+        # rule-based derivatives with each mixed pair taken once, against
+        # sp.diff over both orders, on a lattice of the box
+        field = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5) \
+            if case == "correlated-constant" else ASSEMBLY_CASES[case][0]()
+        u = manufactured_solution(field, kind)
+        ref = AnalyticFunction(2, operator_apply_reference(field, u))
+        t, x1, x2 = (a.ravel() for a in np.meshgrid(
+            np.linspace(0.0, 0.5, 5), np.linspace(-2.0, 2.0, 17),
+            np.linspace(0.0, 2.0, 13), indexing="ij"))
+        x = np.stack([x1, x2], axis=-1)
+        want = ref.value(t, x)
+        got = operator_apply(field, u).value(t, x)
+        assert np.max(np.abs(want)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_registry(self):
         field = homogeneous_drift(1.0)
         for kind in ("constant", "affine_height", "inner_bump"):

@@ -218,6 +218,14 @@ class TestSuites:
         assert len(results) == 6
         assert built == [(2, 3.0, 3.0, 14, 14, 0.5, 12)]
 
+    @pytest.mark.parametrize("suite", [maximum_principle_suite,
+                                       absolute_bound_suite,
+                                       weighted_bound_suite])
+    def test_row_names_unique(self, suite):
+        # each row names its problem, so a failing row can be told apart
+        names = [r.check for r in suite(n_problems=3)]
+        assert len(set(names)) == len(names) == 6
+
 
 def sympy_profile(rng, d):
     """Reference: one random profile as a sympy expression, drawing the
@@ -291,7 +299,7 @@ class TestRandomData:
         assert [r.check for r in results] == [
             name for k in range(4)
             for name in ("absolute-bound[%d:homogeneous-drift]" % k,
-                         "sup-bound(K=0)")]
+                         "sup-bound(K=0)[%d:homogeneous-drift]" % k)]
         assert np.allclose([r.lhs for r in results[1::2]], sup_lhs,
                            rtol=1e-9, atol=0)
         assert np.allclose([r.rhs for r in results[1::2]], sup_rhs,
@@ -315,7 +323,7 @@ class TestRandomData:
         assert np.allclose([r.lhs for r in results], lhs, rtol=1e-9, atol=0)
         assert np.allclose([r.rhs for r in results], rhs, rtol=1e-9, atol=0)
 
-    def test_data_are_not_lambdified(self, monkeypatch):
+    def test_data_are_not_lambdified(self, monkeypatch, fresh_compiles):
         # the only lambdify calls left are the fields' coefficient closures
         import sys
         import sympy as sp
