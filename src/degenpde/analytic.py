@@ -171,12 +171,14 @@ class AnalyticFunction:
         return self._closure("v")(t, x)
 
     def on_grid(self, t, grid):
-        """Values at every node of grid, in grid.nodes() order.
-
-        The closure gets the sparse tensor axes, so a factor that depends
-        on one coordinate is evaluated once per axis node, not per node.
-        """
-        return self.value(t, tuple(grid.meshes(sparse=True))).ravel()
+        """Values at every node of grid, in grid.nodes() order: (N,) at
+        one time t, (len(t), N) at a 1-d array of times, from one call on
+        the sparse tensor axes with t along a leading axis."""
+        t = np.asarray(t, dtype=float)
+        mesh = grid.meshes(sparse=True)
+        if t.ndim:
+            t, mesh = t.reshape((-1,) + (1,) * grid.d), [m[None] for m in mesh]
+        return self.value(t, tuple(mesh)).reshape(t.shape[:1] + (-1,))
 
     def dt(self, t, x):
         return self._closure("t", _TIME)(t, x)
@@ -196,13 +198,6 @@ class AnalyticFunction:
             return self.value(t, mesh)
 
         return fn
-
-    def __add__(self, other):
-        if isinstance(other, AnalyticFunction):
-            if other.d != self.d:
-                raise ValueError("dimension mismatch")
-            return AnalyticFunction(self.d, self.expr + other.expr)
-        return AnalyticFunction(self.d, self.expr + sp.sympify(other))
 
     def __mul__(self, factor):
         return AnalyticFunction(self.d, self.expr * sp.sympify(factor))

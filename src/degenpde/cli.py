@@ -231,14 +231,14 @@ def build_problem(cfg, field):
         f, g = [None if text is None else
                 AnalyticFunction.from_text(text, field.d)
                 for text in (data["f"], data["g"])]
-        problem = CauchyProblem(field, f, g, name="configured")
+        problem = CauchyProblem(field, f, g)
     except ValueError as exc:
         raise ConfigError("data: %s" % exc)
     grid = build_grid(cfg, field.d, _counts(g_sec))
     for key, fn, times in (("g", g, grid.times[:1]), ("f", f, grid.times)):
         with np.errstate(all="ignore"):
-            if fn is not None and not all(
-                    np.isfinite(fn.on_grid(t, grid)).all() for t in times):
+            if fn is not None and not np.isfinite(
+                    fn.on_grid(times, grid)).all():
                 raise ConfigError("data.%s: expression %r is not finite on "
                                   "the grid" % (key, data[key]))
     return problem

@@ -229,12 +229,12 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        """Sample fn(t, x1, ..., xd) on the sparse mesh arrays, broadcast."""
-        mesh = grid.meshes(sparse=True)
-        vals = np.empty((grid.n_t,) + grid.shape)
-        for n, t in enumerate(grid.times):
-            vals[n] = np.broadcast_to(fn(t, *mesh), grid.shape)
-        return cls(grid, vals)
+        """Sample fn(t, x1, ..., xd) in one broadcast call: the times
+        along a leading axis, then the sparse mesh arrays."""
+        vals = fn(grid.times.reshape((-1,) + (1,) * grid.d),
+                  *(m[None] for m in grid.meshes(sparse=True)))
+        shape = (grid.n_t,) + grid.shape
+        return cls(grid, np.broadcast_to(vals, shape).copy())
 
     def copy(self):
         return GridFunction(self.grid, self.values.copy())

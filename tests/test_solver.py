@@ -467,6 +467,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_cauchy(problem, irregular)
 
+    def test_operator_rejects_nonuniform_time_axis(self):
+        # the operator steps with times[1] - times[0]; on this axis it
+        # read L(u = t) as 1, 2, 0.5 instead of 1, 1, 1
+        grid = Grid([np.linspace(-2, 2, 7), np.linspace(0, 2, 7)],
+                    [0.0, 0.1, 0.3, 0.35])
+        u = GridFunction.from_callable(grid, lambda t, *x: t)
+        with pytest.raises(ValueError, match="uniform"):
+            apply_discrete_operator(u, homogeneous_drift(1.0))
+
 
 def accelerating_field():
     """Unit diffusion with inward drift 1 + 3t: A changes every step."""
@@ -764,7 +773,8 @@ class TestManufactured:
     @pytest.mark.parametrize("d", [2, 3])
     def test_grid_evaluation_matches_nodes(self, d):
         # evaluating on the sparse tensor axes gives the node values bit
-        # for bit; lambdify returns a constant expression as a scalar
+        # for bit, one time or all slices in one call; lambdify returns a
+        # constant expression as a scalar
         field = heston(2.0, 0.25, 1.0, 0.0) if d == 2 \
             else homogeneous_drift(1.0, d)
         problem = manufactured_problem(field, "inner_bump")
@@ -777,10 +787,18 @@ class TestManufactured:
             want = np.stack([fn.value(t, nodes) for t in grid.times])
             got = np.stack([fn.on_grid(t, grid) for t in grid.times])
             assert np.array_equal(got, want)
+            assert np.array_equal(fn.on_grid(grid.times, grid), want)
+            assert np.array_equal(fn.on_grid(grid.times[1:], grid), want[1:])
             sampled = GridFunction.from_callable(grid, fn.grid_callable())
             assert np.array_equal(sampled.values.reshape(want.shape), want)
         assert np.array_equal(problem.f_values(0.2, grid),
                               problem.f.value(0.2, nodes))
+        assert np.array_equal(problem.f_values(grid.times, grid),
+                              problem.f.value(grid.times[:, None], nodes))
+        bare = CauchyProblem(field, None, problem.g)
+        assert bare.f_values(0.2, grid).shape == (len(nodes),)
+        zeros = bare.f_values(grid.times, grid)
+        assert zeros.shape == (grid.n_t, len(nodes)) and not np.any(zeros)
 
 
 class TestConvergence:

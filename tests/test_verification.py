@@ -47,10 +47,10 @@ def solve_pair(seed=0):
     g1 = AnalyticFunction(2, -1 - prof)
     t_sym = sp.Symbol("t", real=True)
     f1 = AnalyticFunction(2, -sp.exp(-t_sym) * prof - sp.Float(0.2))
-    p1 = CauchyProblem(field, f1, g1, name="lower")
+    p1 = CauchyProblem(field, f1, g1)
     g2 = AnalyticFunction(2, g1.expr + prof / 2 + sp.Rational(1, 10))
     f2 = AnalyticFunction(2, f1.expr + sp.Rational(1, 10))
-    p2 = CauchyProblem(field, f2, g2, name="upper")
+    p2 = CauchyProblem(field, f2, g2)
     u1, _ = solve_cauchy(p1, grid)
     u2, _ = solve_cauchy(p2, grid)
     return field, grid, p1, u1, p2, u2
@@ -140,6 +140,29 @@ class TestSupBounds:
             assert res.passed, res.line()
             assert res.rhs >= res.lhs > 0
 
+    def test_growth_constant_over_all_slices(self):
+        # one evaluation over every slice equals the maximum over the
+        # slices taken one at a time; the constant grows with t here
+        from degenpde.fields import from_expressions
+        field = from_expressions(
+            2, [["1 + t", "0.2*t"], ["0.2*t", "1"]], ["x1*t", "1 + 3*t"],
+            "-t", delta=0.5, K=8.0, nu=1.0, name="growing")
+        grid = Grid.build(2, 3.0, 3.0, 9, 9, 0.5, 6)
+        nodes = grid.nodes()
+
+        def one_slice(t):
+            t_arr = np.full(len(nodes), t)
+            a = np.abs(field.a(t_arr, nodes)).reshape(len(nodes), -1)
+            num = (nodes[:, -1] * a.sum(axis=1)
+                   + np.abs(np.sum(nodes * field.b(t_arr, nodes), axis=1)))
+            return max(float(np.max(num / (1.0 + np.sum(nodes ** 2,
+                                                          axis=1)))),
+                       float(np.max(field.c(t_arr, nodes))))
+
+        per_slice = [one_slice(t) for t in grid.times]
+        assert per_slice[-1] > per_slice[0]
+        assert growth_constant_on_grid(field, grid) == max(per_slice)
+
 
 class TestComparison:
     def test_ordered_solutions_compare(self):
@@ -159,6 +182,20 @@ class TestComparison:
         res = comparison_check(u1, u2, field, conclusion_tol=-1e6)
         assert not res.passed and "not-applicable" not in res.check
 
+    def test_absolute_form_takes_magnitudes(self):
+        # u1 <= 0: v = -u1 = |u1| meets every premise with equality and
+        # leaves no gap; lowering L v by 0.1 below |L u1| (but not below
+        # L u1) makes the premises fail
+        field, grid, p1, u1, p2, u2 = solve_pair()
+        mirror = GridFunction(grid, -u1.values)
+        res = comparison_check(u1, mirror, field, absolute=True)
+        assert res.passed and "not-applicable" not in res.check
+        assert abs(res.lhs) <= 1e-12
+        falling = 0.1 * (grid.t_final - grid.times)[:, None, None]
+        lowered = GridFunction(grid, -u1.values + falling)
+        res = comparison_check(u1, lowered, field, absolute=True)
+        assert res.passed and "not-applicable" in res.check
+
     def test_grid_mismatch_rejected(self):
         field, grid, p1, u1, p2, u2 = solve_pair()
         other = Grid.build(2, 3.0, 3.0, 9, 9, 0.5, 8)
@@ -171,8 +208,7 @@ class TestComparison:
         res = nonpositivity_check(u1, p1)
         assert res.passed and "not-applicable" not in res.check
         assert float(np.max(u1.values)) <= 1e-8
-        pos = CauchyProblem(field, p1.f, AnalyticFunction(2, -p1.g.expr),
-                            name="positive-data")
+        pos = CauchyProblem(field, p1.f, AnalyticFunction(2, -p1.g.expr))
         res2 = nonpositivity_check(u1, pos)
         assert res2.passed and "not-applicable" in res2.check
         # nonpositive data with a positive u: the conclusion row fails
@@ -273,6 +309,9 @@ class TestRandomData:
                 got = fn.on_grid(ts, grid)
                 assert got.shape == want.shape
                 assert np.allclose(got, want, rtol=1e-13, atol=0)
+            # all slices in one call, bit for bit
+            assert np.array_equal(fn.on_grid(grid.times, grid), np.stack(
+                [fn.on_grid(ts, grid) for ts in grid.times]))
 
     def test_same_problems_for_a_seed(self):
         # check ids and values frozen for these seeds; a reordered random
@@ -507,6 +546,17 @@ class TestRoundTrip:
         assert res.passed, res.line()
         assert plan.certificates["model_diffusion"] <= 1e-12
         assert res.lhs <= res.rhs
+
+    def test_discrepancy_after_initial_slice(self):
+        # at t = 0 the round trip holds g_bar interpolated back, not a
+        # solve; with that slice the maximum was 0.28629526688983176,
+        # at t = 0, x = (0, 0)
+        f = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5,
+                           name="unit-corner")
+        grid = Grid.build(2, 2.0, 2.0, 9, 9, 0.5, 5)
+        res, _ = reduction_round_trip(f, grid=grid)
+        assert np.isclose(res.lhs, 0.22967727326536846, rtol=1e-9, atol=0)
+        assert np.isclose(res.rhs, 0.3353567293646569, rtol=1e-9, atol=0)
 
 
 def test_check_csv_format():
