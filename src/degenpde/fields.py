@@ -218,14 +218,13 @@ def _paired_samples(rng, region, n, height_lo, height_hi):
     return t1, x1, t2, x2
 
 
-def validate_assumptions(field, n_samples=2000, seed=0, slack=1.05,
-                         alpha=0.5):
+def validate_assumptions(field, n_samples=2000, seed=0, alpha=0.5):
     """Estimate the assumption constants by sampling and compare.
 
     Samples come from Region.sampling_box, whose top height 4 lies above
     the split height 2 of the low and high ellipticity checks.
     Lower-bound constants (delta, nu) must be met up to 1/slack, suprema
-    (K and the Holder/growth constants) up to a factor slack.  Holder
+    (K and the Holder/growth constants) up to a factor slack = 1.05.  Holder
     quotients are taken over perturbed pairs at metric distance <= 1, the
     range the assumption constrains.
     """
@@ -270,7 +269,7 @@ def validate_assumptions(field, n_samples=2000, seed=0, slack=1.05,
         parabolic_distance_arrays(t1, x1, t2, x2), alpha,
         weight_a=lambda x: x[:, -1])
 
-    tol = 1e-12
+    slack, tol = 1.05, 1e-12
     low = field.delta / slack - tol
     rows = [("delta_hat", delta_hat, field.delta, delta_hat >= low),
             ("delta_interior_hat", delta_interior_hat, field.delta,

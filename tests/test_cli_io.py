@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -105,6 +106,19 @@ class TestConfigTable:
         configs, _ = workloads.build(workload, size)
         for cfg in configs.values():
             assert cli.validate_config(cfg) == cfg
+
+    def test_readme_names_only_keys_of_the_table(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            named = re.findall(r"`(\w+)\.(\w+)`", fh.read())
+        # output files such as `convergence.csv` are no keys
+        keys = [(sec, key) for sec, key in named
+                if isinstance(cli.CONFIG.get(sec), dict)
+                and key not in ("csv", "txt", "dgph", "json")]
+        assert len(keys) >= 10
+        for sec, key in keys:
+            assert key in cli.CONFIG[sec], "%s.%s" % (sec, key)
 
     def test_partial_section_filled_from_table(self):
         cfg = {"grid": {"height": 1.0, "n_lateral": 9}}
@@ -317,12 +331,17 @@ class TestMainExitCodes:
                                               ["0", "1", "0"],
                                               ["0", "0", "1"]])},
          "a must be 2 x 2"),
-        ({"norms": {"alpha": 1.5}},
-         "norms.alpha must be a number in (0, 1), not 1.5"),
-        ({"validate": {"alpha": -0.5}}, "validate.alpha must be a number"),
-        ({"interp": {"alpha": 0}}, "interp.alpha must be a number in (0, 1)"),
-        ({"schauder": {"alpha": 1}},
-         "schauder.alpha must be a number in (0, 1), not 1"),
+        # alpha is one top-level key, not a key of each section
+        ({"norms": {"alpha": 1.5}}, "unknown keys ['alpha'] in section "
+         "'norms'"),
+        ({"validate": {"alpha": -0.5}}, "unknown keys ['alpha'] in section "
+         "'validate'"),
+        ({"interp": {"alpha": 0}}, "unknown keys ['alpha'] in section "
+         "'interp'"),
+        ({"schauder": {"alpha": 1}}, "unknown keys ['alpha'] in section "
+         "'schauder'"),
+        ({"alpha": 0}, "alpha must be a number in (0, 1), not 0"),
+        ({"alpha": 1}, "alpha must be a number in (0, 1), not 1"),
         ({"experiments": ["convergence"], "convergence": {"kind": "wave"}},
          "convergence.kind must be one of"),
         ({"experiments": ["reduce"],
@@ -360,10 +379,18 @@ class TestMainExitCodes:
         ({"convergence": {"theta": 1.5}},
          "convergence.theta must be a number in [0, 1]"),
         ({"solve": {"rtol": 0}}, "solve.rtol must be a number > 0, not 0"),
-        ({"validate": {"slack": 0}}, "validate.slack must be a number > 0"),
-        ({"maxprin": {"sup_slack": 0}}, "maxprin.sup_slack must be a number"),
+        # the check bounds are fixed, as in the acceptance gate
+        ({"validate": {"slack": 0}}, "unknown keys ['slack'] in section "
+         "'validate'"),
+        ({"maxprin": {"sup_slack": 0}}, "unknown keys ['sup_slack'] in "
+         "section 'maxprin'"),
         ({"maxprin": {"weighted_slack": -1.0}},
-         "maxprin.weighted_slack must be a number > 0"),
+         "unknown keys ['weighted_slack'] in section 'maxprin'"),
+        ({"schauder": {"threshold": 0.5}}, "unknown keys ['threshold'] in "
+         "section 'schauder'"),
+        ({"convergence": {"min_order": 0.5, "order_band": 1.0}},
+         "unknown keys ['min_order', 'order_band'] in section "
+         "'convergence'"),
         ({"validate": {"n_samples": 0}},
          "validate.n_samples must be an integer >= 1, not 0"),
         ({"barriers": {"n_points": 0}},
@@ -378,11 +405,17 @@ class TestMainExitCodes:
         ({"maxprin": {"n_weighted": -1}},
          "maxprin.n_weighted must be an integer >= 0"),
         ({"seed": -1}, "seed must be an integer >= 0, not -1"),
-        ({"validate": {"seed": -1}}, "validate.seed must be an integer >= 0"),
+        ({"validate": {"seed": -1}}, "unknown keys ['seed'] in section "
+         "'validate'"),
         ({"data": {"g": "sqrt(x1 - 5)"}},
          "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
         ({"data": {"g": "x1", "f": "log(t)"}},
          "data.f: expression 'log(t)' is not finite on the grid"),
+        ({"data": {"g": "exp(-x1**2)"}, "solve": {"boundary": "exact"}},
+         'solve.boundary "exact" needs data.manufactured'),
+        ({"experiments": ["norms"], "data": {"g": "exp(-x1**2)"},
+          "solve": {"boundary": "exact"}},
+         'solve.boundary "exact" needs data.manufactured'),
         ({"barriers": {"height_max": -1.0}},
          "barriers.height_max must be a number > 0, not -1.0"),
         ({"barriers": {"height_max": 0}},
@@ -397,7 +430,7 @@ class TestMainExitCodes:
         ({"solve": {"rtol": float("inf")}},
          "solve.rtol must be a number > 0, not Infinity"),
         ({"maxprin": {"sup_slack": float("inf")}},
-         "maxprin.sup_slack must be a number > 0, not Infinity"),
+         "unknown keys ['sup_slack'] in section 'maxprin'"),
         ({"grid": dict(BASE_CFG["grid"], x_extent=float("-inf"))},
          "grid.x_extent must be a number, not -Infinity"),
         ({"norms": {"q": [0.0, float("-inf")]}},
@@ -408,7 +441,8 @@ class TestMainExitCodes:
             "cubic-grading", "edge-boundary", "misspelled-mode",
             "two-node-axis", "expressions-a-1x1", "expressions-a-3x3",
             "norms-alpha-1.5", "validate-alpha-negative", "interp-alpha-0",
-            "schauder-alpha-1", "unknown-convergence-kind",
+            "schauder-alpha-1", "alpha-0", "alpha-1",
+            "unknown-convergence-kind",
             "unknown-reduce-kind", "two-node-rung", "empty-eps",
             "eps-one", "imaginary-g", "g-divides-by-zero", "g-log-zero",
             "g-nan", "expressions-c-nan", "expressions-c-divides-by-zero",
@@ -416,11 +450,13 @@ class TestMainExitCodes:
             "t-final-0", "t-final-negative", "solve-theta-2",
             "solve-theta-negative", "convergence-theta-1.5", "rtol-0",
             "validate-slack-0", "sup-slack-0", "weighted-slack-negative",
+            "schauder-threshold", "convergence-order-bounds",
             "validate-n-samples-0", "barriers-n-points-0",
             "schauder-n-points-0", "norms-n-points-0", "n-problems-negative",
             "n-absolute-negative", "n-weighted-negative", "seed-negative",
             "validate-seed-negative", "g-not-finite-on-grid",
-            "f-not-finite-at-t-0", "height-max-negative", "height-max-0",
+            "f-not-finite-at-t-0", "exact-boundary-solve",
+            "exact-boundary-norms", "height-max-negative", "height-max-0",
             "big-c-nan", "schauder-p-nan", "heston-rho-nan", "rtol-infinity",
             "sup-slack-infinity", "x-extent-minus-infinity",
             "norms-q-minus-infinity"])
@@ -546,6 +582,18 @@ class TestMainExitCodes:
         text = (out / "validate-coeffs" / "assumptions.csv").read_text()
         assert "fail" in text
 
+    def test_schauder_on_zero_data_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, data={"g": "0"},
+            schauder={"ladder": [[7, 7, 4], [9, 9, 5]], "n_points": 100}))
+        out = tmp_path / "out"
+        code = cli.main(["verify-schauder", "--config", cfg,
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: verify-schauder: the data f and g "
+                       "have norm 0, so the Schauder ratio is undefined"]
+
     def test_validate_coeffs_passes_for_heston(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
@@ -567,7 +615,7 @@ class TestMainExitCodes:
     ], ids=["heston", "overstated"])
     def test_validate_coeffs_rows_carry_declared_bounds(self, tmp_path,
                                                         field):
-        cfg = {"field": field, "validate": {"n_samples": 400, "slack": 1.1}}
+        cfg = {"field": field, "validate": {"n_samples": 400}}
         out = tmp_path / "out"
         cli.main(["validate-coeffs", "--config", write_cfg(tmp_path, cfg),
                   "--out", str(out)])
@@ -580,7 +628,7 @@ class TestMainExitCodes:
         for check, _, lhs, rhs, slack, verdict in rows:
             name = check[len("assumption-"):]
             lhs, rhs, slack = float(lhs), float(rhs), float(slack)
-            assert slack == 1.1
+            assert slack == 1.05
             if name in lower:
                 assert rhs == lower[name]
                 ok = lhs >= rhs / slack - 1e-12 and (name != "nu_hat"
@@ -621,16 +669,49 @@ class TestExperiments:
         assert manifest["config"]["seed"] == 3
 
     def test_norms_experiment_writes_holder_csv(self, tmp_path):
-        cfg = write_cfg(tmp_path, dict(
-            BASE_CFG, norms={"alpha": 0.5, "n_points": 150}))
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, alpha=0.3,
+                                       norms={"n_points": 150}))
         out = tmp_path / "out"
         code = cli.main(["norms", "--config", cfg, "--out", str(out)])
         assert code == 0
         text = (out / "norms" / "holder.csv").read_text()
         assert text.splitlines()[0].startswith("metric,")
         assert len(text.splitlines()) >= 6
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert {float(r["alpha"]) for r in rows} == {0.3}
         summary = (out / "norms" / "summary.txt").read_text()
         assert "no checks emitted" in summary
+
+    def test_top_level_alpha_reaches_every_holder_experiment(self, tmp_path):
+        kinds = ["validate-coeffs", "norms", "verify-interp",
+                 "verify-schauder"]
+        base = dict(BASE_CFG, experiments=kinds,
+                    field={"preset": "heston", "kappa": 2.0, "theta": 0.25,
+                           "sigma": 1.0, "rho": 0.0},
+                    validate={"n_samples": 200}, norms={"n_points": 120},
+                    schauder={"ladder": [[7, 7, 4], [9, 9, 5]],
+                              "n_points": 120})
+        outputs = []
+        for alpha in (None, 0.5, 0.3):
+            cfg = base if alpha is None else dict(base, alpha=alpha)
+            out = tmp_path / str(alpha)
+            assert cli.main(["run", "--config", write_cfg(tmp_path, cfg),
+                             "--out", str(out)]) == 0
+            holder = list(csv.DictReader(io.StringIO(
+                (out / "norms" / "holder.csv").read_text())))
+            assumptions = (out / "validate-coeffs" /
+                           "assumptions.csv").read_text()
+            outputs.append((
+                {float(r["alpha"]) for r in holder},
+                [r for r in assumptions.splitlines()
+                 if r.startswith("holder_s_hat,")],
+                (out / "verify-interp" / "interpolation.csv").read_text(),
+                (out / "verify-schauder" / "checks.csv").read_text()))
+        default, half, third = outputs
+        assert default == half and default[0] == {0.5}
+        assert third[0] == {0.3}
+        for got, before in zip(third[1:], default[1:]):
+            assert got and got != before
 
     def test_reduce_experiment_certificates(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -681,6 +762,26 @@ class TestExperiments:
         assert text.splitlines()[0] == "h,dt,sup_error"
         assert "machine precision" in (
             out / "convergence" / "convergence.txt").read_text()
+
+    @pytest.mark.parametrize("theta,order", [(0.5, 2.0), (1.0, 1.0)],
+                             ids=["crank-nicolson", "implicit-euler"])
+    def test_time_order_compared_with_theta_scheme_order(
+            self, tmp_path, capsys, theta, order):
+        cfg = write_cfg(tmp_path, {
+            "field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
+                      "sigma": 1.0, "rho": 0.0},
+            "grid": {"n_lateral": 33, "n_height": 33, "t_final": 0.5},
+            "convergence": {"mode": "time", "theta": theta,
+                            "kind": "affine_height", "boundary": "exact",
+                            "ladder": [[9, 9, 3], [9, 9, 5], [9, 9, 9],
+                                       [9, 9, 17]]}})
+        out = tmp_path / "out"
+        code = cli.main(["convergence", "--config", cfg, "--out", str(out)])
+        assert code == 0, capsys.readouterr().out
+        rows = (out / "convergence" / "checks.csv").read_text().splitlines()
+        check, _, lhs, rhs, _, verdict = rows[1].split(",")
+        assert check == "convergence-order(time)" and verdict == "pass"
+        assert float(rhs) == order and abs(float(lhs) - order) <= 0.3
 
     def test_checks_csv_deterministic_across_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
