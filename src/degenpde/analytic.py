@@ -69,10 +69,27 @@ def parse_expression(text, d):
 
 class _FloatPrinter(sp.printing.numpy.NumPyPrinter):
     """numpy code printer that writes each Float as its exact double
-    (the default printer rounds it to 15 significant digits)."""
+    (the default printer rounds it to 15 significant digits), and And and
+    Or as nested binary calls, as Max and Min are printed: the default
+    logical_and.reduce((a, b)) stacks its operands into one array, which
+    the sparse axes of a mesh, broadcasting only together, cannot be."""
 
     def _print_Float(self, expr):
         return repr(float(expr))
+
+    def _binary(self, op, args):
+        """op(a, op(b, c)) for args (a, b, c)."""
+        first = self._print(args[0])
+        if len(args) == 1:
+            return first
+        return "%s(%s, %s)" % (self._module_format(self._module + "." + op),
+                               first, self._binary(op, args[1:]))
+
+    def _print_And(self, expr):
+        return self._binary("logical_and", expr.args)
+
+    def _print_Or(self, expr):
+        return self._binary("logical_or", expr.args)
 
 
 def derivative(expr, *syms):

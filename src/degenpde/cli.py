@@ -100,9 +100,7 @@ CONFIG = {
     "convergence": {"kind": (KIND, "inner_bump"),
                     "mode": (_one_of(CONVERGENCE_MODES), "space"),
                     "ladder": (LADDER, [[9, 9, 4], [17, 17, 10],
-                                        [33, 33, 28]]),
-                    "boundary": (_one_of(BOUNDARIES), "frozen"),
-                    "theta": (UNIT, 1.0)},
+                                        [33, 33, 28]])},
     "reduce": {"round_trip": (BOOL, False), "kind": (KIND, "inner_bump")},
 }
 
@@ -343,7 +341,7 @@ def exp_schauder(cfg, out, seed):
         rep, _ = schauder_ratio(problem, build_grid(cfg, field.d, rung),
                                 alpha=setting(cfg, "alpha"), p=s["p"],
                                 n_points=s["n_points"], seed=seed,
-                                certify=section(cfg, "solve")["certify"])
+                                **section(cfg, "solve"))
         if not rep.denominator > 0:
             raise ConfigError("verify-schauder: the data f and g have norm "
                               "0, so the Schauder ratio is undefined")
@@ -381,16 +379,15 @@ def exp_reduce(cfg, out, seed):
 
 
 def exp_convergence(cfg, out, seed):
-    c = section(cfg, "convergence")
+    c, solve = section(cfg, "convergence"), section(cfg, "solve")
     field = build_field(cfg)
     for rung in c["ladder"]:
         build_grid(cfg, field.d, rung)  # a rung Grid rejects is a ConfigError
     g = section(cfg, "grid")
     study = convergence_study(
         field, c["kind"], c["ladder"], x_extent=g["x_extent"],
-        height=g["height"], t_final=g["t_final"], theta=c["theta"],
-        mode=c["mode"], boundary=c["boundary"], grading=g["grading"],
-        certify=section(cfg, "solve")["certify"])
+        height=g["height"], t_final=g["t_final"], mode=c["mode"],
+        grading=g["grading"], **solve)
     _write(out, "convergence.csv", gridio.convergence_csv(study))
     _write(out, "convergence.txt", study.summary() + "\n")
     if study.order is None:
@@ -401,7 +398,7 @@ def exp_convergence(cfg, out, seed):
                             study.order, MIN_SPACE_ORDER, 1.0,
                             study.order >= MIN_SPACE_ORDER, "fit vs minimum")]
     # the theta-scheme is second order in time at theta = 1/2, else first
-    order, name = (2.0, "second") if c["theta"] == 0.5 else (1.0, "first")
+    order, name = (2.0, "second") if solve["theta"] == 0.5 else (1.0, "first")
     return [CheckResult("convergence-order(time)", "theta-scheme",
                         study.order, order, 1.0,
                         abs(study.order - order) <= TIME_ORDER_BAND,

@@ -33,11 +33,16 @@ its half step counts.  If BiCGStab does not converge within that budget,
 the step factors its own B and back-solves, and that LU
 preconditions the steps that follow.  The true relative residual of
 every step is stored; SolverError is raised on a non-finite solution
-and on a back-solve whose residual exceeds rtol.  For theta = 1 every
-system matrix is checked to be an M-matrix (nonpositive off-diagonal
-entries, positive dominance margin); mixed second derivatives break the
-sign condition, so runs with correlated diffusion must explicitly opt
-out of certification.
+and on a back-solve whose residual exceeds rtol.  A certified solve
+checks every system matrix B to be an M-matrix (nonpositive off-diagonal
+entries, positive dominance margin), and at theta < 1 also checks the
+explicit matrix E = I - (1 - theta) dt A, which the step applies to the
+old slice, to have no negative entry: together they make each step map
+nonnegative data to a nonnegative solution.  Certification is on by
+default at theta = 1 only; at theta < 1 E's diagonal turns negative once
+dt exceeds the inverse of (1 - theta) A_ii, and mixed second derivatives
+break the sign conditions at any theta, so runs with correlated
+diffusion must explicitly opt out of certification.
 """
 
 from __future__ import annotations
@@ -111,11 +116,14 @@ class CauchyProblem:
 
 @dataclass
 class MonotonicityCertificate:
-    """M-matrix check of one implicit system matrix."""
+    """M-matrix check of one implicit system matrix B and, at theta < 1,
+    of the sign of the explicit matrix E (explicit_min is None at
+    theta = 1, where E = I)."""
 
     passed: bool
     offdiag_max: float
     margin_min: float
+    explicit_min: float | None
     offending_node: tuple | None
     detail: str
 
@@ -260,43 +268,56 @@ def discretize_operator(field, grid, t):
     return A, plan.dir_flat
 
 
-def monotonicity_certificate(B, grid):
-    """Check that the implicit matrix B = I + theta dt A (CSR) is an
-    M-matrix candidate.
+def _tolerance(M):
+    """Round-off allowance on the signs of M's entries."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 1.0)
 
-    Requires every off-diagonal entry nonpositive and a positive
+
+def monotonicity_certificate(B, grid, explicit=None):
+    """Check that the implicit matrix B = I + theta dt A (CSR) is an
+    M-matrix candidate, and that the explicit matrix E = I - (1 - theta)
+    dt A_old (CSR, given at theta < 1) has no negative entry.
+
+    B must have every off-diagonal entry nonpositive and a positive
     dominance margin diag - sum|offdiag| in every row.  The off-diagonal
     entries are read from B's CSR arrays; explicit zeros are skipped.
+    Then B^-1 >= 0, and with E >= 0 a step maps nonnegative data to a
+    nonnegative solution; at theta = 0, where B = I, the whole check is
+    on E.  E's least stored entry is reported as explicit_min.
     """
     N = B.shape[0]
     rows = np.repeat(np.arange(N), np.diff(B.indptr))
     off = (B.indices != rows) & (B.data != 0.0)
     off_rows, off_vals = rows[off], B.data[off]
-    scale = max(1.0, float(np.max(np.abs(B.data))) if B.nnz else 1.0)
-    tol = 1e-12 * scale
+    tol = _tolerance(B)
     offdiag_max = float(off_vals.max()) if off_vals.size else 0.0
     diag = B.diagonal()
     margin = diag - np.bincount(off_rows, weights=np.abs(off_vals),
                                 minlength=N)
     margin_min = float(np.min(margin))
-    passed = offdiag_max <= tol and margin_min > 0.0
+    explicit_min = None if explicit is None else float(explicit.data.min())
+    explicit_ok = explicit_min is None or explicit_min >= -_tolerance(explicit)
+    passed = offdiag_max <= tol and margin_min > 0.0 and explicit_ok
     node = None
     detail = "ok"
     if not passed:
         if offdiag_max > tol:
             row = int(off_rows[np.argmax(off_vals)])
             detail = "positive off-diagonal entry %.3g" % offdiag_max
-        else:
+        elif margin_min <= 0.0:
             row = int(np.argmin(margin))
             detail = "nonpositive dominance margin %.3g" % margin_min
-        node = np.unravel_index(row, grid.shape)
-    return MonotonicityCertificate(passed, offdiag_max, margin_min, node,
-                                   detail)
+        else:
+            row = int(np.searchsorted(explicit.indptr,
+                                      np.argmin(explicit.data), "right")) - 1
+            detail = "negative explicit entry %.3g" % explicit_min
+        node = tuple(map(int, np.unravel_index(row, grid.shape)))
+    return MonotonicityCertificate(passed, offdiag_max, margin_min,
+                                   explicit_min, node, detail)
 
 
 @dataclass
 class SolveReport:
-    theta: float
     rtol: float
     certificate: MonotonicityCertificate | None
     steps: list = dc_field(default_factory=list)
@@ -395,7 +416,7 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                                     grid.nodes()[dir_flat])
     eye = sparse.eye(N, format="csr")
 
-    report = SolveReport(theta, rtol, None)
+    report = SolveReport(rtol, None)
 
     values = np.empty((grid.n_t, N))
     values[0] = u
@@ -406,7 +427,9 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
             A_prev = A_new
             B = (eye + (theta * dt) * A_new).tocsr()
             if certify:
-                cert = monotonicity_certificate(B, grid)
+                E = None if theta == 1.0 else (
+                    eye - ((1.0 - theta) * dt) * A_old).tocsr()
+                cert = monotonicity_certificate(B, grid, explicit=E)
                 cert.require()
                 report.certificate = cert
             if lu is None:
@@ -547,12 +570,12 @@ class ConvergenceStudy:
 
 
 def convergence_study(field, kind, ladder, x_extent=2.0, height=2.0,
-                      t_final=1.0, theta=1.0, mode="space",
-                      boundary="frozen", grading="quadratic",
-                      certify=None):
+                      t_final=1.0, mode="space", grading="quadratic",
+                      **solve):
     """Solve the manufactured problem across a grid ladder and fit order.
 
-    ladder is a list of (n_lateral, n_height, n_slices).  The error is
+    ladder is a list of (n_lateral, n_height, n_slices); solve holds the
+    keyword arguments of solve_cauchy for every rung.  The error is
     the sup over the audited region and all time slices; the order is the
     least-squares slope of log error against log h (mode 'space', h the
     largest spatial spacing) or log dt (mode 'time').
@@ -564,8 +587,7 @@ def convergence_study(field, kind, ladder, x_extent=2.0, height=2.0,
     for n_lat, n_h, n_sl in ladder:
         grid = Grid.build(field.d, x_extent, height, n_lat, n_h, t_final,
                           n_sl, grading=grading)
-        u, _ = solve_cauchy(problem, grid, theta=theta, boundary=boundary,
-                            certify=certify)
+        u, _ = solve_cauchy(problem, grid, **solve)
         exact = problem.exact.on_grid(grid.times, grid)
         err = float(np.max(np.abs(u.values.reshape(exact.shape) - exact)[
             :, grid.audited_mask().ravel()]))

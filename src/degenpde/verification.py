@@ -572,15 +572,16 @@ class SchauderReport:
 
 
 def schauder_ratio(problem, grid, alpha=0.5, p=0.0, n_points=1200,
-                   seed=0, certify=None):
+                   seed=0, **solve):
     """Ratio of the solution norm of order 2+alpha to the data norms.
 
     Numerator: unweighted split norm of order 2+alpha of the computed
-    solution (finite differences on the audited region).  Denominator:
+    solution (finite differences on the audited region), solved with the
+    keyword arguments solve of solve_cauchy.  Denominator:
     weighted norm of order alpha of f plus weighted norm of order
     2+alpha of g, weights (1+|x|)^p, exact derivatives.
     """
-    u, _ = solve_cauchy(problem, grid, certify=certify)
+    u, _ = solve_cauchy(problem, grid, **solve)
     points, ti, si = grid_point_set(grid, grid.audited_mask(),
                                     n_max=n_points, seed=seed)
     num, reports = order2_norm(grid_constituents(u, ti, si), points, alpha,

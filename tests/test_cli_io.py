@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -16,8 +17,9 @@ import degenpde
 from degenpde import cli, gridio
 from degenpde.fields import homogeneous_drift
 from degenpde.grid import Grid, GridFunction
-from degenpde.solver import manufactured_problem, solve_cauchy
-from degenpde.verification import CHECK_CSV_COLUMNS
+from degenpde.solver import (CertificateError, convergence_study,
+                             manufactured_problem, solve_cauchy)
+from degenpde.verification import CHECK_CSV_COLUMNS, schauder_ratio
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -120,6 +122,20 @@ class TestConfigTable:
         for sec, key in keys:
             assert key in cli.CONFIG[sec], "%s.%s" % (sec, key)
 
+    def test_solve_section_is_the_signature_of_solve_cauchy(self):
+        # the solve section holds exactly the keywords of solve_cauchy,
+        # with its defaults; the studies that solve forward the section
+        # and declare none of its keys themselves
+        keywords = {name: p.default for name, p in
+                    inspect.signature(solve_cauchy).parameters.items()
+                    if p.default is not p.empty}
+        assert keywords == {key: default for key, (_, default)
+                            in cli.CONFIG["solve"].items()}
+        for fn in (convergence_study, schauder_ratio):
+            params = inspect.signature(fn).parameters
+            assert not set(params) & set(keywords), fn.__name__
+            assert params["solve"].kind is inspect.Parameter.VAR_KEYWORD
+
     def test_partial_section_filled_from_table(self):
         cfg = {"grid": {"height": 1.0, "n_lateral": 9}}
         grid = cli.section(cli.validate_config(cfg), "grid")
@@ -159,8 +175,9 @@ class TestConfigTable:
         ({"field": {"preset": "constant", "a": [[1.0]], "b": [1.0],
                     "c": "0"}}, "field.c must be a number"),
         ({"field": {"preset": ["heston"]}}, "field.preset"),
+        # the solve section alone says how every solve steps
         ({"convergence": {"boundary": "edge"}},
-         "convergence.boundary must be one of"),
+         "unknown keys \\['boundary'\\] in section 'convergence'"),
         ({"grid": {"grading": ["uniform"]}}, "grid.grading must be one of"),
     ], ids=["bool-theta", "float-count", "int-flag", "null-seed",
             "string-drift", "short-rung", "string-c", "list-preset",
@@ -377,7 +394,7 @@ class TestMainExitCodes:
          "solve.theta must be a number in [0, 1], not 2.0"),
         ({"solve": {"theta": -1.0}}, "solve.theta must be a number in [0, 1]"),
         ({"convergence": {"theta": 1.5}},
-         "convergence.theta must be a number in [0, 1]"),
+         "unknown keys ['theta'] in section 'convergence'"),
         ({"solve": {"rtol": 0}}, "solve.rtol must be a number > 0, not 0"),
         # the check bounds are fixed, as in the acceptance gate
         ({"validate": {"slack": 0}}, "unknown keys ['slack'] in section "
@@ -771,8 +788,8 @@ class TestExperiments:
             "field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
                       "sigma": 1.0, "rho": 0.0},
             "grid": {"n_lateral": 33, "n_height": 33, "t_final": 0.5},
-            "convergence": {"mode": "time", "theta": theta,
-                            "kind": "affine_height", "boundary": "exact",
+            "solve": {"theta": theta, "boundary": "exact"},
+            "convergence": {"mode": "time", "kind": "affine_height",
                             "ladder": [[9, 9, 3], [9, 9, 5], [9, 9, 9],
                                        [9, 9, 17]]}})
         out = tmp_path / "out"
@@ -782,6 +799,52 @@ class TestExperiments:
         check, _, lhs, rhs, _, verdict = rows[1].split(",")
         assert check == "convergence-order(time)" and verdict == "pass"
         assert float(rhs) == order and abs(float(lhs) - order) <= 0.3
+
+    def test_schauder_steps_with_the_solve_section(self, tmp_path):
+        checks = []
+        for theta in (1.0, 0.5):
+            cfg = write_cfg(tmp_path, dict(
+                BASE_CFG, solve={"theta": theta, "certify": False},
+                schauder={"ladder": [[9, 9, 5], [11, 11, 6]]}))
+            out = tmp_path / ("theta-%g" % theta)
+            assert cli.main(["verify-schauder", "--config", cfg,
+                             "--out", str(out)]) == 0
+            checks.append(
+                (out / "verify-schauder" / "checks.csv").read_text())
+        assert checks[0] != checks[1]
+
+    def test_crank_nicolson_certificate_checks_explicit_matrix(
+            self, tmp_path):
+        # at theta = 1/2 and this time step the implicit matrix is an
+        # M-matrix, but the explicit one has negative diagonal entries,
+        # and the uncertified solve of data g >= 0 goes negative
+        cfg = {"field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
+                         "sigma": 1.0, "rho": 0.0, "r": 0.05},
+               "grid": {"n_lateral": 65, "n_height": 65, "n_slices": 3},
+               "data": {"g": "Max(0, 1 - 8*Abs(x1))"
+                             "*Max(0, 1 - 4*Abs(x2 - 1))"},
+               "solve": {"theta": 0.5, "certify": True}}
+        with pytest.raises(CertificateError,
+                           match=r"at node \(1, 63\) \(negative explicit "
+                                 r"entry -134\)"):
+            cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")])
+        field = cli.build_field(cfg)
+        u, _ = solve_cauchy(cli.build_problem(cfg, field),
+                            cli.build_grid(cfg, field.d),
+                            **dict(cli.section(cfg, "solve"), certify=False))
+        assert np.min(u.values) < -0.7
+
+    @pytest.mark.parametrize("data", [
+        {"g": "Piecewise((1, (x1 < 0.2) & (x2 < 1)), (0, True))"},
+        {"g": "exp(-x1**2)",
+         "f": "Piecewise((1, (x1 < 0.2) | (x2 < 1) | (t > 0.25)), "
+              "(0, True))"},
+    ], ids=["and", "or-with-t"])
+    def test_joint_piecewise_condition_solves(self, tmp_path, data):
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, data=data))
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
 
     def test_checks_csv_deterministic_across_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))

@@ -286,6 +286,23 @@ class TestCompiledEntries:
         assert np.all(AnalyticFunction(2, 2.5).value(0.5, x) == 2.5)
         assert len(lambdified) == 5
 
+    @pytest.mark.parametrize("text,rule", [
+        ("Piecewise((1, (x1 < 0.2) & (x2 < 1)), (0, True))",
+         lambda t, x1, x2: (x1 < 0.2) & (x2 < 1)),
+        ("Piecewise((1, (x1 < 0.2) | (x2 < 1) | (t > 0.3)), (0, True))",
+         lambda t, x1, x2: (x1 < 0.2) | (x2 < 1) | (t > 0.3)),
+    ], ids=["and", "or-with-t"])
+    def test_joint_conditions_on_sparse_axes(self, text, rule):
+        # a condition on two coordinates takes the sparse mesh axes,
+        # which broadcast together but do not stack into one array
+        grid = Grid.build(2, 2.0, 2.0, 9, 9, 0.5, 4)
+        u = AnalyticFunction.from_text(text, 2)
+        t, x = grid.times[:, None], grid.nodes()
+        want = np.broadcast_to(rule(t, x[:, 0], x[:, 1]),
+                               (len(t), len(x))).astype(float)
+        assert np.array_equal(u.on_grid(grid.times, grid), want)
+        assert np.array_equal(u.value(t, x), want)
+
     def test_floats_keep_full_precision(self):
         # 17 significant digits; 15 would round each of them
         v, r = 0.7123456789012346, 0.012345678901234568

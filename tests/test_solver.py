@@ -386,6 +386,46 @@ class TestCertificate:
         assert cert.offending_node == np.unravel_index(10, grid.shape)
         assert "dominance margin" in cert.detail
 
+    @pytest.mark.parametrize("make,theta,n_slices,passed", [
+        (lambda: heston(2.0, 0.25, 1.0, 0.0), 0.5, 4, False),
+        (lambda: heston(2.0, 0.25, 1.0, 0.0), 0.5, 200, True),
+        (lambda: homogeneous_drift(1.0), 0.0, 4, False),
+        (lambda: homogeneous_drift(1.0), 0.0, 200, True),
+        (lambda: heston(2.0, 0.25, 1.0, 0.5), 0.0, 200, False),
+    ], ids=["heston-cn-coarse", "heston-cn-fine", "drift-explicit-coarse",
+            "drift-explicit-fine", "heston-rho-0.5-explicit"])
+    def test_explicit_matrix_matches_dense_computation(
+            self, make, theta, n_slices, passed):
+        # E = I - (1 - theta) dt A must have no negative entry; its least
+        # stored entry and the row of a failing one are those a dense
+        # computation gives.  B alone passes in every case, and at
+        # theta = 0 (B = I) the correlated field fails off E's diagonal.
+        grid = small_grid(n_slices=n_slices)
+        A, _ = discretize_operator(make(), grid, 0.0)
+        eye = sparse.eye(A.shape[0], format="csr")
+        B = (eye + (theta * grid.dt) * A).tocsr()
+        E = (eye - ((1.0 - theta) * grid.dt) * A).tocsr()
+        assert monotonicity_certificate(B, grid).passed
+        cert = monotonicity_certificate(B, grid, explicit=E)
+        assert cert.passed is passed
+        dense = np.where(E.toarray() != 0.0, E.toarray(), np.inf)
+        assert cert.explicit_min == dense.min()
+        if not passed:
+            assert "negative explicit entry" in cert.detail
+            row = int(np.argmin(dense.min(axis=1)))
+            assert cert.offending_node == np.unravel_index(row, grid.shape)
+
+    def test_certified_solve_checks_explicit_matrix_below_theta_one(self):
+        problem = manufactured_problem(homogeneous_drift(1.0), "inner_bump")
+        with pytest.raises(CertificateError, match="negative explicit"):
+            solve_cauchy(problem, small_grid(), theta=0.5, certify=True)
+        _, report = solve_cauchy(problem, small_grid(n_slices=200),
+                                 theta=0.5, certify=True)
+        assert report.certificate.explicit_min > 0.0
+        _, report = solve_cauchy(problem, small_grid())
+        assert report.certificate.passed
+        assert report.certificate.explicit_min is None
+
     def test_solve_refuses_uncertified_by_default(self):
         problem = manufactured_problem(heston(2.0, 0.25, 1.0, 0.5),
                                        "constant")
