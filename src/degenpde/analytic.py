@@ -209,7 +209,7 @@ class AnalyticFunction:
                              self.symbols[1 + j])(t, x)
 
     def grid_callable(self):
-        """Adapter for GridFunction.from_callable(t, *mesh arrays)."""
+        """The value as fn(t, x1, ..., xd) of broadcastable arrays."""
 
         def fn(t, *mesh):
             return self.value(t, mesh)

@@ -65,7 +65,6 @@ POSITIVE = ("a number > 0", lambda v: NUM[1](v) and v > 0)
 COUNT = ("an integer >= 1", lambda v: INT[1](v) and v >= 1)
 NATURAL = ("an integer >= 0", lambda v: INT[1](v) and v >= 0)
 NUMS, STRS = _list_of("numbers", NUM[1]), _list_of("strings", STR[1])
-EPS = _list_of("at least one number in (0, 1)", FRACTION[1], min_len=1)
 KIND = _one_of(MANUFACTURED_KINDS)
 LADDER = _list_of("at least two [n_lateral, n_height, n_slices] rungs",
                   lambda r: type(r) is list and len(r) == 3
@@ -88,14 +87,9 @@ CONFIG = {
     "norms": {"q": (NUMS, [0.0]), "n_points": (COUNT, 1500)},
     "validate": {"n_samples": (COUNT, 2000)},
     "maxprin": {"n_problems": (NATURAL, 50), "n_absolute": (NATURAL, 20),
-                "n_weighted": (NATURAL, 20), "weighted_q": (NUMS, [1.0, 2.0])},
-    "barriers": {"drifts": (NUMS, [-2.0, 0.0, 2.0]),
-                 "gamma": (FRACTION, 0.5),
-                 "big_c": (NUM, 6.0), "small_c": (NUM, 0.5),
-                 "n_points": (COUNT, 2000), "height_max": (POSITIVE, 3.0)},
-    "interp": {"eps": (EPS, [0.5, 0.25, 0.1])},
-    "schauder": {"p": (NUM, 0.0),
-                 "ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
+                "n_weighted": (NATURAL, 20)},
+    "barriers": {"n_points": (COUNT, 2000)},
+    "schauder": {"ladder": (LADDER, [[17, 17, 9], [25, 25, 13], [33, 33, 17]]),
                  "n_points": (COUNT, 1200)},
     "convergence": {"kind": (KIND, "inner_bump"),
                     "mode": (_one_of(CONVERGENCE_MODES), "space"),
@@ -107,6 +101,12 @@ CONFIG = {
 # Check bounds, fixed as in the acceptance gate: the Schauder ratio's change
 # between the finest rungs, the least space order, the band in time.
 SCHAUDER_THRESHOLD, MIN_SPACE_ORDER, TIME_ORDER_BAND = 0.25, 0.9, 0.3
+# Check parameters, fixed as in the acceptance gate: the barriers' lateral
+# drifts, the weights q of the weighted sup bounds, the interpolation
+# epsilons.
+BARRIER_DRIFTS = (-2.0, 0.0, 2.0)
+BOUND_WEIGHTS = (1.0, 2.0)
+INTERP_EPS = (0.5, 0.25, 0.1)
 
 # Field presets: name -> (constructor, its keys in its argument order).
 PRESETS = {
@@ -169,9 +169,9 @@ def validate_config(cfg):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError("config is not valid JSON: %s" % exc)
     return validate_config(cfg)
 
@@ -219,6 +219,15 @@ def build_grid(cfg, d, rung=None):
 def _counts(g):
     """(n_lateral, n_height, n_slices) of a filled-in grid section."""
     return [g[k] for k in ("n_lateral", "n_height", "n_slices")]
+
+
+def _three_slices(grid, command):
+    """grid, or a ConfigError if it has fewer than the 3 slices that the
+    time derivative in a norm of order 2+alpha needs."""
+    if grid.n_t < 3:
+        raise ConfigError("%s: a norm of order 2+alpha needs at least 3 "
+                          "time slices, not %d" % (command, grid.n_t))
+    return grid
 
 
 def build_problem(cfg, field):
@@ -290,7 +299,7 @@ def exp_validate_coeffs(cfg, out, seed):
 
 def exp_norms(cfg, out, seed):
     field = build_field(cfg)
-    grid = build_grid(cfg, field.d)
+    grid = _three_slices(build_grid(cfg, field.d), "norms")
     u, _ = solve_cauchy(build_problem(cfg, field), grid,
                         **section(cfg, "solve"))
     n, alpha = section(cfg, "norms"), setting(cfg, "alpha")
@@ -310,22 +319,21 @@ def exp_maxprin(cfg, out, seed):
     m = section(cfg, "maxprin")
     results = maximum_principle_suite(m["n_problems"], seed=seed)
     results += absolute_bound_suite(m["n_absolute"], seed=seed + 1)
-    results += weighted_bound_suite(m["n_weighted"], tuple(m["weighted_q"]),
+    results += weighted_bound_suite(m["n_weighted"], BOUND_WEIGHTS,
                                     seed=seed + 2)
     fld = build_field(cfg) if cfg.get("field") else homogeneous_drift(1.0)
     return results + [check_quadratic_supersolution(fld, seed=seed)]
 
 
 def exp_barriers(cfg, out, seed):
-    b = section(cfg, "barriers")
-    drifts = b.pop("drifts")
-    return [check_barrier(drift, seed=seed, **b) for drift in drifts]
+    n_points = section(cfg, "barriers")["n_points"]
+    return [check_barrier(drift, n_points=n_points, seed=seed)
+            for drift in BARRIER_DRIFTS]
 
 
 def exp_interp(cfg, out, seed):
     fits, cases, results = interpolation_check(
-        alpha=setting(cfg, "alpha"),
-        eps_ladder=tuple(section(cfg, "interp")["eps"]), seed=seed)
+        alpha=setting(cfg, "alpha"), eps_ladder=INTERP_EPS, seed=seed)
     _write(out, "interpolation.csv", gridio.csv_text(
         ("inequality", "C", "m", "n_cases"),
         [(k, f.constant, f.exponent, f.n_cases) for k, f in fits.items()]))
@@ -336,10 +344,11 @@ def exp_schauder(cfg, out, seed):
     s = section(cfg, "schauder")
     field = build_field(cfg)
     problem = build_problem(cfg, field)
+    grids = [_three_slices(build_grid(cfg, field.d, rung), "verify-schauder")
+             for rung in s["ladder"]]
     results = []
-    for rung in s["ladder"]:
-        rep, _ = schauder_ratio(problem, build_grid(cfg, field.d, rung),
-                                alpha=setting(cfg, "alpha"), p=s["p"],
+    for rung, grid in zip(s["ladder"], grids):
+        rep, _ = schauder_ratio(problem, grid, alpha=setting(cfg, "alpha"),
                                 n_points=s["n_points"], seed=seed,
                                 **section(cfg, "solve"))
         if not rep.denominator > 0:
@@ -381,8 +390,16 @@ def exp_reduce(cfg, out, seed):
 def exp_convergence(cfg, out, seed):
     c, solve = section(cfg, "convergence"), section(cfg, "solve")
     field = build_field(cfg)
-    for rung in c["ladder"]:
-        build_grid(cfg, field.d, rung)  # a rung Grid rejects is a ConfigError
+    # a rung Grid rejects is a ConfigError, and so is a ladder that does
+    # not refine: two rungs with one spacing (or one dt) fit no order
+    space = c["mode"] == "space"
+    grids = [build_grid(cfg, field.d, rung) for rung in c["ladder"]]
+    steps = [grid.max_spacing() if space else grid.dt for grid in grids]
+    if len(set(steps)) < len(steps):
+        raise ConfigError("convergence.ladder: two rungs share one %s, so "
+                          "the ladder does not refine in %s"
+                          % ("largest spacing" if space else "time step",
+                             c["mode"]))
     g = section(cfg, "grid")
     study = convergence_study(
         field, c["kind"], c["ladder"], x_extent=g["x_extent"],

@@ -227,15 +227,6 @@ class GridFunction:
             raise ValueError("value shape %s does not match grid %s"
                              % (self.values.shape, expect))
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        """Sample fn(t, x1, ..., xd) in one broadcast call: the times
-        along a leading axis, then the sparse mesh arrays."""
-        vals = fn(grid.times.reshape((-1,) + (1,) * grid.d),
-                  *(m[None] for m in grid.meshes(sparse=True)))
-        shape = (grid.n_t,) + grid.shape
-        return cls(grid, np.broadcast_to(vals, shape).copy())
-
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
 

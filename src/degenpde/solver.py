@@ -48,7 +48,6 @@ diffusion must explicitly opt out of certification.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -321,7 +320,6 @@ class SolveReport:
     rtol: float
     certificate: MonotonicityCertificate | None
     steps: list = dc_field(default_factory=list)
-    wall_time: float = 0.0
 
     def max_residual(self):
         return max((s[2] for s in self.steps), default=0.0)
@@ -402,7 +400,6 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
         raise ValueError("boundary must be one of %s" % (BOUNDARIES,))
     if boundary == "exact" and problem.exact is None:
         raise ValueError("exact boundary values need problem.exact")
-    start = time.perf_counter()
     field = problem.field
     N = int(np.prod(grid.shape))
     dt = grid.dt
@@ -467,7 +464,6 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
             report.steps.append((n + 1, iters, res))
         values[n + 1] = u
 
-    report.wall_time = time.perf_counter() - start
     out = GridFunction(grid, values.reshape((grid.n_t,) + grid.shape))
     return out, report
 

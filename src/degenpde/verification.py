@@ -406,18 +406,19 @@ class Barrier:
         return (self.phi.dt(t, x) - x[..., -1] * self.phi.dxx(0, 0, t, x)
                 - self.drift * self.phi.dx(0, t, x))
 
-    def residual(self, t, x, big_c=6.0, small_c=0.5):
-        """L0 phi + C x_d phi^2 - c phi^(3/2) - c; positive in the window."""
+    def residual(self, t, x):
+        """L0 phi + C x_d phi^2 - c phi^(3/2) - c with the barrier lemma's
+        C = 6 and c = 1/2; positive in the window."""
         phi = self.phi.value(t, x)
         h = x[..., -1]
-        return (self.model_operator(t, x) + big_c * h * phi ** 2
-                - small_c * phi ** 1.5 - small_c)
+        return (self.model_operator(t, x) + 6.0 * h * phi ** 2
+                - 0.5 * phi ** 1.5 - 0.5)
 
 
-def check_barrier(drift_i, gamma=0.5, big_c=6.0, small_c=0.5, n_points=2000,
-                  seed=0, height_max=3.0):
-    """Strict positivity of the barrier residual over a sampled window of
-    the two-dimensional barrier along x1 with drift (drift_i, 0)."""
+def check_barrier(drift_i, gamma=0.5, n_points=2000, seed=0):
+    """Strict positivity of the barrier residual at n_points sampled in
+    the window, at heights up to 3, of the two-dimensional barrier along
+    x1 with drift (drift_i, 0)."""
     bar = Barrier(drift_i, gamma)
     rng = np.random.default_rng(seed)
     pts_t = np.empty(0)
@@ -425,15 +426,13 @@ def check_barrier(drift_i, gamma=0.5, big_c=6.0, small_c=0.5, n_points=2000,
     while len(pts_t) < n_points:
         t = rng.uniform(0.0, bar.window, 4 * n_points)
         x = rng.uniform(-1.0, 1.0, (4 * n_points, 2))
-        x[:, -1] = rng.uniform(0.0, height_max, 4 * n_points)
+        x[:, -1] = rng.uniform(0.0, 3.0, 4 * n_points)
         keep = bar.in_window(t, x)
         pts_t = np.concatenate([pts_t, t[keep]])
         pts_x = np.concatenate([pts_x, x[keep]])
     pts_t, pts_x = pts_t[:n_points], pts_x[:n_points]
-    res = bar.residual(pts_t, pts_x, big_c, small_c)
-    lhs = float(np.min(res))
-    return CheckResult("barrier(drift=%g,C=%g,c=%g)"
-                       % (drift_i, big_c, small_c),
+    lhs = float(np.min(bar.residual(pts_t, pts_x)))
+    return CheckResult("barrier(drift=%g,C=6,c=0.5)" % drift_i,
                        "boundary-barrier", lhs, 0.0, 1.0, lhs > 0.0,
                        "min residual over %d window points" % n_points)
 
@@ -571,26 +570,26 @@ class SchauderReport:
         return self.numerator / self.denominator
 
 
-def schauder_ratio(problem, grid, alpha=0.5, p=0.0, n_points=1200,
-                   seed=0, **solve):
+def schauder_ratio(problem, grid, alpha=0.5, n_points=1200, seed=0,
+                   **solve):
     """Ratio of the solution norm of order 2+alpha to the data norms.
 
     Numerator: unweighted split norm of order 2+alpha of the computed
     solution (finite differences on the audited region), solved with the
-    keyword arguments solve of solve_cauchy.  Denominator:
-    weighted norm of order alpha of f plus weighted norm of order
-    2+alpha of g, weights (1+|x|)^p, exact derivatives.
+    keyword arguments solve of solve_cauchy.  Denominator: unweighted
+    norm of order alpha of f plus unweighted norm of order 2+alpha of g,
+    exact derivatives.
     """
     u, _ = solve_cauchy(problem, grid, **solve)
     points, ti, si = grid_point_set(grid, grid.audited_mask(),
                                     n_max=n_points, seed=seed)
     num, reports = order2_norm(grid_constituents(u, ti, si), points, alpha,
-                               q=0.0, seed=seed)
+                               seed=seed)
     f_vals = (problem.f.value(points.t, points.x) if problem.f is not None
               else np.zeros(points.size))
-    rf = split_holder_norm(f_vals, points, alpha, q=p, seed=seed)
+    rf = split_holder_norm(f_vals, points, alpha, seed=seed)
     ng, g_reports = order2_norm(analytic_constituents(problem.g, points),
-                                points, alpha, q=p, seed=seed)
+                                points, alpha, seed=seed)
     den = rf.total + ng
     reports = reports + [rf] + g_reports
     return SchauderReport(num, den, reports), u
@@ -675,8 +674,9 @@ def reduction_round_trip(field, kind="inner_bump", grid=None):
     u_round = plan.recover_grid_function(w_bar, grid)
 
     mask = grid.audited_mask()
-    exact = GridFunction.from_callable(grid, problem.exact.grid_callable())
-    err_direct = float(np.max(np.abs(u_direct.values - exact.values)[:, mask]))
+    exact = problem.exact.on_grid(grid.times, grid).reshape(
+        u_direct.values.shape)
+    err_direct = float(np.max(np.abs(u_direct.values - exact)[:, mask]))
     # t = 0 compares g with g_bar interpolated back, not two solves
     discrepancy = float(np.max(np.abs(u_direct.values
                                       - u_round.values)[1:, mask]))

@@ -16,7 +16,7 @@ import pytest
 import degenpde
 from degenpde import cli, gridio
 from degenpde.fields import homogeneous_drift
-from degenpde.grid import Grid, GridFunction
+from degenpde.grid import Grid
 from degenpde.solver import (CertificateError, convergence_study,
                              manufactured_problem, solve_cauchy)
 from degenpde.verification import CHECK_CSV_COLUMNS, schauder_ratio
@@ -169,8 +169,9 @@ class TestConfigTable:
         ({"grid": {"n_lateral": 33.0}}, "grid.n_lateral must be an integer"),
         ({"reduce": {"round_trip": 1}}, "reduce.round_trip must be true or"),
         ({"seed": None}, "seed must be an integer"),
-        ({"barriers": {"drifts": [0.0, "1"]}}, "barriers.drifts must be a "
-         "list of numbers"),
+        # the barrier drifts are fixed, as in the acceptance gate
+        ({"barriers": {"drifts": [0.0, "1"]}},
+         "unknown keys \\['drifts'\\] in section 'barriers'"),
         ({"convergence": {"ladder": [[9, 9]]}}, "convergence.ladder must"),
         ({"field": {"preset": "constant", "a": [[1.0]], "b": [1.0],
                     "c": "0"}}, "field.c must be a number"),
@@ -188,14 +189,13 @@ class TestConfigTable:
 
 
 class TestGridFunctionFiles:
-    def small(self):
+    @pytest.fixture
+    def small(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 5, 6, 0.25, 3)
-        gf = GridFunction.from_callable(
-            grid, lambda t, x1, x2: np.sin(x1) + t * x2)
-        return grid, gf
+        return grid, sample(grid, "sin(x1) + t*x2")
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        grid, gf = self.small()
+    def test_round_trip_bit_exact(self, tmp_path, small):
+        grid, gf = small
         path = str(tmp_path / "u.dgph")
         gridio.save_grid_function(path, gf)
         back = gridio.load_grid_function(path, grid)
@@ -206,8 +206,8 @@ class TestGridFunctionFiles:
         gridio.save_grid_function(path2, back)
         assert open(path, "rb").read() == open(path2, "rb").read()
 
-    def test_headers_without_grid(self, tmp_path):
-        grid, gf = self.small()
+    def test_headers_without_grid(self, tmp_path, small):
+        grid, gf = small
         path = str(tmp_path / "u.dgph")
         gridio.save_grid_function(path, gf)
         d, n_t, shape, values = gridio.load_grid_function(path)
@@ -220,8 +220,8 @@ class TestGridFunctionFiles:
         (lambda raw: raw[:-4], "payload length"),
         (lambda raw: raw + b"\x00", "payload length"),
     ])
-    def test_corrupt_files_rejected(self, tmp_path, mangle, msg):
-        grid, gf = self.small()
+    def test_corrupt_files_rejected(self, tmp_path, mangle, msg, small):
+        grid, gf = small
         path = str(tmp_path / "u.dgph")
         gridio.save_grid_function(path, gf)
         raw = open(path, "rb").read()
@@ -231,8 +231,8 @@ class TestGridFunctionFiles:
         with pytest.raises(gridio.FormatError, match=msg):
             gridio.load_grid_function(bad, grid)
 
-    def test_grid_mismatch_rejected(self, tmp_path):
-        grid, gf = self.small()
+    def test_grid_mismatch_rejected(self, tmp_path, small):
+        grid, gf = small
         path = str(tmp_path / "u.dgph")
         gridio.save_grid_function(path, gf)
         other = Grid.build(2, 1.0, 1.0, 5, 7, 0.25, 3)
@@ -289,6 +289,17 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"seed": 0, "x": "\xff\xfe"}')
+        code = cli.main(["solve", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: config is not valid JSON: "
+                                 "'utf-8' codec can't decode byte 0xff")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -353,8 +364,7 @@ class TestMainExitCodes:
          "'norms'"),
         ({"validate": {"alpha": -0.5}}, "unknown keys ['alpha'] in section "
          "'validate'"),
-        ({"interp": {"alpha": 0}}, "unknown keys ['alpha'] in section "
-         "'interp'"),
+        ({"interp": {"alpha": 0}}, "unknown config section 'interp'"),
         ({"schauder": {"alpha": 1}}, "unknown keys ['alpha'] in section "
          "'schauder'"),
         ({"alpha": 0}, "alpha must be a number in (0, 1), not 0"),
@@ -368,9 +378,11 @@ class TestMainExitCodes:
         ({"experiments": ["convergence"],
           "convergence": {"ladder": [[2, 7, 3], [9, 9, 4]]}},
          "grid: every spatial axis needs at least 3 nodes"),
+        # the epsilons, barrier parameters and weights are fixed, as in
+        # the acceptance gate
         ({"experiments": ["verify-interp"], "interp": {"eps": []}},
-         "interp.eps must be a list of at least one number in (0, 1)"),
-        ({"interp": {"eps": [0.5, 1.0]}}, "interp.eps must be a list"),
+         "unknown config section 'interp'"),
+        ({"interp": {"eps": [0.5, 1.0]}}, "unknown config section 'interp'"),
         ({"data": {"g": "sqrt(-1)*x1"}},
          "expression 'sqrt(-1)*x1' must have finite real values"),
         ({"data": {"g": "1/0"}}, "must have finite real values"),
@@ -384,8 +396,9 @@ class TestMainExitCodes:
           "grid": dict(BASE_CFG["grid"], n_lateral=2)},
          "grid: every spatial axis needs at least 3 nodes"),
         ({"barriers": {"gamma": 1.0}},
-         "barriers.gamma must be a number in (0, 1), not 1.0"),
-        ({"barriers": {"gamma": 0.0}}, "barriers.gamma must be a number"),
+         "unknown keys ['gamma'] in section 'barriers'"),
+        ({"barriers": {"gamma": 0.0}},
+         "unknown keys ['gamma'] in section 'barriers'"),
         ({"grid": dict(BASE_CFG["grid"], t_final=0)},
          "grid: time axis must start at 0 and increase strictly"),
         ({"grid": dict(BASE_CFG["grid"], t_final=-0.5)},
@@ -434,13 +447,18 @@ class TestMainExitCodes:
           "solve": {"boundary": "exact"}},
          'solve.boundary "exact" needs data.manufactured'),
         ({"barriers": {"height_max": -1.0}},
-         "barriers.height_max must be a number > 0, not -1.0"),
+         "unknown keys ['height_max'] in section 'barriers'"),
         ({"barriers": {"height_max": 0}},
-         "barriers.height_max must be a number > 0, not 0"),
+         "unknown keys ['height_max'] in section 'barriers'"),
         ({"barriers": {"big_c": float("nan")}},
-         "barriers.big_c must be a number, not NaN"),
+         "unknown keys ['big_c'] in section 'barriers'"),
         ({"schauder": {"p": float("nan")}},
-         "schauder.p must be a number, not NaN"),
+         "unknown keys ['p'] in section 'schauder'"),
+        ({"barriers": {"small_c": 0.5, "n_points": 10}},
+         "unknown keys ['small_c'] in section 'barriers'"),
+        ({"experiments": ["verify-maxprin"],
+          "maxprin": {"weighted_q": [1.0, 2.0]}},
+         "unknown keys ['weighted_q'] in section 'maxprin'"),
         ({"field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
                     "sigma": 1.0, "rho": float("nan")}},
          "field.rho must be a number, not NaN"),
@@ -452,6 +470,22 @@ class TestMainExitCodes:
          "grid.x_extent must be a number, not -Infinity"),
         ({"norms": {"q": [0.0, float("-inf")]}},
          "norms.q must be a list of numbers, not [0.0, -Infinity]"),
+        # the time derivative in a norm of order 2+alpha takes 3 slices
+        ({"experiments": ["norms"],
+          "grid": dict(BASE_CFG["grid"], n_slices=2)},
+         "norms: a norm of order 2+alpha needs at least 3 time slices, "
+         "not 2"),
+        # a ladder that does not refine fits a meaningless order
+        ({"experiments": ["convergence"],
+          "convergence": {"ladder": [[9, 9, 4], [9, 9, 4]]}},
+         "convergence.ladder: two rungs share one largest spacing, so the "
+         "ladder does not refine in space"),
+        ({"experiments": ["convergence"],
+          "convergence": {"mode": "time", "kind": "affine_height",
+                          "ladder": [[9, 9, 5], [11, 11, 5]]},
+          "solve": {"boundary": "exact"}},
+         "convergence.ladder: two rungs share one time step, so the ladder "
+         "does not refine in time"),
     ], ids=["field-list", "string-n-lateral", "experiments-string",
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
@@ -474,9 +508,11 @@ class TestMainExitCodes:
             "validate-seed-negative", "g-not-finite-on-grid",
             "f-not-finite-at-t-0", "exact-boundary-solve",
             "exact-boundary-norms", "height-max-negative", "height-max-0",
-            "big-c-nan", "schauder-p-nan", "heston-rho-nan", "rtol-infinity",
+            "big-c-nan", "schauder-p-nan", "small-c-given",
+            "maxprin-weighted-q", "heston-rho-nan", "rtol-infinity",
             "sup-slack-infinity", "x-extent-minus-infinity",
-            "norms-q-minus-infinity"])
+            "norms-q-minus-infinity", "norms-two-slices",
+            "non-refining-space-ladder", "non-refining-time-ladder"])
     def test_bad_config_exits_2(self, tmp_path, capsys, change, message):
         cfg = write_cfg(tmp_path, {**BASE_CFG, "experiments": ["solve"],
                                    **change})
@@ -610,6 +646,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["config error: verify-schauder: the data f and g "
                        "have norm 0, so the Schauder ratio is undefined"]
+
+    def test_schauder_rung_of_two_slices_exits_2(self, tmp_path, capsys):
+        # every rung is checked before the first one is solved
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, schauder={"ladder": [[9, 9, 3], [11, 11, 2]]}))
+        out = tmp_path / "out"
+        code = cli.main(["verify-schauder", "--config", cfg,
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: verify-schauder: a norm of order "
+                       "2+alpha needs at least 3 time slices, not 2"]
+
+    def test_solve_on_two_slices_passes(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, grid=dict(BASE_CFG["grid"], n_slices=2)))
+        code = cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().out
 
     def test_validate_coeffs_passes_for_heston(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {

@@ -185,32 +185,30 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(grid, np.zeros((2, 3, 3)))
 
-    def test_sup_with_mask(self):
+    def test_sup_with_mask(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)
-        gf = GridFunction.from_callable(grid, lambda t, x1, x2: x1)
+        gf = sample(grid, "x1")
         assert gf.sup() == 1.0
         inner = ~grid.dirichlet_mask()
         assert gf.sup(inner) < 1.0
 
-    def test_time_derivative_exact_for_quadratic(self):
+    def test_time_derivative_exact_for_quadratic(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 3, 3, 2.0, 9)
-        gf = GridFunction.from_callable(
-            grid, lambda t, x1, x2: t ** 2 + 0 * x1)
+        gf = sample(grid, "t**2")
         dt = gf.time_derivative()
         want = 2.0 * grid.times[:, None, None] * np.ones(grid.shape)
         assert np.allclose(dt.values, want, rtol=0, atol=1e-11)
 
-    def test_mixed_derivative_symmetry(self):
+    def test_mixed_derivative_symmetry(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 7, 7, 1.0, 3)
-        gf = GridFunction.from_callable(
-            grid, lambda t, x1, x2: np.sin(x1) * x2 ** 2)
+        gf = sample(grid, "sin(x1)*x2**2")
         d01 = gf.second_derivative(0, 1).values
         d10 = gf.second_derivative(1, 0).values
         assert np.allclose(d01, d10, rtol=0, atol=1e-12)
 
-    def test_weighted_by_height(self):
+    def test_weighted_by_height(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 3, 4, 1.0, 3)
-        gf = GridFunction.from_callable(grid, lambda t, x1, x2: 1.0 + 0 * x1)
+        gf = sample(grid, "1")
         w = gf.weighted_by_height()
         assert np.allclose(w.values[0, 0, :], grid.axes[1], rtol=0,
                            atol=1e-15)

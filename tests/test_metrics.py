@@ -312,7 +312,7 @@ class TestNorms:
         assert np.allclose(first[2], 6 * x[:, 0] * x[:, 1] ** 2,
                            rtol=0, atol=1e-12)
 
-    def test_grid_constituents_match_analytic(self):
+    def test_grid_constituents_match_analytic(self, sample):
         # space-quadratic, time-quadratic: every stencil is exact
         syms = space_symbols(2)
         t_sym = sp.Symbol("t", real=True)
@@ -320,8 +320,7 @@ class TestNorms:
             2, (1 + t_sym ** 2) * (1 + syms[0] ** 2 + 0.5 * syms[1] ** 2))
         grid = Grid.build(2, x_extent=2.0, height=2.0, n_lateral=9,
                           n_height=9, t_final=1.0, n_slices=6)
-        from degenpde.grid import GridFunction
-        gf = GridFunction.from_callable(grid, u.grid_callable())
+        gf = sample(grid, u)
         pts, ti, si = grid_point_set(grid)
         got = grid_constituents(gf, ti, si)
         want = analytic_constituents(u, pts)
@@ -481,11 +480,9 @@ class TestPointSets:
         assert np.all(np.abs(a.x[:, 0]) <= 0.75 + 1e-12)
         assert np.all(a.x[:, 1] <= 0.75 + 1e-12)
 
-    def test_gather_matches_nodes(self):
-        from degenpde.grid import GridFunction
+    def test_gather_matches_nodes(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 5, 5, 0.5, 4)
-        gf = GridFunction.from_callable(
-            grid, lambda t, x1, x2: t + x1 + 2 * x2)
+        gf = sample(grid, "t + x1 + 2*x2")
         pts, ti, si = grid_point_set(grid)
         vals = gather(gf, ti, si)
         assert np.allclose(vals, pts.t + pts.x[:, 0] + 2 * pts.x[:, 1],

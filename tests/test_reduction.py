@@ -192,12 +192,10 @@ class TestPlan:
 class TestInterpolation:
     """pullback_grid_function: multilinear sampling of a grid function."""
 
-    def test_exact_for_multilinear(self):
+    def test_exact_for_multilinear(self, sample):
         source = Grid((np.array([-1.0, 0.0, 2.0]),
                        np.array([0.0, 0.5, 1.25, 2.0])), [0.0, 0.5, 1.0])
-        gf = GridFunction.from_callable(
-            source, lambda t, x1, x2: (1 + t) * (2.0 + 3.0 * x1 - x2
-                                                 + 0.5 * x1 * x2))
+        gf = sample(source, "(1 + t)*(2 + 3*x1 - x2 + x1*x2/2)")
         target = Grid.build(2, 1.0, 2.0, 7, 9, 1.0, 3)
         M = np.array([[0.5, 0.2], [0.0, 0.7]])
         got = pullback_grid_function(gf, target, M)
@@ -221,21 +219,19 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="refusing to extrapolate"):
             pullback_grid_function(gf, grid, 1.5 * np.eye(2))
 
-    def test_clips_points_within_tolerance(self):
+    def test_clips_points_within_tolerance(self, sample):
         # a point 1e-12 of the span outside an axis is taken as the end node
         source = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)
-        gf = GridFunction.from_callable(source,
-                                        lambda t, x1, x2: t + x1 + x2 ** 2)
+        gf = sample(source, "t + x1 + x2**2")
         pad = 1e-12 * 2.0
         target = Grid((source.axes[0] + np.linspace(-pad, pad, 5),
                        source.axes[1]), source.times)
         got = pullback_grid_function(gf, target, np.eye(2))
         assert np.allclose(got.values, gf.values, rtol=0, atol=1e-11)
 
-    def test_pullback_identity(self):
+    def test_pullback_identity(self, sample):
         grid = Grid.build(2, 1.0, 1.0, 5, 5, 1.0, 3)
-        gf = GridFunction.from_callable(
-            grid, lambda t, x1, x2: np.sin(x1) + x2)
+        gf = sample(grid, "sin(x1) + x2")
         back = pullback_grid_function(gf, grid, np.eye(2))
         assert np.allclose(back.values, gf.values, rtol=0, atol=1e-12)
 
@@ -247,7 +243,7 @@ class TestInterpolation:
             pullback_grid_function(gf, g2, np.eye(2))
 
 
-def test_linear_solution_round_trips_exactly():
+def test_linear_solution_round_trips_exactly(sample):
     # multilinear interpolation reproduces affine functions, so a full
     # map-solve-free round trip of an affine profile is exact
     f = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5)
@@ -263,7 +259,6 @@ def test_linear_solution_round_trips_exactly():
     top = float(np.max(corners[:, 1])) * 1.01
     model_grid = Grid((np.linspace(-m, m, 9),
                        np.linspace(0.0, top, 9)), source.times)
-    w = GridFunction.from_callable(model_grid, w_analytic.grid_callable())
-    back = plan.recover_grid_function(w, source)
-    want = GridFunction.from_callable(source, u.grid_callable())
-    assert np.allclose(back.values, want.values, rtol=0, atol=1e-12)
+    back = plan.recover_grid_function(sample(model_grid, w_analytic), source)
+    assert np.allclose(back.values, sample(source, u).values, rtol=0,
+                       atol=1e-12)

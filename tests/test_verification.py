@@ -517,9 +517,9 @@ class TestSchauderAndBoundary:
         assert rep1.ratio == rep2.ratio
         assert len(rep1.reports) >= 6
 
-    def test_first_layer_weighted_hessian_oracle(self):
+    def test_first_layer_weighted_hessian_oracle(self, sample):
         grid = Grid.build(2, 2.0, 2.0, 9, 9, 0.5, 4)
-        gf = GridFunction.from_callable(grid, lambda t, x1, x2: x2 ** 2)
+        gf = sample(grid, "x2**2")
         got = first_layer_weighted_hessian(gf)
         assert abs(got - 2.0 * grid.axes[1][1]) <= 1e-9
 
