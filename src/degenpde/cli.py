@@ -5,9 +5,11 @@
 runs, so a misspelled option or a value of the wrong type is an error,
 never a silent default; `section` fills in the defaults.  Every command
 takes --config and --out plus an optional --seed override; `run` runs the
-experiments listed under "experiments" one after another.  Exit status is
-0 when every emitted check passes, 1 when any fails, 2 for unusable
-configs or arguments.
+experiments listed under "experiments", each at most once.  More than one
+experiment runs on a fork process pool with one worker per experiment, up
+to the CPUs this process may use; the printed lines, `summary.txt` and the
+manifest keep config order.  Exit status is 0 when every emitted check
+passes, 1 when any fails, 2 for unusable configs or arguments.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -423,20 +428,24 @@ def exp_convergence(cfg, out, seed):
                         % (name, TIME_ORDER_BAND))]
 
 
+# Longest first, as measured on the README config: the pool starts them in
+# this order, so the longest is never left to run alone at the end.
 EXPERIMENTS = {
-    "solve": exp_solve,
-    "validate-coeffs": exp_validate_coeffs,
-    "norms": exp_norms,
     "verify-maxprin": exp_maxprin,
-    "verify-barriers": exp_barriers,
     "verify-interp": exp_interp,
     "verify-schauder": exp_schauder,
-    "reduce": exp_reduce,
+    "solve": exp_solve,
+    "norms": exp_norms,
+    "verify-barriers": exp_barriers,
     "convergence": exp_convergence,
+    "reduce": exp_reduce,
+    "validate-coeffs": exp_validate_coeffs,
 }
 
 
 def run_experiment(kind, cfg, out_root, seed):
+    """Run one experiment into out_root/kind; (its results, wall seconds)."""
+    start = time.perf_counter()
     out = os.path.join(out_root, kind)
     os.makedirs(out, exist_ok=True)
     results = EXPERIMENTS[kind](cfg, out, seed)
@@ -444,7 +453,39 @@ def run_experiment(kind, cfg, out_root, seed):
     _write(out, "summary.txt",
            "\n".join(r.line() for r in results) + "\n" if results
            else "no checks emitted\n")
-    return results
+    return results, time.perf_counter() - start
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def run_experiments(kinds, cfg, out_root, seed):
+    """run_experiment for each of `kinds`, returned in that order.
+
+    Two or more run on a pool of min(len(kinds), usable CPUs) workers,
+    submitted in EXPERIMENTS order.  The workers are forked, so they
+    inherit the imported modules and the compiled-expression memo; a
+    fresh interpreter would import degenpde again.  With one worker, or
+    no fork start method, they run in this process.  The first failing
+    experiment in `kinds` order raises its exception here, after the
+    experiments not yet started are cancelled; a worker that dies raises
+    BrokenProcessPool, where a multiprocessing.Pool would hang.
+    """
+    workers = min(len(kinds), _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [run_experiment(k, cfg, out_root, seed) for k in kinds]
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {k: pool.submit(run_experiment, k, cfg, out_root, seed)
+                   for k in sorted(kinds, key=list(EXPERIMENTS).index)}
+        return [futures[k].result() for k in kinds]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def main(argv=None):
@@ -475,14 +516,20 @@ def main(argv=None):
         bad = [k for k in kinds if k not in EXPERIMENTS]
         if bad:
             raise ConfigError("unknown experiments %s" % bad)
-        results = [r for k in kinds
-                   for r in run_experiment(k, cfg, args.out, seed)]
+        # each experiment writes into its own directory out/<name>
+        repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+        if repeated:
+            raise ConfigError("experiments listed more than once: %s"
+                              % repeated)
+        runs = run_experiments(kinds, cfg, args.out, seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
     gridio.write_manifest(os.path.join(args.out, "manifest.json"),
-                          cfg, args.command, seed)
+                          cfg, args.command, seed,
+                          [(k, wall_s) for k, (_, wall_s) in zip(kinds, runs)])
+    results = [r for run_results, _ in runs for r in run_results]
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

@@ -12,12 +12,13 @@ each float printed to 17 significant digits ('.' as the decimal
 separator) so that it round-trips, and a text cell quoted as RFC 4180
 asks when it holds a comma, a double quote or a line break.  Reruns with
 the same config and seed produce byte-identical CSVs; only the manifest
-carries a timestamp.
+carries a timestamp and timings.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import struct
 import time
 
@@ -118,11 +119,21 @@ def assumption_report_csv(report):
                      for name, value, _, ok in report.rows])
 
 
-def write_manifest(path, config, command, seed):
+def write_manifest(path, config, command, seed, wall_times):
+    """Write the run's manifest.  wall_times holds (experiment, seconds)
+    in config order.  cpu_s and peak_rss_mb cover this process so far and
+    the children it has waited for, the pool's workers among them;
+    peak_rss_mb adds this process's peak to the largest child's."""
+    own, children = (resource.getrusage(who) for who in
+                     (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     payload = {
         "command": command,
         "seed": seed,
         "config": config,
+        "experiments": [{"name": name, "wall_s": seconds}
+                        for name, seconds in wall_times],
+        "cpu_s": sum(u.ru_utime + u.ru_stime for u in (own, children)),
+        "peak_rss_mb": (own.ru_maxrss + children.ru_maxrss) / 1024.0,
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -582,6 +583,18 @@ class TestMainExitCodes:
         assert code == 2
         assert "unknown experiments" in capsys.readouterr().err
 
+    def test_run_repeated_experiment_exits_2(self, tmp_path, capsys):
+        # both would write out/solve/; no experiment runs
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, experiments=["solve", "verify-barriers", "solve"]))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: experiments listed more than once: "
+                       "['solve']"]
+        assert not (out / "solve").exists()
+
     def test_solve_experiment_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
         out = tmp_path / "out"
@@ -913,6 +926,112 @@ class TestExperiments:
         assert outs[0] == outs[1]
 
 
+def set_cpus(monkeypatch, n):
+    """Make n CPUs usable, so that a run of two or more experiments takes
+    the pool on any host (n >= 2) or runs in process (n = 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestPool:
+    """`run` with more than one experiment, on the fork process pool."""
+
+    # config order differs from EXPERIMENTS order, in which they start
+    CFG = dict(BASE_CFG, field={"preset": "constant",
+                                "a": [[2.0, 0.0], [0.0, 1.0]],
+                                "b": [1.0, 2.0], "c": -0.5},
+               experiments=["validate-coeffs", "reduce", "verify-barriers",
+                            "solve"],
+               validate={"n_samples": 200}, barriers={"n_points": 200})
+
+    def _run(self, tmp_path, capsys, monkeypatch, cpus, name):
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / name
+        code = cli.main(["run", "--config", write_cfg(tmp_path, self.CFG),
+                         "--out", str(out)])
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()
+                 and p.name != "manifest.json"}
+        return code, capsys.readouterr().out, files, \
+            json.loads((out / "manifest.json").read_text())
+
+    def test_same_outputs_as_in_process(self, tmp_path, capsys,
+                                        monkeypatch):
+        pooled = self._run(tmp_path, capsys, monkeypatch, 2, "pool")
+        alone = self._run(tmp_path, capsys, monkeypatch, 1, "alone")
+        assert pooled[0] == alone[0] == 0
+        assert pooled[1:3] == alone[1:3]
+        assert {p.parts[0] for p in pooled[2]} == set(self.CFG["experiments"])
+
+    def test_printed_lines_and_manifest_in_config_order(
+            self, tmp_path, capsys, monkeypatch):
+        _, printed, files, manifest = self._run(tmp_path, capsys,
+                                                monkeypatch, 2, "out")
+        kinds = self.CFG["experiments"]
+        summaries = b"".join(files[pathlib.Path(k, "summary.txt")]
+                             for k in kinds)
+        assert printed.splitlines()[:-1] == \
+            summaries.decode().splitlines()
+        assert [e["name"] for e in manifest["experiments"]] == kinds
+        assert all(e["wall_s"] > 0 for e in manifest["experiments"])
+        assert manifest["cpu_s"] > 0 and manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (8, 4)])
+    def test_workers_bounded_by_cpus_and_experiments(
+            self, tmp_path, capsys, monkeypatch, cpus, workers):
+        seen = []
+
+        class Spy(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Spy)
+        assert self._run(tmp_path, capsys, monkeypatch, cpus, "out")[0] == 0
+        assert seen == [workers]
+
+    @pytest.mark.parametrize("command,cpus", [
+        ("solve", 2), ("run", 1)], ids=["one-experiment", "one-cpu"])
+    def test_runs_in_process_without_a_pool(self, tmp_path, capsys,
+                                            monkeypatch, command, cpus):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        set_cpus(monkeypatch, cpus)
+        code = cli.main([command, "--config", write_cfg(tmp_path, self.CFG),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+
+    def test_config_error_in_second_experiment_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, data={"g": "0"},
+            experiments=["verify-barriers", "verify-schauder"],
+            schauder={"ladder": [[7, 7, 4], [9, 9, 5]], "n_points": 100}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "config error: verify-schauder: the data f and g have norm 0, "
+            "so the Schauder ratio is undefined"]
+        assert captured.out == ""
+        assert (out / "verify-barriers" / "checks.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "in-process"])
+    def test_runtime_error_propagates(self, tmp_path, capsys, monkeypatch,
+                                      cpus):
+        def crash(cfg, out, seed):
+            raise RuntimeError("experiment crashed")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "reduce", crash)
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="experiment crashed"):
+            cli.main(["run", "--config", write_cfg(tmp_path, self.CFG),
+                      "--out", str(tmp_path / "out")])
+
+
 def test_every_run_csv_parses_to_its_header_width(tmp_path):
     # check names such as barrier(drift=-2,C=6,c=0.5) hold commas; a
     # '#' line is the fitted-order comment of convergence.csv
@@ -934,14 +1053,28 @@ def test_every_run_csv_parses_to_its_header_width(tmp_path):
         assert {len(r) for r in rows} == {len(rows[0])}, path
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # scipy.interpolate adds a noticeable share of the start-up time;
-    # only pullback_grid_function needs it, and it imports it itself
+def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # scipy.interpolate adds a noticeable share of the start-up time, and
+    # the reduction's multilinear pullback does not need it
     src = os.path.dirname(os.path.dirname(degenpde.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, degenpde.cli; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
+    cfg = write_cfg(tmp_path, {
+        "field": {"preset": "constant", "a": [[2.0, 1.0], [1.0, 1.0]],
+                  "b": [1.0, 2.0], "c": -0.5},
+        "grid": {"n_lateral": 9, "n_height": 9, "n_slices": 5},
+        "reduce": {"round_trip": True}})
+    code = ("import sys, degenpde.cli as cli; "
+            "loaded = lambda: 'scipy.interpolate' in sys.modules; "
+            "print('import loads it:', loaded()); "
+            "code = cli.main(['reduce', '--config', %r, '--out', %r]); "
+            "print('reduce loads it:', loaded()); sys.exit(code)"
+            % (cfg, str(tmp_path / "out")))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy.interpolate loaded"
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "import loads it: False" in lines
+    assert "reduce loads it: False" in lines
+    assert any(line.startswith("[pass] reduction-round-trip")
+               for line in lines)

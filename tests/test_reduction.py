@@ -205,6 +205,30 @@ class TestInterpolation:
                 * (2.0 + 3.0 * X1 - X2 + 0.5 * X1 * X2))
         assert np.allclose(got.values, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
+    def test_matches_regular_grid_interpolator(self, d, grading):
+        # scipy's interpolator, which the pullback replaced, is the
+        # reference; the shears keep every point inside the source box
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(d)
+        for _ in range(15):
+            source, target = (
+                Grid.build(d, extent, extent, *rng.integers(3, 12, 2), 0.5,
+                           3, grading=grading) for extent in (2.0, 1.0))
+            M = np.eye(d)
+            M[:-1, -1] = rng.uniform(-0.5, 0.5, d - 1)
+            M[:-1, :-1] += rng.uniform(-0.2, 0.2, (d - 1, d - 1))
+            vals = rng.normal(size=(3,) + source.shape)
+            got = pullback_grid_function(GridFunction(source, vals), target,
+                                         M).values
+            want = RegularGridInterpolator(
+                source.axes, np.moveaxis(vals, 0, -1))(target.nodes() @ M.T)
+            want = want.T.reshape(got.shape)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
     def test_hits_nodes_exactly(self):
         grid = Grid((np.array([-1.0, 0.5, 3.0]), np.array([0.0, 1.0, 3.0])),
                     [0.0, 1.0])
