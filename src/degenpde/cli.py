@@ -9,7 +9,9 @@ experiments listed under "experiments", each at most once.  More than one
 experiment runs on a fork process pool with one worker per experiment, up
 to the CPUs this process may use; the printed lines, `summary.txt` and the
 manifest keep config order.  Exit status is 0 when every emitted check
-passes, 1 when any fails, 2 for unusable configs or arguments.
+passes, 1 when any fails, 2 for unusable configs or arguments, and 3 when
+the solver fails at run time (a SolverError, such as a failed
+monotonicity certificate), reported in one line.
 """
 
 from __future__ import annotations
@@ -33,14 +35,19 @@ from .grid import GRADINGS, Grid
 from .metrics import grid_constituents, grid_point_set, holder_reports_to_csv, \
     order2_norm, split_holder_norm, gather
 from .solver import (BOUNDARIES, CONVERGENCE_MODES, MANUFACTURED_KINDS,
-                     CauchyProblem, convergence_study, manufactured_problem,
-                     solve_cauchy)
+                     CauchyProblem, SolverError, convergence_study,
+                     manufactured_problem, solve_cauchy)
 from .verification import (CheckResult, absolute_bound_suite, check_barrier,
                            check_quadratic_supersolution, checks_to_csv,
                            interpolation_check, maximum_principle_suite,
                            reduction_round_trip, schauder_ratio,
                            weighted_bound_suite)
 from .reduction import build_reduction_plan
+
+
+# Exit status of `main`: every check passed, a check failed, unusable
+# config or arguments (argparse also exits 2), a runtime failure.
+EXIT_PASS, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_RUNTIME_ERROR = range(4)
 
 
 class ConfigError(ValueError):
@@ -505,7 +512,7 @@ def main(argv=None):
             _check_value("--seed", args.seed, (NATURAL, 0))
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        return EXIT_CONFIG_ERROR
     seed = args.seed if args.seed is not None else setting(cfg, "seed")
     os.makedirs(args.out, exist_ok=True)
     kinds = cfg.get("experiments") if args.command == "run" \
@@ -524,7 +531,10 @@ def main(argv=None):
         runs = run_experiments(kinds, cfg, args.out, seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        return EXIT_CONFIG_ERROR
+    except SolverError as exc:
+        print("runtime error: %s" % exc, file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
     gridio.write_manifest(os.path.join(args.out, "manifest.json"),
                           cfg, args.command, seed,
@@ -534,7 +544,7 @@ def main(argv=None):
         print(r.line())
     failed = [r for r in results if not r.passed]
     print("%d checks, %d failed" % (len(results), len(failed)))
-    return 1 if failed else 0
+    return EXIT_CHECK_FAILED if failed else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -43,11 +43,22 @@ default at theta = 1 only; at theta < 1 E's diagonal turns negative once
 dt exceeds the inverse of (1 - theta) A_ii, and mixed second derivatives
 break the sign conditions at any theta, so runs with correlated
 diffusion must explicitly opt out of certification.
+
+A step's system B, and its certificate, depend on the time but not on
+the solution.  For a time-dependent field one worker thread therefore
+builds and certifies the next step's system while the current step
+factors, back-solves or iterates; numpy's kernels and SuperLU release
+the GIL, so the two overlap.  The arithmetic and its order are those of
+building each system in turn, so the solution is the same to the bit,
+and a failed certificate of step k is raised once steps before k are
+solved.  The thread lives only as long as the call to solve_cauchy.  A
+field that does not depend on time has one system and starts no thread.
 """
 
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -355,6 +366,44 @@ def _theta_steps(field, grid, theta):
             A_old = A_new
 
 
+def _systems(field, grid, theta, certify):
+    """Yield (n, A_old, B, certificate) for each step of _theta_steps.
+
+    B = I + theta dt A_new is formed once for each matrix A_new that
+    _theta_steps yields, so a field that does not depend on time gets
+    one B at every step.  A certified solve checks each new B, and at
+    theta < 1 also E = I - (1 - theta) dt A_old, and raises
+    CertificateError instead of yielding the step that fails;
+    certificate is the last check, None when uncertified.
+    """
+    dt = grid.dt
+    eye = sparse.eye(int(np.prod(grid.shape)), format="csr")
+    A_prev = B = cert = None
+    for n, A_old, A_new in _theta_steps(field, grid, theta):
+        if A_new is not A_prev:
+            A_prev = A_new
+            B = (eye + (theta * dt) * A_new).tocsr()
+            if certify:
+                E = None if theta == 1.0 else (
+                    eye - ((1.0 - theta) * dt) * A_old).tocsr()
+                cert = monotonicity_certificate(B, grid, explicit=E)
+                cert.require()
+        yield n, A_old, B, cert
+
+
+def _one_ahead(items, pool):
+    """Yield the items of the iterator items, computing each on pool's
+    one thread while the caller works on the item before.
+
+    An exception of items is raised here, at the item it belongs to.
+    The caller shuts pool down, which waits for the item in flight.
+    """
+    future = pool.submit(next, items, None)
+    while (item := future.result()) is not None:
+        future = pool.submit(next, items, None)
+        yield item
+
+
 def _factor(B):
     """Sparse LU of B, ordered for the symmetric pattern of the stencil.
 
@@ -411,58 +460,56 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
     if boundary == "exact":
         faces = problem.exact.value(grid.times[:, None],
                                     grid.nodes()[dir_flat])
-    eye = sparse.eye(N, format="csr")
 
     report = SolveReport(rtol, None)
 
     values = np.empty((grid.n_t, N))
     values[0] = u
 
-    A_prev = lu = factored = None
-    for n, A_old, A_new in _theta_steps(field, grid, theta):
-        if A_new is not A_prev:
-            A_prev = A_new
-            B = (eye + (theta * dt) * A_new).tocsr()
-            if certify:
-                E = None if theta == 1.0 else (
-                    eye - ((1.0 - theta) * dt) * A_old).tocsr()
-                cert = monotonicity_certificate(B, grid, explicit=E)
-                cert.require()
-                report.certificate = cert
+    lu = factored = None
+    systems = _systems(field, grid, theta, certify)
+    # the pool starts its thread at the first submit, so a field that
+    # does not depend on time never starts one
+    with ThreadPoolExecutor(1) as pool:
+        if field.time_dependent:
+            systems = _one_ahead(systems, pool)
+        for n, A_old, B, cert in systems:
+            report.certificate = cert
             if lu is None:
                 lu, factored = _factor(B), B
-        rhs = u + dt * (theta * f[n + 1] + (1.0 - theta) * f[n])
-        if theta != 1.0:
-            rhs -= (1.0 - theta) * dt * (A_old @ u)
-        if boundary == "frozen":
-            rhs[dir_flat] = u[dir_flat]
-        else:
-            rhs[dir_flat] = faces[n + 1]
-        if np.linalg.norm(rhs) == 0.0:
-            u = np.zeros(N)
-            report.steps.append((n + 1, 0, 0.0))
-        else:
-            if B is not factored:
-                past = values[max(n - 2, 0):n + 1]
-                x0 = np.dot(_EXTRAPOLATION[len(past) - 2], past)
-                x, info, iters = _preconditioned_bicgstab(B, rhs, x0, lu,
-                                                          rtol)
-                if info != 0:
-                    lu, factored = _factor(B), B
-            back_solve = B is factored
-            if back_solve:
-                x, iters = lu.solve(rhs), 1
-            res = float(np.linalg.norm(B @ x - rhs) / np.linalg.norm(rhs))
-            if (not np.all(np.isfinite(x))
-                    or (back_solve and not res <= rtol)):
-                raise SolverError(
-                    "linear solve failed at step %d (rel residual %.3g "
-                    "after %d %s)"
-                    % (n + 1, res, iters,
-                       "back-solve" if back_solve else "iterations"))
-            u = x
-            report.steps.append((n + 1, iters, res))
-        values[n + 1] = u
+            rhs = u + dt * (theta * f[n + 1] + (1.0 - theta) * f[n])
+            if theta != 1.0:
+                rhs -= (1.0 - theta) * dt * (A_old @ u)
+            if boundary == "frozen":
+                rhs[dir_flat] = u[dir_flat]
+            else:
+                rhs[dir_flat] = faces[n + 1]
+            if np.linalg.norm(rhs) == 0.0:
+                u = np.zeros(N)
+                report.steps.append((n + 1, 0, 0.0))
+            else:
+                if B is not factored:
+                    past = values[max(n - 2, 0):n + 1]
+                    x0 = np.dot(_EXTRAPOLATION[len(past) - 2], past)
+                    x, info, iters = _preconditioned_bicgstab(
+                        B, rhs, x0, lu, rtol)
+                    if info != 0:
+                        lu, factored = _factor(B), B
+                back_solve = B is factored
+                if back_solve:
+                    x, iters = lu.solve(rhs), 1
+                res = float(np.linalg.norm(B @ x - rhs)
+                            / np.linalg.norm(rhs))
+                if (not np.all(np.isfinite(x))
+                        or (back_solve and not res <= rtol)):
+                    raise SolverError(
+                        "linear solve failed at step %d (rel residual %.3g "
+                        "after %d %s)"
+                        % (n + 1, res, iters,
+                           "back-solve" if back_solve else "iterations"))
+                u = x
+                report.steps.append((n + 1, iters, res))
+            values[n + 1] = u
 
     out = GridFunction(grid, values.reshape((grid.n_t,) + grid.shape))
     return out, report

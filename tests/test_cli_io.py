@@ -882,21 +882,27 @@ class TestExperiments:
         assert checks[0] != checks[1]
 
     def test_crank_nicolson_certificate_checks_explicit_matrix(
-            self, tmp_path):
+            self, tmp_path, capsys):
         # at theta = 1/2 and this time step the implicit matrix is an
         # M-matrix, but the explicit one has negative diagonal entries,
-        # and the uncertified solve of data g >= 0 goes negative
+        # and the uncertified solve of data g >= 0 goes negative; the
+        # failed certificate is a runtime failure, one line and exit 3
         cfg = {"field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
                          "sigma": 1.0, "rho": 0.0, "r": 0.05},
                "grid": {"n_lateral": 65, "n_height": 65, "n_slices": 3},
                "data": {"g": "Max(0, 1 - 8*Abs(x1))"
                              "*Max(0, 1 - 4*Abs(x2 - 1))"},
                "solve": {"theta": 0.5, "certify": True}}
-        with pytest.raises(CertificateError,
-                           match=r"at node \(1, 63\) \(negative explicit "
-                                 r"entry -134\)"):
-            cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
-                      "--out", str(tmp_path / "out")])
+        code = cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert re.match(r"runtime error: monotonicity certificate failed "
+                        r"at node \(1, 63\) \(negative explicit entry "
+                        r"-134\)", err[0])
         field = cli.build_field(cfg)
         u, _ = solve_cauchy(cli.build_problem(cfg, field),
                             cli.build_grid(cfg, field.d),
@@ -1030,6 +1036,23 @@ class TestPool:
         with pytest.raises(RuntimeError, match="experiment crashed"):
             cli.main(["run", "--config", write_cfg(tmp_path, self.CFG),
                       "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "in-process"])
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch, cpus):
+        # a certificate that fails inside one experiment of a run is a
+        # runtime failure, not a failed check
+        def fail(cfg, out, seed):
+            raise CertificateError("certificate failed at node (1, 2)")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "reduce", fail)
+        set_cpus(monkeypatch, cpus)
+        code = cli.main(["run", "--config", write_cfg(tmp_path, self.CFG),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "runtime error: certificate failed at node (1, 2)"]
 
 
 def test_every_run_csv_parses_to_its_header_width(tmp_path):

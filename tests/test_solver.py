@@ -1,5 +1,7 @@
 """Spatial discretization, certificates and the theta-scheme."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -746,6 +748,106 @@ class TestTimeDependent:
             worst = max(worst, float(np.max(
                 np.abs(lu[n] - f.reshape(grid.shape))[free])))
         assert worst <= 1e-6
+
+
+class TestLookAhead:
+    """A time-dependent field's next system is built on a worker thread
+    while the current step solves."""
+
+    @pytest.mark.parametrize("boundary", ["frozen", "exact"])
+    @pytest.mark.parametrize("theta, certify", [(1.0, True), (0.5, False)],
+                             ids=["implicit-certified", "cn-uncertified"])
+    @pytest.mark.parametrize("make", [ASSEMBLY_CASES["heston-timedep"][0],
+                                      accelerating_field],
+                             ids=["heston-timedep", "accelerating"])
+    def test_bit_identical_to_plain_iteration(self, monkeypatch, make,
+                                              theta, certify, boundary):
+        problem = manufactured_problem(make(), "inner_bump")
+        grid = small_grid(n=33, n_slices=6)
+        threads = []
+        original = solver.discretize_operator
+
+        def assemble(*args):
+            threads[-1].add(threading.current_thread())
+            return original(*args)
+
+        def run():
+            threads.append(set())
+            u, report = solve_cauchy(problem, grid, theta=theta,
+                                     certify=certify, boundary=boundary)
+            return u.values, report.steps, report.certificate
+
+        monkeypatch.setattr(solver, "discretize_operator", assemble)
+        u, steps, cert = run()
+        monkeypatch.setattr(solver, "_one_ahead", lambda items, pool: items)
+        u_ref, steps_ref, cert_ref = run()
+        main = threading.main_thread()
+        assert main not in threads[0] and threads[1] == {main}
+        assert np.array_equal(u, u_ref)
+        assert steps == steps_ref
+        assert cert == cert_ref
+        assert (cert is not None) is certify
+
+    def test_certificate_fails_at_its_step(self, monkeypatch):
+        # cross diffusion from t = 0.2 on: at dt = 0.1 the certificate
+        # first fails at step 3; steps 1 and 2 are solved (a back-solve,
+        # then BiCGStab) before that failure, which the thread found a
+        # step earlier, is raised
+        a12 = "Max(0, t - 0.2)"
+        field = from_expressions(2, [["1", a12], [a12, "1"]], ["0", "1"],
+                                 "0", delta=0.5, K=8.0, nu=1.0)
+        iterated = count_calls(monkeypatch, "_preconditioned_bicgstab")
+        factored = count_calls(monkeypatch, "splu")
+        problem = manufactured_problem(field, "inner_bump")
+        before = threading.active_count()
+        with pytest.raises(CertificateError,
+                           match=r"at node \(1, 7\) \(positive "
+                                 r"off-diagonal entry 0.0404\)"):
+            solve_cauchy(problem, small_grid(n=9, n_slices=6))
+        assert (len(factored), len(iterated)) == (1, 1)
+        assert threading.active_count() == before
+
+    def test_time_independent_field_starts_no_thread(self, monkeypatch):
+        # one matrix serves every step, so there is nothing to build ahead
+        started = count_calls(monkeypatch, "_one_ahead")
+        problem = manufactured_problem(heston(2.0, 0.25, 1.0, 0.0),
+                                       "inner_bump")
+        solve_cauchy(problem, small_grid(n=9, n_slices=6))
+        assert started == []
+
+    def test_no_thread_outlives_the_solve(self, monkeypatch):
+        problem = manufactured_problem(accelerating_field(), "inner_bump")
+        grid = small_grid(n=33, n_slices=6)
+        during = []
+        original = solver.monotonicity_certificate
+
+        def certify(*args, **kw):
+            during.append(threading.active_count())
+            return original(*args, **kw)
+
+        monkeypatch.setattr(solver, "monotonicity_certificate", certify)
+        before = threading.active_count()
+        solve_cauchy(problem, grid)
+        assert max(during) == before + 1
+        assert threading.active_count() == before
+
+        # every LU solve after the first returns NaN, so step 2 fails
+        # in BiCGStab and in the back-solve of its own LU
+        lu_solves = []
+
+        class NaNLater:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                lu_solves.append(1)
+                x = self.lu.solve(rhs)
+                return x if len(lu_solves) == 1 else np.full_like(x, np.nan)
+
+        count_calls(monkeypatch, "splu", wrap=NaNLater)
+        with pytest.raises(SolverError, match="at step 2 "):
+            solve_cauchy(problem, grid)
+        assert threading.active_count() == before
 
 
 def operator_apply_reference(field, u):
