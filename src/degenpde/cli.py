@@ -33,8 +33,8 @@ from .fields import (constant_field, from_expressions, heston,
                      homogeneous_drift, validate_assumptions)
 from .grid import GRADINGS, Grid
 from .metrics import grid_constituents, grid_point_set, holder_reports_to_csv, \
-    order2_norm, split_holder_norm, gather
-from .solver import (BOUNDARIES, CONVERGENCE_MODES, MANUFACTURED_KINDS,
+    order2_norm
+from .solver import (BOUNDARIES, CONVERGENCE_MODES, MANUFACTURED_KINDS, RTOL,
                      CauchyProblem, SolverError, convergence_study,
                      manufactured_problem, solve_cauchy)
 from .verification import (CheckResult, absolute_bound_suite, check_barrier,
@@ -73,7 +73,6 @@ BOOL = ("true or false", lambda v: type(v) is bool)
 STR = ("a string", lambda v: type(v) is str)
 FRACTION = ("a number in (0, 1)", lambda v: NUM[1](v) and 0 < v < 1)
 UNIT = ("a number in [0, 1]", lambda v: NUM[1](v) and 0 <= v <= 1)
-POSITIVE = ("a number > 0", lambda v: NUM[1](v) and v > 0)
 COUNT = ("an integer >= 1", lambda v: INT[1](v) and v >= 1)
 NATURAL = ("an integer >= 0", lambda v: INT[1](v) and v >= 0)
 NUMS, STRS = _list_of("numbers", NUM[1]), _list_of("strings", STR[1])
@@ -94,8 +93,7 @@ CONFIG = {
              "grading": (_one_of(GRADINGS), "quadratic")},
     "data": {"f": (STR, None), "g": (STR, None), "manufactured": (KIND, None)},
     "solve": {"theta": (UNIT, 1.0), "certify": (BOOL, None),
-              "boundary": (_one_of(BOUNDARIES), "frozen"),
-              "rtol": (POSITIVE, 1e-10)},
+              "boundary": (_one_of(BOUNDARIES), "frozen")},
     "norms": {"q": (NUMS, [0.0]), "n_points": (COUNT, 1500)},
     "validate": {"n_samples": (COUNT, 2000)},
     "maxprin": {"n_problems": (NATURAL, 50), "n_absolute": (NATURAL, 20),
@@ -263,10 +261,10 @@ def build_problem(cfg, field):
     except ValueError as exc:
         raise ConfigError("data: %s" % exc)
     grid = build_grid(cfg, field.d, _counts(g_sec))
-    for key, fn, times in (("g", g, grid.times[:1]), ("f", f, grid.times)):
+    for key, fn, times in (("g", problem.g, grid.times[:1]),
+                           ("f", problem.f, grid.times)):
         with np.errstate(all="ignore"):
-            if fn is not None and not np.isfinite(
-                    fn.on_grid(times, grid)).all():
+            if not np.isfinite(fn.on_grid(times, grid)).all():
                 raise ConfigError("data.%s: expression %r is not finite on "
                                   "the grid" % (key, data[key]))
     return problem
@@ -287,7 +285,7 @@ def exp_solve(cfg, out, seed):
                              **section(cfg, "solve"))
     gridio.save_grid_function(os.path.join(out, "solution.dgph"), u)
     _write(out, "solve_report.csv", gridio.solve_report_csv(report))
-    residual, bound = report.max_residual(), report.rtol * 10
+    residual, bound = report.max_residual(), RTOL * 10
     results = [CheckResult("linear-solver", "theta-scheme", residual, bound,
                            1.0, residual <= bound, "max step residual")]
     if report.certificate is not None:
@@ -318,11 +316,8 @@ def exp_norms(cfg, out, seed):
     points, ti, si = grid_point_set(grid, grid.audited_mask(),
                                     n_max=n["n_points"], seed=seed)
     cons = grid_constituents(u, ti, si)
-    reports = []
-    for q in n["q"]:
-        reports.append(split_holder_norm(gather(u, ti, si), points,
-                                         alpha, q=q, seed=seed))
-        reports.extend(order2_norm(cons, points, alpha, q=q, seed=seed)[1])
+    reports = [r for q in n["q"]
+               for r in order2_norm(cons, points, alpha, q=q, seed=seed)[1]]
     _write(out, "holder.csv", holder_reports_to_csv(reports))
     return []
 

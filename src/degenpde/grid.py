@@ -227,9 +227,6 @@ class GridFunction:
             raise ValueError("value shape %s does not match grid %s"
                              % (self.values.shape, expect))
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
     def sup(self, mask=None):
         """Max of |values|, optionally restricted by a spatial mask."""
         if mask is None:

@@ -43,8 +43,9 @@ def save_grid_function(path, gf):
         fh.write(values.tobytes())
 
 
-def load_grid_function(path, grid=None):
-    """Read values; with a grid supplied, return a GridFunction on it."""
+def load_grid_function(path, grid):
+    """Read a file's values as a GridFunction on grid, whose shape and
+    slice count must match the file's."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != MAGIC:
@@ -65,8 +66,6 @@ def load_grid_function(path, grid=None):
                           "(expected %d bytes)" % (len(raw), expect))
     values = np.frombuffer(raw, dtype="<f8", offset=13 + 4 * d,
                            count=count).reshape((n_t,) + shape)
-    if grid is None:
-        return d, n_t, shape, values.copy()
     if grid.shape != shape or grid.n_t != n_t:
         raise FormatError("file shape %s x %d does not match grid %s x %d"
                           % (shape, n_t, grid.shape, grid.n_t))

@@ -17,8 +17,8 @@ Seminorm estimation enumerates point pairs exhaustively below a cap and
 falls back to seeded pair sampling above it, so every reported value is a
 certified lower bound of the true supremum over the sampled region.  The
 pairs and their powered distances depend only on the points, so each
-point set builds one pair table per (metric, alpha, cap, sample size,
-seed) and every seminorm on it reuses that table.
+point set builds one pair table per (metric, alpha, seed) and every
+seminorm on it reuses that table.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import numpy as np
 from .grid import SpaceTimePoint
 from .gridio import csv_text
 
+# Point pairs: every pair of a point set with at most EXHAUSTIVE_CAP of
+# them, else SAMPLED_PAIRS seeded pairs.
 EXHAUSTIVE_CAP = 50_000
 SAMPLED_PAIRS = 200_000
 
@@ -178,18 +180,18 @@ def gather(gridfn, ti, si):
     return gridfn.values.reshape(gridfn.grid.n_t, -1)[ti, si]
 
 
-def _pair_table(points, metric, alpha, exhaustive_cap, sampled_pairs, seed):
+def _pair_table(points, metric, alpha, seed):
     """(i, j, dist ** alpha, dist > 0) of every pair below the cap, of
     seeded pairs i != j above it; built once per point set and key."""
-    key = (metric, alpha, exhaustive_cap, sampled_pairs, seed)
+    key = (metric, alpha, seed)
     if key not in points._tables:
         m = points.size
-        if m * (m - 1) // 2 <= exhaustive_cap:
+        if m * (m - 1) // 2 <= EXHAUSTIVE_CAP:
             i, j = np.triu_indices(m, k=1)
         else:
             rng = np.random.default_rng(seed)
-            i = rng.integers(0, m, size=sampled_pairs)
-            j = rng.integers(0, m - 1, size=sampled_pairs)
+            i = rng.integers(0, m, size=SAMPLED_PAIRS)
+            j = rng.integers(0, m - 1, size=SAMPLED_PAIRS)
             j = j + (j >= i)
         dist = _METRICS[metric](points.t[i], points.x[i],
                                 points.t[j], points.x[j])
@@ -197,8 +199,7 @@ def _pair_table(points, metric, alpha, exhaustive_cap, sampled_pairs, seed):
     return points._tables[key]
 
 
-def seminorm(values, points, alpha, metric, exhaustive_cap=EXHAUSTIVE_CAP,
-             sampled_pairs=SAMPLED_PAIRS, seed=0):
+def seminorm(values, points, alpha, metric, seed=0):
     """Holder seminorm estimate sup |u(P1)-u(P2)| / dist(P1,P2)^alpha."""
     if metric not in _METRICS:
         raise ValueError("metric must be 's' or 'rho'")
@@ -208,8 +209,7 @@ def seminorm(values, points, alpha, metric, exhaustive_cap=EXHAUSTIVE_CAP,
     if m < 2:
         return SeminormEstimate(0.0, 0)
     values = np.asarray(values, dtype=float)
-    i, j, powered, apart = _pair_table(points, metric, alpha, exhaustive_cap,
-                                       sampled_pairs, seed)
+    i, j, powered, apart = _pair_table(points, metric, alpha, seed)
     diff = np.abs(values[i] - values[j])
     quot = np.divide(diff, powered, out=np.zeros_like(diff), where=apart)
     k = int(np.argmax(quot)) if len(quot) else 0
@@ -259,21 +259,16 @@ def holder_reports_to_csv(reports):
         for r in reports])
 
 
-def holder_norm(values, points, alpha, metric, q=0.0, **kw):
-    """Plain single-metric norm: sup + seminorm, optional weight q.
-
-    With q != 0 both the sup and the seminorm are taken of the weighted
-    function (1+|x|)^q * u.
-    """
-    w = weight(points, q)
-    wv = w * np.asarray(values, dtype=float)
-    sup = float(np.max(np.abs(wv))) if points.size else 0.0
-    est = seminorm(wv, points, alpha, metric, **kw)
-    return HolderReport(metric, alpha, q, sup, est.value, sup + est.value,
+def holder_norm(values, points, alpha, metric, seed=0):
+    """Plain single-metric norm, unweighted: sup + seminorm."""
+    values = np.asarray(values, dtype=float)
+    sup = float(np.max(np.abs(values))) if points.size else 0.0
+    est = seminorm(values, points, alpha, metric, seed)
+    return HolderReport(metric, alpha, 0.0, sup, est.value, sup + est.value,
                         est.n_pairs, est.argmax_p1, est.argmax_p2)
 
 
-def split_holder_norm(values, points, alpha, q=0.0, **kw):
+def split_holder_norm(values, points, alpha, q=0.0, seed=0):
     """Weighted norm of order alpha on the split region.
 
     Cycloidal seminorm where the height is <= 1, parabolic seminorm where
@@ -287,8 +282,8 @@ def split_holder_norm(values, points, alpha, q=0.0, **kw):
     h = points.x[:, -1]
     low = h <= 1.0 + 1e-12
     high = h >= 1.0 - 1e-12
-    est_s = seminorm(wv[low], points.subset(low), alpha, "s", **kw)
-    est_r = seminorm(wv[high], points.subset(high), alpha, "rho", **kw)
+    est_s = seminorm(wv[low], points.subset(low), alpha, "s", seed)
+    est_r = seminorm(wv[high], points.subset(high), alpha, "rho", seed)
     semi = est_s.value + est_r.value
     best = est_s if est_s.value >= est_r.value else est_r
     return HolderReport("split", alpha, q, sup, semi, sup + semi,
@@ -323,21 +318,19 @@ def grid_constituents(u, ti, si):
     return vals, dt_vals, du, wdd
 
 
-def order2_norm(constituents, points, alpha, q=0.0, **kw):
+def order2_norm(constituents, points, alpha, q=0.0, seed=0):
     """Weighted norm of order 2+alpha from precomputed constituents.
 
     Sum of the split norms of u, u_t, the worst first derivative and the
     worst height-weighted second derivative; returns (total, reports)
-    where reports carries one row per constituent plus the total row.
+    where reports holds those four split norms, in that order.
     """
     vals, dt_vals, du, wdd = constituents
-    reports = []
-    r_u = split_holder_norm(vals, points, alpha, q, **kw)
-    r_t = split_holder_norm(dt_vals, points, alpha, q, **kw)
-    r_du = [split_holder_norm(v, points, alpha, q, **kw) for v in du]
-    r_dd = [split_holder_norm(v, points, alpha, q, **kw) for v in wdd]
-    best_du = max(r_du, key=lambda r: r.total)
-    best_dd = max(r_dd, key=lambda r: r.total)
-    total = r_u.total + r_t.total + best_du.total + best_dd.total
-    reports.extend([r_u, r_t, best_du, best_dd])
-    return total, reports
+    r_u = split_holder_norm(vals, points, alpha, q, seed)
+    r_t = split_holder_norm(dt_vals, points, alpha, q, seed)
+    best_du = max((split_holder_norm(v, points, alpha, q, seed) for v in du),
+                  key=lambda r: r.total)
+    best_dd = max((split_holder_norm(v, points, alpha, q, seed)
+                   for v in wdd), key=lambda r: r.total)
+    reports = [r_u, r_t, best_du, best_dd]
+    return sum(r.total for r in reports), reports

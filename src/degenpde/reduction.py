@@ -92,16 +92,14 @@ class ReductionPlan:
         return constant_field(np.eye(self.d), self.b_bar, 0.0,
                               name="model-form")
 
-    def transform_analytic(self, fn, with_multiplier=True):
+    def transform_analytic(self, fn):
         """Pull an analytic function of (t, x) back to model coordinates.
 
         Returns fbar(t, z) = exp(-c t) * fn(t, backward @ z); the
-        multiplier implements the zeroth-order elimination and can be
-        dropped for functions (like initial data at t = 0) that do not
-        carry it.
+        multiplier implements the zeroth-order elimination.
         """
         out = fn.affine_pullback(self.backward)
-        if with_multiplier and self.c != 0.0:
+        if self.c != 0.0:
             out = AnalyticFunction(out.d,
                                    sp.exp(sp.Float(-self.c) * _TIME)
                                    * out.expr)

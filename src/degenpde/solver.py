@@ -33,7 +33,7 @@ its half step counts.  If BiCGStab does not converge within that budget,
 the step factors its own B and back-solves, and that LU
 preconditions the steps that follow.  The true relative residual of
 every step is stored; SolverError is raised on a non-finite solution
-and on a back-solve whose residual exceeds rtol.  A certified solve
+and on a back-solve whose residual exceeds RTOL.  A certified solve
 checks every system matrix B to be an M-matrix (nonpositive off-diagonal
 entries, positive dominance margin), and at theta < 1 also checks the
 explicit matrix E = I - (1 - theta) dt A, which the step applies to the
@@ -76,6 +76,9 @@ from .grid import Grid, GridFunction
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
 
+# Relative residual every step's linear solve must reach.
+RTOL = 1e-10
+
 # Weights of the last two or three slices (oldest first) in the
 # polynomial through them at the next time: BiCGStab's starting guess.
 # BiCGStab runs from the second step on, once the first B is factored.
@@ -104,6 +107,7 @@ class CauchyProblem:
     which is all that solve_cauchy and the data checks use; the
     randomized suites pass numpy-evaluated data, not AnalyticFunctions.
     on_grid takes one time or a 1-d array of times, as in AnalyticFunction.
+    f = None is the zero function.
     """
 
     field: object
@@ -112,16 +116,11 @@ class CauchyProblem:
     exact: AnalyticFunction | None = None
 
     def __post_init__(self):
+        if self.f is None:
+            self.f = AnalyticFunction(self.field.d, 0)
         for fn in (self.f, self.g, self.exact):
             if fn is not None and fn.d != self.field.d:
                 raise ValueError("data dimension does not match field")
-
-    def f_values(self, t, grid):
-        """f at every node of grid, in grid.nodes() order, at one time t
-        or at each of a 1-d array of times, as on_grid gives it."""
-        if self.f is None:
-            return np.zeros(np.shape(t) + (int(np.prod(grid.shape)),))
-        return self.f.on_grid(t, grid)
 
 
 @dataclass
@@ -328,7 +327,6 @@ def monotonicity_certificate(B, grid, explicit=None):
 
 @dataclass
 class SolveReport:
-    rtol: float
     certificate: MonotonicityCertificate | None
     steps: list = dc_field(default_factory=list)
 
@@ -414,7 +412,7 @@ def _factor(B):
                 diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
 
-def _preconditioned_bicgstab(B, rhs, x0, lu, rtol):
+def _preconditioned_bicgstab(B, rhs, x0, lu):
     """BiCGStab on B from x0, preconditioned by lu, within the budget.
 
     Returns (x, info, iterations); info != 0 means not converged.  An
@@ -428,13 +426,12 @@ def _preconditioned_bicgstab(B, rhs, x0, lu, rtol):
         return lu.solve(r)
 
     precond = LinearOperator(B.shape, matvec=precondition, dtype=float)
-    x, info = bicgstab(B, rhs, x0=x0, rtol=rtol, atol=0.0,
+    x, info = bicgstab(B, rhs, x0=x0, rtol=RTOL, atol=0.0,
                        maxiter=_PRECONDITIONED_ITERATIONS, M=precond)
     return x, info, (solves[0] + 1) // 2
 
 
-def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
-                 rtol=1e-10):
+def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
     """March the theta-scheme over the grid; returns (u, SolveReport).
 
     certify defaults to True for theta = 1 and raises on certificate
@@ -455,13 +452,13 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
 
     u = problem.g.on_grid(0.0, grid)
     dir_flat = grid.dirichlet_mask().ravel()
-    f = problem.f_values(grid.times, grid)
+    f = problem.f.on_grid(grid.times, grid)
     f[:, dir_flat] = 0.0
     if boundary == "exact":
         faces = problem.exact.value(grid.times[:, None],
                                     grid.nodes()[dir_flat])
 
-    report = SolveReport(rtol, None)
+    report = SolveReport(None)
 
     values = np.empty((grid.n_t, N))
     values[0] = u
@@ -492,7 +489,7 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                     past = values[max(n - 2, 0):n + 1]
                     x0 = np.dot(_EXTRAPOLATION[len(past) - 2], past)
                     x, info, iters = _preconditioned_bicgstab(
-                        B, rhs, x0, lu, rtol)
+                        B, rhs, x0, lu)
                     if info != 0:
                         lu, factored = _factor(B), B
                 back_solve = B is factored
@@ -501,7 +498,7 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen",
                 res = float(np.linalg.norm(B @ x - rhs)
                             / np.linalg.norm(rhs))
                 if (not np.all(np.isfinite(x))
-                        or (back_solve and not res <= rtol)):
+                        or (back_solve and not res <= RTOL)):
                     raise SolverError(
                         "linear solve failed at step %d (rel residual %.3g "
                         "after %d %s)"

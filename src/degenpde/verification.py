@@ -59,15 +59,14 @@ def checks_to_csv(results):
 # ---------------------------------------------------------------------------
 # explicit supersolutions
 
-def check_quadratic_supersolution(field, lam=None, seed=0):
+def check_quadratic_supersolution(field, seed=0):
     """(L + lambda) h >= 0 for h = 1 + |x|^2 at 4000 points sampled from
-    Region.sampling_box, lambda defaulting to 3K.
+    Region.sampling_box, with lambda = 3K.
 
     Uses exact derivatives of h: L h = -2 x_d tr(a) - 2 x.b - c h, so the
     residual is (lambda - c) h - 2 x_d tr(a) - 2 x.b.
     """
-    if lam is None:
-        lam = 3.0 * field.K
+    lam = 3.0 * field.K
     n_samples = 4000
     rng = np.random.default_rng(seed)
     t, x = Region.sampling_box(field.d).sample(rng, n_samples)
@@ -88,7 +87,7 @@ def check_quadratic_supersolution(field, lam=None, seed=0):
 def data_sups(problem, grid, w=1.0):
     """Grid maxima of w |f| and w |g| over all nodes and slice times."""
     g_sup = float(np.max(w * np.abs(problem.g.on_grid(0.0, grid))))
-    f_sup = float(np.max(w * np.abs(problem.f_values(grid.times, grid))))
+    f_sup = float(np.max(w * np.abs(problem.f.on_grid(grid.times, grid))))
     return f_sup, g_sup
 
 
@@ -166,7 +165,7 @@ def nonpositivity_check(u, problem):
     lhs = float(np.max(u.values))
     grid = u.grid
     g_ok = np.all(problem.g.on_grid(0.0, grid) <= 1e-12)
-    f_ok = np.all(problem.f_values(grid.times, grid) <= 1e-12)
+    f_ok = np.all(problem.f.on_grid(grid.times, grid) <= 1e-12)
     scale = max(u.sup(), 1.0)
     if not (g_ok and f_ok):
         return CheckResult("nonpositivity(not-applicable)",
@@ -468,7 +467,7 @@ def interpolation_cases(u, points, alpha, seed=0):
     h = points.x[:, -1]
 
     def norm(v):
-        return holder_norm(v, points, alpha, "s", seed=seed).total
+        return holder_norm(v, points, alpha, "s", seed).total
 
     norm_u = norm(vals)
     full = (norm_u + norm(dt_vals) + max(map(norm, du))
@@ -488,7 +487,8 @@ def fit_interpolation_constants(cases, eps_ladder):
     inequality the constant at fixed exponent is the max over cases and
     epsilons of (lhs - eps*full)/ (eps^-m * sup); the reported pair
     minimizes that constant over the exponents 0, 0.25, ..., 6 (then
-    prefers the smallest exponent).
+    prefers the smallest exponent).  A case whose lhs, full norm or sup
+    is not finite makes the constant inf, so the fit is not feasible.
     """
     fits = {}
     for key in INTERP_INEQUALITIES:
@@ -497,6 +497,9 @@ def fit_interpolation_constants(cases, eps_ladder):
             c_need = 0.0
             worst = ""
             for ci, (lhs, full, sup) in enumerate(cases):
+                if not np.isfinite([lhs[key], full, sup]).all():
+                    c_need, worst = np.inf, "case %d, not finite" % ci
+                    break
                 if sup <= 0:
                     continue
                 for eps in eps_ladder:
@@ -529,18 +532,17 @@ def default_interpolation_functions(d=2):
 
 
 def interpolation_check(functions=None, alpha=0.5,
-                        eps_ladder=(0.5, 0.25, 0.1), lattice=(6, 13, 9),
-                        seed=0):
+                        eps_ladder=(0.5, 0.25, 0.1), seed=0):
     """Fit one (C, m) per inequality across functions and epsilons.
 
-    The cases are taken at every (slice, node) of the lattice
-    (n_slices, n_lateral, n_height) on [0, 1] x [-1.3, 1.3] x [0, 1.3].
+    The cases are taken at every (slice, node) of the lattice of 6 slices
+    on [0, 1], 13 lateral nodes on [-1.3, 1.3] and 9 height nodes on
+    [0, 1.3].
     """
     if functions is None:
         functions = default_interpolation_functions()
-    nt, nlat, nh = lattice
-    grid = Grid([np.linspace(-1.3, 1.3, nlat), np.linspace(0.0, 1.3, nh)],
-                np.linspace(0.0, 1.0, nt))
+    grid = Grid([np.linspace(-1.3, 1.3, 13), np.linspace(0.0, 1.3, 9)],
+                np.linspace(0.0, 1.0, 6))
     points = grid_point_set(grid, n_max=np.inf)[0]
     cases = [interpolation_cases(u, points, alpha, seed=seed)
              for u in functions]
@@ -585,9 +587,8 @@ def schauder_ratio(problem, grid, alpha=0.5, n_points=1200, seed=0,
                                     n_max=n_points, seed=seed)
     num, reports = order2_norm(grid_constituents(u, ti, si), points, alpha,
                                seed=seed)
-    f_vals = (problem.f.value(points.t, points.x) if problem.f is not None
-              else np.zeros(points.size))
-    rf = split_holder_norm(f_vals, points, alpha, seed=seed)
+    rf = split_holder_norm(problem.f.value(points.t, points.x), points,
+                           alpha, seed=seed)
     ng, g_reports = order2_norm(analytic_constituents(problem.g, points),
                                 points, alpha, seed=seed)
     den = rf.total + ng

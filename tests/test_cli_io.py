@@ -18,7 +18,7 @@ import degenpde
 from degenpde import cli, gridio
 from degenpde.fields import homogeneous_drift
 from degenpde.grid import Grid
-from degenpde.solver import (CertificateError, convergence_study,
+from degenpde.solver import (RTOL, CertificateError, convergence_study,
                              manufactured_problem, solve_cauchy)
 from degenpde.verification import CHECK_CSV_COLUMNS, schauder_ratio
 
@@ -206,14 +206,6 @@ class TestGridFunctionFiles:
         path2 = str(tmp_path / "u2.dgph")
         gridio.save_grid_function(path2, back)
         assert open(path, "rb").read() == open(path2, "rb").read()
-
-    def test_headers_without_grid(self, tmp_path, small):
-        grid, gf = small
-        path = str(tmp_path / "u.dgph")
-        gridio.save_grid_function(path, gf)
-        d, n_t, shape, values = gridio.load_grid_function(path)
-        assert (d, n_t, shape) == (2, 3, (5, 6))
-        assert np.array_equal(values, gf.values)
 
     @pytest.mark.parametrize("mangle,msg", [
         (lambda raw: b"XXXXX" + raw[5:], "bad magic"),
@@ -409,7 +401,9 @@ class TestMainExitCodes:
         ({"solve": {"theta": -1.0}}, "solve.theta must be a number in [0, 1]"),
         ({"convergence": {"theta": 1.5}},
          "unknown keys ['theta'] in section 'convergence'"),
-        ({"solve": {"rtol": 0}}, "solve.rtol must be a number > 0, not 0"),
+        # the solve tolerance is fixed, solver.RTOL
+        ({"solve": {"rtol": 1e-10}},
+         "unknown keys ['rtol'] in section 'solve'"),
         # the check bounds are fixed, as in the acceptance gate
         ({"validate": {"slack": 0}}, "unknown keys ['slack'] in section "
          "'validate'"),
@@ -463,8 +457,6 @@ class TestMainExitCodes:
         ({"field": {"preset": "heston", "kappa": 2.0, "theta": 0.25,
                     "sigma": 1.0, "rho": float("nan")}},
          "field.rho must be a number, not NaN"),
-        ({"solve": {"rtol": float("inf")}},
-         "solve.rtol must be a number > 0, not Infinity"),
         ({"maxprin": {"sup_slack": float("inf")}},
          "unknown keys ['sup_slack'] in section 'maxprin'"),
         ({"grid": dict(BASE_CFG["grid"], x_extent=float("-inf"))},
@@ -500,7 +492,7 @@ class TestMainExitCodes:
             "g-nan", "expressions-c-nan", "expressions-c-divides-by-zero",
             "round-trip-two-node-axis", "barrier-gamma-1", "barrier-gamma-0",
             "t-final-0", "t-final-negative", "solve-theta-2",
-            "solve-theta-negative", "convergence-theta-1.5", "rtol-0",
+            "solve-theta-negative", "convergence-theta-1.5", "solve-rtol",
             "validate-slack-0", "sup-slack-0", "weighted-slack-negative",
             "schauder-threshold", "convergence-order-bounds",
             "validate-n-samples-0", "barriers-n-points-0",
@@ -510,7 +502,7 @@ class TestMainExitCodes:
             "f-not-finite-at-t-0", "exact-boundary-solve",
             "exact-boundary-norms", "height-max-negative", "height-max-0",
             "big-c-nan", "schauder-p-nan", "small-c-given",
-            "maxprin-weighted-q", "heston-rho-nan", "rtol-infinity",
+            "maxprin-weighted-q", "heston-rho-nan",
             "sup-slack-infinity", "x-extent-minus-infinity",
             "norms-q-minus-infinity", "norms-two-slices",
             "non-refining-space-ladder", "non-refining-time-ladder"])
@@ -558,17 +550,18 @@ class TestMainExitCodes:
 
     def test_constant_field_in_three_dimensions_solves(self, tmp_path,
                                                        capsys):
-        cfg = write_cfg(tmp_path, dict(
+        cfg = dict(
             BASE_CFG,
             field={"preset": "constant", "c": 0.0, "b": [0.0, 0.0, 1.0],
                    "a": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-            grid={"n_lateral": 5, "n_height": 5, "n_slices": 3}))
+            grid={"n_lateral": 5, "n_height": 5, "n_slices": 3})
         out = tmp_path / "out"
-        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        d, n_t, shape, values = gridio.load_grid_function(
-            str(out / "solve" / "solution.dgph"))
-        assert (d, n_t, shape) == (3, 3, (5, 5, 5))
-        assert np.all(np.isfinite(values))
+        assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        u = gridio.load_grid_function(str(out / "solve" / "solution.dgph"),
+                                      cli.build_grid(cfg, 3))
+        assert u.values.shape == (3, 5, 5, 5)
+        assert np.all(np.isfinite(u.values))
 
     def test_run_without_experiments_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE_CFG))
@@ -618,8 +611,7 @@ class TestMainExitCodes:
 
         def loose(problem, grid, **kw):
             u, report = real(problem, grid, **kw)
-            report.steps.append((len(report.steps) + 1, 1,
-                                 1e3 * report.rtol))
+            report.steps.append((len(report.steps) + 1, 1, 1e3 * RTOL))
             return u, report
 
         monkeypatch.setattr(cli, "solve_cauchy", loose)
@@ -754,16 +746,21 @@ class TestExperiments:
         assert manifest["config"]["seed"] == 3
 
     def test_norms_experiment_writes_holder_csv(self, tmp_path):
+        q = [0.0, 1.0]
         cfg = write_cfg(tmp_path, dict(BASE_CFG, alpha=0.3,
-                                       norms={"n_points": 150}))
+                                       norms={"n_points": 150, "q": q}))
         out = tmp_path / "out"
         code = cli.main(["norms", "--config", cfg, "--out", str(out)])
         assert code == 0
         text = (out / "norms" / "holder.csv").read_text()
-        assert text.splitlines()[0].startswith("metric,")
-        assert len(text.splitlines()) >= 6
+        lines = text.splitlines()
+        assert lines[0].startswith("metric,")
+        # one row per constituent (u, u_t, grad u, x_d D^2 u) for each q
+        assert len(lines) == 1 + 4 * len(q)
+        assert len(set(lines)) == len(lines)
         rows = list(csv.DictReader(io.StringIO(text)))
         assert {float(r["alpha"]) for r in rows} == {0.3}
+        assert [float(r["q"]) for r in rows] == [0.0] * 4 + [1.0] * 4
         summary = (out / "norms" / "summary.txt").read_text()
         assert "no checks emitted" in summary
 

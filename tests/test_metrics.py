@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -201,15 +202,15 @@ class TestSeminorm:
         assert seminorm(np.array([1.0]), PointSet(
             np.array([0.0]), np.array([[0.0, 1.0]])), 0.5, "s").value == 0.0
 
-    def test_sampled_regime_is_lower_bound(self):
+    def test_sampled_regime_is_lower_bound(self, monkeypatch):
         rng = np.random.default_rng(8)
         pts = random_points(rng, 60)
         u = rng.normal(size=60)
         full = seminorm(u, pts, 0.5, "s").value
-        sampled = seminorm(u, pts, 0.5, "s", exhaustive_cap=10,
-                           sampled_pairs=800, seed=1)
-        again = seminorm(u, pts, 0.5, "s", exhaustive_cap=10,
-                         sampled_pairs=800, seed=1)
+        set_caps(monkeypatch, 10, 800)
+        sampled = seminorm(u, fresh(pts), 0.5, "s", seed=1)
+        again = seminorm(u, fresh(pts), 0.5, "s", seed=1)
+        assert sampled.n_pairs == 800
         assert sampled.value <= full + 1e-15
         assert sampled.value == again.value
 
@@ -237,10 +238,12 @@ class TestNorms:
         assert np.allclose(weight(pts, 2), [1.0, 36.0], rtol=0, atol=1e-12)
 
     def test_weighted_norm_weights_before_estimating(self):
+        # above height 1 the split norm is the parabolic norm, taken of
+        # the weighted function (1+|x|)^q u
         rng = np.random.default_rng(9)
-        pts = random_points(rng, 25)
+        pts = random_points(rng, 25, height_lo=1.5)
         u = rng.normal(size=25)
-        rep = holder_norm(u, pts, 0.5, "rho", q=2.0)
+        rep = split_holder_norm(u, pts, 0.5, q=2.0)
         wu = weight(pts, 2.0) * u
         assert rep.sup == float(np.max(np.abs(wu)))
         oracle = brute_seminorm(wu, pts, 0.5, parabolic_distance)
@@ -375,39 +378,50 @@ def fresh(pts):
     return PointSet(pts.t.copy(), pts.x.copy())
 
 
+def set_caps(monkeypatch, cap, pairs):
+    # the pair caps are module constants, outside the pair tables' key
+    monkeypatch.setattr(metrics, "EXHAUSTIVE_CAP", cap)
+    monkeypatch.setattr(metrics, "SAMPLED_PAIRS", pairs)
+
+
 class TestPairTables:
-    # (metric, alpha, exhaustive_cap, sampled_pairs, seed): one point set
-    # sees every key in turn, so a table reused under a key that misses
-    # any of these fields returns the pairs or distances of another key
-    KEYS = [(metric, alpha, cap, pairs, seed)
-            for metric in ("s", "rho") for alpha in (0.3, 0.7)
-            for cap, pairs, seed in ((50_000, 700, 1), (10, 700, 1),
-                                     (10, 700, 2), (10, 900, 1))]
+    # (metric, alpha, seed): one point set sees every key in turn, so a
+    # table reused under a key that misses any of these fields returns
+    # the pairs or distances of another key.  Each setting of the caps
+    # (exhaustive up to the first, else the second many pairs) takes a
+    # fresh point set.
+    KEYS = [(metric, alpha, seed) for metric in ("s", "rho")
+            for alpha in (0.3, 0.7) for seed in (1, 2)]
+    CAPS = [(50_000, 700), (10, 700), (10, 900)]
 
-    def test_tabled_estimate_matches_reference(self):
+    def test_tabled_estimate_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(21)
-        pts = random_points(rng, 40)
-        for u in (rng.normal(size=40), rng.normal(size=40)):
-            for metric, alpha, cap, pairs, seed in self.KEYS:
-                kw = dict(exhaustive_cap=cap, sampled_pairs=pairs,
-                          seed=seed)
-                got = seminorm(u, pts, alpha, metric, **kw)
-                want = reference_seminorm(u, fresh(pts), alpha, metric,
-                                          **kw)
-                assert got == want
-                assert got.n_pairs == (40 * 39 // 2 if cap == 50_000
-                                       else pairs)
-                assert got.argmax_p1 is not None
+        base = random_points(rng, 40)
+        values = (rng.normal(size=40), rng.normal(size=40))
+        for cap, pairs in self.CAPS:
+            set_caps(monkeypatch, cap, pairs)
+            pts = fresh(base)
+            for u in values:
+                for metric, alpha, seed in self.KEYS:
+                    got = seminorm(u, pts, alpha, metric, seed=seed)
+                    want = reference_seminorm(u, fresh(pts), alpha, metric,
+                                              cap, pairs, seed)
+                    assert got == want
+                    assert got.n_pairs == (40 * 39 // 2 if cap == 50_000
+                                           else pairs)
+                    assert got.argmax_p1 is not None
 
-    def test_split_norm_matches_reference(self):
+    def test_split_norm_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(22)
-        pts = random_points(rng, 60, height_hi=2.0)
+        base = random_points(rng, 60, height_hi=2.0)
         u = rng.normal(size=60)
-        for cap, pairs, seed in ((50_000, 200_000, 0), (10, 500, 3),
-                                 (10, 500, 4)):
-            kw = dict(exhaustive_cap=cap, sampled_pairs=pairs, seed=seed)
-            for q in (0.0, 1.0):
-                rep = split_holder_norm(u, pts, 0.5, q=q, **kw)
+        for cap, pairs, seeds in ((50_000, 200_000, (0,)),
+                                  (10, 500, (3, 4))):
+            set_caps(monkeypatch, cap, pairs)
+            pts = fresh(base)
+            for seed, q in itertools.product(seeds, (0.0, 1.0)):
+                kw = dict(exhaustive_cap=cap, sampled_pairs=pairs, seed=seed)
+                rep = split_holder_norm(u, pts, 0.5, q=q, seed=seed)
                 wu = weight(pts, q) * u
                 low = pts.x[:, -1] <= 1.0 + 1e-12
                 high = pts.x[:, -1] >= 1.0 - 1e-12

@@ -167,9 +167,14 @@ class TestPlan:
         assert abs(plan.multiplier(2.0) - np.exp(-1.0)) <= 1e-15
         syms = space_symbols(2)
         u = AnalyticFunction(2, syms[0] + syms[1])
-        plain = plan.transform_analytic(u, with_multiplier=False)
+        pulled = u.affine_pullback(plan.backward).expr
         t_sym = sp.Symbol("t", real=True)
-        assert t_sym not in plain.expr.free_symbols
+        assert plan.transform_analytic(u).expr \
+            == sp.exp(sp.Float(0.5) * t_sym) * pulled
+        # with c = 0 there is no multiplier to carry
+        plain = build_reduction_plan(constant_field(np.eye(2), [0.0, 1.0],
+                                                    0.0))
+        assert t_sym not in plain.transform_analytic(u).expr.free_symbols
 
     def test_model_field_form(self):
         f = constant_field([[1.0, 0.25], [0.25, 0.5]], [0.3, 0.7], 0.0)

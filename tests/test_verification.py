@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from degenpde.analytic import AnalyticFunction, bump, space_symbols
-from degenpde.fields import constant_field, heston, homogeneous_drift
+from degenpde.fields import (constant_field, from_expressions, heston,
+                             homogeneous_drift)
 from degenpde.grid import Grid, GridFunction
 from degenpde.solver import (
     CauchyProblem,
@@ -65,9 +66,12 @@ class TestSupersolutions:
         assert res.lhs >= 0.0
 
     def test_quadratic_supersolution_needs_large_rate(self):
-        res = check_quadratic_supersolution(homogeneous_drift(1.0),
-                                            lam=-10.0, seed=1)
+        # c = 5 exceeds the rate 3K of the declared K = 1
+        field = from_expressions(2, [["1", "0"], ["0", "1"]], ["0", "1"],
+                                 "5", delta=1, K=1, nu=1)
+        res = check_quadratic_supersolution(field, seed=1)
         assert not res.passed
+        assert res.lhs < 0.0
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_weighted_supersolution_dominates_itself(self, q):
@@ -109,7 +113,7 @@ class TestSupBounds:
         u, _ = solve_cauchy(problem, grid)
         outside = np.unravel_index(
             int(np.argmax(~grid.audited_mask().ravel())), grid.shape)
-        spiked = u.copy()
+        spiked = GridFunction(grid, u.values.copy())
         spiked.values[(1,) + outside] = 50.0
         assert check_sup_bound(spiked, problem, K=0.0).passed
         inside = np.unravel_index(
@@ -463,10 +467,34 @@ class TestInterpolation:
             assert fit.exponent == 0.0
 
     def test_default_functions_fit(self):
-        fits, cases, results = interpolation_check(lattice=(4, 9, 7))
+        fits, cases, results = interpolation_check()
         assert len(fits) == 4 and len(cases) == 5
         assert all(fit.feasible() for fit in fits.values())
         assert all(r.passed for r in results)
+
+    def test_non_finite_case_fails_the_fit(self):
+        # a NaN left side fails its own inequality and leaves the others
+        lhs = {k: 0.2 for k in ("c-alpha", "gradient-sup",
+                                "weighted-gradient", "weighted-hessian")}
+        finite = fit_interpolation_constants([(lhs, 1.0, 1.0)], (0.5, 0.25))
+        nan_case = (dict(lhs, **{"gradient-sup": np.nan}), 1.0, 1.0)
+        fits = fit_interpolation_constants([(lhs, 1.0, 1.0), nan_case],
+                                           (0.5, 0.25))
+        assert fits["gradient-sup"].constant == np.inf
+        assert not fits["gradient-sup"].feasible()
+        for key in ("c-alpha", "weighted-gradient", "weighted-hessian"):
+            assert (fits[key].constant, fits[key].exponent) \
+                == (finite[key].constant, finite[key].exponent)
+        # a function that is NaN everywhere fails every row
+        import sympy as sp
+        from degenpde.verification import default_interpolation_functions
+        x1 = space_symbols(2)[0]
+        functions = [default_interpolation_functions(2)[0],
+                     AnalyticFunction(2, sp.sqrt(x1 - 5))]
+        with np.errstate(invalid="ignore"):
+            fits, _, results = interpolation_check(functions=functions)
+        assert not any(fit.feasible() for fit in fits.values())
+        assert not any(r.passed for r in results)
 
     def test_cases_match_direct_evaluation(self):
         # the left-hand sides reuse the norm's constituent arrays; they
@@ -499,8 +527,8 @@ class TestInterpolation:
         from degenpde.verification import default_interpolation_functions
         base = default_interpolation_functions(2)
         doubled = [2 * u for u in base]
-        f1, _, _ = interpolation_check(functions=base, lattice=(4, 9, 7))
-        f2, _, _ = interpolation_check(functions=doubled, lattice=(4, 9, 7))
+        f1, _, _ = interpolation_check(functions=base)
+        f2, _, _ = interpolation_check(functions=doubled)
         for key in f1:
             assert f1[key].constant == f2[key].constant
             assert f1[key].exponent == f2[key].exponent
