@@ -1,58 +1,65 @@
 """Closed-form space-time functions with exact derivatives.
 
 Everything that feeds a norm estimate or a residual check (manufactured
-solutions, supersolutions, barriers, test bumps) is represented
-symbolically so first and second derivatives are exact rather than
-re-differenced.
+solutions, supersolutions, barriers, test bumps, random data, the
+coefficients of a field) is an AnalyticFunction: a sum of terms, each a
+number times a product of factors.  A factor is a profile g of one
+affine form s = offset + w . (t, x1..xd): the bump (1 - s^2)^p on
+|s| < 1, exp, cos, the Gaussian exp(-s^2) or a power s^n (n = 1 is an
+affine factor).  Its derivatives along t and x_i are w_k g'(s) and
+w_k w_l g''(s), so the product and chain rules give every first and
+second derivative of a term exactly, in numpy; a factor whose weight
+along a variable is 0 is never differentiated along it, and the
+one-coordinate factors of a product stay on their own sparse axes until
+they are multiplied.  A pullback x = A z changes only the weights.
 
-derivative differentiates by rule, one symbol at a time: a term free of
-the symbol gives 0, a sum goes term by term and a product by the product
-rule over only the factors that hold the symbol, so the one-coordinate
-factors of a product bump are never differentiated along another axis.
-Evaluation is vectorized through lambdified numpy closures, built lazily;
-cached_lambdify compiles each (symbols, expression) pair once per
-process, so the same manufactured data rebuilt by several experiments
-share their code.
+Text (data strings and the expressions preset) is parsed with sympy into
+a factor of its own, which sympy differentiates and lambdify compiles;
+sympy is imported only then.  cached_lambdify compiles each (symbols,
+expression) pair once per process, so the same text rebuilt by several
+experiments shares its code.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import sympy as sp
+import functools
+import itertools
+import math
 
-_TIME = sp.Symbol("t", real=True)
+import numpy as np
 
 
 def space_symbols(d):
+    import sympy as sp
     return sp.symbols("x1:%d" % (d + 1), real=True)
 
 
-_PARSE_FUNCS = {
-    "sin": sp.sin, "cos": sp.cos, "tan": sp.tan, "exp": sp.exp,
-    "sqrt": sp.sqrt, "log": sp.log, "pi": sp.pi, "E": sp.E,
-    "sinh": sp.sinh, "cosh": sp.cosh, "tanh": sp.tanh,
-    "Min": sp.Min, "Max": sp.Max,
-}
+def _symbols(d):
+    """The sympy symbols (t, x1, ..., xd) of text in d dimensions."""
+    import sympy as sp
+    return (sp.Symbol("t", real=True),) + tuple(space_symbols(d))
 
 
+@functools.cache
 def parse_expression(text, d):
     """Parse a coefficient or data expression in variables t, x1..xd.
 
     Only elementary functions are allowed; unknown names are an error so
     a typo in a config cannot silently evaluate to zero; so are I, zoo,
-    oo and nan, which numpy would drop or carry into the solve.
+    oo and nan, which numpy would drop or carry into the solve.  Each
+    (text, d) is parsed once per process.
     """
-    syms = space_symbols(d)
-    local = dict(_PARSE_FUNCS)
-    local["t"] = _TIME
-    for s in syms:
-        local[str(s)] = s
+    import sympy as sp
+    local = {name: getattr(sp, name) for name in (
+        "sin", "cos", "tan", "exp", "sqrt", "log", "pi", "E", "sinh",
+        "cosh", "tanh", "Min", "Max")}
+    syms = _symbols(d)
+    local.update((str(s), s) for s in syms)
     try:
         expr = sp.parse_expr(text, local_dict=local, evaluate=True)
     except Exception as exc:
         raise ValueError("cannot parse expression %r: %s" % (text, exc))
-    allowed = set(syms) | {_TIME}
-    extra = expr.free_symbols - allowed
+    extra = expr.free_symbols - set(syms)
     if extra:
         raise ValueError("expression %r uses unknown symbols %s"
                          % (text, sorted(map(str, extra))))
@@ -67,49 +74,35 @@ def parse_expression(text, d):
     return expr
 
 
-class _FloatPrinter(sp.printing.numpy.NumPyPrinter):
+@functools.cache
+def _float_printer():
     """numpy code printer that writes each Float as its exact double
     (the default printer rounds it to 15 significant digits), and And and
     Or as nested binary calls, as Max and Min are printed: the default
     logical_and.reduce((a, b)) stacks its operands into one array, which
     the sparse axes of a mesh, broadcasting only together, cannot be."""
+    from sympy.printing.numpy import NumPyPrinter
 
-    def _print_Float(self, expr):
-        return repr(float(expr))
+    class FloatPrinter(NumPyPrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
 
-    def _binary(self, op, args):
-        """op(a, op(b, c)) for args (a, b, c)."""
-        first = self._print(args[0])
-        if len(args) == 1:
-            return first
-        return "%s(%s, %s)" % (self._module_format(self._module + "." + op),
-                               first, self._binary(op, args[1:]))
+        def _binary(self, op, args):
+            """op(a, op(b, c)) for args (a, b, c)."""
+            first = self._print(args[0])
+            if len(args) == 1:
+                return first
+            return "%s(%s, %s)" % (
+                self._module_format(self._module + "." + op), first,
+                self._binary(op, args[1:]))
 
-    def _print_And(self, expr):
-        return self._binary("logical_and", expr.args)
+        def _print_And(self, expr):
+            return self._binary("logical_and", expr.args)
 
-    def _print_Or(self, expr):
-        return self._binary("logical_or", expr.args)
+        def _print_Or(self, expr):
+            return self._binary("logical_or", expr.args)
 
-
-def derivative(expr, *syms):
-    """Exact derivative of expr along syms, taken in order (none: expr)."""
-    for s in syms:
-        expr = _derivative(expr, s)
-    return expr
-
-
-def _derivative(expr, s):
-    if not expr.has(s):
-        return sp.S.Zero
-    if expr.is_Add:
-        return sp.Add(*[_derivative(term, s) for term in expr.args])
-    if expr.is_Mul:
-        factors = expr.args
-        return sp.Add(*[sp.Mul(*factors[:k], _derivative(f, s),
-                               *factors[k + 1:])
-                        for k, f in enumerate(factors) if f.has(s)])
-    return sp.diff(expr, s)
+    return FloatPrinter
 
 
 # One compiled closure per (symbols, expr) for the life of the process.
@@ -117,75 +110,158 @@ _COMPILED = {}
 
 
 def cached_lambdify(symbols, expr):
-    """Vectorized closure fn(t, x) of expr in (t, x1..xd), compiled once.
+    """Vectorized closure fn(t, x1, ..., xd) of expr, compiled once.
 
-    x is an array of points of shape (..., d), or a tuple of d coordinate
-    arrays that broadcast together, such as the sparse axes of
-    np.meshgrid.  The result is broadcast to the common shape of t and
-    the coordinates and returned as a fresh float array.  An expr that is
-    a number compiles no code; a compiled closure carries every float
-    constant at full precision.
+    The arguments are arrays that broadcast together, such as the sparse
+    axes of np.meshgrid; the result has the shape of the arguments that
+    expr holds, and may be one of them.  An expr that is a number
+    compiles no code and gives a float; a compiled closure carries every
+    float constant at full precision.
     """
     key = (symbols, expr)
     fn = _COMPILED.get(key)
     if fn is None:
-        # docstring_limit=0: lambdify would otherwise print expr a second
-        # time, for a docstring of raw that nothing reads
-        raw = (lambda *args, _value=float(expr): _value) if expr.is_number \
-            else sp.lambdify(symbols, expr, modules="numpy",
-                             docstring_limit=0, printer=_FloatPrinter(
+        if expr.is_number:
+            fn = lambda *args, _value=float(expr): _value  # noqa: E731
+        else:
+            import sympy as sp
+            # docstring_limit=0: lambdify would otherwise print expr a
+            # second time, for a docstring of fn that nothing reads
+            fn = sp.lambdify(symbols, expr, modules="numpy",
+                             docstring_limit=0, printer=_float_printer()(
                                  {"fully_qualified_modules": False}))
-        d = len(symbols) - 1
-
-        def fn(t, x, _raw=raw):
-            t = np.asarray(t, dtype=float)
-            if isinstance(x, tuple):
-                coords = [np.asarray(c, dtype=float) for c in x]
-            else:
-                x = np.asarray(x, dtype=float)
-                coords = [x[..., i] for i in range(d)]
-            out = _raw(t, *coords)
-            shape = np.broadcast_shapes(t.shape, *(c.shape for c in coords))
-            return np.broadcast_to(np.asarray(out, dtype=float),
-                                   shape).copy()
-
         _COMPILED[key] = fn
     return fn
 
 
-class AnalyticFunction:
-    """Scalar function of (t, x1..xd) with exact derivative closures."""
+def _arguments(t, x):
+    """(t, coordinate arrays, broadcast shape) of points x: an array of
+    shape (..., d) or a tuple of d arrays that broadcast together."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(x, tuple):
+        coords = [np.asarray(c, dtype=float) for c in x]
+    else:
+        x = np.asarray(x, dtype=float)
+        coords = [x[..., i] for i in range(x.shape[-1])]
+    return t, coords, np.broadcast_shapes(t.shape, *(c.shape for c in coords))
 
-    def __init__(self, d, expr):
+
+def _bump(s, p, order):
+    inside, q = np.abs(s) < 1, 1 - s * s
+    if order == 0:
+        v = q ** p
+    elif order == 1:
+        v = -2 * p * s * q ** (p - 1)
+    else:
+        v = -2 * p * q ** (p - 1) + 4 * p * (p - 1) * s * s * q ** (p - 2)
+    return np.where(inside, v, 0.0)
+
+
+def _power(s, n, order):
+    k = math.prod(n - m for m in range(order))  # falling factorial
+    return k * s ** (n - order) if k else 0.0
+
+
+def _gauss(s, _, order):
+    e = np.exp(-(s * s))
+    return e if order == 0 else (-2 * s if order == 1 else 4 * s * s - 2) * e
+
+
+# g^(order)(s) of each profile, with its parameter (the bump's and the
+# power's exponent).
+_PROFILES = {
+    "bump": _bump,
+    "power": _power,
+    "gauss": _gauss,
+    "exp": lambda s, _, order: np.exp(s),
+    "cos": lambda s, _, order: (np.cos, lambda v: -np.sin(v),
+                                lambda v: -np.cos(v))[order](s),
+}
+
+
+def _text_factor(d, expr):
+    """The factor of a sympy expression: ("text", expr, dependence mask,
+    0); the mask marks (t, x1..xd) that expr holds."""
+    free = expr.free_symbols
+    return ("text", expr, tuple(float(s in free) for s in _symbols(d)), 0.0)
+
+
+class AnalyticFunction:
+    """Scalar function of (t, x1..xd) with exact derivatives.
+
+    terms is a sequence of (coefficient, factors); a factor is a tuple
+    (profile, parameter, weights, offset), the profile applied to
+    offset + weights . (t, x1..xd), or a text factor (_text_factor).  No
+    terms is the zero function.
+    """
+
+    def __init__(self, d, terms=()):
         self.d = d
-        self.symbols = (_TIME,) + tuple(space_symbols(d))
-        self.expr = sp.sympify(expr)
-        extra = self.expr.free_symbols - set(self.symbols)
-        if extra:
-            raise ValueError("expression has stray symbols %s"
-                             % sorted(map(str, extra)))
-        self._cache = {}
+        self.terms = tuple((float(c), tuple(fs)) for c, fs in terms)
+        self._closures = {}  # (text expr, axes) -> compiled derivative
 
     @classmethod
     def from_text(cls, text, d):
-        return cls(d, parse_expression(text, d))
+        return expression(d, parse_expression(text, d))
 
-    def _closure(self, key, *syms):
-        """Closure of the derivative of expr along syms (none: expr).
+    def depends(self, k):
+        """Whether some factor varies along variable k (0 = t, i = x_i)."""
+        return any(f[2][k] for _, fs in self.terms for f in fs)
 
-        The object keeps its closures by key, so a derivative taken once
-        costs no further symbolic differentiation.
-        """
-        fn = self._cache.get(key)
-        if fn is None:
-            fn = self._cache[key] = cached_lambdify(
-                self.symbols, derivative(self.expr, *syms))
-        return fn
+    def _factor(self, f, args, axes, memo):
+        """The derivative of factor f along the variables axes."""
+        kind, param, w, offset = f
+        if kind == "text":
+            key = (param, tuple(sorted(axes)))
+            fn = self._closures.get(key)
+            if fn is None:
+                import sympy as sp
+                syms = _symbols(self.d)
+                fn = self._closures[key] = cached_lambdify(syms, sp.diff(
+                    param, *(syms[k] for k in key[1])) if axes else param)
+            return fn(*args)
+        s = memo.get(f)
+        if s is None:
+            s = memo[f] = offset + sum(wk * a for wk, a in zip(w, args) if wk)
+        return math.prod(w[k] for k in axes) * _PROFILES[kind](
+            s, param, len(axes))
+
+    def raw(self, t, coords, axes=(), memo=None):
+        """The derivative along axes (variable numbers, 0 = t) at
+        arguments that broadcast together, itself not broadcast: a
+        factor holding only x_i keeps x_i's shape, a constant is a
+        number.  memo shares the factors' forms between calls at the
+        same arguments."""
+        args = (t,) + tuple(coords)
+        memo = {} if memo is None else memo
+        total = None
+        for coef, factors in self.terms:
+            # each variable of axes differentiates one factor: the
+            # product rule, skipping factors constant along it
+            for owner in itertools.product(range(len(factors)),
+                                           repeat=len(axes)):
+                parts = [tuple(k for k, o in zip(axes, owner) if o == j)
+                         for j in range(len(factors))]
+                if any(not f[2][k] for f, p in zip(factors, parts)
+                       for k in p):
+                    continue
+                value = coef
+                for f, p in zip(factors, parts):
+                    if (f, p) not in memo:
+                        memo[f, p] = self._factor(f, args, p, memo)
+                    value = value * memo[f, p]
+                total = value if total is None else total + value
+        return 0.0 if total is None else total
+
+    def _evaluate(self, t, x, axes):
+        t, coords, shape = _arguments(t, x)
+        return np.broadcast_to(np.asarray(self.raw(t, coords, axes),
+                                          dtype=float), shape).copy()
 
     def value(self, t, x):
         """Evaluate at t (broadcastable) and x: points of shape (..., d),
         or a tuple of d coordinate arrays that broadcast together."""
-        return self._closure("v")(t, x)
+        return self._evaluate(t, x, ())
 
     def on_grid(self, t, grid):
         """Values at every node of grid, in grid.nodes() order: (N,) at
@@ -198,15 +274,13 @@ class AnalyticFunction:
         return self.value(t, tuple(mesh)).reshape(t.shape[:1] + (-1,))
 
     def dt(self, t, x):
-        return self._closure("t", _TIME)(t, x)
+        return self._evaluate(t, x, (0,))
 
     def dx(self, i, t, x):
-        return self._closure(("x", i), self.symbols[1 + i])(t, x)
+        return self._evaluate(t, x, (1 + i,))
 
     def dxx(self, i, j, t, x):
-        i, j = min(i, j), max(i, j)
-        return self._closure(("xx", i, j), self.symbols[1 + i],
-                             self.symbols[1 + j])(t, x)
+        return self._evaluate(t, x, (1 + min(i, j), 1 + max(i, j)))
 
     def grid_callable(self):
         """The value as fn(t, x1, ..., xd) of broadcastable arrays."""
@@ -216,21 +290,71 @@ class AnalyticFunction:
 
         return fn
 
-    def __mul__(self, factor):
-        return AnalyticFunction(self.d, self.expr * sp.sympify(factor))
+    def __mul__(self, other):
+        if isinstance(other, AnalyticFunction):
+            return AnalyticFunction(self.d, [
+                (c1 * c2, f1 + f2) for c1, f1 in self.terms
+                for c2, f2 in other.terms])
+        return AnalyticFunction(self.d, [(c * float(other), fs)
+                                         for c, fs in self.terms])
 
     __rmul__ = __mul__
 
+    def __add__(self, other):
+        return AnalyticFunction(self.d, self.terms + other.terms)
+
+    def _map_factors(self, change):
+        if any(f[0] == "text" for _, fs in self.terms for f in fs):
+            raise ValueError("only built-in functions change variables")
+        return AnalyticFunction(self.d, [(c, [change(*f) for f in fs])
+                                         for c, fs in self.terms])
+
     def affine_pullback(self, A):
-        """Return v(t, z) = self(t, A z) with exact derivatives."""
+        """Return v(t, z) = self(t, A z) with exact derivatives: the
+        weights w of x become A^T w."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.d, self.d):
             raise ValueError("matrix shape mismatch")
-        zs = space_symbols(self.d)
-        subs = {}
-        for i, xs in enumerate(self.symbols[1:]):
-            subs[xs] = sum(sp.Float(A[i, k]) * zs[k] for k in range(self.d))
-        return AnalyticFunction(self.d, self.expr.subs(subs, simultaneous=True))
+        return self._map_factors(lambda kind, param, w, offset: (
+            kind, param, (w[0],) + tuple(map(float, A.T @ w[1:])), offset))
+
+    def at_time(self, t0):
+        """The function x -> self(t0, x), constant in time."""
+        return self._map_factors(lambda kind, param, w, offset: (
+            kind, param, (0.0,) + w[1:], offset + w[0] * t0))
+
+
+def constant(d, value):
+    """The constant function value (no terms for 0)."""
+    return AnalyticFunction(d, [(value, ())] if value else [])
+
+
+def profile(kind, weights, offset=0.0, param=None):
+    """One factor: profile kind ("bump", "power", "gauss", "exp", "cos")
+    of offset + weights . (t, x1..xd), in len(weights) - 1 dimensions;
+    param is the bump's or the power's exponent."""
+    return AnalyticFunction(len(weights) - 1, [(1.0, [(
+        kind, param, tuple(map(float, weights)), float(offset))])])
+
+
+def affine(weights, offset=0.0):
+    """offset + weights . (t, x1..xd)."""
+    return profile("power", weights, offset, 1)
+
+
+def expression(d, expr):
+    """A sympy expression in t, x1..xd (see _symbols) as a function; a
+    number is a constant."""
+    if expr.is_number:
+        return constant(d, float(expr))
+    return AnalyticFunction(d, [(1.0, [_text_factor(d, expr)])])
+
+
+def axis_weights(d, k, weight):
+    """Weights (t, x1..xd) of weight times variable k (0 = t)."""
+    w = np.zeros(d + 1)
+    w[k] = weight
+    return w
 
 
 def bump(d, center, radius, powers=4):
@@ -242,10 +366,8 @@ def bump(d, center, radius, powers=4):
     """
     center = np.asarray(center, dtype=float)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (d,))
-    syms = space_symbols(d)
-    expr = sp.Integer(1)
+    out = constant(d, 1.0)
     for i in range(d):
-        s = (syms[i] - sp.Float(center[i])) / sp.Float(radius[i])
-        expr *= sp.Piecewise(((1 - s ** 2) ** powers, abs(s) < 1),
-                             (0, True))
-    return AnalyticFunction(d, expr)
+        out = out * profile("bump", axis_weights(d, 1 + i, 1 / radius[i]),
+                            -center[i] / radius[i], powers)
+    return out

@@ -9,9 +9,10 @@ the height coordinate, so ellipticity degenerates linearly at the bottom
 boundary; wellposedness without a boundary condition there rests on the
 inward drift b^d >= nu > 0 at height 0.
 
-A field holds (a, b, c) once, as sympy matrices that operator_apply can
-differentiate; presets build them from their numbers, and only entries
-that vary with t or x are compiled.
+A field holds each entry of (a, b, c) as an AnalyticFunction.  The
+heston, constant and homogeneous-drift presets give numbers: a and c
+constant and b = b0 + B1 x.  The expressions preset gives text, which
+sympy parses; only that text is compiled.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on
@@ -27,62 +28,66 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .analytic import (_TIME, cached_lambdify, parse_expression,
-                       space_symbols)
+from .analytic import (AnalyticFunction, affine, axis_weights, constant,
+                       expression, parse_expression)
 from .grid import Region
 from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
 
 
 class CoefficientField:
-    """Symbolically defined coefficients with vectorized evaluation.
+    """Coefficients (a, b, c) with vectorized evaluation.
 
-    a_sym, b_sym and c_sym take expressions, numbers or arrays of either.
+    a (d x d), b (d) and c take numbers or AnalyticFunctions; a must be
+    symmetric, entry by entry.
     """
 
-    def __init__(self, d, a_sym, b_sym, c_sym, delta, K, nu, name="custom"):
-        self.d = d
-        self.a_sym = sp.Matrix(a_sym)
-        self.b_sym = sp.Matrix(b_sym)
-        self.c_sym = sp.sympify(c_sym)
-        if self.a_sym.shape != (d, d) or self.b_sym.shape != (d, 1):
+    def __init__(self, d, a, b, c, delta, K, nu, name="custom"):
+        def entry(v):
+            return v if isinstance(v, AnalyticFunction) else constant(d, v)
+
+        if [len(row) for row in a] != [d] * d or len(b) != d:
             raise ValueError("coefficient shapes do not match dimension")
-        if not sp.simplify(self.a_sym - self.a_sym.T).is_zero_matrix:
+        self.d = d
+        self.a_fns = [[entry(v) for v in row] for row in a]
+        self.b_fns = [entry(v) for v in b]
+        self.c_fn = entry(c)
+        if any(self.a_fns[i][j].terms != self.a_fns[j][i].terms
+               for i in range(d) for j in range(i)):
             raise ValueError("diffusion matrix must be symmetric")
-        self.free_symbols = (self.a_sym.free_symbols | self.b_sym.free_symbols
-                             | self.c_sym.free_symbols)
-        self.time_dependent = _TIME in self.free_symbols
+        entries = [e for row in self.a_fns for e in row] + self.b_fns \
+            + [self.c_fn]
+        self.time_dependent = any(e.depends(0) for e in entries)
+        self._constant = not any(e.depends(k) for e in entries
+                                 for k in range(d + 1))
         self.delta, self.K, self.nu = float(delta), float(K), float(nu)
         self.name = name
-        self.symbols = (_TIME,) + tuple(space_symbols(d))
+
+    @staticmethod
+    def _stack(entries, t, x):
+        return np.stack([e.value(t, x) for e in entries], axis=-1)
 
     def a(self, t, x):
         """Diffusion matrix at (t, x); shape (..., d, d)."""
-        cols = [cached_lambdify(self.symbols, self.a_sym[i, j])(t, x)
-                for i in range(self.d) for j in range(self.d)]
-        out = np.stack(cols, axis=-1)
+        out = self._stack([e for row in self.a_fns for e in row], t, x)
         return out.reshape(out.shape[:-1] + (self.d, self.d))
 
     def b(self, t, x):
-        cols = [cached_lambdify(self.symbols, self.b_sym[i])(t, x)
-                for i in range(self.d)]
-        return np.stack(cols, axis=-1)
+        return self._stack(self.b_fns, t, x)
 
     def c(self, t, x):
-        return cached_lambdify(self.symbols, self.c_sym)(t, x)
+        return self.c_fn.value(t, x)
 
     def is_constant(self):
-        return not self.free_symbols
+        return self._constant
 
     def constant_parts(self):
         """(a, b, c) as plain arrays; only for constant-coefficient fields."""
         if not self.is_constant():
             raise ValueError("field has nonconstant coefficients")
-        a = np.array(self.a_sym, dtype=float)
-        b = np.array(self.b_sym, dtype=float).ravel()
-        c = float(self.c_sym)
-        return a, b, c
+        origin = np.zeros(self.d)
+        a, b, c = self.a(0.0, origin), self.b(0.0, origin), self.c(0.0, origin)
+        return a, b, float(c)
 
     def __repr__(self):
         return ("CoefficientField(%s, d=%d, delta=%g, K=%g, nu=%g)"
@@ -103,7 +108,6 @@ def heston(kappa, theta, sigma, rho, r=0.0, q=0.0):
     if abs(rho) >= 1:
         raise ValueError("correlation must satisfy |rho| < 1; the diffusion "
                          "matrix is singular at |rho| = 1")
-    y = space_symbols(2)[1]
     amat = np.array([[0.5, rho * sigma / 2],
                      [rho * sigma / 2, sigma ** 2 / 2]])
     delta = float(np.linalg.eigvalsh(amat)[0])
@@ -112,8 +116,11 @@ def heston(kappa, theta, sigma, rho, r=0.0, q=0.0):
             abs(r - q) + 1.0, kappa * (theta + 2.0), abs(r),
             6.0 * max(0.5, kappa),
             a_abs + abs(r - q) + kappa * (theta + 1.0) + abs(r) + 1.0)
-    return CoefficientField(2, amat, [r - q - y / 2, kappa * (theta - y)],
-                            -r, delta, K, kappa * theta, name="heston")
+    # b = (r - q - x2 / 2, kappa (theta - x2))
+    drift = [affine(axis_weights(2, 2, slope), level)
+             for level, slope in ((r - q, -0.5), (kappa * theta, -kappa))]
+    return CoefficientField(2, amat, drift, -r, delta, K, kappa * theta,
+                            name="heston")
 
 
 def homogeneous_drift(nu, d=2):
@@ -150,11 +157,13 @@ def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
     """Field from elementary-function expression strings in t, x1..xd."""
     if [len(row) for row in a_texts] != [d] * d:
         raise ValueError("a must be %d x %d" % (d, d))
-    a = [[parse_expression(a_texts[i][j], d) for j in range(d)]
-         for i in range(d)]
-    b = [parse_expression(s, d) for s in b_texts]
-    c = parse_expression(c_text, d)
-    return CoefficientField(d, a, b, c, delta, K, nu, name=name)
+
+    def fn(text):
+        return expression(d, parse_expression(text, d))
+
+    return CoefficientField(d, [[fn(s) for s in row] for row in a_texts],
+                            [fn(s) for s in b_texts], fn(c_text), delta, K,
+                            nu, name=name)
 
 
 @dataclass

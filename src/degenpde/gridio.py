@@ -21,6 +21,7 @@ import json
 import resource
 import struct
 import time
+from importlib import metadata
 
 import numpy as np
 
@@ -142,7 +143,8 @@ def write_manifest(path, config, command, seed, wall_times):
 
 
 def _versions():
+    """Library versions; sympy's is read from its metadata, since a run
+    that parses no text never imports it."""
     import scipy
-    import sympy
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "sympy": sympy.__version__}
+            "sympy": metadata.version("sympy")}

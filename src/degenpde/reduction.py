@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import sympy as sp
 
-from .analytic import _TIME, AnalyticFunction
+from .analytic import axis_weights, profile
 from .fields import constant_field
 from .grid import GridFunction
 
@@ -100,9 +99,7 @@ class ReductionPlan:
         """
         out = fn.affine_pullback(self.backward)
         if self.c != 0.0:
-            out = AnalyticFunction(out.d,
-                                   sp.exp(sp.Float(-self.c) * _TIME)
-                                   * out.expr)
+            out = out * profile("exp", axis_weights(self.d, 0, -self.c))
         return out
 
     def recover_grid_function(self, w, source_grid):

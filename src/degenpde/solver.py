@@ -63,11 +63,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sparse
-import sympy as sp
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .analytic import (_TIME, AnalyticFunction, bump, derivative,
-                       space_symbols)
+from .analytic import (AnalyticFunction, _arguments, affine, axis_weights,
+                       bump, constant, profile)
 from .grid import Grid, GridFunction
 
 
@@ -103,11 +102,11 @@ class CertificateError(SolverError):
 class CauchyProblem:
     """Data (f, g) for L u = f, u(0, .) = g, on a coefficient field.
 
-    f and g may be any object with d, value(t, x) and on_grid(t, grid),
-    which is all that solve_cauchy and the data checks use; the
-    randomized suites pass numpy-evaluated data, not AnalyticFunctions.
-    on_grid takes one time or a 1-d array of times, as in AnalyticFunction.
-    f = None is the zero function.
+    g and exact are AnalyticFunctions; f is one too, or the f = L u of
+    operator_apply.  Any object with d, value(t, x) and on_grid(t, grid)
+    serves, which is all that solve_cauchy and the data checks use;
+    on_grid takes one time or a 1-d array of times, as in
+    AnalyticFunction.  f = None is the zero function.
     """
 
     field: object
@@ -117,7 +116,7 @@ class CauchyProblem:
 
     def __post_init__(self):
         if self.f is None:
-            self.f = AnalyticFunction(self.field.d, 0)
+            self.f = AnalyticFunction(self.field.d)
         for fn in (self.f, self.g, self.exact):
             if fn is not None and fn.d != self.field.d:
                 raise ValueError("data dimension does not match field")
@@ -545,50 +544,79 @@ def manufactured_solution(field, kind, x_extent=2.0, height=2.0):
                     exact) and touching the bottom boundary.
     """
     d = field.d
-    syms = space_symbols(d)
-    if kind == "constant":
-        expr = sp.Integer(1)
-    elif kind == "affine_height":
-        expr = sp.exp(-_TIME) * (1 + syms[-1])
-    elif kind == "inner_bump":
-        prof = bump(d, [0.0] * (d - 1) + [0.0],
-                    [0.6 * x_extent] * (d - 1) + [0.6 * height])
-        expr = 1 + sp.exp(-_TIME) * prof.expr
-    else:
+    if kind not in MANUFACTURED_KINDS:
         raise ValueError("manufactured kind must be one of %s"
                          % (MANUFACTURED_KINDS,))
-    return AnalyticFunction(d, expr)
+    one = constant(d, 1.0)
+    if kind == "constant":
+        return one
+    decay = profile("exp", axis_weights(d, 0, -1.0))
+    if kind == "affine_height":
+        return decay * affine(axis_weights(d, d, 1.0), 1.0)
+    return one + decay * bump(d, [0.0] * d, [0.6 * x_extent] * (d - 1)
+                              + [0.6 * height])
+
+
+class _Applied:
+    """f = L u, evaluated at points from the field's values and the exact
+    derivatives of u.  A term of u is a factor c(t) that holds only t
+    times the rest r, and L (c r) = c' r + c L r: the terms that share c
+    are differentiated in x together, at the size of their arguments
+    without t, before c spreads them over the times.  a is symmetric, so
+    each mixed pair i < j enters once, with weight 2, and a zero entry
+    not at all."""
+
+    def __init__(self, field, u):
+        self.d, self.field = field.d, field
+        clocks = {}  # factors that hold only t -> terms of the rest
+        for coef, factors in u.terms:
+            clocks.setdefault(tuple(f for f in factors if not any(f[2][1:])),
+                              []).append((coef, [f for f in factors
+                                                 if any(f[2][1:])]))
+        self.parts = [(AnalyticFunction(self.d, [(1.0, c)]),
+                       AnalyticFunction(self.d, r)) for c, r in clocks.items()]
+
+    def value(self, t, x):
+        t, coords, shape = _arguments(t, x)
+        d, fld, memo = self.d, self.field, {}
+
+        def at(fn, *axes):
+            return fn.raw(t, coords, axes, memo)
+
+        out = 0.0
+        for c, r in self.parts:
+            # c r + b.grad r + x_d a:D^2 r, the smallest arrays added first
+            terms = [at(fld.c_fn) * at(r)] if fld.c_fn.terms else []
+            for i in range(d):
+                if fld.b_fns[i].terms:
+                    terms.append(at(fld.b_fns[i]) * at(r, 1 + i))
+                for j in range(i, d):
+                    if fld.a_fns[i][j].terms:
+                        terms.append((1 if i == j else 2) * coords[-1]
+                                     * at(fld.a_fns[i][j])
+                                     * at(r, 1 + i, 1 + j))
+            lr = at(r, 0) - sum(sorted(terms, key=np.size), 0.0)
+            out = out + at(c, 0) * at(r) + at(c) * lr
+        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+    on_grid = AnalyticFunction.on_grid
 
 
 def operator_apply(field, u):
-    """f = L u computed symbolically from a field and analytic function.
-
-    a is symmetric, so each mixed pair i < j enters once, with weight 2.
-    """
-    d = field.d
-    syms = space_symbols(d)
-    du = [derivative(u.expr, s) for s in syms]
-    lap = sp.S.Zero
-    for i in range(d):
-        for j in range(i, d):
-            weight = 1 if i == j else 2
-            lap += weight * field.a_sym[i, j] * derivative(du[i], syms[j])
-    drift = sum(field.b_sym[i] * du[i] for i in range(d))
-    f_expr = (derivative(u.expr, _TIME) - syms[-1] * lap - drift
-              - field.c_sym * u.expr)
-    return AnalyticFunction(d, f_expr)
+    """f = L u for a field and an AnalyticFunction u, evaluated from
+    values: nothing symbolic is built."""
+    return _Applied(field, u)
 
 
 def manufactured_problem(field, kind, x_extent=2.0, height=2.0):
     """Cauchy problem whose exact solution is the registered member.
 
-    The right side is built symbolically, f = L u, so its values and the
-    initial data are exact.
+    The right side is f = L u from u's exact derivatives, so its values
+    and the initial data are exact.
     """
     u = manufactured_solution(field, kind, x_extent, height)
-    f = operator_apply(field, u)
-    g = AnalyticFunction(field.d, u.expr.subs(_TIME, 0))
-    return CauchyProblem(field, f, g, exact=u)
+    return CauchyProblem(field, operator_apply(field, u), u.at_time(0.0),
+                         exact=u)
 
 
 @dataclass

@@ -15,9 +15,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import sympy as sp
 
-from .analytic import _TIME, AnalyticFunction, bump, space_symbols
+from .analytic import affine, axis_weights, bump, constant, profile
 from .fields import constant_field, heston, homogeneous_drift
 from .grid import Grid, GridFunction, Region
 from .gridio import csv_text
@@ -26,7 +25,7 @@ from .metrics import (analytic_constituents, grid_constituents,
                       split_holder_norm)
 from .reduction import build_reduction_plan
 from .solver import (CauchyProblem, apply_discrete_operator,
-                     manufactured_problem, solve_cauchy)
+                     manufactured_problem, operator_apply, solve_cauchy)
 
 CHECK_CSV_COLUMNS = ("check", "anchor", "lhs", "rhs", "slack", "pass")
 
@@ -197,55 +196,24 @@ def _random_certified_field(rng):
                           name="random-diag")
 
 
-class _GaussianProfiles:
-    """Sum of terms k e^{-r t} (c0 + c1 prod_i exp(-((x_i - m_i) / w_i)^2)).
-
-    The random data of the maximum-principle, absolute-bound and
-    weighted-bound suites.  The terms are plain floats and arrays, so the
-    data are evaluated in numpy: no sympy tree is built and nothing is
-    lambdified.  Offers what CauchyProblem and the checks use of data:
-    d, value and on_grid.
-    """
-
-    def __init__(self, d, terms):
-        self.d = d
-        self.terms = tuple(terms)  # (k, r, c0, c1, center, width) each
-
-    def value(self, t, x):
-        """Evaluate at t (broadcastable) and x: points of shape (..., d),
-        or a tuple of d coordinate arrays that broadcast together."""
-        t = np.asarray(t, dtype=float)
-        if not isinstance(x, tuple):
-            x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-        coords = [np.asarray(c, dtype=float) for c in x]
-        out = np.zeros(np.broadcast_shapes(t.shape,
-                                           *(c.shape for c in coords)))
-        for k, r, c0, c1, center, width in self.terms:
-            gauss = c1
-            for c, m, w in zip(coords, center, width):
-                gauss = gauss * np.exp(-((c - m) / w) ** 2)
-            out += k * np.exp(-r * t) * (c0 + gauss)
-        return out
-
-    on_grid = AnalyticFunction.on_grid
-
-    def scaled(self, k, r=0.0):
-        """This sum times k e^{-r t}."""
-        return _GaussianProfiles(self.d, [(k * k0, r + r0, *rest)
-                                          for k0, r0, *rest in self.terms])
-
-    def __add__(self, other):
-        return _GaussianProfiles(self.d, self.terms + other.terms)
+def _decay(k, r):
+    """k e^{-r t} in two dimensions."""
+    return k * profile("exp", axis_weights(2, 0, -r))
 
 
 def _random_nonneg_profile(rng, d):
-    """Smooth nonnegative profile c0 + c1 * gaussian, as _GaussianProfiles."""
+    """Smooth nonnegative profile c0 + c1 prod_i exp(-((x_i - m_i) / w_i)^2),
+    an AnalyticFunction evaluated in numpy."""
     c0 = float(rng.uniform(0.05, 0.5))
     c1 = float(rng.uniform(0.2, 1.5))
     width = rng.uniform(0.5, 2.0, d)
     center = rng.uniform(-1.5, 1.5, d)
     center[-1] = rng.uniform(0.0, 1.5)
-    return _GaussianProfiles(d, [(1.0, 0.0, c0, c1, center, width)])
+    gauss = constant(d, c1)
+    for i in range(d):
+        gauss = gauss * profile("gauss", axis_weights(d, 1 + i, 1 / width[i]),
+                                -center[i] / width[i])
+    return constant(d, c0) + gauss
 
 
 def _suite_grid():
@@ -268,8 +236,8 @@ def maximum_principle_suite(n_problems=50, seed=0):
     results = []
     for k in range(n_problems):
         fld = _random_certified_field(rng)
-        g1 = _random_nonneg_profile(rng, 2).scaled(-1.0)
-        f1 = _random_nonneg_profile(rng, 2).scaled(-1.0, 1.0)
+        g1 = -1.0 * _random_nonneg_profile(rng, 2)
+        f1 = _random_nonneg_profile(rng, 2) * _decay(-1.0, 1.0)
         prob1 = CauchyProblem(fld, f1, g1)
         u1, _ = solve_cauchy(prob1, grid, certify=True)
         r = nonpositivity_check(u1, prob1)
@@ -302,9 +270,9 @@ def absolute_bound_suite(n_problems=20, seed=1, slack=1.02):
     for k in range(n_problems):
         fld = _random_certified_field(rng)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0
-        g = _random_nonneg_profile(rng, 2).scaled(sgn)
+        g = sgn * _random_nonneg_profile(rng, 2)
         rate = float(rng.uniform(0.0, 1.0))
-        f = _random_nonneg_profile(rng, 2).scaled(-1.0, rate)
+        f = _random_nonneg_profile(rng, 2) * _decay(-1.0, rate)
         prob = CauchyProblem(fld, f, g)
         u, _ = solve_cauchy(prob, grid, certify=True)
         f_sup, g_sup = data_sups(prob, grid)
@@ -351,8 +319,8 @@ def weighted_bound_suite(n_problems=20, q_values=(1.0, 2.0), seed=2,
         fld = _random_heston(rng) if k % 4 == 0 \
             else _random_certified_field(rng)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0
-        g = _random_nonneg_profile(rng, 2).scaled(sgn)
-        f = _random_nonneg_profile(rng, 2).scaled(-1.0, 1.0)
+        g = sgn * _random_nonneg_profile(rng, 2)
+        f = _random_nonneg_profile(rng, 2) * _decay(-1.0, 1.0)
         prob = CauchyProblem(fld, f, g)
         u, _ = solve_cauchy(prob, grid, certify=True)
         K = growth_constant_on_grid(fld, grid)
@@ -386,11 +354,10 @@ class Barrier:
         self.drift = float(self.drift)
         self.speed = abs(self.drift) + 1.0
         self.window = 0.9 * (1.0 - self.gamma) / self.speed
-        x1 = space_symbols(2)[0]
-        shift = sp.Float(self.speed) * _TIME
-        self.plus = AnalyticFunction(2, (1 + x1 - shift) ** -2)
-        self.minus = AnalyticFunction(2, (1 - x1 - shift) ** -2)
-        self.phi = AnalyticFunction(2, self.plus.expr + self.minus.expr)
+        self.plus, self.minus = (
+            profile("power", [-self.speed, sign, 0.0], 1.0, -2)
+            for sign in (1.0, -1.0))
+        self.phi = self.plus + self.minus
 
     def in_window(self, t, x):
         x1 = x[..., 0]
@@ -516,19 +483,13 @@ def fit_interpolation_constants(cases, eps_ladder):
 
 def default_interpolation_functions(d=2):
     """Five compactly supported test functions touching the boundary."""
-    syms = space_symbols(d)
     base = bump(d, [0.0] * d, [1.0] * (d - 1) + [1.0])
     shift = bump(d, [0.3] * (d - 1) + [0.0], [1.2] * (d - 1) + [0.8])
     tight = bump(d, [0.0] * d, [0.7] * d, powers=5)
-    funcs = [
-        base,
-        AnalyticFunction(d, sp.exp(-_TIME) * base.expr),
-        AnalyticFunction(d, (1 + syms[0] / 2) * shift.expr),
-        AnalyticFunction(d, sp.Float(2.5) * tight.expr),
-        AnalyticFunction(d, sp.cos(2 * syms[0]) * base.expr
-                         * sp.exp(-_TIME / 2)),
-    ]
-    return funcs
+    decay = [profile("exp", axis_weights(d, 0, -r)) for r in (1.0, 0.5)]
+    return [base, decay[0] * base,
+            affine(axis_weights(d, 1, 0.5), 1.0) * shift, 2.5 * tight,
+            profile("cos", axis_weights(d, 1, 2.0)) * base * decay[1]]
 
 
 def interpolation_check(functions=None, alpha=0.5,
@@ -666,10 +627,12 @@ def reduction_round_trip(field, kind="inner_bump", grid=None):
     axes.append(plan.forward[-1, -1] * grid.axes[-1])
     z_grid = Grid(axes, grid.times)
 
+    # the model data are those of the transformed exact solution:
+    # L_model u_bar = e^{-ct} (L u)(t, B z)
+    model = plan.model_field()
     u_bar = plan.transform_analytic(problem.exact)
-    f_bar = plan.transform_analytic(problem.f)
-    g_bar = AnalyticFunction(d, u_bar.expr.subs(_TIME, 0))
-    model_prob = CauchyProblem(plan.model_field(), f_bar, g_bar, exact=u_bar)
+    model_prob = CauchyProblem(model, operator_apply(model, u_bar),
+                               u_bar.at_time(0.0), exact=u_bar)
     w_bar, _ = solve_cauchy(model_prob, z_grid, boundary="exact",
                             certify=True)
     u_round = plan.recover_grid_function(w_bar, grid)

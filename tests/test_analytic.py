@@ -1,0 +1,171 @@
+"""The built-in functions against a sympy oracle.
+
+Each built-in function is written out here in sympy.  Its value and its
+first and second derivatives must agree with lambdified sp.diff of that
+expression within 1e-12 of the oracle's largest magnitude, at random
+points and at points within 1e-6 of each bump's support edge, inside and
+outside.  f = L u is compared by value.
+"""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from degenpde.analytic import bump, space_symbols
+from degenpde.fields import constant_field, from_expressions, heston
+from degenpde.reduction import build_reduction_plan
+from degenpde.solver import manufactured_solution, operator_apply
+from degenpde.verification import Barrier, default_interpolation_functions
+
+T = sp.Symbol("t", real=True)
+X = space_symbols(2)
+ORDERS = [(), (0,), (1,), (2,), (1, 1), (1, 2), (2, 2)]
+# (axis, center, radius) of the bump factors of the inner bump and of the
+# interpolation functions
+INNER = [(0, 0.0, 1.2), (1, 0.0, 1.2)]
+INTERP_EDGES = [[(0, 0.0, 1.0), (1, 0.0, 1.0)]] * 2 + [
+    [(0, 0.3, 1.2), (1, 0.0, 0.8)], [(0, 0.0, 0.7), (1, 0.0, 0.7)],
+    [(0, 0.0, 1.0), (1, 0.0, 1.0)]]
+
+
+def written_bump(center, radius, powers):
+    out = sp.Integer(1)
+    for x, c, r in zip(X, center, radius):
+        s = (x - c) / r
+        out *= sp.Piecewise(((1 - s ** 2) ** powers, sp.Abs(s) < 1),
+                            (0, True))
+    return out
+
+
+def points(seed, edges=(), n=300):
+    """(t, x): n random points of [0, 1] x [-2.5, 2.5] x [0, 2.5], then
+    for each (axis, center, radius) of edges 4 x 10 points whose
+    coordinate on axis lies within 1e-6 of center +- radius."""
+    rng = np.random.default_rng(seed)
+
+    def box(m):
+        x = rng.uniform(-2.5, 2.5, (m, 2))
+        x[:, 1] = rng.uniform(0.0, 2.5, m)
+        return rng.uniform(0.0, 1.0, m), x
+
+    t, x = box(n)
+    for axis, c, r in edges:
+        for sign in (-1.0, 1.0):
+            for side in (-1.0, 1.0):
+                te, xe = box(10)
+                xe[:, axis] = c + sign * r * (
+                    1.0 + side * rng.uniform(0.0, 1e-6, 10))
+                t, x = np.concatenate([t, te]), np.concatenate([x, xe])
+    return t, x
+
+
+def oracle(expr, t, x, orders=ORDERS):
+    syms = (T,) + X
+    exprs = [sp.diff(expr, *(syms[k] for k in o)) if o else expr
+             for o in orders]
+    fn = sp.lambdify(syms, exprs, modules="numpy")
+    return [np.broadcast_to(np.asarray(v, dtype=float), t.shape)
+            for v in fn(t, x[:, 0], x[:, 1])]
+
+
+def derivatives(u, t, x):
+    return [u.value(t, x), u.dt(t, x), u.dx(0, t, x), u.dx(1, t, x),
+            u.dxx(0, 0, t, x), u.dxx(0, 1, t, x), u.dxx(1, 1, t, x)]
+
+
+def assert_agree(got, want):
+    for k, (g, w) in enumerate(zip(got, want)):
+        scale = float(np.max(np.abs(w)))
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale, (ORDERS[k], scale)
+
+
+@pytest.mark.parametrize("center,radius,powers", [
+    ((0.2, 0.5), (1.1, 0.7), 4), ((-0.3, 0.0), (0.9, 1.3), 5)],
+    ids=["powers-4", "powers-5"])
+def test_bump(center, radius, powers):
+    t, x = points(1, [(i, center[i], radius[i]) for i in range(2)])
+    assert_agree(derivatives(bump(2, center, radius, powers), t, x),
+                 oracle(written_bump(center, radius, powers), t, x))
+
+
+@pytest.mark.parametrize("kind", ["constant", "affine_height",
+                                  "inner_bump"])
+def test_manufactured(kind, manufactured_exprs):
+    t, x = points(2, INNER)
+    u = manufactured_solution(heston(2.0, 0.25, 1.0, 0.0), kind)
+    assert_agree(derivatives(u, t, x),
+                 oracle(manufactured_exprs[kind], t, x))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_interpolation_functions(k, interpolation_exprs):
+    t, x = points(3 + k, INTERP_EDGES[k])
+    assert_agree(derivatives(default_interpolation_functions()[k], t, x),
+                 oracle(interpolation_exprs[k], t, x))
+
+
+@pytest.mark.parametrize("drift", [-2.0, 0.0, 2.0])
+def test_barrier(drift):
+    # points of the window, where both bases stay >= gamma
+    bar, rng = Barrier(drift), np.random.default_rng(8)
+    t = rng.uniform(0.0, bar.window, 1000)
+    x = np.stack([rng.uniform(-1.0, 1.0, 1000),
+                  rng.uniform(0.0, 3.0, 1000)], axis=-1)
+    keep = bar.in_window(t, x)
+    t, x = t[keep], x[keep]
+    assert len(t) > 200
+    s = abs(drift) + 1.0
+    phi = (1 + X[0] - s * T) ** -2 + (1 - X[0] - s * T) ** -2
+    assert_agree(derivatives(bar.phi, t, x), oracle(phi, t, x))
+
+
+def test_transformed_exact_solution(manufactured_exprs):
+    # e^{-ct} u(t, B z) for the correlated field, at z = F x for the
+    # points x, so that the bump's edges are met
+    field = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5)
+    plan = build_reduction_plan(field)
+    w = plan.transform_analytic(manufactured_solution(field, "inner_bump"))
+    B = plan.backward
+    expr = sp.exp(0.5 * T) * manufactured_exprs["inner_bump"].subs(
+        {X[i]: sum(float(B[i, k]) * X[k] for k in range(2))
+         for i in range(2)}, simultaneous=True)
+    t, x = points(9, INNER)
+    z = plan.forward_points(x)
+    assert_agree(derivatives(w, t, z), oracle(expr, t, z))
+
+
+# The fields' coefficients (a, b, c) as text, written out from heston(2,
+# 0.25, 1, -0.5, r=0.05) and constant_field; the expressions field has
+# them as its own text.
+EXPRESSIONS = ([["1 + 0.5*sin(x1)", "0.3*cos(x1)*(1 + x2)"],
+                ["0.3*cos(x1)*(1 + x2)", "1 + x2/4"]],
+               ["x2 - 1 - x1/2", "x1 - x2/2 + 0.25 + t"], "-0.1 - x1**2/10")
+FIELDS = {
+    "heston": (lambda: heston(2.0, 0.25, 1.0, -0.5, r=0.05),
+               ([["0.5", "-0.25"], ["-0.25", "0.5"]],
+                ["0.05 - x2/2", "2*(0.25 - x2)"], "-0.05")),
+    "constant": (lambda: constant_field([[2.0, 1.0], [1.0, 1.0]],
+                                        [1.0, 2.0], -0.5),
+                 ([["2", "1"], ["1", "1"]], ["1", "2"], "-0.5")),
+    "expressions": (lambda: from_expressions(2, *EXPRESSIONS, 0.2, 10.0,
+                                             0.1), EXPRESSIONS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("kind", ["affine_height", "inner_bump"])
+def test_operator_apply(name, kind, manufactured_exprs):
+    make, (a, b, c) = FIELDS[name]
+    field = make()
+    u = manufactured_exprs[kind]
+    names = {"t": T, "x1": X[0], "x2": X[1]}
+    a, b, c = ([[sp.sympify(e, locals=names) for e in row] for row in a],
+               [sp.sympify(e, locals=names) for e in b],
+               sp.sympify(c, locals=names))
+    lu = (sp.diff(u, T)
+          - X[1] * sum(a[i][j] * sp.diff(u, X[i], X[j])
+                       for i in range(2) for j in range(2))
+          - sum(b[i] * sp.diff(u, X[i]) for i in range(2)) - c * u)
+    t, x = points(10, INNER)
+    f = operator_apply(field, manufactured_solution(field, kind))
+    assert_agree([f.value(t, x)], oracle(lu, t, x, [()]))

@@ -538,6 +538,28 @@ class TestMainExitCodes:
         assert "solve.theta must be a number" in capsys.readouterr().err
         assert not (out / "verify-barriers").exists()
 
+    @pytest.mark.parametrize("change,message", [
+        ({"data": {"g": "exp(-x1"}}, "data: cannot parse expression "
+         "'exp(-x1'"),
+        ({"field": dict(EXPRESSIONS_FIELD, a=[["foo(x1)", "0"], ["0", "1"]]),
+          "data": {"g": "x1"}},
+         "field preset 'expressions': expression 'foo(x1)' uses unknown "
+         "functions ['foo']"),
+    ], ids=["unclosed-g", "unknown-function-in-a"])
+    def test_bad_expression_stops_run_before_any_experiment(
+            self, tmp_path, capsys, change, message):
+        # every expression is parsed at load, once, so a bad one ends the
+        # run before an experiment writes anything
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, experiments=["solve", "validate-coeffs"], **change))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert message in err[0]
+        assert not out.exists()
+
     def test_partial_grid_section_solves(self, tmp_path, capsys):
         grid = {k: v for k, v in BASE_CFG["grid"].items() if k != "height"}
         cfg = write_cfg(tmp_path, dict(BASE_CFG, grid=grid))
@@ -1071,6 +1093,69 @@ def test_every_run_csv_parses_to_its_header_width(tmp_path):
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
         assert {len(r) for r in rows} == {len(rows[0])}, path
+
+
+def _fresh_interpreter(code, tmp_path):
+    """Run code in a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(degenpde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=str(tmp_path), capture_output=True, text=True)
+
+
+# Loads the README config, then reports whether sympy is loaded after
+# each step; a step's exit code is printed with it.
+_SYMPY_STEPS = """
+import json, sys
+import degenpde.cli as cli
+def step(name, code=None):
+    print(name, code, "sympy" in sys.modules)
+step("import")
+step("load", cli.load_config({readme!r}) and None)
+for kind, cfg in {steps!r}:
+    step(kind, cli.main([kind, "--config", cfg, "--out", kind]))
+"""
+
+
+def test_builtin_runs_leave_sympy_unloaded(tmp_path):
+    # the README batch and a round trip on the correlated constant field
+    # build every function and field in numpy: sympy is not imported
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    readme = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # the README field and data on the benchmark's small grid and suites
+    configs = workloads.build("readme-run", "tiny")[0]
+    small = dict(configs["readme.json"], field=readme["field"],
+                 data=readme["data"])
+    corr = configs["correlated.json"]
+    assert corr["reduce"]["round_trip"] is True
+    steps = [(kind, write_cfg(tmp_path, small, "small.json"))
+             for kind in workloads.README_EXPERIMENTS]
+    steps.append(("reduce", write_cfg(tmp_path, corr, "corr.json")))
+    proc = _fresh_interpreter(_SYMPY_STEPS.format(
+        readme=write_cfg(tmp_path, readme, "readme.json"), steps=steps),
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()
+             if line.split()[-1] in ("True", "False")]
+    assert [line[0] for line in lines] == [
+        "import", "load"] + workloads.README_EXPERIMENTS + ["reduce"]
+    assert all(line[1] in ("None", "0") for line in lines), lines
+    assert all(line[2] == "False" for line in lines), lines
+
+
+def test_expressions_config_loads_sympy_at_load(tmp_path):
+    cfg = write_cfg(tmp_path, dict(BASE_CFG, field=EXPRESSIONS_FIELD))
+    proc = _fresh_interpreter(_SYMPY_STEPS.format(readme=cfg, steps=[]),
+                              tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["import", "None", "False",
+                                   "load", "None", "True"]
 
 
 def test_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -8,7 +8,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpde.analytic import AnalyticFunction, derivative, space_symbols
+from degenpde.analytic import (AnalyticFunction, affine, constant,
+                               expression, profile, space_symbols)
 from degenpde.fields import (
     CoefficientField,
     constant_field,
@@ -238,11 +239,14 @@ class TestCompiledEntries:
         (lambda: homogeneous_drift(0.7, 3), 3, 0),
         (lambda: constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5),
          2, 0),
-        (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 2),
-    ], ids=["homogeneous-drift", "constant", "heston"])
+        (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 0),
+        (lambda: from_expressions(2, [["1", "0"], ["0", "1 + x1**2"]],
+                                  ["0", "1"], "0", 1.0, 10.0, 1.0), 2, 1),
+    ], ids=["homogeneous-drift", "constant", "heston", "expressions"])
     def test_only_varying_entries_compile(self, lambdified, make, d,
                                           compiled):
-        # Heston's drift is the only entry that depends on x
+        # the presets carry numbers, Heston's affine drift included; of
+        # text, only an entry that depends on t or x compiles
         field = make()
         grid = Grid.build(d, 1.0, 1.0, 5, 5, 0.5, 3)
         discretize_operator(field, grid, 0.0)
@@ -273,18 +277,18 @@ class TestCompiledEntries:
         assert np.array_equal(u.value(0.5, x), v.value(0.5, x))
         assert np.array_equal(u.dx(0, 0.5, x), v.dx(0, 0.5, x))
         assert len(lambdified) == 2
-        # fields rebuilt from the same numbers share their code too
+        # fields built from numbers compile nothing
         for _ in range(2):
             heston(2.0, 0.25, 1.0, 0.3, r=0.05).b(0.0, x)
-        assert len(lambdified) == 4
+        assert len(lambdified) == 2
         # the same expression in d = 3 has other arguments: new code
         w = AnalyticFunction.from_text(text, 3)
         assert np.array_equal(
             w.value(0.5, np.array([[0.5, 0.25, 7.0], [1.0, 2.0, 7.0]])),
             u.value(0.5, x))
-        assert len(lambdified) == 5
-        assert np.all(AnalyticFunction(2, 2.5).value(0.5, x) == 2.5)
-        assert len(lambdified) == 5
+        assert len(lambdified) == 3
+        assert np.all(constant(2, 2.5).value(0.5, x) == 2.5)
+        assert len(lambdified) == 3
 
     @pytest.mark.parametrize("text,rule", [
         ("Piecewise((1, (x1 < 0.2) & (x2 < 1)), (0, True))",
@@ -312,7 +316,7 @@ class TestCompiledEntries:
         assert np.all(f.c(0.0, x) == -r)
         assert np.all(f.b(0.0, x)[:, 0] == r)  # r - q - x2 / 2 at x2 = 0
         x1, x2 = space_symbols(2)
-        u = AnalyticFunction(2, sp.Float(v) * x1 + x2)
+        u = expression(2, sp.Float(v) * x1 + x2)
         assert np.all(u.value(0.0, np.array([[1.0, 0.0]])) == v)
         w = AnalyticFunction.from_text("%r * x1 + x2" % v, 2)
         assert np.all(w.value(0.0, np.array([[1.0, 0.0]])) == v)
@@ -340,45 +344,82 @@ def lattice_values(exprs):
             for v in fn(*_LATTICE)]
 
 
-# One-coordinate factors in t, x1 and x2, Piecewise bumps included, and
-# one factor that holds two variables.
-FACTORS = [make(v) for v in (T_SYM, X1, X2) for make in (
-    lambda v: v,
-    lambda v: (1 + v) ** 3,
-    lambda v: sp.sin(2 * v),
-    lambda v: sp.exp(-v / 2),
-    lambda v: sp.Piecewise(((1 - v ** 2) ** 4, sp.Abs(v) < 1), (0, True)),
-)] + [sp.Float(2.5), (1 + X1 * X2) ** 2]
-ORDERS = [(T_SYM,), (X1,), (X2,), (X1, X1), (X1, X2), (X2, X1), (X2, X2),
-          (T_SYM, X2)]
+# Factors in t, x1 and x2, each with its sympy form: affine and other
+# powers, cos, exp, bumps, a Gaussian and a factor that holds two
+# variables; and a constant.
+def _factors():
+    out = []
+    for k, v in enumerate((T_SYM, X1, X2)):
+        def w(c, k=k):
+            return [c if j == k else 0.0 for j in range(3)]
+        out += [
+            (affine(w(1.0)), v),
+            (profile("power", w(0.5), 1.0, 3), (1 + v / 2) ** 3),
+            (profile("cos", w(2.0), -0.3), sp.cos(2 * v - sp.Float(0.3))),
+            (profile("exp", w(-0.5)), sp.exp(-v / 2)),
+            (profile("bump", w(1.25), -0.25, 4), sp.Piecewise(
+                ((1 - (1.25 * v - 0.25) ** 2) ** 4,
+                 sp.Abs(1.25 * v - 0.25) < 1), (0, True))),
+            (profile("gauss", w(0.8), 0.1), sp.exp(-(0.8 * v + 0.1) ** 2))]
+    return out + [(constant(2, 2.5), sp.Float(2.5)),
+                  (profile("power", [0.0, 0.5, -0.25], 1.0, -2),
+                   (1 + X1 / 2 - X2 / 4) ** -2)]
+
+
+FACTORS = _factors()
+ORDERS = [(), (0,), (1,), (2,), (1, 1), (1, 2), (2, 2)]
+
+
+def diffs(expr):
+    """expr and its derivatives along ORDERS, by sp.diff."""
+    syms = (T_SYM, X1, X2)
+    return [sp.diff(expr, *(syms[i] for i in order)) if order else expr
+            for order in ORDERS]
+
+
+def derivatives(u, t, x):
+    """value, dt, dx and dxx of u in the order of ORDERS."""
+    return [u.value(t, x), u.dt(t, x), u.dx(0, t, x), u.dx(1, t, x),
+            u.dxx(0, 0, t, x), u.dxx(0, 1, t, x), u.dxx(1, 1, t, x)]
 
 
 class TestDerivative:
     @pytest.mark.parametrize("k", range(5))
-    def test_interpolation_functions_match_diff(self, k):
-        # every derivative analytic_constituents takes, through the
-        # closures of the function itself
+    def test_interpolation_functions_match_diff(self, k,
+                                                interpolation_exprs):
+        # every derivative analytic_constituents takes, by the product
+        # and chain rules, against sp.diff of the written-out function
         u = default_interpolation_functions()[k]
         t, x = _LATTICE[0], np.stack(_LATTICE[1:], axis=-1)
-        want = lattice_values(sp.diff(u.expr, *syms) for syms in
-                              [(T_SYM,), (X1,), (X2,), (X1, X1), (X1, X2),
-                               (X2, X2)])
-        got = [u.dt(t, x), u.dx(0, t, x), u.dx(1, t, x), u.dxx(0, 0, t, x),
-               u.dxx(0, 1, t, x), u.dxx(1, 1, t, x)]
-        for g, w in zip(got, want):
+        want = lattice_values(diffs(interpolation_exprs[k]))
+        for g, w in zip(derivatives(u, t, x), want):
             assert_values_agree(g, w)
 
     def test_free_term_gives_zero(self):
-        assert derivative(sp.sin(X1) * sp.exp(-T_SYM), X2) == 0
-        assert derivative(X1 ** 2, X1, X1, X2) == 0
-        assert derivative(X1 + 1) == X1 + 1
+        # a variable that no factor holds is never differentiated along:
+        # the derivative is the number 0, and exactly 0 on the points
+        u = profile("cos", [0.0, 2.0, 0.0]) * profile("exp", [-1.0, 0, 0])
+        t, x = _LATTICE[0], np.stack(_LATTICE[1:], axis=-1)
+        coords = _LATTICE[1:]
+        assert u.raw(t, coords, (2,)) == 0.0
+        assert u.raw(t, coords, (0, 2)) == 0.0
+        assert constant(2, 3.0).raw(t, coords, (1,)) == 0.0
+        assert np.all(u.dx(1, t, x) == 0.0)
+        assert np.all(u.dxx(0, 1, t, x) == 0.0)
+        assert np.any(u.dxx(0, 0, t, x) != 0.0)
 
     @settings(deadline=None, max_examples=30)
-    @given(st.lists(st.lists(st.sampled_from(FACTORS), min_size=1,
-                             max_size=4), min_size=1, max_size=3))
+    @given(st.lists(st.lists(st.sampled_from(range(len(FACTORS))),
+                             min_size=1, max_size=4), min_size=1,
+                    max_size=3))
     def test_sums_of_products_match_diff(self, terms):
-        expr = sp.Add(*[sp.Mul(*factors) for factors in terms])
-        got = lattice_values(derivative(expr, *syms) for syms in ORDERS)
-        want = lattice_values(sp.diff(expr, *syms) for syms in ORDERS)
-        for g, w in zip(got, want):
+        u, expr = constant(2, 0.0), sp.Integer(0)
+        for picks in terms:
+            fn, ex = constant(2, 1.0), sp.Integer(1)
+            for k in picks:
+                fn, ex = fn * FACTORS[k][0], ex * FACTORS[k][1]
+            u, expr = u + fn, expr + ex
+        t, x = _LATTICE[0], np.stack(_LATTICE[1:], axis=-1)
+        want = lattice_values(diffs(expr))
+        for g, w in zip(derivatives(u, t, x), want):
             assert_values_agree(g, w)

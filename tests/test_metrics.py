@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sympy as sp
 
-from degenpde.analytic import AnalyticFunction, space_symbols
+from degenpde.analytic import expression, space_symbols
 from degenpde import metrics
 from degenpde.grid import Grid, SpaceTimePoint
 from degenpde.metrics import (
@@ -279,7 +279,7 @@ class TestNorms:
     def test_analytic_constituents_closed_form(self):
         syms = space_symbols(2)
         t_sym = sp.Symbol("t", real=True)
-        u = AnalyticFunction(2, t_sym + syms[0] ** 2 + syms[1] ** 3)
+        u = expression(2, t_sym + syms[0] ** 2 + syms[1] ** 3)
         rng = np.random.default_rng(13)
         pts = random_points(rng, 30)
         vals, dt, du, wdd = analytic_constituents(u, pts)
@@ -296,7 +296,7 @@ class TestNorms:
 
     def test_cached_derivatives_skip_symbolic_diff(self, monkeypatch):
         syms = space_symbols(2)
-        u = AnalyticFunction(2, syms[0] ** 2 * syms[1] ** 3)
+        u = expression(2, syms[0] ** 2 * syms[1] ** 3)
         x = np.array([[0.5, 1.5], [1.0, 2.0]])
         calls = []
         diff = sp.diff
@@ -306,10 +306,11 @@ class TestNorms:
             return diff(*args, **kw)
 
         monkeypatch.setattr(sp, "diff", counting_diff)
+        # u does not hold t, so u_t is 0 without differentiating
         first = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(1, 0, 0.0, x))
-        assert len(calls) == 3
+        assert len(calls) == 2 and np.all(first[0] == 0.0)
         again = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(0, 1, 0.0, x))
-        assert len(calls) == 3
+        assert len(calls) == 2
         for a, b in zip(first, again):
             assert np.array_equal(a, b)
         assert np.allclose(first[2], 6 * x[:, 0] * x[:, 1] ** 2,
@@ -319,7 +320,7 @@ class TestNorms:
         # space-quadratic, time-quadratic: every stencil is exact
         syms = space_symbols(2)
         t_sym = sp.Symbol("t", real=True)
-        u = AnalyticFunction(
+        u = expression(
             2, (1 + t_sym ** 2) * (1 + syms[0] ** 2 + 0.5 * syms[1] ** 2))
         grid = Grid.build(2, x_extent=2.0, height=2.0, n_lateral=9,
                           n_height=9, t_final=1.0, n_slices=6)
@@ -338,7 +339,7 @@ class TestNorms:
         rng = np.random.default_rng(14)
         pts = random_points(rng, 25)
         syms = space_symbols(2)
-        u = AnalyticFunction(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
+        u = expression(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
         cons = analytic_constituents(u, pts)
         total, reports = order2_norm(cons, pts, 0.5, q=1.0)
         assert len(reports) == 4
@@ -455,7 +456,7 @@ class TestPairTables:
         rng = np.random.default_rng(23)
         pts = random_points(rng, 80, height_hi=2.0)
         syms = space_symbols(2)
-        u = AnalyticFunction(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
+        u = expression(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
         cons = analytic_constituents(u, pts)
         for q in (0.0, 1.0):
             order2_norm(cons, pts, 0.5, q=q, seed=5)
@@ -468,7 +469,7 @@ class TestPairTables:
         rng = np.random.default_rng(24)
         pts = random_points(rng, 60, height_hi=1.3)
         syms = space_symbols(2)
-        u = AnalyticFunction(2, sp.cos(syms[0]) * syms[1] ** 2)
+        u = expression(2, sp.cos(syms[0]) * syms[1] ** 2)
         interpolation_cases(u, pts, 0.5, seed=6)
         assert distance_calls == ["s"]
         # a second point set pays for its own table

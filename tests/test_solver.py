@@ -9,7 +9,8 @@ import sympy as sp
 from scipy.sparse.linalg import spsolve
 
 from degenpde import solver
-from degenpde.analytic import AnalyticFunction, space_symbols
+from degenpde.analytic import (constant, expression, parse_expression,
+                               space_symbols)
 from degenpde.fields import (
     constant_field,
     from_expressions,
@@ -99,8 +100,8 @@ class TestAssembly:
         field = constant_field([[1.0, 0.0], [0.0, 0.5]], [0.0, 0.0], -0.25)
         grid = small_grid()
         syms = space_symbols(2)
-        u = AnalyticFunction(2, 1 + syms[0] ** 2 + 0.5 * syms[1] ** 2
-                             + syms[0] * 0.3)
+        u = expression(2, 1 + syms[0] ** 2 + 0.5 * syms[1] ** 2
+                       + syms[0] * 0.3)
         f = operator_apply(field, u)
         A, dir_flat = discretize_operator(field, grid, 0.0)
         nodes = grid.nodes()
@@ -115,7 +116,7 @@ class TestAssembly:
         field = constant_field(np.eye(2), [1.5, 2.0], 0.0)
         grid = small_grid()
         syms = space_symbols(2)
-        u = AnalyticFunction(2, 2 + 3 * syms[0] - syms[1])
+        u = expression(2, 2 + 3 * syms[0] - syms[1])
         f = operator_apply(field, u)
         A, dir_flat = discretize_operator(field, grid, 0.0)
         nodes = grid.nodes()
@@ -450,7 +451,7 @@ class TestSolve:
 
     def test_zero_data_zero_solution(self):
         field = homogeneous_drift(1.0)
-        zero = AnalyticFunction(2, 0)
+        zero = constant(2, 0.0)
         problem = CauchyProblem(field, None, zero)
         u, _ = solve_cauchy(problem, small_grid())
         assert np.array_equal(u.values, np.zeros_like(u.values))
@@ -499,11 +500,11 @@ class TestSolve:
         problem = manufactured_problem(field, "constant")
         with pytest.raises(ValueError):
             solve_cauchy(problem, small_grid(), boundary="weird")
-        bare = CauchyProblem(field, None, AnalyticFunction(2, 1))
+        bare = CauchyProblem(field, None, constant(2, 1.0))
         with pytest.raises(ValueError):
             solve_cauchy(bare, small_grid(), boundary="exact")
         with pytest.raises(ValueError):
-            CauchyProblem(field, None, AnalyticFunction(3, 1))
+            CauchyProblem(field, None, constant(3, 1.0))
         irregular = Grid((np.linspace(-1, 1, 5), np.linspace(0, 1, 5) ** 2),
                          [0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
@@ -850,28 +851,44 @@ class TestLookAhead:
         assert threading.active_count() == before
 
 
-def operator_apply_reference(field, u):
+# The coefficients (a, b, c) of the fields of test_operator_apply_matches_diff
+# as text, written out from their presets.
+REFERENCE_COEFFICIENTS = {
+    "heston-rho0": ([["0.5", "0"], ["0", "0.5"]],
+                    ["0.05 - x2/2", "2*(0.25 - x2)"], "-0.05"),
+    "heston-timedep": ([["0.5", "0"], ["0", "0.5"]],
+                       ["0.05 - x2/2", "2*(0.25*(1 + t) - x2)"], "-0.05"),
+    "correlated-constant": ([["2", "1"], ["1", "1"]], ["1", "2"], "-0.5"),
+}
+
+
+def operator_apply_reference(case, u):
     """L u with sp.diff over every ordered pair (i, j)."""
-    d = field.d
-    syms = space_symbols(d)
-    lap = sum(field.a_sym[i, j] * sp.diff(u.expr, syms[i], syms[j])
-              for i in range(d) for j in range(d))
-    drift = sum(field.b_sym[i] * sp.diff(u.expr, syms[i]) for i in range(d))
-    return (sp.diff(u.expr, sp.Symbol("t", real=True)) - syms[-1] * lap
-            - drift - field.c_sym * u.expr)
+    a, b, c = REFERENCE_COEFFICIENTS[case]
+    a, b = [[parse_expression(e, 2) for e in row] for row in a], \
+        [parse_expression(e, 2) for e in b]
+    syms = space_symbols(2)
+    lap = sum(a[i][j] * sp.diff(u, syms[i], syms[j])
+              for i in range(2) for j in range(2))
+    drift = sum(b[i] * sp.diff(u, syms[i]) for i in range(2))
+    return (sp.diff(u, sp.Symbol("t", real=True)) - syms[-1] * lap
+            - drift - parse_expression(c, 2) * u)
 
 
 class TestManufactured:
     @pytest.mark.parametrize("kind", ["affine_height", "inner_bump"])
     @pytest.mark.parametrize("case", ["heston-rho0", "heston-timedep",
                                       "correlated-constant"])
-    def test_operator_apply_matches_diff(self, case, kind):
-        # rule-based derivatives with each mixed pair taken once, against
-        # sp.diff over both orders, on a lattice of the box
+    def test_operator_apply_matches_diff(self, case, kind,
+                                         manufactured_exprs):
+        # f from the field's values and u's exact derivatives, each mixed
+        # pair taken once, against sp.diff over both orders of the
+        # written-out u, on a lattice of the box
         field = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5) \
             if case == "correlated-constant" else ASSEMBLY_CASES[case][0]()
         u = manufactured_solution(field, kind)
-        ref = AnalyticFunction(2, operator_apply_reference(field, u))
+        ref = expression(2, operator_apply_reference(
+            case, manufactured_exprs[kind]))
         t, x1, x2 = (a.ravel() for a in np.meshgrid(
             np.linspace(0.0, 0.5, 5), np.linspace(-2.0, 2.0, 17),
             np.linspace(0.0, 2.0, 13), indexing="ij"))
@@ -925,7 +942,7 @@ class TestManufactured:
                     [0.0, 0.2, 0.5])
         nodes = grid.nodes()
         for fn in (problem.f, problem.g, problem.exact,
-                   AnalyticFunction(d, 2.5)):
+                   constant(d, 2.5)):
             want = np.stack([fn.value(t, nodes) for t in grid.times])
             got = np.stack([fn.on_grid(t, grid) for t in grid.times])
             assert np.array_equal(got, want)

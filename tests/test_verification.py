@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degenpde.analytic import AnalyticFunction, bump, space_symbols
+from degenpde.analytic import expression, space_symbols
 from degenpde.fields import (constant_field, from_expressions, heston,
                              homogeneous_drift)
 from degenpde.grid import Grid, GridFunction
@@ -45,12 +45,11 @@ def solve_pair(seed=0):
     grid = Grid.build(2, 3.0, 3.0, 11, 11, 0.5, 8)
     syms = space_symbols(2)
     prof = sp.exp(-(syms[0] ** 2) - (syms[1] - sp.Rational(1, 2)) ** 2)
-    g1 = AnalyticFunction(2, -1 - prof)
     t_sym = sp.Symbol("t", real=True)
-    f1 = AnalyticFunction(2, -sp.exp(-t_sym) * prof - sp.Float(0.2))
-    p1 = CauchyProblem(field, f1, g1)
-    g2 = AnalyticFunction(2, g1.expr + prof / 2 + sp.Rational(1, 10))
-    f2 = AnalyticFunction(2, f1.expr + sp.Rational(1, 10))
+    g1, f1 = -1 - prof, -sp.exp(-t_sym) * prof - sp.Float(0.2)
+    p1 = CauchyProblem(field, expression(2, f1), expression(2, g1))
+    g2 = expression(2, g1 + prof / 2 + sp.Rational(1, 10))
+    f2 = expression(2, f1 + sp.Rational(1, 10))
     p2 = CauchyProblem(field, f2, g2)
     u1, _ = solve_cauchy(p1, grid)
     u2, _ = solve_cauchy(p2, grid)
@@ -85,8 +84,8 @@ class TestSupersolutions:
         x1, x2 = space_symbols(2)
         t_sym = sp.Symbol("t", real=True)
         # v2 = e^{lambda t} / (1+|x|^2)^{q/2}
-        v2 = AnalyticFunction(2, sp.exp(sp.Float(lam) * t_sym)
-                              / (1 + x1 ** 2 + x2 ** 2) ** (sp.Float(q) / 2))
+        v2 = expression(2, sp.exp(sp.Float(lam) * t_sym)
+                        / (1 + x1 ** 2 + x2 ** 2) ** (sp.Float(q) / 2))
         lv2 = operator_apply(field, v2)
         rng = np.random.default_rng(3)
         t = rng.uniform(0.0, 0.5, 2000)
@@ -212,7 +211,7 @@ class TestComparison:
         res = nonpositivity_check(u1, p1)
         assert res.passed and "not-applicable" not in res.check
         assert float(np.max(u1.values)) <= 1e-8
-        pos = CauchyProblem(field, p1.f, AnalyticFunction(2, -p1.g.expr))
+        pos = CauchyProblem(field, p1.f, -1.0 * p1.g)
         res2 = nonpositivity_check(u1, pos)
         assert res2.passed and "not-applicable" in res2.check
         # nonpositive data with a positive u: the conclusion row fails
@@ -290,22 +289,22 @@ class TestRandomData:
         # the numpy data equal the sympy reference: one profile, a sum
         # and a profile scaled by k e^{-r t}
         import sympy as sp
-        from degenpde.verification import _random_nonneg_profile
+        from degenpde.verification import _decay, _random_nonneg_profile
         t_sym = sp.Symbol("t", real=True)
         draws = [np.random.default_rng(20 + d) for _ in range(2)]
         p, q = (_random_nonneg_profile(draws[0], d) for _ in range(2))
         p_expr, q_expr = (sympy_profile(draws[1], d) for _ in range(2))
         pairs = [(p, p_expr),
-                 (p.scaled(-1.0, 0.7) + q.scaled(-2.0),
+                 (p * _decay(-1.0, 0.7) + -2.0 * q,
                   -sp.exp(-sp.Float(0.7) * t_sym) * p_expr - 2 * q_expr),
-                 (q.scaled(0.5, 1.0), sp.exp(-t_sym) * q_expr / 2)]
+                 (q * _decay(0.5, 1.0), sp.exp(-t_sym) * q_expr / 2)]
         rng = np.random.default_rng(7)
         t = rng.uniform(0.0, 0.5, 300)
         x = rng.uniform(-3.0, 3.0, (300, d))
         x[:, -1] = rng.uniform(0.0, 3.0, 300)
         grid = Grid.build(d, 3.0, 2.5, 6, 9, 0.5, 4, grading="quadratic")
         for fn, expr in pairs:
-            ref = AnalyticFunction(d, expr)
+            ref = expression(d, expr)
             want = ref.value(t, x)
             assert np.allclose(fn.value(t, x), want, rtol=1e-13, atol=0)
             for ts in grid.times:
@@ -367,23 +366,12 @@ class TestRandomData:
         assert np.allclose([r.rhs for r in results], rhs, rtol=1e-9, atol=0)
 
     def test_data_are_not_lambdified(self, monkeypatch, fresh_compiles):
-        # the only lambdify calls left are the fields' coefficient closures
-        import sys
+        # neither the random data nor the preset fields compile anything
         import sympy as sp
-        real = sp.lambdify
-        from_fields = []
-
-        def counting(*args, **kwargs):
-            frame, callers = sys._getframe(1), set()
-            while frame is not None:
-                callers.add(frame.f_globals.get("__name__"))
-                frame = frame.f_back
-            from_fields.append("degenpde.fields" in callers)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sp, "lambdify", counting)
+        calls = []
+        monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(a))
         maximum_principle_suite(n_problems=2)
-        assert from_fields and all(from_fields)
+        assert calls == []
 
 
 class TestBarrier:
@@ -490,7 +478,7 @@ class TestInterpolation:
         from degenpde.verification import default_interpolation_functions
         x1 = space_symbols(2)[0]
         functions = [default_interpolation_functions(2)[0],
-                     AnalyticFunction(2, sp.sqrt(x1 - 5))]
+                     expression(2, sp.sqrt(x1 - 5))]
         with np.errstate(invalid="ignore"):
             fits, _, results = interpolation_check(functions=functions)
         assert not any(fit.feasible() for fit in fits.values())
