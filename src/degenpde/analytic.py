@@ -3,15 +3,18 @@
 Everything that feeds a norm estimate or a residual check (manufactured
 solutions, supersolutions, barriers, test bumps, random data, the
 coefficients of a field) is an AnalyticFunction: a sum of terms, each a
-number times a product of factors.  A factor is a profile g of one
-affine form s = offset + w . (t, x1..xd): the bump (1 - s^2)^p on
-|s| < 1, exp, cos, the Gaussian exp(-s^2) or a power s^n (n = 1 is an
-affine factor).  Its derivatives along t and x_i are w_k g'(s) and
-w_k w_l g''(s), so the product and chain rules give every first and
-second derivative of a term exactly, in numpy; a factor whose weight
-along a variable is 0 is never differentiated along it, and the
-one-coordinate factors of a product stay on their own sparse axes until
-they are multiplied.  A pullback x = A z changes only the weights.
+number times a product of factors.  A factor is a profile g, or one of
+its derivatives, of one affine form s = offset + w . (t, x1..xd): the
+bump (1 - s^2)^p on |s| < 1, exp, cos, the Gaussian exp(-s^2) or a power
+s^n (n = 1 is an affine factor).  Its derivatives along t and x_i are
+w_k g'(s) and w_k w_l g''(s), so by the product and chain rules every
+first and second derivative of a function is a function of the same kind
+(derivative), evaluated exactly in numpy; a factor whose weight along a
+variable is 0 is never differentiated along it.  The one-coordinate
+factors of a product stay on their own sparse axes until they are
+multiplied, and terms with the same factors in t alone are summed before
+those factors spread them over the times.  A pullback x = A z changes
+only the weights.
 
 Text (data strings and the expressions preset) is parsed with sympy into
 a factor of its own, which sympy differentiates and lambdify compiles;
@@ -34,6 +37,7 @@ def space_symbols(d):
     return sp.symbols("x1:%d" % (d + 1), real=True)
 
 
+@functools.cache
 def _symbols(d):
     """The sympy symbols (t, x1, ..., xd) of text in d dimensions."""
     import sympy as sp
@@ -152,8 +156,10 @@ def _bump(s, p, order):
         v = q ** p
     elif order == 1:
         v = -2 * p * s * q ** (p - 1)
-    else:
+    elif order == 2:
         v = -2 * p * q ** (p - 1) + 4 * p * (p - 1) * s * s * q ** (p - 2)
+    else:
+        raise ValueError("the bump has built-in derivatives up to order 2")
     return np.where(inside, v, 0.0)
 
 
@@ -163,6 +169,9 @@ def _power(s, n, order):
 
 
 def _gauss(s, _, order):
+    if order > 2:
+        raise ValueError("the Gaussian has built-in derivatives up to "
+                         "order 2")
     e = np.exp(-(s * s))
     return e if order == 0 else (-2 * s if order == 1 else 4 * s * s - 2) * e
 
@@ -175,30 +184,32 @@ _PROFILES = {
     "gauss": _gauss,
     "exp": lambda s, _, order: np.exp(s),
     "cos": lambda s, _, order: (np.cos, lambda v: -np.sin(v),
-                                lambda v: -np.cos(v))[order](s),
+                                lambda v: -np.cos(v), np.sin)[order % 4](s),
 }
 
 
 def _text_factor(d, expr):
     """The factor of a sympy expression: ("text", expr, dependence mask,
-    0); the mask marks (t, x1..xd) that expr holds."""
+    0, 0); the mask marks (t, x1..xd) that expr holds."""
     free = expr.free_symbols
-    return ("text", expr, tuple(float(s in free) for s in _symbols(d)), 0.0)
+    return ("text", expr, tuple(float(s in free) for s in _symbols(d)),
+            0.0, 0)
 
 
 class AnalyticFunction:
     """Scalar function of (t, x1..xd) with exact derivatives.
 
     terms is a sequence of (coefficient, factors); a factor is a tuple
-    (profile, parameter, weights, offset), the profile applied to
-    offset + weights . (t, x1..xd), or a text factor (_text_factor).  No
-    terms is the zero function.
+    (profile, parameter, weights, offset, order), the order-th
+    derivative of the profile at offset + weights . (t, x1..xd), or a
+    text factor (_text_factor).  No terms is the zero function.
     """
 
     def __init__(self, d, terms=()):
         self.d = d
         self.terms = tuple((float(c), tuple(fs)) for c, fs in terms)
-        self._closures = {}  # (text expr, axes) -> compiled derivative
+        self._derivatives = {}  # sorted axes -> derivative
+        self._groups = None  # see _by_clock
 
     @classmethod
     def from_text(cls, text, d):
@@ -208,50 +219,90 @@ class AnalyticFunction:
         """Whether some factor varies along variable k (0 = t, i = x_i)."""
         return any(f[2][k] for _, fs in self.terms for f in fs)
 
-    def _factor(self, f, args, axes, memo):
-        """The derivative of factor f along the variables axes."""
-        kind, param, w, offset = f
-        if kind == "text":
-            key = (param, tuple(sorted(axes)))
-            fn = self._closures.get(key)
-            if fn is None:
-                import sympy as sp
-                syms = _symbols(self.d)
-                fn = self._closures[key] = cached_lambdify(syms, sp.diff(
-                    param, *(syms[k] for k in key[1])) if axes else param)
-            return fn(*args)
-        s = memo.get(f)
-        if s is None:
-            s = memo[f] = offset + sum(wk * a for wk, a in zip(w, args) if wk)
-        return math.prod(w[k] for k in axes) * _PROFILES[kind](
-            s, param, len(axes))
+    def _differentiate(self, f, axes):
+        """(number, factor): the derivative of factor f along the
+        variables axes is the number times the factor; a text factor
+        whose derivative is a number gives (that number, None)."""
+        kind, param, w, offset, order = f
+        if kind != "text":
+            return (math.prod(w[k] for k in axes),
+                    (kind, param, w, offset, order + len(axes)))
+        import sympy as sp
+        syms = _symbols(self.d)
+        expr = sp.diff(param, *(syms[k] for k in axes))
+        if expr.is_number:
+            return float(expr), None
+        return 1.0, _text_factor(self.d, expr)
 
-    def raw(self, t, coords, axes=(), memo=None):
+    def derivative(self, axes):
+        """The derivative along axes (variable numbers, 0 = t) as a
+        function, built once: by the product rule each variable of axes
+        differentiates one factor of a term, skipping factors constant
+        along it, and by the chain rule a built-in factor's weights
+        multiply the coefficient."""
+        axes = tuple(sorted(axes))
+        out = self._derivatives.get(axes)
+        if out is None:
+            terms = []
+            for coef, factors in self.terms:
+                for owner in itertools.product(range(len(factors)),
+                                               repeat=len(axes)):
+                    parts = [tuple(k for k, o in zip(axes, owner) if o == j)
+                             for j in range(len(factors))]
+                    if any(not f[2][k] for f, p in zip(factors, parts)
+                           for k in p):
+                        continue
+                    c, fs = coef, []
+                    for f, p in zip(factors, parts):
+                        scale, g = self._differentiate(f, p) if p else (1, f)
+                        c = c * scale
+                        fs += [g] if g is not None else []
+                    if c:
+                        terms.append((c, fs))
+            out = self._derivatives[axes] = AnalyticFunction(self.d, terms)
+        return out
+
+    def raw(self, t, coords, axes=()):
         """The derivative along axes (variable numbers, 0 = t) at
         arguments that broadcast together, itself not broadcast: a
         factor holding only x_i keeps x_i's shape, a constant is a
-        number.  memo shares the factors' forms between calls at the
-        same arguments."""
-        args = (t,) + tuple(coords)
-        memo = {} if memo is None else memo
-        total = None
-        for coef, factors in self.terms:
-            # each variable of axes differentiates one factor: the
-            # product rule, skipping factors constant along it
-            for owner in itertools.product(range(len(factors)),
-                                           repeat=len(axes)):
-                parts = [tuple(k for k, o in zip(axes, owner) if o == j)
-                         for j in range(len(factors))]
-                if any(not f[2][k] for f, p in zip(factors, parts)
-                       for k in p):
-                    continue
-                value = coef
-                for f, p in zip(factors, parts):
-                    if (f, p) not in memo:
-                        memo[f, p] = self._factor(f, args, p, memo)
-                    value = value * memo[f, p]
-                total = value if total is None else total + value
-        return 0.0 if total is None else total
+        number.  Each factor and affine form is evaluated once."""
+        args, memo = (t,) + tuple(coords), {}
+
+        def product(coef, factors):
+            for f in factors:
+                if f not in memo:
+                    memo[f] = self._value(f, args, memo)
+                coef = coef * memo[f]
+            return coef
+
+        fn = self.derivative(axes) if axes else self
+        return sum((product(sum(product(c, fs) for c, fs in rests), clock)
+                    for clock, rests in fn._by_clock()), 0.0)
+
+    def _by_clock(self):
+        """The terms grouped by their factors in t alone, the clock:
+        [(clock, [(coefficient, other factors)])].  Each group is summed
+        before its clock spreads it over the times."""
+        if self._groups is None:
+            groups = {}
+            for coef, factors in self.terms:
+                clock = tuple(f for f in factors if not any(f[2][1:]))
+                groups.setdefault(clock, []).append(
+                    (coef, [f for f in factors if f not in clock]))
+            self._groups = list(groups.items())
+        return self._groups
+
+    def _value(self, f, args, memo):
+        """Factor f at args; memo keeps each affine form's values."""
+        kind, param, w, offset, order = f
+        if kind == "text":
+            return cached_lambdify(_symbols(self.d), param)(*args)
+        s = memo.get((w, offset))
+        if s is None:
+            s = memo[w, offset] = offset + sum(wk * a for wk, a in zip(w, args)
+                                               if wk)
+        return _PROFILES[kind](s, param, order)
 
     def _evaluate(self, t, x, axes):
         t, coords, shape = _arguments(t, x)
@@ -315,13 +366,14 @@ class AnalyticFunction:
         A = np.asarray(A, dtype=float)
         if A.shape != (self.d, self.d):
             raise ValueError("matrix shape mismatch")
-        return self._map_factors(lambda kind, param, w, offset: (
-            kind, param, (w[0],) + tuple(map(float, A.T @ w[1:])), offset))
+        return self._map_factors(lambda kind, param, w, offset, order: (
+            kind, param, (w[0],) + tuple(map(float, A.T @ w[1:])), offset,
+            order))
 
     def at_time(self, t0):
         """The function x -> self(t0, x), constant in time."""
-        return self._map_factors(lambda kind, param, w, offset: (
-            kind, param, (0.0,) + w[1:], offset + w[0] * t0))
+        return self._map_factors(lambda kind, param, w, offset, order: (
+            kind, param, (0.0,) + w[1:], offset + w[0] * t0, order))
 
 
 def constant(d, value):
@@ -334,7 +386,7 @@ def profile(kind, weights, offset=0.0, param=None):
     of offset + weights . (t, x1..xd), in len(weights) - 1 dimensions;
     param is the bump's or the power's exponent."""
     return AnalyticFunction(len(weights) - 1, [(1.0, [(
-        kind, param, tuple(map(float, weights)), float(offset))])])
+        kind, param, tuple(map(float, weights)), float(offset), 0)])])
 
 
 def affine(weights, offset=0.0):

@@ -178,33 +178,28 @@ def validate_config(cfg):
 
 
 def load_config(path):
-    """Read and validate a config, and parse each expression it holds:
-    the expressions preset's a, b and c, and data.f and data.g where no
+    """Read and validate a config, build its field (which parses the
+    expressions preset's a, b and c) and parse data.f and data.g where no
     manufactured solution replaces them.  parse_expression keeps every
-    parse, so the experiments do not parse again; one that fails is a
-    ConfigError before any experiment runs."""
+    parse, so the experiments do not parse again; a parse that fails,
+    or a value the field's preset rejects, is a ConfigError before any
+    experiment runs."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError("config is not valid JSON: %s" % exc)
     validate_config(cfg)
-    fld, data = cfg.get("field"), cfg.get("data", {})
-    if fld is None:
+    if "field" not in cfg:
         return cfg  # no field: nothing builds a problem
-    d = (2 if fld["preset"] == "heston" else len(fld["b"])
-         if fld["preset"] == "constant" else fld.get("d", 2))
-    texts = [("field preset %r" % fld["preset"], s) for s in (
-        [s for row in fld["a"] for s in row] + fld["b"] + [fld["c"]]
-        if fld["preset"] == "expressions" else [])]
+    field, data = build_field(cfg), cfg.get("data", {})
     if data.get("manufactured") is None:
-        texts += [("data", data[k]) for k in ("f", "g")
-                  if data.get(k) is not None]
-    for where, text in texts:
-        try:
-            parse_expression(text, d)
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (where, exc))
+        for key in ("f", "g"):
+            if data.get(key) is not None:
+                try:
+                    parse_expression(data[key], field.d)
+                except ValueError as exc:
+                    raise ConfigError("data: %s" % exc)
     return cfg
 
 

@@ -65,7 +65,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .analytic import (AnalyticFunction, _arguments, affine, axis_weights,
+from .analytic import (AnalyticFunction, affine, axis_weights,
                        bump, constant, profile)
 from .grid import Grid, GridFunction
 
@@ -102,11 +102,9 @@ class CertificateError(SolverError):
 class CauchyProblem:
     """Data (f, g) for L u = f, u(0, .) = g, on a coefficient field.
 
-    g and exact are AnalyticFunctions; f is one too, or the f = L u of
-    operator_apply.  Any object with d, value(t, x) and on_grid(t, grid)
-    serves, which is all that solve_cauchy and the data checks use;
-    on_grid takes one time or a 1-d array of times, as in
-    AnalyticFunction.  f = None is the zero function.
+    f, g and exact are AnalyticFunctions, built in numpy or parsed from
+    text; a manufactured f is operator_apply's L u.  f = None is the
+    zero function.
     """
 
     field: object
@@ -557,55 +555,19 @@ def manufactured_solution(field, kind, x_extent=2.0, height=2.0):
                               + [0.6 * height])
 
 
-class _Applied:
-    """f = L u, evaluated at points from the field's values and the exact
-    derivatives of u.  A term of u is a factor c(t) that holds only t
-    times the rest r, and L (c r) = c' r + c L r: the terms that share c
-    are differentiated in x together, at the size of their arguments
-    without t, before c spreads them over the times.  a is symmetric, so
-    each mixed pair i < j enters once, with weight 2, and a zero entry
-    not at all."""
-
-    def __init__(self, field, u):
-        self.d, self.field = field.d, field
-        clocks = {}  # factors that hold only t -> terms of the rest
-        for coef, factors in u.terms:
-            clocks.setdefault(tuple(f for f in factors if not any(f[2][1:])),
-                              []).append((coef, [f for f in factors
-                                                 if any(f[2][1:])]))
-        self.parts = [(AnalyticFunction(self.d, [(1.0, c)]),
-                       AnalyticFunction(self.d, r)) for c, r in clocks.items()]
-
-    def value(self, t, x):
-        t, coords, shape = _arguments(t, x)
-        d, fld, memo = self.d, self.field, {}
-
-        def at(fn, *axes):
-            return fn.raw(t, coords, axes, memo)
-
-        out = 0.0
-        for c, r in self.parts:
-            # c r + b.grad r + x_d a:D^2 r, the smallest arrays added first
-            terms = [at(fld.c_fn) * at(r)] if fld.c_fn.terms else []
-            for i in range(d):
-                if fld.b_fns[i].terms:
-                    terms.append(at(fld.b_fns[i]) * at(r, 1 + i))
-                for j in range(i, d):
-                    if fld.a_fns[i][j].terms:
-                        terms.append((1 if i == j else 2) * coords[-1]
-                                     * at(fld.a_fns[i][j])
-                                     * at(r, 1 + i, 1 + j))
-            lr = at(r, 0) - sum(sorted(terms, key=np.size), 0.0)
-            out = out + at(c, 0) * at(r) + at(c) * lr
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
-
-    on_grid = AnalyticFunction.on_grid
-
-
 def operator_apply(field, u):
-    """f = L u for a field and an AnalyticFunction u, evaluated from
-    values: nothing symbolic is built."""
-    return _Applied(field, u)
+    """f = L u for a field and an AnalyticFunction u, as an
+    AnalyticFunction: the field's entries times u's exact derivatives.
+    a is symmetric, so each mixed pair i < j enters once, with weight 2."""
+    d = field.d
+    height = affine(axis_weights(d, d, 1.0))
+    rest = field.c_fn * u
+    for i in range(d):
+        rest = rest + field.b_fns[i] * u.derivative((1 + i,))
+        for j in range(i, d):
+            rest = rest + (1 if i == j else 2) * height \
+                * field.a_fns[i][j] * u.derivative((1 + i, 1 + j))
+    return u.derivative((0,)) + -1 * rest
 
 
 def manufactured_problem(field, kind, x_extent=2.0, height=2.0):

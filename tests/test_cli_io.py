@@ -545,11 +545,13 @@ class TestMainExitCodes:
           "data": {"g": "x1"}},
          "field preset 'expressions': expression 'foo(x1)' uses unknown "
          "functions ['foo']"),
-    ], ids=["unclosed-g", "unknown-function-in-a"])
+        ({"field": {"preset": "homogeneous-drift", "nu": -1.0}},
+         "field preset 'homogeneous-drift': inward drift must be positive"),
+    ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
-        # every expression is parsed at load, once, so a bad one ends the
-        # run before an experiment writes anything
+        # the field is built and every expression parsed at load, once,
+        # so a bad one ends the run before an experiment writes anything
         cfg = write_cfg(tmp_path, dict(
             BASE_CFG, experiments=["solve", "validate-coeffs"], **change))
         out = tmp_path / "out"

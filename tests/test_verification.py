@@ -7,6 +7,7 @@ from degenpde.analytic import expression, space_symbols
 from degenpde.fields import (constant_field, from_expressions, heston,
                              homogeneous_drift)
 from degenpde.grid import Grid, GridFunction
+from degenpde.reduction import ReductionPlan
 from degenpde.solver import (
     CauchyProblem,
     manufactured_problem,
@@ -573,6 +574,30 @@ class TestRoundTrip:
         res, _ = reduction_round_trip(f, grid=grid)
         assert np.isclose(res.lhs, 0.22967727326536846, rtol=1e-9, atol=0)
         assert np.isclose(res.rhs, 0.3353567293646569, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("wrong", ["diffusion", "drift"])
+    def test_wrong_model_field_shows(self, monkeypatch, wrong):
+        # the model data are the direct data transformed, not L_model of
+        # the transformed solution, so a model field that is not the
+        # direct field's reduction moves the recovered solution away
+        f = constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5,
+                           name="unit-corner")
+        grid = Grid.build(2, 2.0, 2.0, 33, 33, 0.5, 25, grading="quadratic")
+        right, _ = reduction_round_trip(f, grid=grid)
+
+        def model_field(plan):
+            a, b = np.eye(2), plan.b_bar.copy()
+            if wrong == "diffusion":
+                a[0, 0] = 2.0
+            else:
+                b[0] += 1.0
+            return constant_field(a, b, 0.0, name="model-form")
+
+        monkeypatch.setattr(ReductionPlan, "model_field", model_field)
+        res, _ = reduction_round_trip(f, grid=grid)
+        assert res.lhs > 2.5 * right.lhs, (res.line(), right.line())
+        if wrong == "drift":
+            assert not res.passed, res.line()
 
 
 def test_check_csv_format():
