@@ -16,18 +16,23 @@ multiplied, and terms with the same factors in t alone are summed before
 those factors spread them over the times.  A pullback x = A z changes
 only the weights.
 
-Text (data strings and the expressions preset) is parsed with sympy into
-a factor of its own, which sympy differentiates and lambdify compiles;
-sympy is imported only then.  cached_lambdify compiles each (symbols,
-expression) pair once per process, so the same text rebuilt by several
-experiments shares its code.
+Text (data strings and the expressions preset) becomes a function in
+text_function.  A polynomial in t, x1..xd, such as the Heston drift
+2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the coordinates,
+in numpy, without sympy.  Any other text (sqrt, Max, x1/x2, ...) is
+parsed with sympy into a factor of its own, which sympy differentiates
+and lambdify compiles; sympy is imported only then.  cached_lambdify
+compiles each (symbols, expression) pair once per process, so the same
+text rebuilt by several experiments shares its code.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -213,7 +218,7 @@ class AnalyticFunction:
 
     @classmethod
     def from_text(cls, text, d):
-        return expression(d, parse_expression(text, d))
+        return text_function(text, d)
 
     def depends(self, k):
         """Whether some factor varies along variable k (0 = t, i = x_i)."""
@@ -400,6 +405,98 @@ def expression(d, expr):
     if expr.is_number:
         return constant(d, float(expr))
     return AnalyticFunction(d, [(1.0, [_text_factor(d, expr)])])
+
+
+# The largest degree of a power a polynomial text may hold; a larger one
+# goes to sympy, so that text_function never expands a large power.
+_MAX_DEGREE = 8
+
+
+def _add(p, q, sign=1):
+    """p + sign q of polynomials {exponents: coefficient}."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _multiply(p, q):
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p.items(), q.items()):
+        e = tuple(i + j for i, j in zip(e1, e2))
+        out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _polynomial(node, names):
+    """The polynomial {exponents of names: coefficient} of a node of
+    Python's ast, without zero coefficients; None outside the grammar of
+    text_function.  An integer stays an exact Fraction until it meets a
+    float, as a sympy Rational does."""
+    one = (0,) * len(names)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        return {one: Fraction(value) if type(value) is int else value} \
+            if value else {}
+    if isinstance(node, ast.Name) and node.id in names:
+        k = names.index(node.id)
+        return {tuple(int(j == k) for j in range(len(names))): Fraction(1)}
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd,
+                                                          ast.USub):
+        p = _polynomial(node.operand, names)
+        return p if p is None or type(node.op) is ast.UAdd \
+            else _add({}, p, -1)
+    if not isinstance(node, ast.BinOp):
+        return None
+    p = _polynomial(node.left, names)
+    if p is None:
+        return None
+    if type(node.op) is ast.Pow:
+        n = getattr(node.right, "value", None)
+        degree = max([sum(e) for e in p], default=0)
+        if type(n) is not int or not 0 <= n * max(degree, 1) <= _MAX_DEGREE:
+            return None
+        out = {one: Fraction(1)}
+        for _ in range(n):
+            out = _multiply(out, p)
+        return out
+    q = _polynomial(node.right, names)
+    if q is None:
+        return None
+    if type(node.op) in (ast.Add, ast.Sub):
+        return _add(p, q, -1 if type(node.op) is ast.Sub else 1)
+    if type(node.op) is ast.Mult:
+        return _multiply(p, q)
+    if type(node.op) is ast.Div and list(q) == [one]:
+        return {e: c / q[one] for e, c in p.items()}
+    return None
+
+
+def text_function(text, d):
+    """Text in t, x1..xd as a function.
+
+    A polynomial -- numbers, t and x1..xd joined by unary + and -, +, -,
+    *, / by a nonzero number and ** by an integer up to degree 8 --
+    becomes power factors x_k^n in numpy, without sympy.  Its terms are
+    in canonical order: each term's factors by variable, like terms
+    merged, zero coefficients dropped.  So x1*x2 and x2*x1 have the same
+    terms, and t - t is the constant 0, as under sympy.  Any other text
+    goes to expression(d, parse_expression(text, d)), which gives every
+    error for bad text.
+    """
+    names = ["t"] + ["x%d" % i for i in range(1, d + 1)]
+    try:
+        poly = _polynomial(ast.parse(text, mode="eval").body, names)
+        terms = None if poly is None else [
+            (float(c), [("power", n, tuple(float(j == k)
+                                           for j in range(d + 1)), 0.0, 0)
+                        for k, n in enumerate(e) if n])
+            for e, c in sorted(poly.items())]
+    except (SyntaxError, ValueError, OverflowError, RecursionError):
+        terms = None
+    if terms is None or not all(math.isfinite(c) for c, _ in terms):
+        return expression(d, parse_expression(text, d))
+    return AnalyticFunction(d, [(c, fs) for c, fs in terms if c])
 
 
 def axis_weights(d, k, weight):

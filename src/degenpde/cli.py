@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import gridio
-from .analytic import AnalyticFunction, parse_expression
+from .analytic import text_function
 from .fields import (constant_field, from_expressions, heston,
                      homogeneous_drift, validate_assumptions)
 from .grid import GRADINGS, Grid
@@ -178,12 +178,17 @@ def validate_config(cfg):
 
 
 def load_config(path):
-    """Read and validate a config, build its field (which parses the
-    expressions preset's a, b and c) and parse data.f and data.g where no
-    manufactured solution replaces them.  parse_expression keeps every
-    parse, so the experiments do not parse again; a parse that fails,
-    or a value the field's preset rejects, is a ConfigError before any
-    experiment runs."""
+    """Read and validate a config, build its field (the expressions
+    preset's a, b and c) and, where no manufactured solution replaces
+    them, data.f and data.g, which must be finite on the grid section's
+    grid: g at t = 0, f at every slice.
+
+    Text becomes a function in analytic.text_function: a polynomial in
+    t, x1..xd is built in numpy without sympy, and other text is parsed
+    with sympy, which parse_expression keeps, so the experiments do not
+    parse it again.  Text that does not parse or is not finite on the
+    grid, or a value the field's preset rejects, is a ConfigError before
+    any experiment runs."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -193,13 +198,24 @@ def load_config(path):
     if "field" not in cfg:
         return cfg  # no field: nothing builds a problem
     field, data = build_field(cfg), cfg.get("data", {})
-    if data.get("manufactured") is None:
-        for key in ("f", "g"):
-            if data.get(key) is not None:
-                try:
-                    parse_expression(data[key], field.d)
-                except ValueError as exc:
-                    raise ConfigError("data: %s" % exc)
+    if data.get("manufactured") is not None:
+        return cfg
+    fns = {}
+    for key in ("f", "g"):
+        if data.get(key) is not None:
+            try:
+                fns[key] = text_function(data[key], field.d)
+            except ValueError as exc:
+                raise ConfigError("data: %s" % exc)
+    if fns:
+        grid = build_grid(cfg, field.d, _counts(section(cfg, "grid")))
+        for key, times in (("g", grid.times[:1]), ("f", grid.times)):
+            with np.errstate(all="ignore"):
+                finite = key not in fns or np.isfinite(
+                    fns[key].on_grid(times, grid)).all()
+            if not finite:
+                raise ConfigError("data.%s: expression %r is not finite on "
+                                  "the grid" % (key, data[key]))
     return cfg
 
 
@@ -258,9 +274,8 @@ def _three_slices(grid, command):
 
 
 def build_problem(cfg, field):
-    """The data section's Cauchy problem.  Data that do not parse, or
-    that are not finite on the grid section's grid (g at t = 0, f at
-    every slice), are a ConfigError."""
+    """The data section's Cauchy problem.  load_config has checked that
+    its text parses and is finite on the grid section's grid."""
     data, g_sec = section(cfg, "data", required=True), section(cfg, "grid")
     if data["manufactured"] is not None:
         return manufactured_problem(field, data["manufactured"],
@@ -271,20 +286,11 @@ def build_problem(cfg, field):
         raise ConfigError('solve.boundary "exact" needs data.manufactured, '
                           "whose exact solution gives the face values")
     try:
-        f, g = [None if text is None else
-                AnalyticFunction.from_text(text, field.d)
+        f, g = [None if text is None else text_function(text, field.d)
                 for text in (data["f"], data["g"])]
-        problem = CauchyProblem(field, f, g)
+        return CauchyProblem(field, f, g)
     except ValueError as exc:
         raise ConfigError("data: %s" % exc)
-    grid = build_grid(cfg, field.d, _counts(g_sec))
-    for key, fn, times in (("g", problem.g, grid.times[:1]),
-                           ("f", problem.f, grid.times)):
-        with np.errstate(all="ignore"):
-            if not np.isfinite(fn.on_grid(times, grid)).all():
-                raise ConfigError("data.%s: expression %r is not finite on "
-                                  "the grid" % (key, data[key]))
-    return problem
 
 
 def _write(out, name, text):

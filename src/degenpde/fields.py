@@ -11,8 +11,11 @@ inward drift b^d >= nu > 0 at height 0.
 
 A field holds each entry of (a, b, c) as an AnalyticFunction.  The
 heston, constant and homogeneous-drift presets give numbers: a and c
-constant and b = b0 + B1 x.  The expressions preset gives text, which
-sympy parses; only that text is compiled.
+constant and b = b0 + B1 x.  The expressions preset gives text
+(analytic.text_function): a polynomial in t, x1..xd, such as the
+time-dependent Heston drift 2*(0.25*(1 + t) - x2), becomes numbers and
+powers of the coordinates without sympy; other text (sqrt, exp, Max,
+x1/x2, ...) is parsed by sympy, and only that text is compiled.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (AnalyticFunction, affine, axis_weights, constant,
-                       expression, parse_expression)
+                       text_function)
 from .grid import Region
 from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
 
@@ -154,12 +157,13 @@ def constant_field(a, b, c, name="constant"):
 
 def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
                      name="custom"):
-    """Field from elementary-function expression strings in t, x1..xd."""
+    """Field from elementary-function expression strings in t, x1..xd
+    (analytic.text_function)."""
     if [len(row) for row in a_texts] != [d] * d:
         raise ValueError("a must be %d x %d" % (d, d))
 
     def fn(text):
-        return expression(d, parse_expression(text, d))
+        return text_function(text, d)
 
     return CoefficientField(d, [[fn(s) for s in row] for row in a_texts],
                             [fn(s) for s in b_texts], fn(c_text), delta, K,

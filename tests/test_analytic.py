@@ -4,14 +4,17 @@ Each built-in function is written out here in sympy.  Its value and its
 first and second derivatives must agree with lambdified sp.diff of that
 expression within 1e-12 of the oracle's largest magnitude, at random
 points and at points within 1e-6 of each bump's support edge, inside and
-outside.  f = L u is compared by value.
+outside.  f = L u is compared by value.  Polynomial text, which
+text_function builds without sympy, must agree with the same text parsed
+by sympy within 1e-13; other text must take the sympy path.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from degenpde.analytic import bump, space_symbols
+from degenpde.analytic import (bump, expression, parse_expression,
+                               space_symbols, text_function)
 from degenpde.fields import constant_field, from_expressions, heston
 from degenpde.reduction import build_reduction_plan
 from degenpde.solver import manufactured_solution, operator_apply
@@ -73,10 +76,10 @@ def derivatives(u, t, x):
             u.dxx(0, 0, t, x), u.dxx(0, 1, t, x), u.dxx(1, 1, t, x)]
 
 
-def assert_agree(got, want):
+def assert_agree(got, want, rtol=1e-12):
     for k, (g, w) in enumerate(zip(got, want)):
         scale = float(np.max(np.abs(w)))
-        assert np.max(np.abs(g - w)) <= 1e-12 * scale, (ORDERS[k], scale)
+        assert np.max(np.abs(g - w)) <= rtol * scale, (ORDERS[k], scale)
 
 
 @pytest.mark.parametrize("center,radius,powers", [
@@ -169,3 +172,37 @@ def test_operator_apply(name, kind, manufactured_exprs):
     t, x = points(10, INNER)
     f = operator_apply(field, manufactured_solution(field, kind))
     assert_agree([f.value(t, x)], oracle(lu, t, x, [()]))
+
+
+def sympy_function(text, d=2):
+    """text through sympy, as every text was before text_function."""
+    return expression(d, parse_expression(text, d))
+
+
+@pytest.mark.parametrize("text", [
+    "2*(0.25*(1 + t) - x2)", "(x1 - 2*t)**3/4", "-x2", "1e-3*t*x2**2",
+    "x1*x2 - x2*x1", "0.05 - x2/2", "+x1*(x2 + 1)**2 - 7/3", "t - t + 4",
+    "(1 + t)**0 * x1**8 / 0.5", "x2**2*x1 - 2*x1*x2**2"])
+def test_polynomial_text_matches_sympy(text):
+    u, ref = text_function(text, 2), sympy_function(text)
+    assert not any(f[0] == "text" for _, fs in u.terms for f in fs)
+    assert [u.depends(k) for k in range(3)] == [ref.depends(k)
+                                                for k in range(3)]
+    t, x = points(11)
+    assert_agree(derivatives(u, t, x), derivatives(ref, t, x), rtol=1e-13)
+
+
+@pytest.mark.parametrize("text", [
+    "x3", "1/0", "x1/(t - t)", "x1/x2", "Max(x1, 0)", "sqrt(x1)",
+    "Piecewise((1, x1 < 0), (0, True))", "x1^2", "x1**9", "(x1*x2)**5",
+    "x1**2.0", "x1**-1", "pi*x1", "exp(-t)*x2", "x1 +", "1e400"])
+def test_other_text_takes_the_sympy_path(text):
+    # the same function, or the same error, as through sympy
+    def outcome(build):
+        try:
+            return build().terms
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(lambda: text_function(text, 2)) == outcome(
+        lambda: sympy_function(text))

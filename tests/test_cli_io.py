@@ -547,11 +547,17 @@ class TestMainExitCodes:
          "functions ['foo']"),
         ({"field": {"preset": "homogeneous-drift", "nu": -1.0}},
          "field preset 'homogeneous-drift': inward drift must be positive"),
-    ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value"])
+        ({"data": {"g": "sqrt(x1 - 5)"}},
+         "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
+        ({"data": {"g": "x1", "f": "log(t)"}},
+         "data.f: expression 'log(t)' is not finite on the grid"),
+    ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
+            "g-not-finite-on-grid", "f-not-finite-at-t-0"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
-        # the field is built and every expression parsed at load, once,
-        # so a bad one ends the run before an experiment writes anything
+        # the field is built, and every expression parsed and evaluated
+        # on the grid, at load, so a bad one ends the run before an
+        # experiment writes anything
         cfg = write_cfg(tmp_path, dict(
             BASE_CFG, experiments=["solve", "validate-coeffs"], **change))
         out = tmp_path / "out"
@@ -1106,18 +1112,37 @@ def _fresh_interpreter(code, tmp_path):
                           cwd=str(tmp_path), capture_output=True, text=True)
 
 
-# Loads the README config, then reports whether sympy is loaded after
-# each step; a step's exit code is printed with it.
+# Runs each (kind, config) step, a load_config for kind "load" and else
+# that command, and reports whether sympy is loaded after each step; a
+# step's exit code is printed with it.
 _SYMPY_STEPS = """
-import json, sys
+import sys
 import degenpde.cli as cli
 def step(name, code=None):
     print(name, code, "sympy" in sys.modules)
 step("import")
-step("load", cli.load_config({readme!r}) and None)
 for kind, cfg in {steps!r}:
-    step(kind, cli.main([kind, "--config", cfg, "--out", kind]))
+    step(kind, cli.load_config(cfg) and None if kind == "load"
+         else cli.main([kind, "--config", cfg, "--out", kind]))
 """
+
+
+def _sympy_steps(steps, tmp_path):
+    """[(step, exit code, whether sympy is loaded)] of _SYMPY_STEPS."""
+    proc = _fresh_interpreter(_SYMPY_STEPS.format(steps=steps), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()
+            if line.split()[-1] in ("True", "False")]
+
+
+def _workloads():
+    """perfbench/workloads.py, the benchmark's configs."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_builtin_runs_leave_sympy_unloaded(tmp_path):
@@ -1126,38 +1151,67 @@ def test_builtin_runs_leave_sympy_unloaded(tmp_path):
     root = pathlib.Path(__file__).resolve().parents[1]
     text = (root / "README.md").read_text()
     readme = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
-    spec = importlib.util.spec_from_file_location(
-        "workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     # the README field and data on the benchmark's small grid and suites
     configs = workloads.build("readme-run", "tiny")[0]
     small = dict(configs["readme.json"], field=readme["field"],
                  data=readme["data"])
     corr = configs["correlated.json"]
     assert corr["reduce"]["round_trip"] is True
-    steps = [(kind, write_cfg(tmp_path, small, "small.json"))
-             for kind in workloads.README_EXPERIMENTS]
+    steps = [("load", write_cfg(tmp_path, readme, "readme.json"))]
+    steps += [(kind, write_cfg(tmp_path, small, "small.json"))
+              for kind in workloads.README_EXPERIMENTS]
     steps.append(("reduce", write_cfg(tmp_path, corr, "corr.json")))
-    proc = _fresh_interpreter(_SYMPY_STEPS.format(
-        readme=write_cfg(tmp_path, readme, "readme.json"), steps=steps),
-        tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stdout.splitlines()
-             if line.split()[-1] in ("True", "False")]
+    lines = _sympy_steps(steps, tmp_path)
     assert [line[0] for line in lines] == [
         "import", "load"] + workloads.README_EXPERIMENTS + ["reduce"]
     assert all(line[1] in ("None", "0") for line in lines), lines
     assert all(line[2] == "False" for line in lines), lines
 
 
-def test_expressions_config_loads_sympy_at_load(tmp_path):
-    cfg = write_cfg(tmp_path, dict(BASE_CFG, field=EXPRESSIONS_FIELD))
-    proc = _fresh_interpreter(_SYMPY_STEPS.format(readme=cfg, steps=[]),
-                              tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["import", "None", "False",
-                                   "load", "None", "True"]
+@pytest.mark.parametrize("where", ["field", "data"])
+def test_only_non_polynomial_text_loads_sympy(tmp_path, where):
+    # polynomial text (the expressions field here and the benchmark's
+    # time-dependent Heston drift) is built in numpy through load and
+    # solve; a Max in the field or in the data loads sympy at load
+    timedep = _workloads().build("heston-timedep", "tiny")[0]["timedep.json"]
+    poly = [write_cfg(tmp_path, dict(BASE_CFG, field=EXPRESSIONS_FIELD),
+                      "expressions.json"),
+            write_cfg(tmp_path, timedep, "timedep.json")]
+    text = dict(BASE_CFG, field=dict(EXPRESSIONS_FIELD, c="Max(0, -x1)")) \
+        if where == "field" else dict(BASE_CFG, data={"g": "Max(x1, 0)"})
+    lines = _sympy_steps([(kind, cfg) for cfg in poly
+                          for kind in ("load", "solve")]
+                         + [("load", write_cfg(tmp_path, text, "max.json"))],
+                         tmp_path)
+    assert lines == [["import", "None", "False"],
+                     ["load", "None", "False"], ["solve", "0", "False"],
+                     ["load", "None", "False"], ["solve", "0", "False"],
+                     ["load", "None", "True"]]
+
+
+def _off_diagonals(tmp_path, a12, a21):
+    field = dict(EXPRESSIONS_FIELD, a=[["1", a12], [a21, "1"]])
+    return write_cfg(tmp_path, dict(BASE_CFG, field=field))
+
+
+def test_equal_products_are_symmetric(tmp_path):
+    # the symmetry check compares terms, which polynomial text writes in
+    # one order: x1*x2 and x2*x1 are the same entry
+    cfg = cli.load_config(_off_diagonals(tmp_path, "x1*x2", "x2*x1"))
+    a = cli.build_field(cfg).a_fns
+    assert a[0][1].terms == a[1][0].terms
+    assert a[0][1].depends(1) and a[0][1].depends(2)
+
+
+def test_asymmetric_off_diagonals_exit_2(tmp_path, capsys):
+    cfg = _off_diagonals(tmp_path, "x1", "x2")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: field preset 'expressions': diffusion matrix must "
+        "be symmetric")
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -240,13 +240,17 @@ class TestCompiledEntries:
         (lambda: constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5),
          2, 0),
         (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 0),
-        (lambda: from_expressions(2, [["1", "0"], ["0", "1 + x1**2"]],
+        (lambda: from_expressions(2, [["1", "0"], ["0", "1 + exp(x1)"]],
                                   ["0", "1"], "0", 1.0, 10.0, 1.0), 2, 1),
-    ], ids=["homogeneous-drift", "constant", "heston", "expressions"])
+        (lambda: from_expressions(2, [["1", "0"], ["0", "1 + x1**2"]],
+                                  ["0", "1 + t"], "0", 1.0, 10.0, 1.0), 2, 0),
+    ], ids=["homogeneous-drift", "constant", "heston", "expressions",
+            "polynomial-expressions"])
     def test_only_varying_entries_compile(self, lambdified, make, d,
                                           compiled):
-        # the presets carry numbers, Heston's affine drift included; of
-        # text, only an entry that depends on t or x compiles
+        # the presets carry numbers, Heston's affine drift included, and
+        # polynomial text becomes numbers and powers; of other text, only
+        # an entry that depends on t or x compiles
         field = make()
         grid = Grid.build(d, 1.0, 1.0, 5, 5, 0.5, 3)
         discretize_operator(field, grid, 0.0)
