@@ -551,8 +551,10 @@ class TestMainExitCodes:
          "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
         ({"data": {"g": "x1", "f": "log(t)"}},
          "data.f: expression 'log(t)' is not finite on the grid"),
+        ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "x1"], ["x2", "1"]])},
+         "field preset 'expressions': diffusion matrix must be symmetric"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
-            "g-not-finite-on-grid", "f-not-finite-at-t-0"])
+            "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
         # the field is built, and every expression parsed and evaluated
@@ -1188,30 +1190,6 @@ def test_only_non_polynomial_text_loads_sympy(tmp_path, where):
                      ["load", "None", "False"], ["solve", "0", "False"],
                      ["load", "None", "False"], ["solve", "0", "False"],
                      ["load", "None", "True"]]
-
-
-def _off_diagonals(tmp_path, a12, a21):
-    field = dict(EXPRESSIONS_FIELD, a=[["1", a12], [a21, "1"]])
-    return write_cfg(tmp_path, dict(BASE_CFG, field=field))
-
-
-def test_equal_products_are_symmetric(tmp_path):
-    # the symmetry check compares terms, which polynomial text writes in
-    # one order: x1*x2 and x2*x1 are the same entry
-    cfg = cli.load_config(_off_diagonals(tmp_path, "x1*x2", "x2*x1"))
-    a = cli.build_field(cfg).a_fns
-    assert a[0][1].terms == a[1][0].terms
-    assert a[0][1].depends(1) and a[0][1].depends(2)
-
-
-def test_asymmetric_off_diagonals_exit_2(tmp_path, capsys):
-    cfg = _off_diagonals(tmp_path, "x1", "x2")
-    out = tmp_path / "out"
-    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.strip() == (
-        "config error: field preset 'expressions': diffusion matrix must "
-        "be symmetric")
-    assert not out.exists()
 
 
 def test_import_leaves_scipy_interpolate_unloaded(tmp_path):

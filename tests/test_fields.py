@@ -153,6 +153,14 @@ class TestExpressions:
             from_expressions(2, [["1", "x1"], ["0", "1"]], ["0", "1"], "0",
                              1.0, 10.0, 1.0)
 
+    def test_equal_products_are_symmetric(self):
+        # polynomial text has its terms in one order, which the symmetry
+        # check compares: x1*x2 and x2*x1 are the same entry
+        f = from_expressions(2, [["1", "x1*x2"], ["x2*x1", "1"]],
+                             ["0", "1"], "0", 1.0, 10.0, 1.0)
+        assert f.a_fns[0][1].terms == f.a_fns[1][0].terms
+        assert f.a_fns[0][1].depends(1) and f.a_fns[0][1].depends(2)
+
     @pytest.mark.parametrize("a", [
         [["1"]], [["1", "0"], ["0"]],
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
