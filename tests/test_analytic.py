@@ -175,7 +175,7 @@ def test_operator_apply(name, kind, manufactured_exprs):
 
 
 def sympy_function(text, d=2):
-    """text through sympy, as every text was before text_function."""
+    """text through sympy, the reference for text_function."""
     return expression(d, parse_expression(text, d))
 
 
