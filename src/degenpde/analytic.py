@@ -55,8 +55,9 @@ def parse_expression(text, d):
 
     Only elementary functions are allowed; unknown names are an error so
     a typo in a config cannot silently evaluate to zero; so are I, zoo,
-    oo and nan, which numpy would drop or carry into the solve.  Each
-    (text, d) is parsed once per process.
+    oo and nan, which numpy would drop or carry into the solve, and text
+    that is not a number-valued expression (True, x1 > 0).  Each (text,
+    d) is parsed once per process.
     """
     import sympy as sp
     local = {name: getattr(sp, name) for name in (
@@ -68,6 +69,9 @@ def parse_expression(text, d):
         expr = sp.parse_expr(text, local_dict=local, evaluate=True)
     except Exception as exc:
         raise ValueError("cannot parse expression %r: %s" % (text, exc))
+    if not isinstance(expr, sp.Expr):
+        raise ValueError("expression %r must be number-valued, not %s"
+                         % (text, type(expr).__name__))
     extra = expr.free_symbols - set(syms)
     if extra:
         raise ValueError("expression %r uses unknown symbols %s"

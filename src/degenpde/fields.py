@@ -15,7 +15,9 @@ constant and b = b0 + B1 x.  The expressions preset gives text
 (analytic.text_function): a polynomial in t, x1..xd, such as the
 time-dependent Heston drift 2*(0.25*(1 + t) - x2), becomes numbers and
 powers of the coordinates without sympy; other text (sqrt, exp, Max,
-x1/x2, ...) is parsed by sympy, and only that text is compiled.
+x1/x2, ...) is parsed by sympy, and only that text is compiled.  The
+solver's assembly and operator_apply read these entries; the stacked
+arrays of CoefficientField.a, b and c serve the sampled audits.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on
@@ -39,7 +41,7 @@ from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
 
 
 class CoefficientField:
-    """Coefficients (a, b, c) with vectorized evaluation.
+    """Coefficients (a, b, c) as entries, and stacked for sampling.
 
     a (d x d), b (d) and c take numbers or AnalyticFunctions; a must be
     symmetric, entry by entry.

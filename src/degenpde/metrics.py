@@ -13,9 +13,9 @@ Near the boundary s stretches spatial offsets like |dx| / sqrt(height),
 which is what makes the weighted Holder norms below see boundary behavior
 that the parabolic norms miss.
 
-Seminorm estimation enumerates point pairs exhaustively below a cap and
-falls back to seeded pair sampling above it, so every reported value is a
-certified lower bound of the true supremum over the sampled region.  The
+Seminorm estimation takes all pairs of a point set with at most
+PAIR_BUDGET pairs, else PAIR_BUDGET seeded pairs, so every reported value
+is a certified lower bound of the true supremum over the sampled region.  The
 pairs and their powered distances depend only on the points, so each
 point set builds one pair table per (metric, alpha, seed) and every
 seminorm on it reuses that table.
@@ -30,10 +30,9 @@ import numpy as np
 from .grid import SpaceTimePoint
 from .gridio import csv_text
 
-# Point pairs: every pair of a point set with at most EXHAUSTIVE_CAP of
-# them, else SAMPLED_PAIRS seeded pairs.
-EXHAUSTIVE_CAP = 50_000
-SAMPLED_PAIRS = 200_000
+# Point pairs: every pair of a point set with at most PAIR_BUDGET of
+# them, else PAIR_BUDGET seeded pairs.
+PAIR_BUDGET = 200_000
 
 
 def _unpack(p):
@@ -181,17 +180,17 @@ def gather(gridfn, ti, si):
 
 
 def _pair_table(points, metric, alpha, seed):
-    """(i, j, dist ** alpha, dist > 0) of every pair below the cap, of
-    seeded pairs i != j above it; built once per point set and key."""
+    """(i, j, dist ** alpha, dist > 0) of every pair within the budget, of
+    seeded pairs i != j beyond it; built once per point set and key."""
     key = (metric, alpha, seed)
     if key not in points._tables:
         m = points.size
-        if m * (m - 1) // 2 <= EXHAUSTIVE_CAP:
+        if m * (m - 1) // 2 <= PAIR_BUDGET:
             i, j = np.triu_indices(m, k=1)
         else:
             rng = np.random.default_rng(seed)
-            i = rng.integers(0, m, size=SAMPLED_PAIRS)
-            j = rng.integers(0, m - 1, size=SAMPLED_PAIRS)
+            i = rng.integers(0, m, size=PAIR_BUDGET)
+            j = rng.integers(0, m - 1, size=PAIR_BUDGET)
             j = j + (j >= i)
         dist = _METRICS[metric](points.t[i], points.x[i],
                                 points.t[j], points.x[j])

@@ -14,9 +14,10 @@ not contaminate convergence measurements.  Everything of the stencil
 that depends only on the grid (per-axis weights, upwind first-node
 masks, Dirichlet rows, the offsets and the CSR pattern with its gather
 index) is one plan, built on a grid's first assembly and kept on the
-grid.  An assembly then evaluates a, b and c, adds each term's per-axis
-three-point weights into the row of the offset they reach, and gathers
-those rows into the CSR values, dropping zeros.
+grid.  An assembly then evaluates each entry of a, b and c on the plan's
+sparse axes, adds each term's per-axis three-point weights into the row
+of the offset they reach, and gathers those rows into the CSR values,
+dropping zeros.
 
 Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
 first B is factored with a sparse LU (scipy's splu, minimum-degree
@@ -165,13 +166,14 @@ def _axis_weights(x):
 class _StencilPlan:
     """Everything of the operator's stencil that depends only on the grid.
 
-    Built on a grid's first assembly and kept on it.  The per-axis weights
-    and first-node masks are shaped to broadcast against arrays of the
-    grid's shape.  Assembly fills an (offsets x N) array, one row per
-    stencil offset (a sum of +-stride over at most two axes, ascending),
-    and `gather` takes it into the stencil's CSR pattern: each free node
-    and its in-grid neighbours in the row of each free node.  Rows of
-    Dirichlet nodes hold nothing.
+    Built on a grid's first assembly and kept on it.  The sparse mesh,
+    whose last axis is the height factor, the per-axis weights and the
+    first-node masks broadcast against arrays of the grid's shape.
+    Assembly fills an (offsets x N) array, one row per stencil offset (a
+    sum of +-stride over at most two axes, ascending), and `gather` takes
+    it into the stencil's CSR pattern: each free node and its in-grid
+    neighbours in the row of each free node.  Rows of Dirichlet nodes
+    hold nothing.
     """
 
     def __init__(self, grid):
@@ -185,8 +187,7 @@ class _StencilPlan:
 
         self.N = N
         self.strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
-        self.nodes = grid.nodes()
-        self.height = along(d - 1, grid.axes[-1])
+        self.mesh = grid.meshes(sparse=True)
         self.dir_flat = grid.dirichlet_mask().ravel()
         self.dir_flat.flags.writeable = False  # handed to callers
         self.weights = [[along(i, w) for w in _axis_weights(ax)]
@@ -220,33 +221,30 @@ class _StencilPlan:
 def discretize_operator(field, grid, t):
     """Assemble the spatial operator A at time t as a CSR matrix.
 
-    Each neighbour offset of the stencil is one row of the plan's value
-    array, summed from per-axis weights and gathered into CSR; zero
-    weights are dropped.  Rows of truncation (Dirichlet) nodes are left
-    empty; the implicit matrix I + theta dt A therefore has identity rows
-    there.  Returns (A, flat Dirichlet mask); the mask is the plan's and
-    read-only.
+    Each entry of a (i <= j), b and c is read with AnalyticFunction.raw
+    on the plan's sparse mesh, so a constant stays a number and an entry
+    in x_d alone one row.  Each neighbour offset of the stencil is one
+    row of the plan's value array, summed from per-axis weights and
+    gathered into CSR; zero weights are dropped.  Rows of truncation
+    (Dirichlet) nodes are left empty; the implicit matrix I + theta dt A
+    therefore has identity rows there.  Returns (A, flat Dirichlet mask);
+    the mask is the plan's and read-only.
     """
     plan = grid._stencil
     if plan is None:
         plan = grid._stencil = _StencilPlan(grid)
-    shape = grid.shape
-    t_arr = np.full(plan.N, float(t))
-    a_vals, b_vals, c_vals = (coef(t_arr, plan.nodes)
-                              for coef in (field.a, field.b, field.c))
-    a_vals = a_vals.reshape(shape + a_vals.shape[1:])
-    b_vals = b_vals.reshape(shape + b_vals.shape[1:])
+    t, mesh = np.asarray(t, dtype=float), plan.mesh
 
     # row k: weight of the neighbour at offsets[k] in every row of
     # x_d a:D^2 + b.grad + c, before the sign flip to A
-    values = np.zeros((len(plan.offsets),) + shape)
+    values = np.zeros((len(plan.offsets),) + grid.shape)
     for i in range(grid.d):
         second, first, forward, backward = plan.weights[i]
-        beta = b_vals[..., i]
+        beta = field.b_fns[i].raw(t, mesh)
         # upwinded drift; the first node differences forward whatever the
         # sign of the drift, so the bottom row reaches into the domain
         up = (beta > 0) | plan.first_node[i]
-        stencil = (plan.height * a_vals[..., i, i] * second
+        stencil = (mesh[-1] * field.a_fns[i][i].raw(t, mesh) * second
                    + beta * np.where(up, forward, backward))
         for s in (-1, 0, 1):
             values[plan.slot[s * plan.strides[i]]] += stencil[s + 1]
@@ -255,7 +253,7 @@ def discretize_operator(field, grid, t):
         # breaks the M-matrix property when a_ij != 0.  A zero a_ij adds
         # only zeros.
         for j in range(i + 1, grid.d):
-            kappa = plan.height * a_vals[..., i, j]
+            kappa = mesh[-1] * field.a_fns[i][j].raw(t, mesh)
             if not np.any(kappa):
                 continue
             for si in (-1, 0, 1):
@@ -264,8 +262,7 @@ def discretize_operator(field, grid, t):
                                      + sj * plan.strides[j]]] += (
                         2.0 * kappa * first[si + 1]
                         * plan.weights[j][1][sj + 1])
-    values = values.reshape(len(plan.offsets), plan.N)
-    values[plan.slot[0]] += c_vals
+    values[plan.slot[0]] += field.c_fn.raw(t, mesh)
     data = values.ravel()[plan.gather]
     # the plan's index arrays are copied, since dropping zeros edits them
     A = sparse.csr_matrix((np.negative(data, out=data), plan.indices.copy(),

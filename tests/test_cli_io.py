@@ -553,8 +553,16 @@ class TestMainExitCodes:
          "data.f: expression 'log(t)' is not finite on the grid"),
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "x1"], ["x2", "1"]])},
          "field preset 'expressions': diffusion matrix must be symmetric"),
+        ({"data": {"g": "True"}},
+         "data: expression 'True' must be number-valued, not bool"),
+        ({"data": {"g": "x1", "f": "False"}},
+         "data: expression 'False' must be number-valued, not bool"),
+        ({"field": dict(EXPRESSIONS_FIELD, c="x1 > 0")},
+         "field preset 'expressions': expression 'x1 > 0' must be "
+         "number-valued, not StrictGreaterThan"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
-            "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a"])
+            "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
+            "g-true", "f-false", "c-relational"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
         # the field is built, and every expression parsed and evaluated

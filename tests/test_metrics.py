@@ -207,7 +207,7 @@ class TestSeminorm:
         pts = random_points(rng, 60)
         u = rng.normal(size=60)
         full = seminorm(u, pts, 0.5, "s").value
-        set_caps(monkeypatch, 10, 800)
+        set_budget(monkeypatch, 800)
         sampled = seminorm(u, fresh(pts), 0.5, "s", seed=1)
         again = seminorm(u, fresh(pts), 0.5, "s", seed=1)
         assert sampled.n_pairs == 800
@@ -347,19 +347,18 @@ class TestNorms:
         assert all(r.q == 1.0 for r in reports)
 
 
-def reference_seminorm(values, pts, alpha, metric, exhaustive_cap=50_000,
-                       sampled_pairs=200_000, seed=0):
+def reference_seminorm(values, pts, alpha, metric, budget=200_000, seed=0):
     # the estimate written out from its formula, with no pair table:
-    # all pairs i < j up to the cap, seeded pairs i != j above it
+    # all pairs i < j within the budget, else budget seeded pairs i != j
     m = pts.size
     if m < 2:
         return SeminormEstimate(0.0, 0)
-    if m * (m - 1) // 2 <= exhaustive_cap:
+    if m * (m - 1) // 2 <= budget:
         i, j = np.triu_indices(m, k=1)
     else:
         rng = np.random.default_rng(seed)
-        i = rng.integers(0, m, size=sampled_pairs)
-        j = rng.integers(0, m - 1, size=sampled_pairs)
+        i = rng.integers(0, m, size=budget)
+        j = rng.integers(0, m - 1, size=budget)
         j = j + (j >= i)
     dist_fn = {"s": cycloidal_distance_arrays,
                "rho": parabolic_distance_arrays}[metric]
@@ -379,49 +378,48 @@ def fresh(pts):
     return PointSet(pts.t.copy(), pts.x.copy())
 
 
-def set_caps(monkeypatch, cap, pairs):
-    # the pair caps are module constants, outside the pair tables' key
-    monkeypatch.setattr(metrics, "EXHAUSTIVE_CAP", cap)
-    monkeypatch.setattr(metrics, "SAMPLED_PAIRS", pairs)
+def set_budget(monkeypatch, budget):
+    # the pair budget is a module constant, outside the pair tables' key
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
 
 
 class TestPairTables:
     # (metric, alpha, seed): one point set sees every key in turn, so a
     # table reused under a key that misses any of these fields returns
-    # the pairs or distances of another key.  Each setting of the caps
-    # (exhaustive up to the first, else the second many pairs) takes a
-    # fresh point set.
+    # the pairs or distances of another key.  Each pair budget (all 780
+    # pairs within it, else that many seeded pairs) takes a fresh point
+    # set.
     KEYS = [(metric, alpha, seed) for metric in ("s", "rho")
             for alpha in (0.3, 0.7) for seed in (1, 2)]
-    CAPS = [(50_000, 700), (10, 700), (10, 900)]
+    BUDGETS = [200_000, 700]
 
     def test_tabled_estimate_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(21)
         base = random_points(rng, 40)
         values = (rng.normal(size=40), rng.normal(size=40))
-        for cap, pairs in self.CAPS:
-            set_caps(monkeypatch, cap, pairs)
+        for budget in self.BUDGETS:
+            set_budget(monkeypatch, budget)
             pts = fresh(base)
             for u in values:
                 for metric, alpha, seed in self.KEYS:
                     got = seminorm(u, pts, alpha, metric, seed=seed)
                     want = reference_seminorm(u, fresh(pts), alpha, metric,
-                                              cap, pairs, seed)
+                                              budget, seed)
                     assert got == want
-                    assert got.n_pairs == (40 * 39 // 2 if cap == 50_000
-                                           else pairs)
+                    assert got.n_pairs == min(40 * 39 // 2, budget)
                     assert got.argmax_p1 is not None
 
     def test_split_norm_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(22)
         base = random_points(rng, 60, height_hi=2.0)
         u = rng.normal(size=60)
-        for cap, pairs, seeds in ((50_000, 200_000, (0,)),
-                                  (10, 500, (3, 4))):
-            set_caps(monkeypatch, cap, pairs)
+        # the low subset has 630 pairs and the high one 276, so at a
+        # budget of 500 one is sampled and the other exhaustive
+        for budget, seeds in ((200_000, (0,)), (500, (3, 4))):
+            set_budget(monkeypatch, budget)
             pts = fresh(base)
             for seed, q in itertools.product(seeds, (0.0, 1.0)):
-                kw = dict(exhaustive_cap=cap, sampled_pairs=pairs, seed=seed)
+                kw = dict(budget=budget, seed=seed)
                 rep = split_holder_norm(u, pts, 0.5, q=q, seed=seed)
                 wu = weight(pts, q) * u
                 low = pts.x[:, -1] <= 1.0 + 1e-12

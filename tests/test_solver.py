@@ -12,6 +12,7 @@ from degenpde import solver
 from degenpde.analytic import (constant, expression, parse_expression,
                                space_symbols)
 from degenpde.fields import (
+    CoefficientField,
     constant_field,
     from_expressions,
     heston,
@@ -236,8 +237,11 @@ def random_spd_field(d, seed):
 
 
 # (field, d, times): x-dependent cross diffusion with drift that changes
-# sign along both axes, negative at part of the bottom row; and the
-# benchmark's time-dependent Heston field at three times.
+# sign along both axes, negative at part of the bottom row; the
+# benchmark's time-dependent Heston field at three times; and one field
+# for each other shape an entry takes on the sparse axes: c in t alone,
+# a drift that is sympy text, and d = 3 with zero and nonzero
+# off-diagonals in x1, in x3 and constant.
 ASSEMBLY_CASES = {
     "heston-rho0": (lambda: heston(2.0, 0.25, 1.0, 0.0, r=0.05), 2, [0.0]),
     "heston-rho-0.5": (lambda: heston(2.0, 0.25, 1.0, -0.5, r=0.05), 2,
@@ -252,6 +256,17 @@ ASSEMBLY_CASES = {
         2, [["0.5", "0"], ["0", "0.5"]],
         ["0.05 - x2/2", "2*(0.25*(1 + t) - x2)"], "-0.05",
         delta=0.5, K=12.0, nu=0.5), 2, [0.0, 0.25, 0.5]),
+    "c-in-t": (lambda: from_expressions(
+        2, [["0.5", "0"], ["0", "0.5"]], ["0.05 - x2/2", "0.5 - x2"],
+        "-0.05*(1 + t)", delta=0.5, K=12.0, nu=0.5), 2, [0.0, 0.5]),
+    "sympy-drift": (lambda: from_expressions(
+        2, [["1", "0"], ["0", "1"]], ["Max(x2 - 1, 0) - x1/2", "1 - x2"],
+        "0", delta=1.0, K=10.0, nu=1.0), 2, [0.0]),
+    "expressions-3d": (lambda: from_expressions(
+        3, [["1", "0", "0.2*cos(x1)"], ["0", "1 + x3/4", "0.1"],
+            ["0.2*cos(x1)", "0.1", "0.5"]],
+        ["x2/2 - x1", "0.3 - x3", "1 - x3/2 + t"], "-0.1", delta=0.2,
+        K=10.0, nu=1.0), 3, [0.0, 0.5]),
 }
 
 
@@ -274,6 +289,28 @@ class TestDiagonalAssembly:
             scale = np.max(np.abs(ref.data))
             assert np.max(np.abs(A.data - ref.data)) <= 1e-14 * scale
             assert A[dir_flat].nnz == 0
+
+
+class TestEntryAssembly:
+    @pytest.mark.parametrize("case", ["heston-rho0", "heston-timedep"])
+    def test_reads_entries_not_stacked_coefficients(self, monkeypatch,
+                                                    case):
+        # assembly, a certified solve and the residual operator read the
+        # field's entries; the stacked a, b and c are the samplers'
+        def stacked(self, t, x):
+            raise AssertionError("stacked coefficients evaluated")
+
+        for name in ("a", "b", "c"):
+            monkeypatch.setattr(CoefficientField, name, stacked)
+        field = ASSEMBLY_CASES[case][0]()
+        grid = small_grid(n=9, n_slices=4)
+        A, dir_flat = discretize_operator(field, grid, 0.25)
+        assert A.nnz > 0 and A[dir_flat].nnz == 0
+        u, report = solve_cauchy(manufactured_problem(field, "inner_bump"),
+                                 grid, certify=True)
+        assert report.certificate.passed
+        residual = apply_discrete_operator(u, field)
+        assert np.isfinite(residual[:, ~grid.dirichlet_mask()]).all()
 
 
 class TestStencilPlan:
