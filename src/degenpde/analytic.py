@@ -56,8 +56,8 @@ def parse_expression(text, d):
     Only elementary functions are allowed; unknown names are an error so
     a typo in a config cannot silently evaluate to zero; so are I, zoo,
     oo and nan, which numpy would drop or carry into the solve, and text
-    that is not a number-valued expression (True, x1 > 0).  Each (text,
-    d) is parsed once per process.
+    that is not number-valued (True, x1 > 0).  Each (text, d) is parsed
+    once per process.
     """
     import sympy as sp
     local = {name: getattr(sp, name) for name in (
@@ -70,8 +70,7 @@ def parse_expression(text, d):
     except Exception as exc:
         raise ValueError("cannot parse expression %r: %s" % (text, exc))
     if not isinstance(expr, sp.Expr):
-        raise ValueError("expression %r must be number-valued, not %s"
-                         % (text, type(expr).__name__))
+        raise ValueError("expression %r is not number-valued" % (text,))
     extra = expr.free_symbols - set(syms)
     if extra:
         raise ValueError("expression %r uses unknown symbols %s"

@@ -9,15 +9,15 @@ the height coordinate, so ellipticity degenerates linearly at the bottom
 boundary; wellposedness without a boundary condition there rests on the
 inward drift b^d >= nu > 0 at height 0.
 
-A field holds each entry of (a, b, c) as an AnalyticFunction.  The
-heston, constant and homogeneous-drift presets give numbers: a and c
-constant and b = b0 + B1 x.  The expressions preset gives text
+A field holds each entry of (a, b, c) as an AnalyticFunction; the
+solver's assembly and operator_apply read the entries, and the sampled
+audits read them stacked by CoefficientField.a, b and c.  The heston,
+constant and homogeneous-drift presets give numbers: a and c constant
+and b = b0 + B1 x.  The expressions preset gives text
 (analytic.text_function): a polynomial in t, x1..xd, such as the
 time-dependent Heston drift 2*(0.25*(1 + t) - x2), becomes numbers and
 powers of the coordinates without sympy; other text (sqrt, exp, Max,
-x1/x2, ...) is parsed by sympy, and only that text is compiled.  The
-solver's assembly and operator_apply read these entries; the stacked
-arrays of CoefficientField.a, b and c serve the sampled audits.
+x1/x2, ...) is parsed by sympy, and only that text is compiled.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on
@@ -74,8 +74,7 @@ class CoefficientField:
 
     def a(self, t, x):
         """Diffusion matrix at (t, x); shape (..., d, d)."""
-        out = self._stack([e for row in self.a_fns for e in row], t, x)
-        return out.reshape(out.shape[:-1] + (self.d, self.d))
+        return np.stack([self._stack(row, t, x) for row in self.a_fns], -2)
 
     def b(self, t, x):
         return self._stack(self.b_fns, t, x)

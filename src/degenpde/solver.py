@@ -192,8 +192,7 @@ class _StencilPlan:
         self.dir_flat.flags.writeable = False  # handed to callers
         self.weights = [[along(i, w) for w in _axis_weights(ax)]
                         for i, ax in enumerate(grid.axes)]
-        self.first_node = [along(i, np.arange(n) == 0)
-                           for i, n in enumerate(shape)]
+        self.first_node = [m == ax[0] for m, ax in zip(self.mesh, grid.axes)]
         steps = sorted((s for s in itertools.product((-1, 0, 1), repeat=d)
                         if np.count_nonzero(s) <= 2),
                        key=lambda s: np.dot(s, self.strides))

@@ -554,12 +554,12 @@ class TestMainExitCodes:
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "x1"], ["x2", "1"]])},
          "field preset 'expressions': diffusion matrix must be symmetric"),
         ({"data": {"g": "True"}},
-         "data: expression 'True' must be number-valued, not bool"),
+         "data: expression 'True' is not number-valued"),
         ({"data": {"g": "x1", "f": "False"}},
-         "data: expression 'False' must be number-valued, not bool"),
+         "data: expression 'False' is not number-valued"),
         ({"field": dict(EXPRESSIONS_FIELD, c="x1 > 0")},
-         "field preset 'expressions': expression 'x1 > 0' must be "
-         "number-valued, not StrictGreaterThan"),
+         "field preset 'expressions': expression 'x1 > 0' is not "
+         "number-valued"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
             "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
             "g-true", "f-false", "c-relational"])
