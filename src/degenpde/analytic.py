@@ -20,10 +20,11 @@ Text (data strings and the expressions preset) becomes a function in
 text_function.  A polynomial in t, x1..xd, such as the Heston drift
 2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the coordinates,
 in numpy, without sympy.  Any other text (sqrt, Max, x1/x2, ...) is
-parsed with sympy into a factor of its own, which sympy differentiates
-and lambdify compiles; sympy is imported only then.  cached_lambdify
-compiles each (symbols, expression) pair once per process, so the same
-text rebuilt by several experiments shares its code.
+built into sympy from its syntax tree, never run, as a factor of its
+own, which sympy differentiates and lambdify compiles; sympy is
+imported only then.  cached_lambdify compiles each (symbols, expression)
+pair once per process, so the same text rebuilt by several experiments
+shares its code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import ast
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -49,25 +51,64 @@ def _symbols(d):
     return (sp.Symbol("t", real=True),) + tuple(space_symbols(d))
 
 
+_CONSTANTS = ("pi", "E", "I", "oo", "zoo", "nan")
+_FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
+              "tanh", "exp", "log", "sqrt", "Abs", "Min", "Max", "Piecewise")
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.BitAnd: operator.and_,
+              ast.BitOr: operator.or_, ast.UAdd: operator.pos,
+              ast.USub: operator.neg, ast.Lt: operator.lt,
+              ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+
+
+def _sympy_tree(node, text, names):
+    """The sympy expression of a node of the ast of text, as sympy's
+    parse_expr evaluates it; a number is an Integer, or a Float of its
+    digits.  A name outside names (t, x1..xd, _CONSTANTS) is a Symbol and
+    a call outside _FUNCTIONS an undefined Function, for parse_expression
+    to report; another construct is a ValueError that names it."""
+    import sympy as sp
+    build = functools.partial(_sympy_tree, text=text, names=names)
+    ops = getattr(node, "ops", [getattr(node, "op", None)])
+    if type(ops[0]) in _OPERATORS and len(ops) == 1:  # no chained compare
+        return _OPERATORS[type(ops[0])](*[
+            build(c) for c in ast.iter_child_nodes(node) if c not in ops])
+    if isinstance(node, ast.Constant) and type(node.value) in (bool, int):
+        return sp.sympify(node.value)
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return sp.Float(ast.get_source_segment(text, node))
+    if isinstance(node, ast.Name):
+        return names[node.id] if node.id in names else sp.Symbol(node.id)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and not node.keywords:
+        name = node.func.id
+        fn = getattr(sp, name) if name in _FUNCTIONS else sp.Function(name)
+        return fn(*[tuple(map(build, a.elts)) if isinstance(a, ast.Tuple)
+                    and name == "Piecewise" else build(a) for a in node.args])
+    if isinstance(node, ast.Call):  # with keywords, or of no name
+        node = node.keywords[0] if node.keywords else node.func
+    what = node if ops[0] is None or type(ops[0]) in _OPERATORS else ops[0]
+    raise ValueError("%s %r is not allowed" % (
+        type(what).__name__, ast.get_source_segment(text, node)))
+
+
 @functools.cache
 def parse_expression(text, d):
     """Parse a coefficient or data expression in variables t, x1..xd.
 
-    Only elementary functions are allowed; unknown names are an error so
-    a typo in a config cannot silently evaluate to zero; so are I, zoo,
-    oo and nan, which numpy would drop or carry into the solve, and text
-    that is not number-valued (True, x1 > 0).  Each (text, d) is parsed
-    once per process.
+    The text's Python syntax tree is built into sympy (_sympy_tree), never
+    run.  Unknown names are an error so a typo cannot silently evaluate
+    to zero; so are I, zoo, oo and nan, which numpy would drop or carry
+    into the solve, and text that is not number-valued (True, x1 > 0).
+    Each (text, d) is parsed once per process.
     """
     import sympy as sp
-    local = {name: getattr(sp, name) for name in (
-        "sin", "cos", "tan", "exp", "sqrt", "log", "pi", "E", "sinh",
-        "cosh", "tanh", "Min", "Max")}
     syms = _symbols(d)
-    local.update((str(s), s) for s in syms)
+    names = {str(s): s for s in syms} | {c: getattr(sp, c) for c in _CONSTANTS}
     try:
-        expr = sp.parse_expr(text, local_dict=local, evaluate=True)
-    except Exception as exc:
+        expr = _sympy_tree(ast.parse(text, mode="eval").body, text, names)
+    except (SyntaxError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError("cannot parse expression %r: %s" % (text, exc))
     if not isinstance(expr, sp.Expr):
         raise ValueError("expression %r is not number-valued" % (text,))

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import gridio
 from .analytic import text_function
-from .fields import (constant_field, from_expressions, heston,
-                     homogeneous_drift, validate_assumptions)
+from .fields import (ASSUMPTION_SLACK, constant_field, from_expressions,
+                     heston, homogeneous_drift, validate_assumptions)
 from .grid import GRADINGS, Grid
 from .metrics import grid_constituents, grid_point_set, holder_reports_to_csv, \
     order2_norm
@@ -321,13 +321,11 @@ def exp_solve(cfg, out, seed):
 
 def exp_validate_coeffs(cfg, out, seed):
     field = build_field(cfg)
-    report = validate_assumptions(field, section(cfg, "validate")["n_samples"],
-                                  seed=seed, alpha=setting(cfg, "alpha"))
-    _write(out, "assumptions.csv", gridio.assumption_report_csv(report))
-    _write(out, "assumptions.txt", report.summary() + "\n")
+    rows = validate_assumptions(field, section(cfg, "validate")["n_samples"],
+                                seed=seed, alpha=setting(cfg, "alpha"))
     return [CheckResult("assumption-" + name, "coefficient-assumptions",
-                        value, declared, report.slack, ok)
-            for name, value, declared, ok in report.rows]
+                        value, declared, ASSUMPTION_SLACK, ok)
+            for name, value, declared, ok in rows]
 
 
 def exp_norms(cfg, out, seed):
@@ -340,7 +338,7 @@ def exp_norms(cfg, out, seed):
                                     n_max=n["n_points"], seed=seed)
     cons = grid_constituents(u, ti, si)
     reports = [r for q in n["q"]
-               for r in order2_norm(cons, points, alpha, q=q, seed=seed)[1]]
+               for r in order2_norm(cons, points, alpha, q=q)[1]]
     _write(out, "holder.csv", holder_reports_to_csv(reports))
     return []
 
@@ -436,7 +434,6 @@ def exp_convergence(cfg, out, seed):
         height=g["height"], t_final=g["t_final"], mode=c["mode"],
         grading=g["grading"], **solve)
     _write(out, "convergence.csv", gridio.convergence_csv(study))
-    _write(out, "convergence.txt", study.summary() + "\n")
     if study.order is None:
         return [CheckResult("convergence-order", "theta-scheme", 0.0, 0.0,
                             1.0, True, "errors at machine precision")]
@@ -528,11 +525,11 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             _check_value("--seed", args.seed, (NATURAL, 0))
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
     seed = args.seed if args.seed is not None else setting(cfg, "seed")
-    os.makedirs(args.out, exist_ok=True)
     kinds = cfg.get("experiments") if args.command == "run" \
         else [args.command]
     try:

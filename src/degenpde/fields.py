@@ -30,14 +30,15 @@ so the slack guards the comparison direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analytic import (AnalyticFunction, affine, axis_weights, constant,
                        text_function)
 from .grid import Region
 from .metrics import cycloidal_distance_arrays, parabolic_distance_arrays
+
+# Factor by which a sampled estimate may miss its declared constant.
+ASSUMPTION_SLACK = 1.05
 
 
 class CoefficientField:
@@ -171,31 +172,6 @@ def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
                             nu, name=name)
 
 
-@dataclass
-class AssumptionReport:
-    """Sampled estimates of the standing-assumption constants: rows of
-    (name, estimate, declared constant, passed)."""
-
-    field_name: str
-    n_samples: int
-    seed: int
-    slack: float
-    rows: list
-
-    @property
-    def passed(self):
-        return all(ok for *_, ok in self.rows)
-
-    def summary(self):
-        lines = ["assumption check: %s (n=%d, seed=%d, slack=%.3g)"
-                 % (self.field_name, self.n_samples, self.seed, self.slack)]
-        for name, value, _, ok in self.rows:
-            lines.append("  %-22s %-24.17g %s"
-                         % (name, value, "pass" if ok else "FAIL"))
-        lines.append("  overall: %s" % ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
-
-
 def _holder_quotients(field, t1, x1, t2, x2, dist, alpha, weight_a=None):
     """Max Holder quotient over all coefficient entries for given pairs."""
     keep = (dist > 0) & (dist <= 1.0)
@@ -233,14 +209,15 @@ def _paired_samples(rng, region, n, height_lo, height_hi):
 
 
 def validate_assumptions(field, n_samples=2000, seed=0, alpha=0.5):
-    """Estimate the assumption constants by sampling and compare.
+    """Estimate the assumption constants by sampling and compare: rows
+    of (name, estimate, declared constant, passed).
 
     Samples come from Region.sampling_box, whose top height 4 lies above
     the split height 2 of the low and high ellipticity checks.
-    Lower-bound constants (delta, nu) must be met up to 1/slack, suprema
-    (K and the Holder/growth constants) up to a factor slack = 1.05.  Holder
-    quotients are taken over perturbed pairs at metric distance <= 1, the
-    range the assumption constrains.
+    Lower-bound constants (delta, nu) must be met up to 1/ASSUMPTION_SLACK,
+    suprema (K and the Holder/growth constants) up to a factor
+    ASSUMPTION_SLACK.  Holder quotients are taken over perturbed pairs at
+    metric distance <= 1, the range the assumption constrains.
     """
     region = Region.sampling_box(field.d)
     rng = np.random.default_rng(seed)
@@ -283,17 +260,15 @@ def validate_assumptions(field, n_samples=2000, seed=0, alpha=0.5):
         parabolic_distance_arrays(t1, x1, t2, x2), alpha,
         weight_a=lambda x: x[:, -1])
 
-    slack, tol = 1.05, 1e-12
+    slack, tol = ASSUMPTION_SLACK, 1e-12
     low = field.delta / slack - tol
-    rows = [("delta_hat", delta_hat, field.delta, delta_hat >= low),
+    return [("delta_hat", delta_hat, field.delta, delta_hat >= low),
             ("delta_interior_hat", delta_interior_hat, field.delta,
              delta_interior_hat >= low),
             ("nu_hat", nu_hat, field.nu,
-             nu_hat >= field.nu / slack - tol and nu_hat > 0)]
-    rows += [(name, value, field.K, value <= field.K * slack + tol)
-             for name, value in (
-                 ("K_hat", K_hat), ("c_max_hat", c_max_hat),
-                 ("holder_s_hat", holder_s_hat),
-                 ("holder_rho_hat", holder_rho_hat),
-                 ("growth_hat", growth_hat))]
-    return AssumptionReport(field.name, n_samples, seed, slack, rows)
+             nu_hat >= field.nu / slack - tol and nu_hat > 0)] + [
+        (name, value, field.K, value <= field.K * slack + tol)
+        for name, value in (
+            ("K_hat", K_hat), ("c_max_hat", c_max_hat),
+            ("holder_s_hat", holder_s_hat),
+            ("holder_rho_hat", holder_rho_hat), ("growth_hat", growth_hat))]

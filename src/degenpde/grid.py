@@ -127,6 +127,8 @@ class Grid:
             raise ValueError("spatial dimension must be >= 2")
         if grading not in GRADINGS:
             raise ValueError("unknown grading %r" % (grading,))
+        if min(n_lateral, n_height) < 3:  # before dividing by n_height - 1
+            raise ValueError("every spatial axis needs at least 3 nodes")
         lateral = np.linspace(-x_extent, x_extent, n_lateral)
         j = np.arange(n_height, dtype=float) / (n_height - 1)
         vert = height * GRADINGS[grading](j)

@@ -113,12 +113,6 @@ def convergence_csv(study):
     return text
 
 
-def assumption_report_csv(report):
-    return csv_text(("quantity", "value", "pass"),
-                    [(name, value, "pass" if ok else "fail")
-                     for name, value, _, ok in report.rows])
-
-
 def write_manifest(path, config, command, seed, wall_times):
     """Write the run's manifest.  wall_times holds (experiment, seconds)
     in config order.  cpu_s and peak_rss_mb cover this process so far and

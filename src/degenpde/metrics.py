@@ -17,8 +17,8 @@ Seminorm estimation takes all pairs of a point set with at most
 PAIR_BUDGET pairs, else PAIR_BUDGET seeded pairs, so every reported value
 is a certified lower bound of the true supremum over the sampled region.  The
 pairs and their powered distances depend only on the points, so each
-point set builds one pair table per (metric, alpha, seed) and every
-seminorm on it reuses that table.
+point set builds one pair table per (metric, alpha), drawn with the point
+set's seed, and every seminorm on it reuses that table.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ class SeminormEstimate:
 
 @dataclass
 class PointSet:
-    """Evaluation points for norm estimation.
+    """Evaluation points for norm estimation; seed draws the pairs of a
+    set with more than PAIR_BUDGET of them, and a subset keeps it.
 
     t and x are never mutated after construction: the point set memoizes
     its subsets and pair tables in `_tables`, which would go stale.
@@ -131,6 +132,7 @@ class PointSet:
 
     t: np.ndarray
     x: np.ndarray
+    seed: int = 0
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -142,7 +144,7 @@ class PointSet:
         mask = np.asarray(mask)
         key = ("subset", mask.dtype.str, mask.tobytes())
         if key not in self._tables:
-            self._tables[key] = PointSet(self.t[mask], self.x[mask])
+            self._tables[key] = PointSet(self.t[mask], self.x[mask], self.seed)
         return self._tables[key]
 
     def point(self, k):
@@ -154,7 +156,8 @@ def grid_point_set(grid, mask=None, n_max=4000, seed=0):
 
     Returns (PointSet, time indices, flat spatial indices); the indices
     let callers gather values of several grid functions at identical
-    points. Subsampling beyond n_max is seeded and deterministic.
+    points. The seed draws the subsample beyond n_max and, kept by the
+    point set, its pairs.
     """
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
@@ -171,7 +174,7 @@ def grid_point_set(grid, mask=None, n_max=4000, seed=0):
         pick.sort()
         ti, pos = np.divmod(pick, len(flat))
         si = flat[pos]
-    return (PointSet(grid.times[ti], nodes[si]), ti, si)
+    return (PointSet(grid.times[ti], nodes[si], seed), ti, si)
 
 
 def gather(gridfn, ti, si):
@@ -179,16 +182,16 @@ def gather(gridfn, ti, si):
     return gridfn.values.reshape(gridfn.grid.n_t, -1)[ti, si]
 
 
-def _pair_table(points, metric, alpha, seed):
+def _pair_table(points, metric, alpha):
     """(i, j, dist ** alpha, dist > 0) of every pair within the budget, of
     seeded pairs i != j beyond it; built once per point set and key."""
-    key = (metric, alpha, seed)
+    key = (metric, alpha)
     if key not in points._tables:
         m = points.size
         if m * (m - 1) // 2 <= PAIR_BUDGET:
             i, j = np.triu_indices(m, k=1)
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(points.seed)
             i = rng.integers(0, m, size=PAIR_BUDGET)
             j = rng.integers(0, m - 1, size=PAIR_BUDGET)
             j = j + (j >= i)
@@ -198,7 +201,7 @@ def _pair_table(points, metric, alpha, seed):
     return points._tables[key]
 
 
-def seminorm(values, points, alpha, metric, seed=0):
+def seminorm(values, points, alpha, metric):
     """Holder seminorm estimate sup |u(P1)-u(P2)| / dist(P1,P2)^alpha."""
     if metric not in _METRICS:
         raise ValueError("metric must be 's' or 'rho'")
@@ -208,7 +211,7 @@ def seminorm(values, points, alpha, metric, seed=0):
     if m < 2:
         return SeminormEstimate(0.0, 0)
     values = np.asarray(values, dtype=float)
-    i, j, powered, apart = _pair_table(points, metric, alpha, seed)
+    i, j, powered, apart = _pair_table(points, metric, alpha)
     diff = np.abs(values[i] - values[j])
     quot = np.divide(diff, powered, out=np.zeros_like(diff), where=apart)
     k = int(np.argmax(quot)) if len(quot) else 0
@@ -258,16 +261,16 @@ def holder_reports_to_csv(reports):
         for r in reports])
 
 
-def holder_norm(values, points, alpha, metric, seed=0):
+def holder_norm(values, points, alpha, metric):
     """Plain single-metric norm, unweighted: sup + seminorm."""
     values = np.asarray(values, dtype=float)
     sup = float(np.max(np.abs(values))) if points.size else 0.0
-    est = seminorm(values, points, alpha, metric, seed)
+    est = seminorm(values, points, alpha, metric)
     return HolderReport(metric, alpha, 0.0, sup, est.value, sup + est.value,
                         est.n_pairs, est.argmax_p1, est.argmax_p2)
 
 
-def split_holder_norm(values, points, alpha, q=0.0, seed=0):
+def split_holder_norm(values, points, alpha, q=0.0):
     """Weighted norm of order alpha on the split region.
 
     Cycloidal seminorm where the height is <= 1, parabolic seminorm where
@@ -281,8 +284,8 @@ def split_holder_norm(values, points, alpha, q=0.0, seed=0):
     h = points.x[:, -1]
     low = h <= 1.0 + 1e-12
     high = h >= 1.0 - 1e-12
-    est_s = seminorm(wv[low], points.subset(low), alpha, "s", seed)
-    est_r = seminorm(wv[high], points.subset(high), alpha, "rho", seed)
+    est_s = seminorm(wv[low], points.subset(low), alpha, "s")
+    est_r = seminorm(wv[high], points.subset(high), alpha, "rho")
     semi = est_s.value + est_r.value
     best = est_s if est_s.value >= est_r.value else est_r
     return HolderReport("split", alpha, q, sup, semi, sup + semi,
@@ -317,7 +320,7 @@ def grid_constituents(u, ti, si):
     return vals, dt_vals, du, wdd
 
 
-def order2_norm(constituents, points, alpha, q=0.0, seed=0):
+def order2_norm(constituents, points, alpha, q=0.0):
     """Weighted norm of order 2+alpha from precomputed constituents.
 
     Sum of the split norms of u, u_t, the worst first derivative and the
@@ -325,11 +328,11 @@ def order2_norm(constituents, points, alpha, q=0.0, seed=0):
     where reports holds those four split norms, in that order.
     """
     vals, dt_vals, du, wdd = constituents
-    r_u = split_holder_norm(vals, points, alpha, q, seed)
-    r_t = split_holder_norm(dt_vals, points, alpha, q, seed)
-    best_du = max((split_holder_norm(v, points, alpha, q, seed) for v in du),
+    r_u = split_holder_norm(vals, points, alpha, q)
+    r_t = split_holder_norm(dt_vals, points, alpha, q)
+    best_du = max((split_holder_norm(v, points, alpha, q) for v in du),
                   key=lambda r: r.total)
-    best_dd = max((split_holder_norm(v, points, alpha, q, seed)
-                   for v in wdd), key=lambda r: r.total)
+    best_dd = max((split_holder_norm(v, points, alpha, q) for v in wdd),
+                  key=lambda r: r.total)
     reports = [r_u, r_t, best_du, best_dd]
     return sum(r.total for r in reports), reports

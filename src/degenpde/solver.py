@@ -583,17 +583,6 @@ class ConvergenceStudy:
     rows: list
     order: float | None
 
-    def summary(self):
-        lines = ["convergence (%s refinement)" % self.mode,
-                 "  %-12s %-12s %-16s" % ("h", "dt", "sup error")]
-        for h, dt, err in self.rows:
-            lines.append("  %-12.6g %-12.6g %-16.10g" % (h, dt, err))
-        if self.order is None:
-            lines.append("  order fit skipped (errors at machine precision)")
-        else:
-            lines.append("  fitted order: %.4f" % self.order)
-        return "\n".join(lines)
-
 
 def convergence_study(field, kind, ladder, x_extent=2.0, height=2.0,
                       t_final=1.0, mode="space", grading="quadratic",

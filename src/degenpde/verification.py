@@ -422,7 +422,7 @@ class InterpolationFit:
         return np.isfinite(self.constant) and self.constant >= 0
 
 
-def interpolation_cases(u, points, alpha, seed=0):
+def interpolation_cases(u, points, alpha):
     """(lhs per inequality, full cycloidal norm, sup norm) for one u.
 
     The full norm adds the cycloidal norms of u and u_t, of the worst first
@@ -434,7 +434,7 @@ def interpolation_cases(u, points, alpha, seed=0):
     h = points.x[:, -1]
 
     def norm(v):
-        return holder_norm(v, points, alpha, "s", seed).total
+        return holder_norm(v, points, alpha, "s").total
 
     norm_u = norm(vals)
     full = (norm_u + norm(dt_vals) + max(map(norm, du))
@@ -504,9 +504,8 @@ def interpolation_check(functions=None, alpha=0.5,
         functions = default_interpolation_functions()
     grid = Grid([np.linspace(-1.3, 1.3, 13), np.linspace(0.0, 1.3, 9)],
                 np.linspace(0.0, 1.0, 6))
-    points = grid_point_set(grid, n_max=np.inf)[0]
-    cases = [interpolation_cases(u, points, alpha, seed=seed)
-             for u in functions]
+    points = grid_point_set(grid, n_max=np.inf, seed=seed)[0]
+    cases = [interpolation_cases(u, points, alpha) for u in functions]
     fits = fit_interpolation_constants(cases, eps_ladder)
     results = []
     for key, fit in fits.items():
@@ -546,12 +545,10 @@ def schauder_ratio(problem, grid, alpha=0.5, n_points=1200, seed=0,
     u, _ = solve_cauchy(problem, grid, **solve)
     points, ti, si = grid_point_set(grid, grid.audited_mask(),
                                     n_max=n_points, seed=seed)
-    num, reports = order2_norm(grid_constituents(u, ti, si), points, alpha,
-                               seed=seed)
-    rf = split_holder_norm(problem.f.value(points.t, points.x), points,
-                           alpha, seed=seed)
+    num, reports = order2_norm(grid_constituents(u, ti, si), points, alpha)
+    rf = split_holder_norm(problem.f.value(points.t, points.x), points, alpha)
     ng, g_reports = order2_norm(analytic_constituents(problem.g, points),
-                                points, alpha, seed=seed)
+                                points, alpha)
     den = rf.total + ng
     reports = reports + [rf] + g_reports
     return SchauderReport(num, den, reports), u

@@ -6,7 +6,9 @@ expression within 1e-12 of the oracle's largest magnitude, at random
 points and at points within 1e-6 of each bump's support edge, inside and
 outside.  f = L u is compared by value.  Polynomial text, which
 text_function builds without sympy, must agree with the same text parsed
-by sympy within 1e-13; other text must take the sympy path.
+by sympy's own parse_expr within 1e-13; other text must take the sympy
+path and build what parse_expr builds, and text outside the grammar of
+parse_expression is refused without being run.
 """
 
 import numpy as np
@@ -174,9 +176,15 @@ def test_operator_apply(name, kind, manufactured_exprs):
     assert_agree([f.value(t, x)], oracle(lu, t, x, [()]))
 
 
-def sympy_function(text, d=2):
+def sympy_parse(text):
+    """text through sympy's own parser, the reference for parse_expression
+    (and sympy's namespace for every name but t, x1 and x2)."""
+    return sp.parse_expr(text, local_dict={"t": T, "x1": X[0], "x2": X[1]})
+
+
+def sympy_function(text):
     """text through sympy, the reference for text_function."""
-    return expression(d, parse_expression(text, d))
+    return expression(2, sympy_parse(text))
 
 
 @pytest.mark.parametrize("text", [
@@ -197,12 +205,65 @@ def test_polynomial_text_matches_sympy(text):
     "Piecewise((1, x1 < 0), (0, True))", "x1^2", "x1**9", "(x1*x2)**5",
     "x1**2.0", "x1**-1", "pi*x1", "exp(-t)*x2", "x1 +", "1e400"])
 def test_other_text_takes_the_sympy_path(text):
-    # the same function, or the same error, as through sympy
-    def outcome(build):
-        try:
-            return build().terms
-        except ValueError as exc:
-            return str(exc)
+    # the same function as through sympy, or a one-line error
+    errors = {"x3": "uses unknown symbols ['x3']",
+              "1/0": "must have finite real values",
+              "x1/(t - t)": "must have finite real values",
+              "x1^2": "BitXor 'x1^2' is not allowed",
+              "x1 +": "cannot parse expression 'x1 +': invalid syntax"}
+    if text in errors:
+        with pytest.raises(ValueError) as info:
+            text_function(text, 2)
+        assert errors[text] in str(info.value)
+        assert "\n" not in str(info.value)
+    else:
+        assert text_function(text, 2).terms == sympy_function(text).terms
 
-    assert outcome(lambda: text_function(text, 2)) == outcome(
-        lambda: sympy_function(text))
+
+# Text in every part of the grammar of parse_expression
+GRAMMAR_TEXTS = [
+    "sqrt(x1)*exp(-t) + log(1 + x2) - log(x1, 2)", "pi*x1 + E**t",
+    "sin(x1) + cos(x2) + tan(x1/4)", "asin(x2/4) + acos(x2/4) + atan(x1)",
+    "tanh(x1)*cosh(t)/sinh(1 + x2)", "Abs(x1) + Min(x1, x2, 1) - Max(0, t)",
+    "Piecewise((1, (x1 < 0.2) & (x2 <= 1)), (0, (t > 0.3) | (x1 >= 1)), "
+    "(2, True))", "-x1**2 + +2.5e-3*x1 - 7/3", "0.1000000000000000000001",
+    "1e400", "x1**2.0 + x2**-1 + 2**0.5"]
+
+
+@pytest.mark.parametrize("text", GRAMMAR_TEXTS)
+def test_parse_builds_what_sympy_parses(text):
+    assert sp.srepr(parse_expression(text, 2)) == sp.srepr(sympy_parse(text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Integral(x1, x1)", "uses unknown functions ['Integral']"),
+    ("floor(x1)", "uses unknown functions ['floor']"),
+    ("Heaviside(x1)", "uses unknown functions ['Heaviside']"),
+    ("factorial(3)", "uses unknown functions ['factorial']"),
+    ("sign(x1) + cot(x2)", "uses unknown functions ['cot', 'sign']"),
+    ("lambda: 1", "Lambda 'lambda: 1' is not allowed"),
+    ("x1 if x2 else 0", "IfExp 'x1 if x2 else 0' is not allowed"),
+    ("x1.real", "Attribute 'x1.real' is not allowed"),
+    ("sin.__class__(x1)", "Attribute 'sin.__class__' is not allowed"),
+    ("x1[0]", "Subscript 'x1[0]' is not allowed"),
+    ("exp(x=x1)", "keyword 'x=x1' is not allowed"),
+    ("x1 % 2", "Mod 'x1 % 2' is not allowed"),
+    ("x1 == 1", "Eq 'x1 == 1' is not allowed"),
+    ("0 < x1 < 1", "Compare '0 < x1 < 1' is not allowed"),
+    ("x1 and x2", "And 'x1 and x2' is not allowed"),
+    ("(x1, x2)", "Tuple '(x1, x2)' is not allowed"),
+    ("'x1'", "Constant \"'x1'\" is not allowed"),
+    ("I*x1", "must have finite real values"),
+    ("oo", "must have finite real values")])
+def test_text_outside_the_grammar_is_refused(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_expression(text, 2)
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
+def test_text_is_never_run(tmp_path):
+    sentinel = tmp_path / "sentinel"
+    text = '__import__("pathlib").Path(%r).touch() or x1' % str(sentinel)
+    with pytest.raises(ValueError, match="Or .* is not allowed"):
+        text_function(text, 2)
+    assert not sentinel.exists()

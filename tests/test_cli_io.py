@@ -265,14 +265,19 @@ class TestCsvWriters:
             '"barrier(drift=-2,C=6,c=0.5)","say ""hi""","two'
         assert list(csv.reader(io.StringIO(text)))[1] == cells
 
-    def test_assumption_csv_deterministic(self):
-        from degenpde.fields import validate_assumptions
-        from degenpde.gridio import assumption_report_csv
-        field = homogeneous_drift(1.0)
-        r1 = validate_assumptions(field, n_samples=300, seed=5)
-        r2 = validate_assumptions(field, n_samples=300, seed=5)
-        assert assumption_report_csv(r1) == assumption_report_csv(r2)
-        assert assumption_report_csv(r1).startswith("quantity,value,pass")
+    def test_assumption_csv_deterministic(self, tmp_path):
+        # the assumption rows are written once, as rows of checks.csv
+        cfg = write_cfg(tmp_path, {"field": BASE_CFG["field"],
+                                   "validate": {"n_samples": 300}})
+        texts = []
+        for name in ("first", "again"):
+            out = tmp_path / name
+            cli.main(["validate-coeffs", "--config", cfg, "--out", str(out),
+                      "--seed", "5"])
+            texts.append((out / "validate-coeffs" / "checks.csv").read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("check,anchor,lhs,rhs,slack,pass\n"
+                                   "assumption-delta_hat,")
 
 
 class TestMainExitCodes:
@@ -346,6 +351,8 @@ class TestMainExitCodes:
         ({"convergence": {"mode": "spcae"}},
          'convergence.mode must be one of "space", "time", not "spcae"'),
         ({"grid": dict(BASE_CFG["grid"], n_lateral=2)},
+         "grid: every spatial axis needs at least 3 nodes"),
+        ({"grid": dict(BASE_CFG["grid"], n_height=1)},
          "grid: every spatial axis needs at least 3 nodes"),
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1"]])}, "a must be 2 x 2"),
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "0", "0"],
@@ -483,7 +490,8 @@ class TestMainExitCodes:
             "string-certify", "heston-without-kappa", "unparsable-g",
             "unparsable-f", "unknown-manufactured", "one-rung-ladder",
             "cubic-grading", "edge-boundary", "misspelled-mode",
-            "two-node-axis", "expressions-a-1x1", "expressions-a-3x3",
+            "two-node-axis", "one-node-height", "expressions-a-1x1",
+            "expressions-a-3x3",
             "norms-alpha-1.5", "validate-alpha-negative", "interp-alpha-0",
             "schauder-alpha-1", "alpha-0", "alpha-1",
             "unknown-convergence-kind",
@@ -560,9 +568,25 @@ class TestMainExitCodes:
         ({"field": dict(EXPRESSIONS_FIELD, c="x1 > 0")},
          "field preset 'expressions': expression 'x1 > 0' is not "
          "number-valued"),
+        ({"data": {"g": "Integral(x1, x1)"}},
+         "data: expression 'Integral(x1, x1)' uses unknown functions "
+         "['Integral']"),
+        ({"data": {"g": "lambda: 1"}},
+         "data: cannot parse expression 'lambda: 1': Lambda 'lambda: 1' "
+         "is not allowed"),
+        ({"data": {"g": "x1", "f": "x1 if x2 else 0"}},
+         "IfExp 'x1 if x2 else 0' is not allowed"),
+        ({"field": dict(EXPRESSIONS_FIELD, c="floor(x1)")},
+         "field preset 'expressions': expression 'floor(x1)' uses unknown "
+         "functions ['floor']"),
+        ({"data": {"g": "x1.real"}}, "Attribute 'x1.real' is not allowed"),
+        ({"data": {"g": "x1[0]"}}, "Subscript 'x1[0]' is not allowed"),
+        ({"data": {"g": "exp(x=x1)"}}, "keyword 'x=x1' is not allowed"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
             "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
-            "g-true", "f-false", "c-relational"])
+            "g-true", "f-false", "c-relational", "g-integral", "g-lambda",
+            "f-conditional", "c-floor", "g-attribute", "g-subscript",
+            "g-keyword"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
         # the field is built, and every expression parsed and evaluated
@@ -577,6 +601,19 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert message in err[0]
         assert not out.exists()
+
+    def test_config_text_is_never_run(self, tmp_path, capsys):
+        sentinel = tmp_path / "sentinel"
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, data={
+            "g": '__import__("pathlib").Path(%r).touch() or x1'
+                 % str(sentinel)}))
+        code = cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "config error: data: cannot parse expression")
+        assert not sentinel.exists() and not (tmp_path / "out").exists()
 
     def test_partial_grid_section_solves(self, tmp_path, capsys):
         grid = {k: v for k, v in BASE_CFG["grid"].items() if k != "height"}
@@ -677,8 +714,9 @@ class TestMainExitCodes:
                          "--out", str(out)])
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
-        text = (out / "validate-coeffs" / "assumptions.csv").read_text()
-        assert "fail" in text
+        rows = (out / "validate-coeffs" / "checks.csv").read_text()
+        assert [r for r in rows.splitlines()
+                if r.startswith("assumption-delta_hat,")][0].endswith(",fail")
 
     def test_schauder_on_zero_data_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(
@@ -721,7 +759,10 @@ class TestMainExitCodes:
         code = cli.main(["validate-coeffs", "--config", cfg,
                          "--out", str(out)])
         assert code == 0
-        assert (out / "validate-coeffs" / "assumptions.txt").exists()
+        lines = (out / "validate-coeffs" / "summary.txt").read_text() \
+            .splitlines()
+        assert len(lines) == 8
+        assert all(r.startswith("[pass] assumption-") for r in lines)
 
 
     @pytest.mark.parametrize("field", [
@@ -822,11 +863,11 @@ class TestExperiments:
             holder = list(csv.DictReader(io.StringIO(
                 (out / "norms" / "holder.csv").read_text())))
             assumptions = (out / "validate-coeffs" /
-                           "assumptions.csv").read_text()
+                           "checks.csv").read_text()
             outputs.append((
                 {float(r["alpha"]) for r in holder},
                 [r for r in assumptions.splitlines()
-                 if r.startswith("holder_s_hat,")],
+                 if r.startswith("assumption-holder_s_hat,")],
                 (out / "verify-interp" / "interpolation.csv").read_text(),
                 (out / "verify-schauder" / "checks.csv").read_text()))
         default, half, third = outputs
@@ -882,8 +923,8 @@ class TestExperiments:
         assert code == 0
         text = (out / "convergence" / "convergence.csv").read_text()
         assert text.splitlines()[0] == "h,dt,sup_error"
-        assert "machine precision" in (
-            out / "convergence" / "convergence.txt").read_text()
+        assert "errors at machine precision" in (
+            out / "convergence" / "summary.txt").read_text()
 
     @pytest.mark.parametrize("theta,order", [(0.5, 2.0), (1.0, 1.0)],
                              ids=["crank-nicolson", "implicit-euler"])
@@ -1092,9 +1133,10 @@ class TestPool:
             "runtime error: certificate failed at node (1, 2)"]
 
 
-def test_every_run_csv_parses_to_its_header_width(tmp_path):
-    # check names such as barrier(drift=-2,C=6,c=0.5) hold commas; a
-    # '#' line is the fitted-order comment of convergence.csv
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """Output directory of `run` over every experiment on small sizes."""
+    tmp_path = tmp_path_factory.mktemp("full-run")
     cfg = write_cfg(tmp_path, dict(
         BASE_CFG, experiments=sorted(cli.EXPERIMENTS),
         validate={"n_samples": 200}, norms={"n_points": 120},
@@ -1105,12 +1147,34 @@ def test_every_run_csv_parses_to_its_header_width(tmp_path):
         convergence={"ladder": [[9, 9, 4], [17, 17, 10]]}))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-    paths = sorted(out.rglob("*.csv"))
+    return out
+
+
+def test_every_run_csv_parses_to_its_header_width(full_run):
+    # check names such as barrier(drift=-2,C=6,c=0.5) hold commas; a
+    # '#' line is the fitted-order comment of convergence.csv
+    paths = sorted(full_run.rglob("*.csv"))
     assert {p.parent.name for p in paths} == set(cli.EXPERIMENTS)
     for path in paths:
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
         assert {len(r) for r in rows} == {len(rows[0])}, path
+
+
+def test_each_experiment_writes_its_rows_once(full_run):
+    # every check row is in checks.csv and summary.txt; an experiment's
+    # own file holds only data that checks.csv lacks
+    own = {"solve": {"solution.dgph", "solve_report.csv"},
+           "norms": {"holder.csv"}, "verify-interp": {"interpolation.csv"},
+           "convergence": {"convergence.csv"}, "reduce": {"plan.txt"}}
+    files = {}
+    for p in full_run.rglob("*"):
+        if p.is_file():
+            files.setdefault(p.parent.name, set()).add(p.name)
+    assert files == dict({kind: {"checks.csv", "summary.txt"}
+                          | own.get(kind, set())
+                          for kind in cli.EXPERIMENTS},
+                         out={"manifest.json"})
 
 
 def _fresh_interpreter(code, tmp_path):
@@ -1120,6 +1184,23 @@ def _fresh_interpreter(code, tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           cwd=str(tmp_path), capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "one-node-height"])
+def test_bad_out_or_grid_is_one_stderr_line(tmp_path, case):
+    # in a fresh interpreter, where a numpy warning would reach stderr
+    cfg = dict(BASE_CFG, grid=dict(BASE_CFG["grid"], n_height=1)) \
+        if case == "one-node-height" else BASE_CFG
+    out = tmp_path / "out"
+    if case == "out-is-a-file":
+        out.write_text("")
+    result = _fresh_interpreter(
+        "import sys, degenpde.cli as cli; sys.exit(cli.main(['solve', "
+        "'--config', %r, '--out', %r]))" % (write_cfg(tmp_path, cfg),
+                                            str(out)), tmp_path)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("config error: ")
 
 
 # Runs each (kind, config) step, a load_config for kind "load" and else

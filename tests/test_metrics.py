@@ -208,8 +208,8 @@ class TestSeminorm:
         u = rng.normal(size=60)
         full = seminorm(u, pts, 0.5, "s").value
         set_budget(monkeypatch, 800)
-        sampled = seminorm(u, fresh(pts), 0.5, "s", seed=1)
-        again = seminorm(u, fresh(pts), 0.5, "s", seed=1)
+        sampled = seminorm(u, fresh(pts, seed=1), 0.5, "s")
+        again = seminorm(u, fresh(pts, seed=1), 0.5, "s")
         assert sampled.n_pairs == 800
         assert sampled.value <= full + 1e-15
         assert sampled.value == again.value
@@ -373,9 +373,9 @@ def reference_seminorm(values, pts, alpha, metric, budget=200_000, seed=0):
                             pts.point(j[k]))
 
 
-def fresh(pts):
+def fresh(pts, seed=0):
     # an equal point set with no tables of its own
-    return PointSet(pts.t.copy(), pts.x.copy())
+    return PointSet(pts.t.copy(), pts.x.copy(), seed)
 
 
 def set_budget(monkeypatch, budget):
@@ -384,25 +384,24 @@ def set_budget(monkeypatch, budget):
 
 
 class TestPairTables:
-    # (metric, alpha, seed): one point set sees every key in turn, so a
-    # table reused under a key that misses any of these fields returns
-    # the pairs or distances of another key.  Each pair budget (all 780
-    # pairs within it, else that many seeded pairs) takes a fresh point
-    # set.
-    KEYS = [(metric, alpha, seed) for metric in ("s", "rho")
-            for alpha in (0.3, 0.7) for seed in (1, 2)]
+    # (metric, alpha): one point set sees every key in turn, so a table
+    # reused under a key that misses either field returns the pairs or
+    # distances of another key.  Each pair budget (all 780 pairs within
+    # it, else that many pairs drawn with the point set's seed) and seed
+    # takes a fresh point set.
+    KEYS = [(metric, alpha) for metric in ("s", "rho") for alpha in (0.3, 0.7)]
     BUDGETS = [200_000, 700]
 
     def test_tabled_estimate_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(21)
         base = random_points(rng, 40)
         values = (rng.normal(size=40), rng.normal(size=40))
-        for budget in self.BUDGETS:
+        for budget, seed in itertools.product(self.BUDGETS, (1, 2)):
             set_budget(monkeypatch, budget)
-            pts = fresh(base)
+            pts = fresh(base, seed)
             for u in values:
-                for metric, alpha, seed in self.KEYS:
-                    got = seminorm(u, pts, alpha, metric, seed=seed)
+                for metric, alpha in self.KEYS:
+                    got = seminorm(u, pts, alpha, metric)
                     want = reference_seminorm(u, fresh(pts), alpha, metric,
                                               budget, seed)
                     assert got == want
@@ -414,13 +413,15 @@ class TestPairTables:
         base = random_points(rng, 60, height_hi=2.0)
         u = rng.normal(size=60)
         # the low subset has 630 pairs and the high one 276, so at a
-        # budget of 500 one is sampled and the other exhaustive
+        # budget of 500 one is sampled, with the seed its subset keeps, and
+        # the other exhaustive
         for budget, seeds in ((200_000, (0,)), (500, (3, 4))):
             set_budget(monkeypatch, budget)
-            pts = fresh(base)
+            point_sets = {seed: fresh(base, seed) for seed in seeds}
             for seed, q in itertools.product(seeds, (0.0, 1.0)):
+                pts = point_sets[seed]
                 kw = dict(budget=budget, seed=seed)
-                rep = split_holder_norm(u, pts, 0.5, q=q, seed=seed)
+                rep = split_holder_norm(u, pts, 0.5, q=q)
                 wu = weight(pts, q) * u
                 low = pts.x[:, -1] <= 1.0 + 1e-12
                 high = pts.x[:, -1] >= 1.0 - 1e-12
@@ -457,7 +458,7 @@ class TestPairTables:
         u = expression(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
         cons = analytic_constituents(u, pts)
         for q in (0.0, 1.0):
-            order2_norm(cons, pts, 0.5, q=q, seed=5)
+            order2_norm(cons, pts, 0.5, q=q)
         # 7 constituents x 2 weights, each split over a low (s) and a high
         # (rho) subset, yet one distance computation per (subset, metric)
         assert sorted(distance_calls) == ["rho", "s"]
@@ -468,10 +469,10 @@ class TestPairTables:
         pts = random_points(rng, 60, height_hi=1.3)
         syms = space_symbols(2)
         u = expression(2, sp.cos(syms[0]) * syms[1] ** 2)
-        interpolation_cases(u, pts, 0.5, seed=6)
+        interpolation_cases(u, pts, 0.5)
         assert distance_calls == ["s"]
         # a second point set pays for its own table
-        interpolation_cases(u, fresh(pts), 0.5, seed=6)
+        interpolation_cases(u, fresh(pts), 0.5)
         assert distance_calls == ["s", "s"]
 
 
