@@ -34,6 +34,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,24 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
               ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
 
 
+# Decimal exponents of the largest and the least positive normal double.
+_DOUBLE_EXPONENTS = (math.log10(sys.float_info.min),
+                     math.log10(sys.float_info.max))
+
+
+def _beyond_double(base, exponent):
+    """Whether base ** exponent, of two sympy numbers, has a magnitude
+    outside the normal range of a double.  It is decided from logarithms,
+    so a huge integer is never built; powers of 0 and 1, and a power of
+    something that is not a number, are in range."""
+    import sympy as sp
+    if not (isinstance(base, sp.Number) and isinstance(exponent, sp.Number)) \
+            or abs(base) in (0, 1) or exponent == 0:
+        return False
+    scale = (exponent * sp.log(abs(base), 10)).evalf()
+    return not _DOUBLE_EXPONENTS[0] < scale < _DOUBLE_EXPONENTS[1]
+
+
 def _sympy_tree(node, text, names):
     """The sympy expression of a node of the ast of text, as sympy's
     parse_expr evaluates it; a number is an Integer, or a Float of its
@@ -72,8 +91,11 @@ def _sympy_tree(node, text, names):
     build = functools.partial(_sympy_tree, text=text, names=names)
     ops = getattr(node, "ops", [getattr(node, "op", None)])
     if type(ops[0]) in _OPERATORS and len(ops) == 1:  # no chained compare
-        return _OPERATORS[type(ops[0])](*[
-            build(c) for c in ast.iter_child_nodes(node) if c not in ops])
+        args = [build(c) for c in ast.iter_child_nodes(node) if c not in ops]
+        if type(ops[0]) is ast.Pow and _beyond_double(*args):
+            raise ValueError("power %r exceeds the range of a double"
+                             % ast.get_source_segment(text, node))
+        return _OPERATORS[type(ops[0])](*args)
     if isinstance(node, ast.Constant) and type(node.value) in (bool, int):
         return sp.sympify(node.value)
     if isinstance(node, ast.Constant) and type(node.value) is float:
@@ -101,7 +123,9 @@ def parse_expression(text, d):
     run.  Unknown names are an error so a typo cannot silently evaluate
     to zero; so are I, zoo, oo and nan, which numpy would drop or carry
     into the solve, and text that is not number-valued (True, x1 > 0).
-    Each (text, d) is parsed once per process.
+    A number raised to a number beyond the range of a double (10**10**6)
+    is an error before sympy builds its integer.  Each (text, d) is
+    parsed once per process.
     """
     import sympy as sp
     syms = _symbols(d)

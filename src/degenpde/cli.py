@@ -466,10 +466,10 @@ EXPERIMENTS = {
 
 
 def run_experiment(kind, cfg, out_root, seed):
-    """Run one experiment into out_root/kind; (its results, wall seconds)."""
+    """Run one experiment into the directory out_root/kind, which must
+    exist; (its results, wall seconds)."""
     start = time.perf_counter()
     out = os.path.join(out_root, kind)
-    os.makedirs(out, exist_ok=True)
     results = EXPERIMENTS[kind](cfg, out, seed)
     _write(out, "checks.csv", checks_to_csv(results))
     _write(out, "summary.txt",
@@ -525,14 +525,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             _check_value("--seed", args.seed, (NATURAL, 0))
-        os.makedirs(args.out, exist_ok=True)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    seed = args.seed if args.seed is not None else setting(cfg, "seed")
-    kinds = cfg.get("experiments") if args.command == "run" \
-        else [args.command]
-    try:
+        kinds = cfg.get("experiments") if args.command == "run" \
+            else [args.command]
         if not kinds:
             raise ConfigError("'run' needs an 'experiments' list")
         bad = [k for k in kinds if k not in EXPERIMENTS]
@@ -543,6 +537,13 @@ def main(argv=None):
         if repeated:
             raise ConfigError("experiments listed more than once: %s"
                               % repeated)
+        for kind in kinds:
+            os.makedirs(os.path.join(args.out, kind), exist_ok=True)
+    except (ConfigError, OSError) as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    seed = args.seed if args.seed is not None else setting(cfg, "seed")
+    try:
         runs = run_experiments(kinds, cfg, args.out, seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -18,7 +18,13 @@ PAIR_BUDGET pairs, else PAIR_BUDGET seeded pairs, so every reported value
 is a certified lower bound of the true supremum over the sampled region.  The
 pairs and their powered distances depend only on the points, so each
 point set builds one pair table per (metric, alpha), drawn with the point
-set's seed, and every seminorm on it reuses that table.
+set's seed, and every seminorm on it reuses that table.  A table holds
+the pairs' indices i and j, each pair's powered distance (inf where the
+two points coincide, so that their quotient is 0) and two scratch arrays
+of the pairs' length: seminorm gathers the values into them and forms
+the quotients there in place, allocating nothing of that length.  So a
+point set is not shared across threads; two seminorms on one point set
+at once would write the same scratch.
 """
 
 from __future__ import annotations
@@ -127,7 +133,8 @@ class PointSet:
     set with more than PAIR_BUDGET of them, and a subset keeps it.
 
     t and x are never mutated after construction: the point set memoizes
-    its subsets and pair tables in `_tables`, which would go stale.
+    its subsets and pair tables in `_tables`, which would go stale.  One
+    thread at a time uses it: its pair tables hold seminorm's scratch.
     """
 
     t: np.ndarray
@@ -183,8 +190,9 @@ def gather(gridfn, ti, si):
 
 
 def _pair_table(points, metric, alpha):
-    """(i, j, dist ** alpha, dist > 0) of every pair within the budget, of
-    seeded pairs i != j beyond it; built once per point set and key."""
+    """(i, j, dist ** alpha, scratch, scratch) of every pair within the
+    budget, of seeded pairs i != j beyond it; the powered distance is inf
+    where the two points coincide.  Built once per point set and key."""
     key = (metric, alpha)
     if key not in points._tables:
         m = points.size
@@ -195,9 +203,14 @@ def _pair_table(points, metric, alpha):
             i = rng.integers(0, m, size=PAIR_BUDGET)
             j = rng.integers(0, m - 1, size=PAIR_BUDGET)
             j = j + (j >= i)
-        dist = _METRICS[metric](points.t[i], points.x[i],
-                                points.t[j], points.x[j])
-        points._tables[key] = (i, j, dist ** alpha, dist > 0)
+        # one axis at a time: gathering rows of the (m, d) array is slower
+        axes = np.ascontiguousarray(points.x.T)
+        dist = _METRICS[metric](points.t[i], np.take(axes, i, axis=1).T,
+                                points.t[j], np.take(axes, j, axis=1).T)
+        powered = dist ** alpha
+        powered[dist == 0.0] = np.inf
+        points._tables[key] = (i, j, powered, np.empty(len(i)),
+                               np.empty(len(i)))
     return points._tables[key]
 
 
@@ -208,14 +221,21 @@ def seminorm(values, points, alpha, metric):
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     m = points.size
+    values = np.asarray(values, dtype=float)
+    if values.shape != (m,):
+        raise ValueError("values must hold one number per point")
     if m < 2:
         return SeminormEstimate(0.0, 0)
-    values = np.asarray(values, dtype=float)
-    i, j, powered, apart = _pair_table(points, metric, alpha)
-    diff = np.abs(values[i] - values[j])
-    quot = np.divide(diff, powered, out=np.zeros_like(diff), where=apart)
-    k = int(np.argmax(quot)) if len(quot) else 0
-    if len(quot) == 0 or quot[k] == 0.0:
+    i, j, powered, quot, other = _pair_table(points, metric, alpha)
+    # in place in the table's scratch; the indices are in range, and
+    # take's default mode="raise" would buffer its output
+    np.take(values, i, out=quot, mode="clip")
+    np.take(values, j, out=other, mode="clip")
+    np.subtract(quot, other, out=quot)
+    np.abs(quot, out=quot)
+    np.divide(quot, powered, out=quot)  # 0 where the points coincide
+    k = int(np.argmax(quot))
+    if quot[k] == 0.0:
         return SeminormEstimate(0.0, len(quot))
     return SeminormEstimate(float(quot[k]), len(quot),
                             points.point(i[k]), points.point(j[k]))

@@ -54,6 +54,15 @@ building each system in turn, so the solution is the same to the bit,
 and a failed certificate of step k is raised once steps before k are
 solved.  The thread lives only as long as the call to solve_cauchy.  A
 field that does not depend on time has one system and starts no thread.
+
+That one system is kept on the grid's stencil plan, keyed by the field
+object and theta: A, B = I + theta dt A, and B's certificate and LU,
+each of the last two made on first use.  A later solve_cauchy or
+apply_discrete_operator with the same field and theta on that grid
+reuses them, so the randomized suites, which solve one field twice and
+apply its operator to both solutions, assemble and factor once per
+field.  The plan keeps one entry: another field, or another theta,
+replaces it.  A time-dependent field neither reads nor replaces it.
 """
 
 from __future__ import annotations
@@ -173,12 +182,14 @@ class _StencilPlan:
     sum of +-stride over at most two axes, ascending), and `gather` takes
     it into the stencil's CSR pattern: each free node and its in-grid
     neighbours in the row of each free node.  Rows of Dirichlet nodes
-    hold nothing.
+    hold nothing.  `stepped` is the _SteppedSystem kept on the grid, or
+    None.
     """
 
     def __init__(self, grid):
         d, shape = grid.d, grid.shape
         N = int(np.prod(shape))
+        self.stepped = None
 
         def along(i, v):
             """v over axis i (last dimension), broadcast to the grid."""
@@ -217,6 +228,13 @@ class _StencilPlan:
             ([0], np.cumsum(valid.sum(axis=0)))).astype(np.int32)
 
 
+def _plan(grid):
+    """The grid's stencil plan, built on its first use."""
+    if grid._stencil is None:
+        grid._stencil = _StencilPlan(grid)
+    return grid._stencil
+
+
 def discretize_operator(field, grid, t):
     """Assemble the spatial operator A at time t as a CSR matrix.
 
@@ -229,9 +247,7 @@ def discretize_operator(field, grid, t):
     therefore has identity rows there.  Returns (A, flat Dirichlet mask);
     the mask is the plan's and read-only.
     """
-    plan = grid._stencil
-    if plan is None:
-        plan = grid._stencil = _StencilPlan(grid)
+    plan = _plan(grid)
     t, mesh = np.asarray(t, dtype=float), plan.mesh
 
     # row k: weight of the neighbour at offsets[k] in every row of
@@ -327,23 +343,65 @@ class SolveReport:
         return max((s[2] for s in self.steps), default=0.0)
 
 
+def _uniform_dt(grid):
+    """grid.dt; a time axis that is not uniform is a ValueError."""
+    dt = grid.dt
+    if np.max(np.abs(np.diff(grid.times) - dt)) > 1e-12 * max(dt, 1.0):
+        raise ValueError("time axis must be uniform")
+    return dt
+
+
+def _certify(B, A_old, theta, grid):
+    """Certificate of B and, at theta < 1, of E = I - (1 - theta) dt
+    A_old; a CertificateError if it fails."""
+    E = None if theta == 1.0 else (
+        sparse.eye(B.shape[0], format="csr")
+        - ((1.0 - theta) * grid.dt) * A_old).tocsr()
+    cert = monotonicity_certificate(B, grid, explicit=E)
+    cert.require()
+    return cert
+
+
+class _SteppedSystem:
+    """The one system of a field that does not depend on time, at one
+    theta, on one grid: A, B = I + theta dt A, and B's certificate and
+    LU, None until a solve makes them."""
+
+    def __init__(self, field, grid, theta):
+        dt = _uniform_dt(grid)
+        self.field, self.theta = field, theta
+        self.A, _ = discretize_operator(field, grid, grid.times[0])
+        self.B = (sparse.eye(self.A.shape[0], format="csr")
+                  + (theta * dt) * self.A).tocsr()
+        self.certificate = self.lu = None
+
+
+def _stepped(field, grid, theta):
+    """The grid's _SteppedSystem of a field that does not depend on
+    time, at theta; built, in place of the one kept, unless the one kept
+    is of this field object and theta."""
+    plan = _plan(grid)
+    kept = plan.stepped
+    if kept is None or kept.field is not field or kept.theta != theta:
+        kept = plan.stepped = _SteppedSystem(field, grid, theta)
+    return kept
+
+
 def _theta_steps(field, grid, theta):
     """Yield (n, A_old, A_new) for each step t_n -> t_{n+1}.
 
     A_new = A(t_{n+1}) is the implicit matrix and A_old = A(t_n) the
-    explicit one.  A field that does not depend on time is assembled
-    once and that one matrix object is yielded as both, at every step.
-    For a time-dependent field at theta = 1 the explicit part vanishes,
-    so A_old is None and A(t_0) is never assembled.  This is the one
-    stepping loop of the theta-scheme: solve_cauchy and
-    apply_discrete_operator both consume it.  It steps with grid.dt, so
-    a time axis that is not uniform is a ValueError.
+    explicit one.  A field that does not depend on time yields its
+    stepped system's A as both, at every step.  For a time-dependent
+    field at theta = 1 the explicit part vanishes, so A_old is None and
+    A(t_0) is never assembled.  apply_discrete_operator steps with it,
+    and so does solve_cauchy, through _systems, for a time-dependent
+    field.  It steps with grid.dt, so a time axis that is not uniform is
+    a ValueError.
     """
-    dt = grid.dt
-    if np.max(np.abs(np.diff(grid.times) - dt)) > 1e-12 * max(dt, 1.0):
-        raise ValueError("time axis must be uniform")
+    _uniform_dt(grid)
     if not field.time_dependent:
-        A, _ = discretize_operator(field, grid, grid.times[0])
+        A = _stepped(field, grid, theta).A
         for n in range(grid.n_t - 1):
             yield n, A, A
         return
@@ -360,25 +418,26 @@ def _theta_steps(field, grid, theta):
 def _systems(field, grid, theta, certify):
     """Yield (n, A_old, B, certificate) for each step of _theta_steps.
 
-    B = I + theta dt A_new is formed once for each matrix A_new that
-    _theta_steps yields, so a field that does not depend on time gets
-    one B at every step.  A certified solve checks each new B, and at
-    theta < 1 also E = I - (1 - theta) dt A_old, and raises
-    CertificateError instead of yielding the step that fails;
-    certificate is the last check, None when uncertified.
+    B = I + theta dt A_new.  A field that does not depend on time yields
+    its stepped system's B at every step, certified once per system.  A
+    time-dependent field forms each step's B, and a certified solve
+    checks it.  Either way the check, which at theta < 1 also covers
+    E = I - (1 - theta) dt A_old, raises CertificateError instead of
+    yielding the step that fails; certificate is the last check, None
+    when uncertified.
     """
-    dt = grid.dt
+    if not field.time_dependent:
+        system = _stepped(field, grid, theta)
+        if certify and system.certificate is None:
+            system.certificate = _certify(system.B, system.A, theta, grid)
+        cert = system.certificate if certify else None
+        for n in range(grid.n_t - 1):
+            yield n, system.A, system.B, cert
+        return
     eye = sparse.eye(int(np.prod(grid.shape)), format="csr")
-    A_prev = B = cert = None
     for n, A_old, A_new in _theta_steps(field, grid, theta):
-        if A_new is not A_prev:
-            A_prev = A_new
-            B = (eye + (theta * dt) * A_new).tocsr()
-            if certify:
-                E = None if theta == 1.0 else (
-                    eye - ((1.0 - theta) * dt) * A_old).tocsr()
-                cert = monotonicity_certificate(B, grid, explicit=E)
-                cert.require()
+        B = (eye + (theta * grid.dt) * A_new).tocsr()
+        cert = _certify(B, A_old, theta, grid) if certify else None
         yield n, A_old, B, cert
 
 
@@ -456,7 +515,9 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
     values = np.empty((grid.n_t, N))
     values[0] = u
 
-    lu = factored = None
+    # a field that does not depend on time reuses its system's LU
+    system = None if field.time_dependent else _stepped(field, grid, theta)
+    lu, factored = (None, None) if system is None else (system.lu, system.B)
     systems = _systems(field, grid, theta, certify)
     # the pool starts its thread at the first submit, so a field that
     # does not depend on time never starts one
@@ -467,6 +528,8 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
             report.certificate = cert
             if lu is None:
                 lu, factored = _factor(B), B
+                if system is not None:
+                    system.lu = lu
             rhs = u + dt * (theta * f[n + 1] + (1.0 - theta) * f[n])
             if theta != 1.0:
                 rhs -= (1.0 - theta) * dt * (A_old @ u)

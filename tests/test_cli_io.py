@@ -205,7 +205,8 @@ class TestGridFunctionFiles:
         # resaving reproduces the file byte for byte
         path2 = str(tmp_path / "u2.dgph")
         gridio.save_grid_function(path2, back)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert pathlib.Path(path).read_bytes() \
+            == pathlib.Path(path2).read_bytes()
 
     @pytest.mark.parametrize("mangle,msg", [
         (lambda raw: b"XXXXX" + raw[5:], "bad magic"),
@@ -217,7 +218,7 @@ class TestGridFunctionFiles:
         grid, gf = small
         path = str(tmp_path / "u.dgph")
         gridio.save_grid_function(path, gf)
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         bad = str(tmp_path / "bad.dgph")
         with open(bad, "wb") as fh:
             fh.write(mangle(raw))
@@ -582,11 +583,18 @@ class TestMainExitCodes:
         ({"data": {"g": "x1.real"}}, "Attribute 'x1.real' is not allowed"),
         ({"data": {"g": "x1[0]"}}, "Subscript 'x1[0]' is not allowed"),
         ({"data": {"g": "exp(x=x1)"}}, "keyword 'x=x1' is not allowed"),
+        # refused before sympy builds the integer, which would take
+        # seconds for 10**10**7 and fail to print for 10**10**6
+        ({"data": {"g": "x1*10**10**6"}},
+         "data: cannot parse expression 'x1*10**10**6': power '10**10**6' "
+         "exceeds the range of a double"),
+        ({"data": {"g": "x1", "f": "10**10**7"}},
+         "power '10**10**7' exceeds the range of a double"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
             "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
             "g-true", "f-false", "c-relational", "g-integral", "g-lambda",
             "f-conditional", "c-floor", "g-attribute", "g-subscript",
-            "g-keyword"])
+            "g-keyword", "g-huge-power", "f-huger-power"])
     def test_bad_expression_stops_run_before_any_experiment(
             self, tmp_path, capsys, change, message):
         # the field is built, and every expression parsed and evaluated
@@ -601,6 +609,21 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert message in err[0]
         assert not out.exists()
+
+    def test_experiment_directory_that_is_a_file_exits_2(self, tmp_path,
+                                                           capsys):
+        # every experiment's directory is made before any experiment runs
+        cfg = write_cfg(tmp_path, dict(
+            BASE_CFG, experiments=["verify-barriers", "solve"]))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "solve").write_text("")
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "solve" in err[0]
+        assert list((out / "verify-barriers").iterdir()) == []
 
     def test_config_text_is_never_run(self, tmp_path, capsys):
         sentinel = tmp_path / "sentinel"

@@ -156,6 +156,39 @@ class TestSeminorm:
         oracle = brute_seminorm(values, pts, 0.5, dist_fn)
         assert abs(est.value - oracle) <= 1e-12 * max(1.0, oracle)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("metric,dist_fn", [
+        ("s", cycloidal_distance), ("rho", parabolic_distance)])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_equals_all_pairs_oracle_bit_for_bit(self, d, metric, dist_fn,
+                                                 alpha):
+        # every pair by the scalar distance, in triu order, powered as
+        # one array; coincident points and points on the degenerate
+        # boundary with equal lateral parts are among them
+        rng = np.random.default_rng(30 + d)
+        pts = random_points(rng, 36, d=d)
+        pts.x[:6, -1] = 0.0
+        pts.x[3:6, :-1] = pts.x[:3, :-1]
+        pts.t[6:12], pts.x[6:12] = pts.t[12:18], pts.x[12:18]
+        values = rng.normal(size=36)
+        pairs = list(itertools.combinations(range(36), 2))
+        dist = np.array([dist_fn(pts.point(i), pts.point(j))
+                         for i, j in pairs])
+        assert np.count_nonzero(dist == 0.0) == 6
+        powered = dist ** alpha
+        quot = [abs(values[i] - values[j]) / p if p > 0 else 0.0
+                for (i, j), p in zip(pairs, powered)]
+        k = int(np.argmax(quot))
+        est = seminorm(values, pts, alpha, metric)
+        assert est.value == quot[k] and est.n_pairs == len(pairs)
+        assert (est.argmax_p1, est.argmax_p2) == (pts.point(pairs[k][0]),
+                                                  pts.point(pairs[k][1]))
+
+    def test_rejects_values_of_another_length(self):
+        pts = random_points(np.random.default_rng(9), 10)
+        with pytest.raises(ValueError, match="one number per point"):
+            seminorm(np.zeros(9), pts, 0.5, "s")
+
     def test_argmax_pair_attains_value(self):
         rng = np.random.default_rng(5)
         pts = random_points(rng, 25)

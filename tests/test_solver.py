@@ -694,6 +694,95 @@ class TestDirectSolve:
             solve_cauchy(problem, small_grid(n=33, n_slices=5))
 
 
+def same_axes(grid):
+    """A grid equal to grid, with no stencil plan or system of its own."""
+    return Grid(grid.axes, grid.times)
+
+
+class TestSteppedSystem:
+    """A field that does not depend on time keeps one system on the
+    grid, keyed by the field object and theta."""
+
+    @staticmethod
+    def problems(field, seed):
+        # two data pairs on one field, as the comparison suite draws them
+        rng = np.random.default_rng(seed)
+        bump = [manufactured_solution(field, "inner_bump")]
+        return [CauchyProblem(field, float(rng.uniform(0.5, 2.0)) * bump[0],
+                              constant(2, float(rng.uniform(-1.0, 1.0))))
+                for _ in range(2)]
+
+    @staticmethod
+    def run(problem, grid, **solve):
+        u, report = solve_cauchy(problem, grid, **solve)
+        theta = solve.get("theta", 1.0)
+        return (u.values, report.steps, report.certificate,
+                apply_discrete_operator(u, problem.field, theta))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+        assert np.array_equal(got[3], want[3], equal_nan=True)
+
+    def test_second_solve_reuses_system(self, monkeypatch):
+        assembled = count_calls(monkeypatch, "discretize_operator")
+        factored = count_calls(monkeypatch, "splu")
+        certified = count_calls(monkeypatch, "monotonicity_certificate")
+        field = heston(2.0, 0.25, 1.0, 0.0)
+        grid = small_grid(n=9, n_slices=5)
+        first, second = self.problems(field, 1)
+        got = [self.run(first, grid)]
+        assert (len(assembled), len(factored), len(certified)) == (1, 1, 1)
+        # the second solve and both operator applications read the kept
+        # A, certificate and LU
+        got.append(self.run(second, grid))
+        assert (len(assembled), len(factored), len(certified)) == (1, 1, 1)
+        for problem, result in zip((first, second), got):
+            self.assert_same(result, self.run(problem, same_axes(grid)))
+        assert got[1][2].passed
+
+    def test_certificate_made_on_first_certified_solve(self, monkeypatch):
+        certified = count_calls(monkeypatch, "monotonicity_certificate")
+        field = heston(2.0, 0.25, 1.0, 0.0)
+        grid = small_grid(n=9, n_slices=5)
+        first, second = self.problems(field, 2)
+        assert self.run(first, grid, certify=False)[2] is None
+        assert certified == []
+        got = self.run(second, grid)
+        assert len(certified) == 1
+        self.assert_same(got, self.run(second, same_axes(grid)))
+
+    @pytest.mark.parametrize("other", ["new-field-object", "theta",
+                                       "time-dependent"])
+    def test_other_system_assembles_and_factors(self, monkeypatch, other):
+        assembled = count_calls(monkeypatch, "discretize_operator")
+        factored = count_calls(monkeypatch, "splu")
+        field = heston(2.0, 0.25, 1.0, 0.0)
+        grid = small_grid(n=9, n_slices=5)
+        kept, _ = self.problems(field, 3)
+        self.run(kept, grid)
+        assembled.clear()
+        factored.clear()
+        solve = {"theta": 0.5, "certify": False} if other == "theta" else {}
+        second = {"new-field-object": heston(2.0, 0.25, 1.0, 0.0),
+                  "theta": field,
+                  "time-dependent": accelerating_field()}[other]
+        problem = self.problems(second, 4)[0]
+        got = self.run(problem, grid, **solve)
+        # a time-dependent field assembles each step, in the solve and
+        # again in the operator
+        assert len(factored) == 1
+        assert len(assembled) == (2 * (grid.n_t - 1)
+                                  if other == "time-dependent" else 1)
+        self.assert_same(got, self.run(problem, same_axes(grid), **solve))
+        # a time-dependent field leaves the kept system in place; any
+        # other replaces it
+        assembled.clear()
+        self.run(kept, grid)
+        assert len(assembled) == (0 if other == "time-dependent" else 1)
+
+
 class TestExtrapolatedStart:
     def test_matches_per_step_factoring_with_fewer_solves(self,
                                                           monkeypatch):
