@@ -71,11 +71,11 @@ _DOUBLE_EXPONENTS = (math.log10(sys.float_info.min),
 def _beyond_double(base, exponent):
     """Whether base ** exponent, of two sympy numbers, has a magnitude
     outside the normal range of a double.  It is decided from logarithms,
-    so a huge integer is never built; powers of 0 and 1, and a power of
-    something that is not a number, are in range."""
+    so a huge integer is never built; a power of 0, and one of something
+    that is not a number, is in range."""
     import sympy as sp
     if not (isinstance(base, sp.Number) and isinstance(exponent, sp.Number)) \
-            or abs(base) in (0, 1) or exponent == 0:
+            or base == 0:
         return False
     scale = (exponent * sp.log(abs(base), 10)).evalf()
     return not _DOUBLE_EXPONENTS[0] < scale < _DOUBLE_EXPONENTS[1]
