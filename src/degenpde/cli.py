@@ -219,6 +219,28 @@ def load_config(path):
     return cfg
 
 
+def _check_schauder_data(cfg):
+    """A ConfigError unless data.g, given as text, has second derivatives
+    in space that numpy can evaluate: verify-schauder takes g's norm of
+    order 2+alpha from them.  A kink, as in Max(1 - exp(x1), 0),
+    differentiates twice into DiracDelta, which has no numpy form."""
+    data = cfg.get("data", {})
+    if ("field" not in cfg or data.get("manufactured") is not None
+            or data.get("g") is None):
+        return
+    d = build_field(cfg).d
+    g = text_function(data["g"], d)
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(d):
+                for j in range(i, d):
+                    g.dxx(i, j, 0.0, np.zeros(d))
+    except NotImplementedError:
+        raise ConfigError("verify-schauder needs second derivatives of "
+                          "data.g, and %r has none that numpy can evaluate"
+                          % data["g"])
+
+
 def setting(cfg, key):
     """Top-level key of a validated config, or its default."""
     return cfg.get(key, CONFIG[key][1])
@@ -537,6 +559,8 @@ def main(argv=None):
         if repeated:
             raise ConfigError("experiments listed more than once: %s"
                               % repeated)
+        if "verify-schauder" in kinds:
+            _check_schauder_data(cfg)
         for kind in kinds:
             os.makedirs(os.path.join(args.out, kind), exist_ok=True)
     except (ConfigError, OSError) as exc:

@@ -21,18 +21,18 @@ dropping zeros.
 
 Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
 first B is factored with a sparse LU (scipy's splu, minimum-degree
-ordering on the symmetric pattern of the 5-point stencil).  A step whose
-B is the factored matrix, which is every step of a field that does not
-depend on time, is one back-solve.  A step whose B differs runs BiCGStab,
-preconditioned by the factored LU, for a small fixed number of
-iterations, started from the polynomial through the last three (at the
-second step two) solution slices at the new time; a time-dependent field
-changes slowly, so on the 257^2 x 33 Heston benchmark with a moving mean
-level every step takes one iteration.  Its iterations are counted as the
-preconditioner's applications halved, rounded up, so that one stopped at
-its half step counts.  If BiCGStab does not converge within that budget,
-the step factors its own B and back-solves, and that LU
-preconditions the steps that follow.  The true relative residual of
+ordering on the symmetric pattern of the 5-point stencil, panels of one
+column).  A step whose B is the factored matrix, which is every step of
+a field that does not depend on time, is one back-solve.  A step whose
+B differs runs BiCGStab, preconditioned by the factored LU, for a small
+fixed number of iterations, started from the polynomial through the
+last three (at the second step two) solution slices at the new time; a
+time-dependent field changes slowly, so on the 257^2 x 33 Heston
+benchmark with a moving mean level every step takes one iteration.  Its
+iterations are counted as the preconditioner's applications halved,
+rounded up, so that one stopped at its half step counts.  If BiCGStab
+does not converge within that budget, the step factors its own B and
+back-solves, and that LU preconditions the steps that follow.  The true relative residual of
 every step is stored; SolverError is raised on a non-finite solution
 and on a back-solve whose residual exceeds RTOL.  A certified solve
 checks every system matrix B to be an M-matrix (nonpositive off-diagonal
@@ -47,19 +47,24 @@ diffusion must explicitly opt out of certification.
 
 A step's system B, and its certificate, depend on the time but not on
 the solution.  For a time-dependent field one worker thread therefore
-builds and certifies the next step's system while the current step
-factors, back-solves or iterates; numpy's kernels and SuperLU release
-the GIL, so the two overlap.  The arithmetic and its order are those of
-building each system in turn, so the solution is the same to the bit,
-and a failed certificate of step k is raised once steps before k are
-solved.  The thread lives only as long as the call to solve_cauchy.  A
-field that does not depend on time has one system and starts no thread.
+builds and certifies each step's system one step ahead: the first while
+the calling thread evaluates g, f and the exact faces, each later one
+while the current step factors, back-solves or iterates; numpy's kernels
+and SuperLU release the GIL, so the two overlap.  A field that does not
+depend on time has one system.  On grids of at least _HANDOFF_NODES
+nodes the worker factors it while the calling thread evaluates the data
+and checks the certificate; on smaller grids, or when its LU is kept,
+no thread starts.  Either way the arithmetic and its order are those of
+a serial solve, so the solution is the same to the bit, and a failed
+certificate of step k is raised once steps before k are solved.  The
+thread lives only as long as the call to solve_cauchy.
 
 That one system is kept on the grid's stencil plan, keyed by the field
 object and theta: A, B = I + theta dt A, and B's certificate and LU,
 each of the last two made on first use.  A later solve_cauchy or
 apply_discrete_operator with the same field and theta on that grid
-reuses them, so the randomized suites, which solve one field twice and
+reuses them (the operator applies A to every slice in one sparse
+product), so the randomized suites, which solve one field twice and
 apply its operator to both solutions, assemble and factor once per
 field.  The plan keeps one entry: another field, or another theta,
 replaces it.  A time-dependent field neither reads nor replaces it.
@@ -84,6 +89,17 @@ from .grid import Grid, GridFunction
 # earlier matrix, before it factors its own; at 257^2 twenty cost about
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
+
+# Nodes from which a field that does not depend on time factors its
+# system on a worker thread while the caller evaluates the data and the
+# certificate.  Below that the thread costs more than the overlap saves:
+# solving the Heston system with manufactured data, on grids made afresh
+# and interleaved with a serial solve, the handoff cost 0.4 ms at 65^2
+# (faster in 8 of 40 pairs), and saved 0.2 ms at 97^2 (20 of 30), 0.8 ms
+# at 129^2 (18 of 20) and 4.1 ms at 257^2 (9 of 12).  SuperLU runs about
+# a tenth slower on the worker than on the calling thread, unless the
+# process is held to one CPU.
+_HANDOFF_NODES = 96 * 96
 
 # Relative residual every step's linear solve must reach.
 RTOL = 1e-10
@@ -388,23 +404,16 @@ def _stepped(field, grid, theta):
 
 
 def _theta_steps(field, grid, theta):
-    """Yield (n, A_old, A_new) for each step t_n -> t_{n+1}.
+    """Yield (n, A_old, A_new) for each step t_n -> t_{n+1} of a
+    time-dependent field.
 
     A_new = A(t_{n+1}) is the implicit matrix and A_old = A(t_n) the
-    explicit one.  A field that does not depend on time yields its
-    stepped system's A as both, at every step.  For a time-dependent
-    field at theta = 1 the explicit part vanishes, so A_old is None and
-    A(t_0) is never assembled.  apply_discrete_operator steps with it,
-    and so does solve_cauchy, through _systems, for a time-dependent
-    field.  It steps with grid.dt, so a time axis that is not uniform is
-    a ValueError.
+    explicit one.  At theta = 1 the explicit part vanishes, so A_old is
+    None and A(t_0) is never assembled.  apply_discrete_operator and
+    _varying_systems step with it.  It steps with grid.dt, so a time
+    axis that is not uniform is a ValueError.
     """
     _uniform_dt(grid)
-    if not field.time_dependent:
-        A = _stepped(field, grid, theta).A
-        for n in range(grid.n_t - 1):
-            yield n, A, A
-        return
     A_old = None
     if theta != 1.0:
         A_old, _ = discretize_operator(field, grid, grid.times[0])
@@ -415,53 +424,89 @@ def _theta_steps(field, grid, theta):
             A_old = A_new
 
 
-def _systems(field, grid, theta, certify):
-    """Yield (n, A_old, B, certificate) for each step of _theta_steps.
+def _systems(field, grid, theta, certify, pool):
+    """Start making the first step's system; return an iterator of
+    (n, A_old, B, certificate, lu) for each step.
 
-    B = I + theta dt A_new.  A field that does not depend on time yields
-    its stepped system's B at every step, certified once per system.  A
-    time-dependent field forms each step's B, and a certified solve
-    checks it.  Either way the check, which at theta < 1 also covers
-    E = I - (1 - theta) dt A_old, raises CertificateError instead of
-    yielding the step that fails; certificate is the last check, None
-    when uncertified.
+    B = I + theta dt A(t_{n+1}), and lu is B's LU where one is made
+    already, else None.  A time-dependent field's systems are made one
+    ahead on pool's thread (_varying_systems), the first while the
+    caller evaluates the data.  A field that does not depend on time
+    yields its stepped system and its LU at every step (_kept_systems);
+    its B exists once this returns, and on grids of _HANDOFF_NODES nodes
+    or more an LU not yet kept is factored on pool's thread while the
+    caller evaluates the data and checks the certificate.  A certified
+    solve checks every B, and at theta < 1 E = I - (1 - theta) dt A_old,
+    raising CertificateError instead of yielding the step that fails;
+    certificate is the last check, None when uncertified.
     """
-    if not field.time_dependent:
-        system = _stepped(field, grid, theta)
-        if certify and system.certificate is None:
-            system.certificate = _certify(system.B, system.A, theta, grid)
-        cert = system.certificate if certify else None
-        for n in range(grid.n_t - 1):
-            yield n, system.A, system.B, cert
-        return
+    if field.time_dependent:
+        return _one_ahead(_varying_systems(field, grid, theta, certify),
+                          pool)
+    system = _stepped(field, grid, theta)
+    handed = None
+    if system.lu is None and system.B.shape[0] >= _HANDOFF_NODES:
+        handed = pool.submit(_factor, system.B)
+    return _kept_systems(system, grid, certify, handed)
+
+
+def _kept_systems(system, grid, certify, handed):
+    """_systems of a field that does not depend on time: the certificate,
+    made once per system, and the LU, kept from an earlier solve, or
+    taken from the future handed, or factored here."""
+    if certify and system.certificate is None:
+        system.certificate = _certify(system.B, system.A, system.theta,
+                                      grid)
+    if system.lu is None:
+        system.lu = handed.result() if handed else _factor(system.B)
+    cert = system.certificate if certify else None
+    for n in range(grid.n_t - 1):
+        yield n, system.A, system.B, cert, system.lu
+
+
+def _varying_systems(field, grid, theta, certify):
+    """_systems of a time-dependent field: each step's B formed and, in
+    a certified solve, checked; no LU is made here."""
     eye = sparse.eye(int(np.prod(grid.shape)), format="csr")
     for n, A_old, A_new in _theta_steps(field, grid, theta):
         B = (eye + (theta * grid.dt) * A_new).tocsr()
         cert = _certify(B, A_old, theta, grid) if certify else None
-        yield n, A_old, B, cert
+        yield n, A_old, B, cert, None
 
 
 def _one_ahead(items, pool):
-    """Yield the items of the iterator items, computing each on pool's
-    one thread while the caller works on the item before.
+    """The items of the iterator items, each computed on pool's one
+    thread while the caller works on the item before; the first is
+    submitted before this returns.
 
-    An exception of items is raised here, at the item it belongs to.
-    The caller shuts pool down, which waits for the item in flight.
+    An exception of items is raised at the item it belongs to.  The
+    caller shuts pool down, which waits for the item in flight.
     """
-    future = pool.submit(next, items, None)
-    while (item := future.result()) is not None:
-        future = pool.submit(next, items, None)
-        yield item
+    def ahead(future):
+        while (item := future.result()) is not None:
+            future = pool.submit(next, items, None)
+            yield item
+
+    return ahead(pool.submit(next, items, None))
 
 
 def _factor(B):
     """Sparse LU of B, ordered for the symmetric pattern of the stencil.
 
     Minimum degree on A^T + A with a relaxed diagonal pivot threshold
-    keeps the fill of the 5-point pattern at half of COLAMD's.
+    keeps the fill of the 5-point pattern at half of COLAMD's.  SuperLU
+    updates panels of one column instead of its default width: the
+    ordering, the fill and the back-solves stay as they are, and the
+    factorization is faster.  On the Heston system of the benchmark
+    (r = 0.05, quadratic grading, one BLAS thread, medians of
+    interleaved runs) it takes 0.111 s instead of 0.135 s at 257^2
+    (3,439,677 entries in L and U, 2.9 ms a back-solve), 0.0147 s
+    instead of 0.0189 s at 129^2 and 0.0033 s instead of 0.0043 s at
+    65^2.
     """
     return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+                diag_pivot_thresh=0.01, panel_size=1,
+                options=dict(SymmetricMode=True))
 
 
 def _preconditioned_bicgstab(B, rhs, x0, lu):
@@ -501,35 +546,29 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
     field = problem.field
     N = int(np.prod(grid.shape))
     dt = grid.dt
-
-    u = problem.g.on_grid(0.0, grid)
-    dir_flat = grid.dirichlet_mask().ravel()
-    f = problem.f.on_grid(grid.times, grid)
-    f[:, dir_flat] = 0.0
-    if boundary == "exact":
-        faces = problem.exact.value(grid.times[:, None],
-                                    grid.nodes()[dir_flat])
-
     report = SolveReport(None)
-
     values = np.empty((grid.n_t, N))
-    values[0] = u
 
-    # a field that does not depend on time reuses its system's LU
-    system = None if field.time_dependent else _stepped(field, grid, theta)
-    lu, factored = (None, None) if system is None else (system.lu, system.B)
-    systems = _systems(field, grid, theta, certify)
     # the pool starts its thread at the first submit, so a field that
-    # does not depend on time never starts one
+    # does not depend on time on a small grid, or one whose LU is kept,
+    # never starts one
     with ThreadPoolExecutor(1) as pool:
-        if field.time_dependent:
-            systems = _one_ahead(systems, pool)
-        for n, A_old, B, cert in systems:
+        systems = _systems(field, grid, theta, certify, pool)
+        # the data, while the pool's thread builds the first system or
+        # factors the one kept
+        u = problem.g.on_grid(0.0, grid)
+        dir_flat = grid.dirichlet_mask().ravel()
+        f = problem.f.on_grid(grid.times, grid)
+        f[:, dir_flat] = 0.0
+        if boundary == "exact":
+            faces = problem.exact.value(grid.times[:, None],
+                                        grid.nodes()[dir_flat])
+        values[0] = u
+        lu = factored = None
+        for n, A_old, B, cert, ready in systems:
             report.certificate = cert
             if lu is None:
-                lu, factored = _factor(B), B
-                if system is not None:
-                    system.lu = lu
+                lu, factored = (_factor(B) if ready is None else ready), B
             rhs = u + dt * (theta * f[n + 1] + (1.0 - theta) * f[n])
             if theta != 1.0:
                 rhs -= (1.0 - theta) * dt * (A_old @ u)
@@ -574,20 +613,28 @@ def apply_discrete_operator(w, field, theta=1.0):
     Returns an array of shape (n_t - 1, *spatial) holding
     (w_new - w_old)/dt + theta A^{n+1} w_new + (1-theta) A^n w_old at free
     nodes and NaN at truncation nodes, with the matrices solve_cauchy
-    steps with.
+    steps with.  A field that does not depend on time applies its one A
+    to every slice in one sparse product, whose rows sum in the order of
+    one product per slice, so the values are the same to the bit.
     """
     grid = w.grid
     N = int(np.prod(grid.shape))
-    dt = grid.dt
+    dt = _uniform_dt(grid)
     flat = w.values.reshape(grid.n_t, N)
-    out = np.full((grid.n_t - 1, N), np.nan)
-    free = ~grid.dirichlet_mask().ravel()
-    for n, A_old, A_new in _theta_steps(field, grid, theta):
-        lw = (flat[n + 1] - flat[n]) / dt + theta * (A_new @ flat[n + 1])
-        if theta != 1.0:
-            lw += (1.0 - theta) * (A_old @ flat[n])
-        out[n, free] = lw[free]
-    return out.reshape((grid.n_t - 1,) + grid.shape)
+    if field.time_dependent:
+        new, old = np.empty((2, grid.n_t - 1, N))
+        for n, A_old, A_new in _theta_steps(field, grid, theta):
+            new[n] = A_new @ flat[n + 1]
+            if theta != 1.0:
+                old[n] = A_old @ flat[n]
+    else:
+        applied = (_stepped(field, grid, theta).A @ flat.T).T
+        new, old = applied[1:], applied[:-1]
+    lw = np.diff(flat, axis=0) / dt + theta * new
+    if theta != 1.0:
+        lw += (1.0 - theta) * old
+    lw[:, grid.dirichlet_mask().ravel()] = np.nan
+    return lw.reshape((grid.n_t - 1,) + grid.shape)
 
 
 def manufactured_solution(field, kind, x_extent=2.0, height=2.0):

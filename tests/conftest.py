@@ -1,9 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import threading
+
 import pytest
 
 from degenpde import analytic
 from degenpde.grid import GridFunction
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test after which more threads run than before it: a
+    solve's worker thread lives only as long as the call."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, (
+        "threads left running: %s" % threading.enumerate())
 
 
 @pytest.fixture

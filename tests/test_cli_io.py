@@ -625,6 +625,33 @@ class TestMainExitCodes:
         assert "solve" in err[0]
         assert list((out / "verify-barriers").iterdir()) == []
 
+    # the README's Heston field with a put payoff, whose kink at x1 = 0
+    # differentiates twice into DiracDelta
+    KINK_CFG = dict(BASE_CFG, data={"g": "Max(1 - exp(x1), 0)"},
+                    field={"preset": "heston", "kappa": 2.0, "theta": 0.25,
+                           "sigma": 1.0, "rho": 0.0, "r": 0.05})
+
+    @pytest.mark.parametrize("command", ["run", "verify-schauder"])
+    def test_schauder_refuses_g_without_second_derivatives(
+            self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, dict(self.KINK_CFG,
+                                       experiments=["verify-schauder"]))
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: verify-schauder needs second "
+                       "derivatives of data.g, and 'Max(1 - exp(x1), 0)' "
+                       "has none that numpy can evaluate"]
+        assert not out.exists()
+
+    def test_g_without_second_derivatives_solves(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(self.KINK_CFG, experiments=["solve"]))
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_config_text_is_never_run(self, tmp_path, capsys):
         sentinel = tmp_path / "sentinel"
         cfg = write_cfg(tmp_path, dict(BASE_CFG, data={

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 from degenpde import gridio, solver
 from degenpde.analytic import (constant, expression, parse_expression,
-                               space_symbols)
+                               profile, space_symbols)
 from degenpde.fields import (
     CoefficientField,
     constant_field,
@@ -18,7 +18,7 @@ from degenpde.fields import (
     heston,
     homogeneous_drift,
 )
-from degenpde.grid import Grid
+from degenpde.grid import Grid, GridFunction
 from degenpde.solver import (
     CauchyProblem,
     CertificateError,
@@ -510,6 +510,26 @@ class TestSolve:
                         float(np.max(np.abs((lu[n] - f_vals)[free]))))
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [14, 33])
+    def test_operator_in_one_product_equals_per_step(self, theta, n):
+        # one sparse product over all slices sums each CSR row in the
+        # order of one matvec per step, so the values are bitwise equal
+        field = heston(2.0, 0.25, 1.0, -0.5, r=0.05)
+        grid = small_grid(n=n, n_slices=6)
+        rng = np.random.default_rng(n)
+        w = GridFunction(grid, rng.standard_normal((grid.n_t,) + grid.shape))
+        got = apply_discrete_operator(w, field, theta)
+        A, dirichlet = discretize_operator(field, grid, 0.0)
+        flat = w.values.reshape(grid.n_t, -1)
+        want = np.full((grid.n_t - 1, flat.shape[1]), np.nan)
+        for k in range(grid.n_t - 1):
+            lw = (flat[k + 1] - flat[k]) / grid.dt + theta * (A @ flat[k + 1])
+            if theta != 1.0:
+                lw += (1.0 - theta) * (A @ flat[k])
+            want[k, ~dirichlet] = lw[~dirichlet]
+        assert np.array_equal(got.reshape(want.shape), want, equal_nan=True)
+
     def test_time_dependent_drift_keeps_constants(self):
         field = from_expressions(
             2, [["1", "0"], ["0", "1"]], ["0", "1 + 0.5*t"], "0",
@@ -935,12 +955,20 @@ class TestLookAhead:
         assert threading.active_count() == before
 
     def test_time_independent_field_starts_no_thread(self, monkeypatch):
-        # one matrix serves every step, so there is nothing to build ahead
+        # one matrix serves every step, so there is nothing to build
+        # ahead; below the handoff cutoff it is factored on the caller
         started = count_calls(monkeypatch, "_one_ahead")
+        during = []
+        count_calls(monkeypatch, "splu", wrap=lambda lu: during.append(
+            (threading.current_thread(), threading.active_count())) or lu)
         problem = manufactured_problem(heston(2.0, 0.25, 1.0, 0.0),
                                        "inner_bump")
-        solve_cauchy(problem, small_grid(n=9, n_slices=6))
+        before = threading.active_count()
+        grid = small_grid(n=9, n_slices=6)
+        assert grid.dirichlet_mask().size < solver._HANDOFF_NODES
+        solve_cauchy(problem, grid)
         assert started == []
+        assert during == [(threading.main_thread(), before)]
 
     def test_no_thread_outlives_the_solve(self, monkeypatch):
         problem = manufactured_problem(accelerating_field(), "inner_bump")
@@ -974,6 +1002,88 @@ class TestLookAhead:
         count_calls(monkeypatch, "splu", wrap=NaNLater)
         with pytest.raises(SolverError, match="at step 2 "):
             solve_cauchy(problem, grid)
+        assert threading.active_count() == before
+
+
+def factoring_threads(monkeypatch):
+    """The thread of each splu call, recorded from now on."""
+    threads = []
+    count_calls(monkeypatch, "splu", wrap=lambda lu: threads.append(
+        threading.current_thread()) or lu)
+    return threads
+
+
+class TestFactorHandoff:
+    """On grids of _HANDOFF_NODES nodes or more, a field that does not
+    depend on time factors its system on the worker thread while the
+    caller evaluates the data and checks the certificate."""
+
+    FIELDS = [lambda: heston(2.0, 0.25, 1.0, 0.0, r=0.05),
+              ASSEMBLY_CASES["heston-timedep"][0]]
+
+    @pytest.mark.parametrize("order", ["handed-first", "serial-first"])
+    @pytest.mark.parametrize("certify", [True, False])
+    @pytest.mark.parametrize("make", FIELDS,
+                             ids=["time-independent", "time-dependent"])
+    def test_same_solve_either_side_of_the_cutoff(self, monkeypatch, make,
+                                                  certify, order):
+        problem = manufactured_problem(make(), "inner_bump")
+        cutoffs = (0, 10 ** 9) if order == "handed-first" else (10 ** 9, 0)
+        runs, threads = {}, factoring_threads(monkeypatch)
+        for cutoff in cutoffs:
+            monkeypatch.setattr(solver, "_HANDOFF_NODES", cutoff)
+            u, report = solve_cauchy(problem, small_grid(n=33, n_slices=6),
+                                     certify=certify)
+            runs[cutoff] = (u.values, report.steps, report.certificate,
+                            threads[:])
+            threads.clear()
+        (u, steps, cert, handed), (u_ref, steps_ref, cert_ref, serial) = (
+            runs[0], runs[10 ** 9])
+        assert np.array_equal(u, u_ref)
+        assert steps == steps_ref
+        assert cert == cert_ref and (cert is not None) is certify
+        main = threading.main_thread()
+        assert serial == [main]
+        # a time-dependent field factors on the caller either way, while
+        # its worker builds the next system
+        time_dependent = problem.field.time_dependent
+        assert len(handed) == 1 and (handed[0] is main) is time_dependent
+
+    def test_failed_certificate_raises_as_before(self, monkeypatch):
+        # a correlated field fails the certificate on the caller while
+        # the worker factors; the LU is dropped and the thread joined
+        problem = manufactured_problem(heston(2.0, 0.25, 1.0, -0.5, r=0.05),
+                                       "inner_bump")
+        n = int(np.ceil(np.sqrt(solver._HANDOFF_NODES)))
+        before = threading.active_count()
+        messages, threads = [], factoring_threads(monkeypatch)
+        for cutoff in (solver._HANDOFF_NODES, 10 ** 9):
+            monkeypatch.setattr(solver, "_HANDOFF_NODES", cutoff)
+            with pytest.raises(CertificateError) as failed:
+                solve_cauchy(problem, small_grid(n=n, n_slices=3))
+            messages.append(str(failed.value))
+            assert threading.active_count() == before
+        assert messages[0] == messages[1]
+        assert "positive off-diagonal entry" in messages[0]
+        assert len(threads) == 1
+        assert threads[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("make", FIELDS,
+                             ids=["time-independent", "time-dependent"])
+    def test_data_error_leaves_no_thread(self, monkeypatch, make):
+        monkeypatch.setattr(solver, "_HANDOFF_NODES", 0)
+        problem = manufactured_problem(make(), "inner_bump")
+        during = []
+
+        def on_grid(*args):
+            during.append(threading.active_count())
+            raise ValueError("bad data")
+
+        monkeypatch.setattr(problem.g, "on_grid", on_grid)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="bad data"):
+            solve_cauchy(problem, small_grid(n=33, n_slices=6))
+        assert during == [before + 1]
         assert threading.active_count() == before
 
 
@@ -1108,3 +1218,93 @@ class TestConvergence:
             [(7, 7, 4), (9, 9, 5)], t_final=0.5)
         assert study.order is None
         assert "fitted order" not in gridio.convergence_csv(study)
+
+
+class AffineHeston:
+    """The exact solution u = exp(A(t) + mu x1 + B(t) x2) of the Heston
+    problem with f = 0 and g = exp(mu x1 - lam x2) (Heston, Rev. Financ.
+    Stud. 6 (1993); Duffie, Pan & Singleton, Econometrica 68 (2000)).
+
+    Substituting u gives B' = a B^2 + b B + c with a = sigma^2 / 2,
+    b = rho sigma mu - kappa, c = (mu^2 - mu) / 2 and B(0) = -lam, and
+    A' = kappa theta B + r mu - r with A(0) = 0.  With the roots r1 > r2
+    of a B^2 + b B + c, K = (B(0) - r1) / (B(0) - r2) and
+    D = a (r1 - r2), B = r2 + (r1 - r2) / (1 - K e^{Dt}) and its
+    integral is r1 t - log((1 - K e^{Dt}) / (1 - K)) / a.  For mu in
+    (0, 1) the roots are real and B stays finite.
+    """
+
+    d = 2
+
+    def __init__(self, kappa, theta, sigma, rho, r, mu, lam):
+        a, b, c = sigma ** 2 / 2, rho * sigma * mu - kappa, (mu * mu - mu) / 2
+        root = np.sqrt(b * b - 4 * a * c)
+        self.r1, self.r2 = (-b + root) / (2 * a), (-b - root) / (2 * a)
+        self.K = (-lam - self.r1) / (-lam - self.r2)
+        self.a, self.D = a, a * (self.r1 - self.r2)
+        self.level, self.rate, self.mu = kappa * theta, r * mu - r, mu
+
+    def value(self, t, x):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        e = self.K * np.exp(self.D * t)
+        B = self.r2 + (self.r1 - self.r2) / (1 - e)
+        integral = self.r1 * t - np.log((1 - e) / (1 - self.K)) / self.a
+        A = self.level * integral + self.rate * t
+        return np.exp(A + self.mu * x[..., 0] + B * x[..., 1])
+
+
+class TestAffineHeston:
+    """Unforced Heston solves against the affine exact solution, on
+    [-2, 2] x [0, 2] up to T = 0.5 with n x n nodes and n slices."""
+
+    PARAMETERS = dict(kappa=2.0, theta=0.25, sigma=1.0, r=0.05)
+
+    def exact(self, rho):
+        return AffineHeston(rho=rho, mu=0.5, lam=1.0, **self.PARAMETERS)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5])
+    def test_formula_solves_the_equation(self, rho):
+        # L u of the central-difference derivatives, h = 1e-4
+        u, h = self.exact(rho), 1e-4
+        t, x1, x2 = 0.3, 0.2, 0.7
+
+        def at(dt=0.0, d1=0.0, d2=0.0):
+            return float(u.value(t + dt, np.array([x1 + d1, x2 + d2])))
+
+        u_t = (at(dt=h) - at(dt=-h)) / (2 * h)
+        u_1 = (at(d1=h) - at(d1=-h)) / (2 * h)
+        u_2 = (at(d2=h) - at(d2=-h)) / (2 * h)
+        u_11 = (at(d1=h) - 2 * at() + at(d1=-h)) / h ** 2
+        u_22 = (at(d2=h) - 2 * at() + at(d2=-h)) / h ** 2
+        u_12 = (at(d1=h, d2=h) - at(d1=h, d2=-h) - at(d1=-h, d2=h)
+                + at(d1=-h, d2=-h)) / (4 * h * h)
+        lu = (x2 * (0.5 * u_11 + rho * u_12 + 0.5 * u_22)
+              + (0.05 - x2 / 2) * u_1 + 2.0 * (0.25 - x2) * u_2 - 0.05 * at())
+        assert abs(u_t - lu) <= 1e-6
+        assert float(u.value(0.0, np.array([x1, x2]))) == pytest.approx(
+            np.exp(0.5 * x1 - x2), rel=1e-15)
+
+    @pytest.mark.parametrize("rho, certify, errors", [
+        (0.0, True, [1.42e-2, 7.02e-3, 3.48e-3]),
+        (-0.5, False, [1.35e-2, 6.73e-3, 3.34e-3]),
+    ], ids=["rho-0-certified", "rho-minus-0.5-uncertified"])
+    def test_first_order_in_space(self, rho, certify, errors):
+        exact = self.exact(rho)
+        problem = CauchyProblem(heston(rho=rho, **self.PARAMETERS), None,
+                                profile("exp", [0.0, 0.5, -1.0]),
+                                exact=exact)
+        got, spacings = [], []
+        for n in (17, 33, 65):
+            grid = Grid.build(2, 2.0, 2.0, n, n, 0.5, n, grading="uniform")
+            u, report = solve_cauchy(problem, grid, certify=certify,
+                                     boundary="exact")
+            assert (report.certificate is not None) is certify
+            audited = grid.audited_mask().ravel()
+            want = exact.value(grid.times[:, None], grid.nodes()[audited])
+            got.append(float(np.max(np.abs(
+                u.values.reshape(grid.n_t, -1)[:, audited] - want))))
+            spacings.append(grid.max_spacing())
+        assert got == pytest.approx(errors, rel=0.01)
+        order = np.polyfit(np.log(spacings), np.log(got), 1)[0]
+        assert order >= 0.9
+
