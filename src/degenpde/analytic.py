@@ -17,14 +17,13 @@ those factors spread them over the times.  A pullback x = A z changes
 only the weights.
 
 Text (data strings and the expressions preset) becomes a function in
-text_function.  A polynomial in t, x1..xd, such as the Heston drift
-2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the coordinates,
-in numpy, without sympy.  Any other text (sqrt, Max, x1/x2, ...) is
-built into sympy from its syntax tree, never run, as a factor of its
-own, which sympy differentiates and lambdify compiles; sympy is
-imported only then.  cached_lambdify compiles each (symbols, expression)
-pair once per process, so the same text rebuilt by several experiments
-shares its code.
+text_function.  Its Python syntax tree is walked once, never run, into a
+hashable tuple tree of a fixed grammar with its constants folded
+(_parse).  A tree that is a polynomial in t, x1..xd, such as the Heston
+drift 2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the
+coordinates (_fold).  Any other tree (sqrt, Max, x1/x2, ...) is a factor
+of its own, which numpy's ufuncs evaluate on the same sparse axes and
+which is differentiated by rules (_diff).
 """
 
 from __future__ import annotations
@@ -40,175 +39,273 @@ from fractions import Fraction
 import numpy as np
 
 
-def space_symbols(d):
-    import sympy as sp
-    return sp.symbols("x1:%d" % (d + 1), real=True)
+_ZERO, _ONE, _MINUS, _TWO = map(Fraction, (0, 1, -1, 2))
+_MAX_DEGREE = 8  # of a power in a polynomial; a larger one stays a tree
+# A tree is a number (exact, a Fraction, or a float), True or False, or
+# (head, *children): ("x", k) is variable k (0 = t, i = x_i),
+# ("Piecewise", value, condition, value, condition, ...), or a head of
+# _OPS, which gives (numpy's function, the function of numbers).
+_OPS = {h: (getattr(operator, f),) * 2 for h, f in zip(
+    ["+", "*", "/", "**", "<", "<=", ">", ">="],
+    ["add", "mul", "truediv", "pow", "lt", "le", "gt", "ge"])}
+_OPS.update({"&": (np.logical_and, None), "|": (np.logical_or, None),
+             "Min": (np.minimum, min), "Max": (np.maximum, max)})
+# The functions of one argument, each with its derivative as text in x1.
+_DERIVATIVES = {
+    "sin": "cos(x1)", "cos": "-sin(x1)", "tan": "1 + tan(x1)**2",
+    "asin": "(1 - x1**2)**(-1/2)", "acos": "-(1 - x1**2)**(-1/2)",
+    "atan": "1/(1 + x1**2)", "sinh": "cosh(x1)", "cosh": "sinh(x1)",
+    "tanh": "1 - tanh(x1)**2", "exp": "exp(x1)", "log": "1/x1",
+    "sqrt": "1/(2*sqrt(x1))", "Abs": "Piecewise((1, x1 >= 0), (-1, True))"}
+_OPS.update({f: (getattr(np, "arc" + f[1:] if f[0] == "a" else f.lower()),
+                 getattr(math, f, abs)) for f in _DERIVATIVES})
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+              ast.Pow: "**", ast.UAdd: "+", ast.USub: "-", ast.BitAnd: "&",
+              ast.BitOr: "|", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
+              ast.GtE: ">="}
+_UNDEFINED = ("undefined",)  # stands for what is refused after the walk
+
+
+def _number(v):
+    return not isinstance(v, (tuple, bool))
+
+
+def _is_condition(v):
+    return isinstance(v, bool) or isinstance(v, tuple) and v[0] in (
+        "<", "<=", ">", ">=", "&", "|")
+
+
+def _op(head, *args):
+    """The tree (head, *args), with numbers folded into a number (nan
+    outside a function's domain), and 0, _ONE, True and False folded."""
+    a, b = args[0], args[-1]
+    if head in ("&", "|"):
+        for x, y in ((a, b), (b, a)):
+            if isinstance(x, bool):
+                return x if x == (head == "|") else y
+    elif all(map(_number, args)) and head in _OPS:
+        if head == "**" and isinstance(b, Fraction) and b.denominator == 1 \
+                and 0 <= b <= _MAX_DEGREE:
+            return math.prod([a] * int(b), start=_ONE)  # as _fold does
+        try:
+            return _OPS[head][1](*args)
+        except (ArithmeticError, ValueError):
+            return math.nan
+    elif head == "+" and 0 in args:
+        return b if a == 0 else a
+    elif head in ("*", "/") and a == 0 or head == "*" and b == 0:
+        return _ZERO
+    elif head == "*" and (a is _ONE or b is _ONE):
+        return b if a is _ONE else a
+    return (head,) + args
+
+
+def _piecewise(pairs):
+    """Piecewise((value, condition), ...) without False branches; nan if
+    none is left, and a value that the first or every branch gives."""
+    pairs = [(v, c) for v, c in pairs if c is not False]
+    if pairs and (pairs[0][1] is True or pairs[-1][1] is True
+                  and all(v == pairs[0][0] for v, _ in pairs)):
+        return pairs[0][0]
+    return ("Piecewise",) + sum(pairs, ()) if pairs else math.nan
 
 
 @functools.cache
-def _symbols(d):
-    """The sympy symbols (t, x1, ..., xd) of text in d dimensions."""
-    import sympy as sp
-    return (sp.Symbol("t", real=True),) + tuple(space_symbols(d))
+def _parse(text, d):
+    """(tree, its polynomial's sorted terms or None) of text in t, x1..xd,
+    from its Python syntax tree, never run: t, x1..xd, pi, E, the
+    functions of _OPS, Piecewise and _OPERATORS.  Anything else is an
+    error that names it; so, after the walk, is text that is not
+    number-valued (x1 > 0), uses unknown names, or is not finite (I, 1/0,
+    1e400, x1/(t - t))."""
+    names = {"t": ("x", 0), "pi": math.pi, "E": math.e,
+             **{"x%d" % i: ("x", i) for i in range(1, d + 1)}}
+    refused = {"symbols": set(), "functions": set(), "finite": set()}
 
+    def finite(v):  # compared exactly, so a huge Fraction is no error
+        return not _number(v) or not isinstance(v, complex) and v == v \
+            and abs(v) <= sys.float_info.max
 
-_CONSTANTS = ("pi", "E", "I", "oo", "zoo", "nan")
-_FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
-              "tanh", "exp", "log", "sqrt", "Abs", "Min", "Max", "Piecewise")
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
-              ast.Mult: operator.mul, ast.Div: operator.truediv,
-              ast.Pow: operator.pow, ast.BitAnd: operator.and_,
-              ast.BitOr: operator.or_, ast.UAdd: operator.pos,
-              ast.USub: operator.neg, ast.Lt: operator.lt,
-              ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+    def walk(node, condition=False):  # a condition, or a number if False
+        out = build(node)
+        if condition is not None and _is_condition(out) != condition:
+            raise ValueError("%r is not %s" % (
+                ast.get_source_segment(text, node),
+                "a condition" if condition else "number-valued"))
+        if not finite(out):
+            refused["finite"].add(node)
+        return out if finite(out) else _UNDEFINED
 
+    def build(node):
+        ops = getattr(node, "ops", [getattr(node, "op", None)])
+        head = _OPERATORS.get(type(ops[0]))
+        if head and len(ops) == 1:  # no chained comparison
+            args = [walk(c, head in ("&", "|"))
+                    for c in ast.iter_child_nodes(node) if c not in ops]
+            if head == "**" and all(map(_number, args)) and args[0] != 0:
+                # by logarithms, so that a huge integer is never built
+                base = Fraction(args[0])
+                scale = float(args[1]) * (math.log10(abs(base.numerator))
+                                          - math.log10(base.denominator))
+                if not math.log10(sys.float_info.min) < scale \
+                        < math.log10(sys.float_info.max):
+                    raise ValueError("power %r exceeds the range of a double"
+                                     % ast.get_source_segment(text, node))
+            if head == "-":  # a - b = a + (-1) b
+                head, args[-1] = "+", _op("*", _MINUS, args[-1])
+            if head in ("/", "**") and _fold(args[head == "/"], d + 1) == {} \
+                    and (head == "/" or _number(args[1]) and args[1] < 0):
+                return math.nan  # a division by a zero polynomial
+            return args[0] if len(args) == 1 else _op(head, *args)
+        if isinstance(node, ast.Constant) and type(node.value) in (
+                bool, int, float):
+            return Fraction(node.value) if type(node.value) is int \
+                else node.value
+        if isinstance(node, ast.Name):
+            if node.id not in names:
+                refused["finite" if node.id in ("I", "oo", "zoo", "nan")
+                        else "symbols"].add(node.id)
+            return names.get(node.id, _UNDEFINED)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and not node.keywords:
+            name, nodes = node.func.id, node.args
+            if name == "Piecewise":  # of (value, condition) pairs
+                pairs = [a.elts if isinstance(a, ast.Tuple) and len(a.elts)
+                         == 2 else (a, a) for a in nodes]
+                return _piecewise([(walk(v), walk(c, True)) for v, c in pairs])
+            args = [walk(a) for a in nodes]
+            if name not in _OPS:
+                refused["functions"].add(name)
+                return _UNDEFINED
+            if name in ("Min", "Max") and args:  # Min(a, Min(b, c))
+                return functools.reduce(lambda out, a: _op(name, a, out),
+                                        args[-2::-1], args[-1])
+            if len(args) == 2 and name == "log":  # log(x, base)
+                return _op("/", _op("log", args[0]), _op("log", args[1]))
+            if len(args) != 1:
+                raise ValueError("%s does not take %d arguments"
+                                 % (name, len(args)))
+            return _op(name, args[0])
+        if isinstance(node, ast.Call):  # with keywords, or of no name
+            node = node.keywords[0] if node.keywords else node.func
+        what = node if ops[0] is None or head else ops[0]
+        raise ValueError("%s %r is not allowed" % (
+            type(what).__name__, ast.get_source_segment(text, node)))
 
-# Decimal exponents of the largest and the least positive normal double.
-_DOUBLE_EXPONENTS = (math.log10(sys.float_info.min),
-                     math.log10(sys.float_info.max))
-
-
-def _beyond_double(base, exponent):
-    """Whether base ** exponent, of two sympy numbers, has a magnitude
-    outside the normal range of a double.  It is decided from logarithms,
-    so a huge integer is never built; a power of 0, and one of something
-    that is not a number, is in range."""
-    import sympy as sp
-    if not (isinstance(base, sp.Number) and isinstance(exponent, sp.Number)) \
-            or base == 0:
-        return False
-    scale = (exponent * sp.log(abs(base), 10)).evalf()
-    return not _DOUBLE_EXPONENTS[0] < scale < _DOUBLE_EXPONENTS[1]
-
-
-def _sympy_tree(node, text, names):
-    """The sympy expression of a node of the ast of text, as sympy's
-    parse_expr evaluates it; a number is an Integer, or a Float of its
-    digits.  A name outside names (t, x1..xd, _CONSTANTS) is a Symbol and
-    a call outside _FUNCTIONS an undefined Function, for parse_expression
-    to report; another construct is a ValueError that names it."""
-    import sympy as sp
-    build = functools.partial(_sympy_tree, text=text, names=names)
-    ops = getattr(node, "ops", [getattr(node, "op", None)])
-    if type(ops[0]) in _OPERATORS and len(ops) == 1:  # no chained compare
-        args = [build(c) for c in ast.iter_child_nodes(node) if c not in ops]
-        if type(ops[0]) is ast.Pow and _beyond_double(*args):
-            raise ValueError("power %r exceeds the range of a double"
-                             % ast.get_source_segment(text, node))
-        return _OPERATORS[type(ops[0])](*args)
-    if isinstance(node, ast.Constant) and type(node.value) in (bool, int):
-        return sp.sympify(node.value)
-    if isinstance(node, ast.Constant) and type(node.value) is float:
-        return sp.Float(ast.get_source_segment(text, node))
-    if isinstance(node, ast.Name):
-        return names[node.id] if node.id in names else sp.Symbol(node.id)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and not node.keywords:
-        name = node.func.id
-        fn = getattr(sp, name) if name in _FUNCTIONS else sp.Function(name)
-        return fn(*[tuple(map(build, a.elts)) if isinstance(a, ast.Tuple)
-                    and name == "Piecewise" else build(a) for a in node.args])
-    if isinstance(node, ast.Call):  # with keywords, or of no name
-        node = node.keywords[0] if node.keywords else node.func
-    what = node if ops[0] is None or type(ops[0]) in _OPERATORS else ops[0]
-    raise ValueError("%s %r is not allowed" % (
-        type(what).__name__, ast.get_source_segment(text, node)))
-
-
-@functools.cache
-def parse_expression(text, d):
-    """Parse a coefficient or data expression in variables t, x1..xd.
-
-    The text's Python syntax tree is built into sympy (_sympy_tree), never
-    run.  Unknown names are an error so a typo cannot silently evaluate
-    to zero; so are I, zoo, oo and nan, which numpy would drop or carry
-    into the solve, and text that is not number-valued (True, x1 > 0).
-    A number raised to a number beyond the range of a double (10**10**6)
-    is an error before sympy builds its integer.  Each (text, d) is
-    parsed once per process.
-    """
-    import sympy as sp
-    syms = _symbols(d)
-    names = {str(s): s for s in syms} | {c: getattr(sp, c) for c in _CONSTANTS}
     try:
-        expr = _sympy_tree(ast.parse(text, mode="eval").body, text, names)
-    except (SyntaxError, TypeError, ValueError, RecursionError) as exc:
+        tree = walk(ast.parse(text, mode="eval").body, None)
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise ValueError("cannot parse expression %r: %s" % (text, exc))
-    if not isinstance(expr, sp.Expr):
+    if _is_condition(tree):
         raise ValueError("expression %r is not number-valued" % (text,))
-    extra = expr.free_symbols - set(syms)
-    if extra:
-        raise ValueError("expression %r uses unknown symbols %s"
-                         % (text, sorted(map(str, extra))))
-    undefined = expr.atoms(sp.core.function.AppliedUndef)
-    if undefined:
-        raise ValueError("expression %r uses unknown functions %s"
-                         % (text, sorted({f.func.__name__
-                                          for f in undefined})))
-    if expr.has(sp.I, sp.zoo, sp.oo, -sp.oo, sp.nan):
+    for key in ("symbols", "functions"):
+        if refused[key]:
+            raise ValueError("expression %r uses unknown %s %s"
+                             % (text, key, sorted(refused[key])))
+    poly = _fold(tree, d + 1)
+    if refused["finite"] or not all(map(finite, (poly or {}).values())):
         raise ValueError("expression %r must have finite real values; it "
                          "contains I, zoo, oo or nan" % (text,))
-    return expr
+    return tree, None if poly is None else tuple(sorted(poly.items()))
+
+
+def _multiply(p, q):
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p.items(), q.items()):
+        e = tuple(i + j for i, j in zip(e1, e2))
+        out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _fold(node, n):
+    """The polynomial {exponents of n variables: nonzero coefficient} of a
+    tree of +, *, / by a number and ** up to degree _MAX_DEGREE, or None."""
+    one = (0,) * n
+    if _number(node):
+        return {one: node} if node else {}
+    if node[0] == "x":
+        return {tuple(int(j == node[1]) for j in range(n)): _ONE}
+    p, q = [_fold(c, n) for c in node[1:]] \
+        if node[0] in ("+", "*", "/", "**") else (None, None)
+    if p is None or q is None or node[0] == "/" and list(q) != [one]:
+        return None
+    if node[0] == "/":
+        return {e: c / q[one] for e, c in p.items()}
+    if node[0] == "*":
+        return _multiply(p, q)
+    if node[0] == "+":
+        return {e: c for e in {**p, **q} if (c := p.get(e, 0) + q.get(e, 0))}
+    e = node[2]
+    if isinstance(e, Fraction) and e.denominator == 1 \
+            and 0 <= e * max([sum(k) for k in p] + [1]) <= _MAX_DEGREE:
+        return functools.reduce(_multiply, [p] * int(e), {one: _ONE})
+
+
+def _subtrees(node):
+    children = node[1:] if isinstance(node, tuple) and node[0] != "x" else ()
+    return [node] + [s for c in children for s in _subtrees(c)]
+
+
+def _substitute(node, a):
+    """The tree with a in place of x1."""
+    if not isinstance(node, tuple) or node[0] == "x":
+        return a if node == ("x", 1) else node
+    return _op(node[0], *(_substitute(c, a) for c in node[1:]))
 
 
 @functools.cache
-def _float_printer():
-    """numpy code printer that writes each Float as its exact double
-    (the default printer rounds it to 15 significant digits), and And and
-    Or as nested binary calls, as Max and Min are printed: the default
-    logical_and.reduce((a, b)) stacks its operands into one array, which
-    the sparse axes of a mesh, broadcasting only together, cannot be."""
-    from sympy.printing.numpy import NumPyPrinter
-
-    class FloatPrinter(NumPyPrinter):
-        def _print_Float(self, expr):
-            return repr(float(expr))
-
-        def _binary(self, op, args):
-            """op(a, op(b, c)) for args (a, b, c)."""
-            first = self._print(args[0])
-            if len(args) == 1:
-                return first
-            return "%s(%s, %s)" % (
-                self._module_format(self._module + "." + op), first,
-                self._binary(op, args[1:]))
-
-        def _print_And(self, expr):
-            return self._binary("logical_and", expr.args)
-
-        def _print_Or(self, expr):
-            return self._binary("logical_or", expr.args)
-
-    return FloatPrinter
-
-
-# One compiled closure per (symbols, expr) for the life of the process.
-_COMPILED = {}
+def _diff(node, k):
+    """The derivative of a tree along variable k (0 = t) by the sum,
+    product, quotient and chain rules; Min, Max, Abs and Piecewise branch
+    by branch, so a kink has one-sided derivatives and no delta."""
+    if not isinstance(node, tuple) or node[0] == "x":
+        return _ONE if node == ("x", k) else _ZERO
+    head, args = node[0], node[1:]
+    if head == "Piecewise":
+        return _piecewise([(_diff(v, k), c)
+                           for v, c in zip(args[::2], args[1::2])])
+    if len(args) == 1:
+        return _op("*", _substitute(_parse(_DERIVATIVES[head], 1)[0],
+                                    args[0]), _diff(args[0], k))
+    (a, b), da, db = args, _diff(args[0], k), _diff(args[1], k)
+    if head in ("Min", "Max"):
+        return _piecewise([(da, ("<=" if head == "Min" else ">=", a, b)),
+                           (db, True)])
+    if head == "+":
+        return _op("+", da, db)
+    if head == "*":
+        return _op("+", _op("*", da, b), _op("*", a, db))
+    if head == "/":  # da / b - a db / b^2
+        return _op("+", _op("/", da, b), _op("*", _MINUS, _op(
+            "/", _op("*", a, db), _op("**", b, _TWO))))
+    if _number(b):  # a ** b
+        return _op("*", _op("*", b, _op("**", a, _op("+", b, _MINUS))), da)
+    return _op("*", node, _op("+", _op("*", db, _op("log", a)),
+                              _op("/", _op("*", b, da), a)))
 
 
-def cached_lambdify(symbols, expr):
-    """Vectorized closure fn(t, x1, ..., xd) of expr, compiled once.
-
-    The arguments are arrays that broadcast together, such as the sparse
-    axes of np.meshgrid; the result has the shape of the arguments that
-    expr holds, and may be one of them.  An expr that is a number
-    compiles no code and gives a float; a compiled closure carries every
-    float constant at full precision.
-    """
-    key = (symbols, expr)
-    fn = _COMPILED.get(key)
-    if fn is None:
-        if expr.is_number:
-            fn = lambda *args, _value=float(expr): _value  # noqa: E731
+def _tree_value(node, args, memo):
+    """A tree at args (t, x1..xd), each subtree evaluated once in memo."""
+    if not isinstance(node, tuple):
+        return node if isinstance(node, bool) else float(node)
+    if node not in memo:
+        values = [_tree_value(c, args, memo) for c in node[1:]]
+        if node[0] == "x":
+            memo[node] = args[node[1]]
+        elif node[0] == "Piecewise":  # the first branch that holds
+            memo[node] = functools.reduce(
+                lambda out, i: np.where(values[i + 1], values[i], out),
+                range(len(values) - 2, -1, -2), np.nan)
         else:
-            import sympy as sp
-            # docstring_limit=0: lambdify would otherwise print expr a
-            # second time, for a docstring of fn that nothing reads
-            fn = sp.lambdify(symbols, expr, modules="numpy",
-                             docstring_limit=0, printer=_float_printer()(
-                                 {"fully_qualified_modules": False}))
-        _COMPILED[key] = fn
-    return fn
+            memo[node] = _OPS[node[0]][0](*values)
+    return memo[node]
+
+
+def _tree_factor(d, tree):
+    """The factor ("tree", tree, mask of the variables it holds, 0, 0)."""
+    held = set(_subtrees(tree))
+    return ("tree", tree, tuple(float(("x", k) in held)
+                                for k in range(d + 1)), 0.0, 0)
 
 
 def _arguments(t, x):
@@ -261,21 +358,13 @@ _PROFILES = {
 }
 
 
-def _text_factor(d, expr):
-    """The factor of a sympy expression: ("text", expr, dependence mask,
-    0, 0); the mask marks (t, x1..xd) that expr holds."""
-    free = expr.free_symbols
-    return ("text", expr, tuple(float(s in free) for s in _symbols(d)),
-            0.0, 0)
-
-
 class AnalyticFunction:
     """Scalar function of (t, x1..xd) with exact derivatives.
 
     terms is a sequence of (coefficient, factors); a factor is a tuple
     (profile, parameter, weights, offset, order), the order-th
     derivative of the profile at offset + weights . (t, x1..xd), or a
-    text factor (_text_factor).  No terms is the zero function.
+    tree factor of text (_tree_factor).  No terms is the zero function.
     """
 
     def __init__(self, d, terms=()):
@@ -284,28 +373,28 @@ class AnalyticFunction:
         self._derivatives = {}  # sorted axes -> derivative
         self._groups = None  # see _by_clock
 
-    @classmethod
-    def from_text(cls, text, d):
-        return text_function(text, d)
-
     def depends(self, k):
         """Whether some factor varies along variable k (0 = t, i = x_i)."""
         return any(f[2][k] for _, fs in self.terms for f in fs)
 
+    def holds(self, *functions):
+        """Whether a tree factor holds one of functions, such as "Abs"."""
+        return any(isinstance(n, tuple) and n[0] in functions
+                   for _, fs in self.terms for f in fs if f[0] == "tree"
+                   for n in _subtrees(f[1]))
+
     def _differentiate(self, f, axes):
         """(number, factor): the derivative of factor f along the
-        variables axes is the number times the factor; a text factor
-        whose derivative is a number gives (that number, None)."""
+        variables axes; a derivative that is a number has no factor."""
         kind, param, w, offset, order = f
-        if kind != "text":
+        if kind != "tree":
             return (math.prod(w[k] for k in axes),
                     (kind, param, w, offset, order + len(axes)))
-        import sympy as sp
-        syms = _symbols(self.d)
-        expr = sp.diff(param, *(syms[k] for k in axes))
-        if expr.is_number:
-            return float(expr), None
-        return 1.0, _text_factor(self.d, expr)
+        for k in axes:
+            param = _diff(param, k)
+        if not isinstance(param, tuple):
+            return float(param), None
+        return 1.0, _tree_factor(self.d, param)
 
     def derivative(self, axes):
         """The derivative along axes (variable numbers, 0 = t) as a
@@ -369,8 +458,8 @@ class AnalyticFunction:
     def _value(self, f, args, memo):
         """Factor f at args; memo keeps each affine form's values."""
         kind, param, w, offset, order = f
-        if kind == "text":
-            return cached_lambdify(_symbols(self.d), param)(*args)
+        if kind == "tree":
+            return _tree_value(param, args, memo)
         s = memo.get((w, offset))
         if s is None:
             s = memo[w, offset] = offset + sum(wk * a for wk, a in zip(w, args)
@@ -428,7 +517,7 @@ class AnalyticFunction:
         return AnalyticFunction(self.d, self.terms + other.terms)
 
     def _map_factors(self, change):
-        if any(f[0] == "text" for _, fs in self.terms for f in fs):
+        if any(f[0] == "tree" for _, fs in self.terms for f in fs):
             raise ValueError("only built-in functions change variables")
         return AnalyticFunction(self.d, [(c, [change(*f) for f in fs])
                                          for c, fs in self.terms])
@@ -467,104 +556,18 @@ def affine(weights, offset=0.0):
     return profile("power", weights, offset, 1)
 
 
-def expression(d, expr):
-    """A sympy expression in t, x1..xd (see _symbols) as a function; a
-    number is a constant."""
-    if expr.is_number:
-        return constant(d, float(expr))
-    return AnalyticFunction(d, [(1.0, [_text_factor(d, expr)])])
-
-
-# The largest degree of a power a polynomial text may hold; a larger one
-# goes to sympy, so that text_function never expands a large power.
-_MAX_DEGREE = 8
-
-
-def _add(p, q, sign=1):
-    """p + sign q of polynomials {exponents: coefficient}."""
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _multiply(p, q):
-    out = {}
-    for (e1, c1), (e2, c2) in itertools.product(p.items(), q.items()):
-        e = tuple(i + j for i, j in zip(e1, e2))
-        out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _polynomial(node, names):
-    """The polynomial {exponents of names: coefficient} of a node of
-    Python's ast, without zero coefficients; None outside the grammar of
-    text_function.  An integer stays an exact Fraction until it meets a
-    float, as a sympy Rational does."""
-    one = (0,) * len(names)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = node.value
-        return {one: Fraction(value) if type(value) is int else value} \
-            if value else {}
-    if isinstance(node, ast.Name) and node.id in names:
-        k = names.index(node.id)
-        return {tuple(int(j == k) for j in range(len(names))): Fraction(1)}
-    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd,
-                                                          ast.USub):
-        p = _polynomial(node.operand, names)
-        return p if p is None or type(node.op) is ast.UAdd \
-            else _add({}, p, -1)
-    if not isinstance(node, ast.BinOp):
-        return None
-    p = _polynomial(node.left, names)
-    if p is None:
-        return None
-    if type(node.op) is ast.Pow:
-        n = getattr(node.right, "value", None)
-        degree = max([sum(e) for e in p], default=0)
-        if type(n) is not int or not 0 <= n * max(degree, 1) <= _MAX_DEGREE:
-            return None
-        out = {one: Fraction(1)}
-        for _ in range(n):
-            out = _multiply(out, p)
-        return out
-    q = _polynomial(node.right, names)
-    if q is None:
-        return None
-    if type(node.op) in (ast.Add, ast.Sub):
-        return _add(p, q, -1 if type(node.op) is ast.Sub else 1)
-    if type(node.op) is ast.Mult:
-        return _multiply(p, q)
-    if type(node.op) is ast.Div and list(q) == [one]:
-        return {e: c / q[one] for e, c in p.items()}
-    return None
-
-
 def text_function(text, d):
-    """Text in t, x1..xd as a function.
-
-    A polynomial -- numbers, t and x1..xd joined by unary + and -, +, -,
-    *, / by a nonzero number and ** by an integer up to degree 8 --
-    becomes power factors x_k^n in numpy, without sympy.  Its terms are
-    in canonical order: each term's factors by variable, like terms
-    merged, zero coefficients dropped.  So x1*x2 and x2*x1 have the same
-    terms, and t - t is the constant 0, as under sympy.  Any other text
-    goes to expression(d, parse_expression(text, d)), which gives every
-    error for bad text.
-    """
-    names = ["t"] + ["x%d" % i for i in range(1, d + 1)]
-    try:
-        poly = _polynomial(ast.parse(text, mode="eval").body, names)
-        terms = None if poly is None else [
-            (float(c), [("power", n, tuple(float(j == k)
-                                           for j in range(d + 1)), 0.0, 0)
-                        for k, n in enumerate(e) if n])
-            for e, c in sorted(poly.items())]
-    except (SyntaxError, ValueError, OverflowError, RecursionError):
-        terms = None
-    if terms is None or not all(math.isfinite(c) for c, _ in terms):
-        return expression(d, parse_expression(text, d))
-    return AnalyticFunction(d, [(c, fs) for c, fs in terms if c])
+    """Text in t, x1..xd as a function (_parse gives every error).  A
+    polynomial becomes power factors in canonical order (by variable, like
+    terms merged), so x1*x2 and x2*x1 have the same terms; other text is
+    one tree factor."""
+    tree, poly = _parse(text, d)
+    if poly is None:
+        return AnalyticFunction(d, [(1.0, [_tree_factor(d, tree)])])
+    return AnalyticFunction(d, [
+        (float(c), [("power", n, tuple(float(j == k) for j in range(d + 1)),
+                     0.0, 0) for k, n in enumerate(e) if n])
+        for e, c in poly if float(c)])
 
 
 def axis_weights(d, k, weight):

@@ -181,14 +181,10 @@ def load_config(path):
     """Read and validate a config, build its field (the expressions
     preset's a, b and c) and, where no manufactured solution replaces
     them, data.f and data.g, which must be finite on the grid section's
-    grid: g at t = 0, f at every slice.
-
-    Text becomes a function in analytic.text_function: a polynomial in
-    t, x1..xd is built in numpy without sympy, and other text is parsed
-    with sympy, which parse_expression keeps, so the experiments do not
-    parse it again.  Text that does not parse or is not finite on the
-    grid, or a value the field's preset rejects, is a ConfigError before
-    any experiment runs."""
+    grid: g at t = 0, f at every slice.  Text that does not parse
+    (analytic.text_function, which parses each text once per process) or
+    is not finite on the grid, or a value the field's preset rejects, is
+    a ConfigError before any experiment runs."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -220,25 +216,28 @@ def load_config(path):
 
 
 def _check_schauder_data(cfg):
-    """A ConfigError unless data.g, given as text, has second derivatives
-    in space that numpy can evaluate: verify-schauder takes g's norm of
-    order 2+alpha from them.  A kink, as in Max(1 - exp(x1), 0),
-    differentiates twice into DiracDelta, which has no numpy form."""
+    """A ConfigError unless data.g, given as text, has the bounded first
+    and second space derivatives whose norm verify-schauder takes: no
+    Abs, Min or Max, whose kinks have deltas for second derivatives, and
+    derivatives finite on the grid section's grid at t = 0."""
     data = cfg.get("data", {})
     if ("field" not in cfg or data.get("manufactured") is not None
             or data.get("g") is None):
         return
-    d = build_field(cfg).d
-    g = text_function(data["g"], d)
-    try:
-        with np.errstate(all="ignore"):
-            for i in range(d):
-                for j in range(i, d):
-                    g.dxx(i, j, 0.0, np.zeros(d))
-    except NotImplementedError:
-        raise ConfigError("verify-schauder needs second derivatives of "
-                          "data.g, and %r has none that numpy can evaluate"
-                          % data["g"])
+    g = text_function(data["g"], build_field(cfg).d)
+    grid = build_grid(cfg, g.d, _counts(section(cfg, "grid")))
+    if g.holds("Abs", "Min", "Max"):
+        raise ConfigError("verify-schauder needs bounded second derivatives "
+                          "of data.g, and %r holds Abs, Min or Max, whose "
+                          "second derivatives are deltas" % data["g"])
+    with np.errstate(all="ignore"):
+        if not all(np.isfinite(g.derivative(axes).on_grid(0.0, grid)).all()
+                   for i in range(1, g.d + 1) for j in range(i, g.d + 1)
+                   for axes in ((i,), (i, j))):
+            raise ConfigError("verify-schauder needs bounded first and "
+                              "second derivatives of data.g, and those of "
+                              "%r are not finite on the grid at t = 0"
+                              % data["g"])
 
 
 def setting(cfg, key):
@@ -512,8 +511,8 @@ def run_experiments(kinds, cfg, out_root, seed):
 
     Two or more run on a pool of min(len(kinds), usable CPUs) workers,
     submitted in EXPERIMENTS order.  The workers are forked, so they
-    inherit the imported modules and the compiled-expression memo; a
-    fresh interpreter would import degenpde again.  With one worker, or
+    inherit the imported modules and the parsed text; a fresh
+    interpreter would import degenpde again.  With one worker, or
     no fork start method, they run in this process.  The first failing
     experiment in `kinds` order raises its exception here, after the
     experiments not yet started are cancelled; a worker that dies raises

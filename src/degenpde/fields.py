@@ -16,8 +16,8 @@ constant and homogeneous-drift presets give numbers: a and c constant
 and b = b0 + B1 x.  The expressions preset gives text
 (analytic.text_function): a polynomial in t, x1..xd, such as the
 time-dependent Heston drift 2*(0.25*(1 + t) - x2), becomes numbers and
-powers of the coordinates without sympy; other text (sqrt, exp, Max,
-x1/x2, ...) is parsed by sympy, and only that text is compiled.
+powers of the coordinates; other text (sqrt, exp, Max, x1/x2, ...) is
+one tree factor, evaluated by numpy's ufuncs.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on

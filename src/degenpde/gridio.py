@@ -21,7 +21,6 @@ import json
 import resource
 import struct
 import time
-from importlib import metadata
 
 import numpy as np
 
@@ -137,8 +136,6 @@ def write_manifest(path, config, command, seed, wall_times):
 
 
 def _versions():
-    """Library versions; sympy's is read from its metadata, since a run
-    that parses no text never imports it."""
+    """Versions of the libraries the package runs on."""
     import scipy
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "sympy": metadata.version("sympy")}
+    return {"numpy": np.__version__, "scipy": scipy.__version__}

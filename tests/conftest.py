@@ -1,8 +1,15 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the sympy oracle's adapter.
+
+sympy is a test dependency only: tests write reference functions in
+sympy, and from_sympy turns one into the package's function of the same
+text, so that the oracle and the package meet through the text grammar.
+"""
 
 import threading
 
 import pytest
+import sympy as sp
+from sympy.printing.str import StrPrinter
 
 from degenpde import analytic
 from degenpde.grid import GridFunction
@@ -18,17 +25,28 @@ def no_thread_outlives_the_test():
         "threads left running: %s" % threading.enumerate())
 
 
-@pytest.fixture
-def fresh_compiles(monkeypatch):
-    """An empty process memo of compiled closures for one test, so a
-    lambdify count sees what a fresh object compiles, not what earlier
-    tests left behind; the memo is restored afterwards."""
-    monkeypatch.setattr(analytic, "_COMPILED", {})
+def symbols(d):
+    """The sympy symbols (t, x1, ..., xd) of text in d dimensions."""
+    return (sp.Symbol("t", real=True),) + sp.symbols("x1:%d" % (d + 1),
+                                                     real=True)
+
+
+class _GrammarPrinter(StrPrinter):
+    """sympy's text of an expression, with each Float written as its
+    exact double (repr), which text_function reads back bit for bit."""
+
+    def _print_Float(self, expr):
+        return repr(float(expr))
+
+
+def from_sympy(d, expr):
+    """A sympy expression in symbols(d) as a function: its grammar text,
+    built by analytic.text_function."""
+    return analytic.text_function(_GrammarPrinter().doprint(expr), d)
 
 
 def sympy_bump(syms, center, radius, powers=4):
     """The product bump of analytic.bump, written out in sympy."""
-    import sympy as sp
     out = sp.Integer(1)
     for x, c, r in zip(syms, center, radius):
         s = (x - sp.Float(c)) / sp.Float(r)
@@ -41,8 +59,7 @@ def sympy_bump(syms, center, radius, powers=4):
 def interpolation_exprs():
     """The five functions of default_interpolation_functions(2) as sympy
     expressions in (t, x1, x2), written out independently of them."""
-    import sympy as sp
-    t, (x1, x2) = sp.Symbol("t", real=True), analytic.space_symbols(2)
+    t, x1, x2 = symbols(2)
     base = sympy_bump((x1, x2), (0.0, 0.0), (1.0, 1.0))
     shift = sympy_bump((x1, x2), (0.3, 0.0), (1.2, 0.8))
     tight = sympy_bump((x1, x2), (0.0, 0.0), (0.7, 0.7), powers=5)
@@ -54,8 +71,7 @@ def interpolation_exprs():
 def manufactured_exprs():
     """manufactured_solution's kinds in two dimensions on the default box
     (x_extent = height = 2) as sympy expressions in (t, x1, x2)."""
-    import sympy as sp
-    t, (x1, x2) = sp.Symbol("t", real=True), analytic.space_symbols(2)
+    t, x1, x2 = symbols(2)
     return {"constant": sp.Integer(1),
             "affine_height": sp.exp(-t) * (1 + x2),
             "inner_bump": 1 + sp.exp(-t) * sympy_bump((x1, x2), (0.0, 0.0),
@@ -68,7 +84,7 @@ def sample():
     t, x1..xd, as a GridFunction on every slice of grid, via on_grid."""
     def make(grid, fn):
         if isinstance(fn, str):
-            fn = analytic.AnalyticFunction.from_text(fn, grid.d)
+            fn = analytic.text_function(fn, grid.d)
         return GridFunction(grid, fn.on_grid(grid.times, grid).reshape(
             (grid.n_t,) + grid.shape))
     return make

@@ -11,12 +11,9 @@ import inspect
 import pathlib
 import sys
 
-import numpy as np
 import pytest
-import sympy
 
 import degenpde.cli  # noqa: F401  (loads every module the tracer wraps)
-from degenpde.analytic import AnalyticFunction
 from degenpde.fields import heston
 from degenpde.grid import Grid
 
@@ -59,20 +56,3 @@ def test_traced_experiments_and_assembly(tracing):
     tags = tracing.NOTES["solver.assemble"](
         inspect.signature(assemble).bind(*args), result)
     assert tags == {"n": 5, "nnz": result[0].nnz} and tags["nnz"] > 0
-
-
-def test_lambdify_caller_is_counted(tracing, monkeypatch, fresh_compiles):
-    # the tracer counts a sympy.lambdify call only when its direct caller
-    # is in LAMBDIFY_CALLERS, so a compile moved to another module would
-    # make analytic.lambdify_calls read 0
-    real, callers = sympy.lambdify, []
-
-    def recording(*args, **kwargs):
-        callers.append(sys._getframe(1).f_globals.get("__name__"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sympy, "lambdify", recording)
-    x = np.ones((3, 2))
-    AnalyticFunction.from_text("x1 * exp(-x2)", 2).value(0.0, x)
-    heston(2.0, 0.25, 1.0, 0.0).b(0.0, x)
-    assert callers and set(callers) <= set(tracing.LAMBDIFY_CALLERS)

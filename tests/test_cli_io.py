@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -583,8 +584,8 @@ class TestMainExitCodes:
         ({"data": {"g": "x1.real"}}, "Attribute 'x1.real' is not allowed"),
         ({"data": {"g": "x1[0]"}}, "Subscript 'x1[0]' is not allowed"),
         ({"data": {"g": "exp(x=x1)"}}, "keyword 'x=x1' is not allowed"),
-        # refused before sympy builds the integer, which would take
-        # seconds for 10**10**7 and fail to print for 10**10**6
+        # refused before the integer is built, which would take seconds
+        # for 10**10**7
         ({"data": {"g": "x1*10**10**6"}},
          "data: cannot parse expression 'x1*10**10**6': power '10**10**6' "
          "exceeds the range of a double"),
@@ -626,7 +627,7 @@ class TestMainExitCodes:
         assert list((out / "verify-barriers").iterdir()) == []
 
     # the README's Heston field with a put payoff, whose kink at x1 = 0
-    # differentiates twice into DiracDelta
+    # has a delta for its second derivative
     KINK_CFG = dict(BASE_CFG, data={"g": "Max(1 - exp(x1), 0)"},
                     field={"preset": "heston", "kappa": 2.0, "theta": 0.25,
                            "sigma": 1.0, "rho": 0.0, "r": 0.05})
@@ -640,17 +641,65 @@ class TestMainExitCodes:
         code = cli.main([command, "--config", cfg, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["config error: verify-schauder needs second "
+        assert err == ["config error: verify-schauder needs bounded second "
                        "derivatives of data.g, and 'Max(1 - exp(x1), 0)' "
-                       "has none that numpy can evaluate"]
+                       "holds Abs, Min or Max, whose second derivatives "
+                       "are deltas"]
         assert not out.exists()
 
-    def test_g_without_second_derivatives_solves(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, dict(self.KINK_CFG, experiments=["solve"]))
+    @pytest.mark.parametrize("g", ["Abs(x1)", "Min(x1, 1)", "Abs(x1)**3"])
+    def test_schauder_refuses_g_with_a_kink(self, tmp_path, capsys, g):
+        cfg = write_cfg(tmp_path, dict(self.KINK_CFG, data={"g": g},
+                                       experiments=["verify-schauder"]))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "%r holds Abs, Min or Max" % g in err[0]
+        assert not out.exists()
+
+    # the README's Heston field at 9^2 x 4 with g = sqrt(x2) exp(-x1^2),
+    # whose derivative in x2 is infinite on the bottom row x2 = 0
+    ROOT_CFG = dict(KINK_CFG, data={"g": "sqrt(x2)*exp(-x1**2)"},
+                    grid=dict(BASE_CFG["grid"], n_lateral=9, n_height=9))
+
+    def test_schauder_refuses_g_with_unbounded_derivatives(self, tmp_path,
+                                                            capsys):
+        cfg = write_cfg(tmp_path, dict(self.ROOT_CFG,
+                                       experiments=["verify-schauder"]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: verify-schauder needs bounded first "
+                       "and second derivatives of data.g, and those of "
+                       "'sqrt(x2)*exp(-x1**2)' are not finite on the grid "
+                       "at t = 0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", ["KINK_CFG", "ROOT_CFG"])
+    def test_g_without_second_derivatives_solves(self, tmp_path, capsys,
+                                                 cfg):
+        cfg = write_cfg(tmp_path, dict(getattr(self, cfg),
+                                       experiments=["solve"]))
         code = cli.main(["run", "--config", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    def test_schauder_takes_piecewise_g(self, tmp_path, capsys):
+        # Piecewise is differentiated branch by branch, as before: the
+        # experiment runs and writes its rows
+        cfg = write_cfg(tmp_path, dict(
+            self.KINK_CFG, data={"g": "Piecewise((1, x1 < 0), (0, True))"},
+            experiments=["verify-schauder"]))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILED)
+        assert capsys.readouterr().err == ""
+        assert (out / "verify-schauder" / "checks.csv").exists()
 
     def test_config_text_is_never_run(self, tmp_path, capsys):
         sentinel = tmp_path / "sentinel"
@@ -864,7 +913,7 @@ class TestExperiments:
             assert (out / kind / "checks.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "run"
-        assert set(manifest["versions"]) == {"numpy", "scipy", "sympy"}
+        assert set(manifest["versions"]) == {"numpy", "scipy"}
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(BASE_CFG, seed=3))
@@ -1253,82 +1302,31 @@ def test_bad_out_or_grid_is_one_stderr_line(tmp_path, case):
     assert result.stderr.startswith("config error: ")
 
 
-# Runs each (kind, config) step, a load_config for kind "load" and else
-# that command, and reports whether sympy is loaded after each step; a
-# step's exit code is printed with it.
-_SYMPY_STEPS = """
+# Blocks sympy before degenpde is imported, so that any import of it
+# raises ImportError, and runs one command.
+_WITHOUT_SYMPY = """
 import sys
+sys.modules["sympy"] = None
 import degenpde.cli as cli
-def step(name, code=None):
-    print(name, code, "sympy" in sys.modules)
-step("import")
-for kind, cfg in {steps!r}:
-    step(kind, cli.load_config(cfg) and None if kind == "load"
-         else cli.main([kind, "--config", cfg, "--out", kind]))
+sys.exit(cli.main(["run", "--config", {cfg!r}, "--out", "out"]))
 """
 
 
-def _sympy_steps(steps, tmp_path):
-    """[(step, exit code, whether sympy is loaded)] of _SYMPY_STEPS."""
-    proc = _fresh_interpreter(_SYMPY_STEPS.format(steps=steps), tmp_path)
+def test_runs_without_sympy(tmp_path):
+    # sympy is a test dependency only: text of every kind in the
+    # expressions field and the data is built, solved and measured
+    field = dict(EXPRESSIONS_FIELD, a=[["1 + exp(-x1**2)/2", "0"],
+                                       ["0", "sqrt(1 + x2)"]],
+                 b=["0", "1 + Max(0, -x1)/4"], c="-Piecewise((0.1, t < 0.2), "
+                 "(0.2, True))", K=10.0)
+    cfg = dict(BASE_CFG, field=field, experiments=["solve", "norms"],
+               data={"g": "exp(-x1**2)*sqrt(1 + x2)",
+                     "f": "Max(0, 1 - x2)*Piecewise((1, t < 0.2), (0, True))"})
+    proc = _fresh_interpreter(_WITHOUT_SYMPY.format(
+        cfg=write_cfg(tmp_path, cfg)), tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return [line.split() for line in proc.stdout.splitlines()
-            if line.split()[-1] in ("True", "False")]
-
-
-def _workloads():
-    """perfbench/workloads.py, the benchmark's configs."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def test_builtin_runs_leave_sympy_unloaded(tmp_path):
-    # the README batch and a round trip on the correlated constant field
-    # build every function and field in numpy: sympy is not imported
-    root = pathlib.Path(__file__).resolve().parents[1]
-    text = (root / "README.md").read_text()
-    readme = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
-    workloads = _workloads()
-    # the README field and data on the benchmark's small grid and suites
-    configs = workloads.build("readme-run", "tiny")[0]
-    small = dict(configs["readme.json"], field=readme["field"],
-                 data=readme["data"])
-    corr = configs["correlated.json"]
-    assert corr["reduce"]["round_trip"] is True
-    steps = [("load", write_cfg(tmp_path, readme, "readme.json"))]
-    steps += [(kind, write_cfg(tmp_path, small, "small.json"))
-              for kind in workloads.README_EXPERIMENTS]
-    steps.append(("reduce", write_cfg(tmp_path, corr, "corr.json")))
-    lines = _sympy_steps(steps, tmp_path)
-    assert [line[0] for line in lines] == [
-        "import", "load"] + workloads.README_EXPERIMENTS + ["reduce"]
-    assert all(line[1] in ("None", "0") for line in lines), lines
-    assert all(line[2] == "False" for line in lines), lines
-
-
-@pytest.mark.parametrize("where", ["field", "data"])
-def test_only_non_polynomial_text_loads_sympy(tmp_path, where):
-    # polynomial text (the expressions field here and the benchmark's
-    # time-dependent Heston drift) is built in numpy through load and
-    # solve; a Max in the field or in the data loads sympy at load
-    timedep = _workloads().build("heston-timedep", "tiny")[0]["timedep.json"]
-    poly = [write_cfg(tmp_path, dict(BASE_CFG, field=EXPRESSIONS_FIELD),
-                      "expressions.json"),
-            write_cfg(tmp_path, timedep, "timedep.json")]
-    text = dict(BASE_CFG, field=dict(EXPRESSIONS_FIELD, c="Max(0, -x1)")) \
-        if where == "field" else dict(BASE_CFG, data={"g": "Max(x1, 0)"})
-    lines = _sympy_steps([(kind, cfg) for cfg in poly
-                          for kind in ("load", "solve")]
-                         + [("load", write_cfg(tmp_path, text, "max.json"))],
-                         tmp_path)
-    assert lines == [["import", "None", "False"],
-                     ["load", "None", "False"], ["solve", "0", "False"],
-                     ["load", "None", "False"], ["solve", "0", "False"],
-                     ["load", "None", "True"]]
+    assert "sympy" not in proc.stderr
+    assert (tmp_path / "out" / "solve" / "solution.dgph").exists()
 
 
 def test_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sympy as sp
 
-from degenpde.analytic import expression, space_symbols
+from conftest import from_sympy, symbols
 from degenpde import metrics
 from degenpde.grid import Grid, SpaceTimePoint
 from degenpde.metrics import (
@@ -310,9 +310,8 @@ class TestNorms:
         assert rep2.seminorm == seminorm(v, high_pts, 0.5, "rho").value
 
     def test_analytic_constituents_closed_form(self):
-        syms = space_symbols(2)
-        t_sym = sp.Symbol("t", real=True)
-        u = expression(2, t_sym + syms[0] ** 2 + syms[1] ** 3)
+        t_sym, *syms = symbols(2)
+        u = from_sympy(2, t_sym + syms[0] ** 2 + syms[1] ** 3)
         rng = np.random.default_rng(13)
         pts = random_points(rng, 30)
         vals, dt, du, wdd = analytic_constituents(u, pts)
@@ -327,33 +326,10 @@ class TestNorms:
         assert np.allclose(wdd[1], 0.0, rtol=0, atol=1e-12)
         assert np.allclose(wdd[2], 6 * h * h, rtol=0, atol=1e-11)
 
-    def test_cached_derivatives_skip_symbolic_diff(self, monkeypatch):
-        syms = space_symbols(2)
-        u = expression(2, syms[0] ** 2 * syms[1] ** 3)
-        x = np.array([[0.5, 1.5], [1.0, 2.0]])
-        calls = []
-        diff = sp.diff
-
-        def counting_diff(*args, **kw):
-            calls.append(args)
-            return diff(*args, **kw)
-
-        monkeypatch.setattr(sp, "diff", counting_diff)
-        # u does not hold t, so u_t is 0 without differentiating
-        first = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(1, 0, 0.0, x))
-        assert len(calls) == 2 and np.all(first[0] == 0.0)
-        again = (u.dt(0.0, x), u.dx(0, 0.0, x), u.dxx(0, 1, 0.0, x))
-        assert len(calls) == 2
-        for a, b in zip(first, again):
-            assert np.array_equal(a, b)
-        assert np.allclose(first[2], 6 * x[:, 0] * x[:, 1] ** 2,
-                           rtol=0, atol=1e-12)
-
     def test_grid_constituents_match_analytic(self, sample):
         # space-quadratic, time-quadratic: every stencil is exact
-        syms = space_symbols(2)
-        t_sym = sp.Symbol("t", real=True)
-        u = expression(
+        t_sym, *syms = symbols(2)
+        u = from_sympy(
             2, (1 + t_sym ** 2) * (1 + syms[0] ** 2 + 0.5 * syms[1] ** 2))
         grid = Grid.build(2, x_extent=2.0, height=2.0, n_lateral=9,
                           n_height=9, t_final=1.0, n_slices=6)
@@ -371,8 +347,8 @@ class TestNorms:
     def test_order2_norm_totals(self):
         rng = np.random.default_rng(14)
         pts = random_points(rng, 25)
-        syms = space_symbols(2)
-        u = expression(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
+        syms = symbols(2)[1:]
+        u = from_sympy(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
         cons = analytic_constituents(u, pts)
         total, reports = order2_norm(cons, pts, 0.5, q=1.0)
         assert len(reports) == 4
@@ -487,8 +463,8 @@ class TestPairTables:
     def test_order2_norm_computes_each_distance_once(self, distance_calls):
         rng = np.random.default_rng(23)
         pts = random_points(rng, 80, height_hi=2.0)
-        syms = space_symbols(2)
-        u = expression(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
+        syms = symbols(2)[1:]
+        u = from_sympy(2, sp.sin(syms[0]) * (1 + syms[1] ** 2))
         cons = analytic_constituents(u, pts)
         for q in (0.0, 1.0):
             order2_norm(cons, pts, 0.5, q=q)
@@ -500,8 +476,8 @@ class TestPairTables:
                                                         distance_calls):
         rng = np.random.default_rng(24)
         pts = random_points(rng, 60, height_hi=1.3)
-        syms = space_symbols(2)
-        u = expression(2, sp.cos(syms[0]) * syms[1] ** 2)
+        syms = symbols(2)[1:]
+        u = from_sympy(2, sp.cos(syms[0]) * syms[1] ** 2)
         interpolation_cases(u, pts, 0.5)
         assert distance_calls == ["s"]
         # a second point set pays for its own table

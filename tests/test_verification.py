@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from degenpde.analytic import expression, space_symbols
+from conftest import from_sympy, symbols
 from degenpde.fields import (constant_field, from_expressions, heston,
                              homogeneous_drift)
 from degenpde.grid import Grid, GridFunction
@@ -41,16 +42,14 @@ from degenpde.verification import (
 
 def solve_pair(seed=0):
     """Two certified solves with ordered data on a shared grid."""
-    import sympy as sp
     field = homogeneous_drift(1.0)
     grid = Grid.build(2, 3.0, 3.0, 11, 11, 0.5, 8)
-    syms = space_symbols(2)
+    t_sym, *syms = symbols(2)
     prof = sp.exp(-(syms[0] ** 2) - (syms[1] - sp.Rational(1, 2)) ** 2)
-    t_sym = sp.Symbol("t", real=True)
     g1, f1 = -1 - prof, -sp.exp(-t_sym) * prof - sp.Float(0.2)
-    p1 = CauchyProblem(field, expression(2, f1), expression(2, g1))
-    g2 = expression(2, g1 + prof / 2 + sp.Rational(1, 10))
-    f2 = expression(2, f1 + sp.Rational(1, 10))
+    p1 = CauchyProblem(field, from_sympy(2, f1), from_sympy(2, g1))
+    g2 = from_sympy(2, g1 + prof / 2 + sp.Rational(1, 10))
+    f2 = from_sympy(2, f1 + sp.Rational(1, 10))
     p2 = CauchyProblem(field, f2, g2)
     u1, _ = solve_cauchy(p1, grid)
     u2, _ = solve_cauchy(p2, grid)
@@ -79,13 +78,11 @@ class TestSupersolutions:
         # growth constant measured on the sampling box
         field = heston(2.0, 0.25, 1.0, 0.0)
         grid = Grid.build(2, 3.0, 3.0, 14, 14, 0.5, 12)
-        import sympy as sp
         K = growth_constant_on_grid(field, grid)
         lam = 1.0 + q * (q + 4.0) * K
-        x1, x2 = space_symbols(2)
-        t_sym = sp.Symbol("t", real=True)
+        t_sym, x1, x2 = symbols(2)
         # v2 = e^{lambda t} / (1+|x|^2)^{q/2}
-        v2 = expression(2, sp.exp(sp.Float(lam) * t_sym)
+        v2 = from_sympy(2, sp.exp(sp.Float(lam) * t_sym)
                         / (1 + x1 ** 2 + x2 ** 2) ** (sp.Float(q) / 2))
         lv2 = operator_apply(field, v2)
         rng = np.random.default_rng(3)
@@ -270,8 +267,7 @@ class TestSuites:
 def sympy_profile(rng, d):
     """Reference: one random profile as a sympy expression, drawing the
     same numbers in the same order as _random_nonneg_profile."""
-    import sympy as sp
-    syms = space_symbols(d)
+    syms = symbols(d)[1:]
     c0 = float(rng.uniform(0.05, 0.5))
     c1 = float(rng.uniform(0.2, 1.5))
     width = rng.uniform(0.5, 2.0, d)
@@ -289,9 +285,8 @@ class TestRandomData:
     def test_agrees_with_sympy(self, d):
         # the numpy data equal the sympy reference: one profile, a sum
         # and a profile scaled by k e^{-r t}
-        import sympy as sp
         from degenpde.verification import _decay, _random_nonneg_profile
-        t_sym = sp.Symbol("t", real=True)
+        t_sym = symbols(d)[0]
         draws = [np.random.default_rng(20 + d) for _ in range(2)]
         p, q = (_random_nonneg_profile(draws[0], d) for _ in range(2))
         p_expr, q_expr = (sympy_profile(draws[1], d) for _ in range(2))
@@ -305,7 +300,7 @@ class TestRandomData:
         x[:, -1] = rng.uniform(0.0, 3.0, 300)
         grid = Grid.build(d, 3.0, 2.5, 6, 9, 0.5, 4, grading="quadratic")
         for fn, expr in pairs:
-            ref = expression(d, expr)
+            ref = from_sympy(d, expr)
             want = ref.value(t, x)
             assert np.allclose(fn.value(t, x), want, rtol=1e-13, atol=0)
             for ts in grid.times:
@@ -365,14 +360,6 @@ class TestRandomData:
             for k, (K, fld) in enumerate(fields) for q in (1, 2)]
         assert np.allclose([r.lhs for r in results], lhs, rtol=1e-9, atol=0)
         assert np.allclose([r.rhs for r in results], rhs, rtol=1e-9, atol=0)
-
-    def test_data_are_not_lambdified(self, monkeypatch, fresh_compiles):
-        # neither the random data nor the preset fields compile anything
-        import sympy as sp
-        calls = []
-        monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(a))
-        maximum_principle_suite(n_problems=2)
-        assert calls == []
 
 
 class TestBarrier:
@@ -475,11 +462,10 @@ class TestInterpolation:
             assert (fits[key].constant, fits[key].exponent) \
                 == (finite[key].constant, finite[key].exponent)
         # a function that is NaN everywhere fails every row
-        import sympy as sp
         from degenpde.verification import default_interpolation_functions
-        x1 = space_symbols(2)[0]
+        x1 = symbols(2)[1]
         functions = [default_interpolation_functions(2)[0],
-                     expression(2, sp.sqrt(x1 - 5))]
+                     from_sympy(2, sp.sqrt(x1 - 5))]
         with np.errstate(invalid="ignore"):
             fits, _, results = interpolation_check(functions=functions)
         assert not any(fit.feasible() for fit in fits.values())
