@@ -679,11 +679,15 @@ class TestMainExitCodes:
                        "at t = 0"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("cfg", ["KINK_CFG", "ROOT_CFG"])
-    def test_g_without_second_derivatives_solves(self, tmp_path, capsys,
-                                                 cfg):
-        cfg = write_cfg(tmp_path, dict(getattr(self, cfg),
-                                       experiments=["solve"]))
+    def test_g_without_second_derivatives_solves(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(self.KINK_CFG, experiments=["solve"]))
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_g_with_unbounded_derivatives_solves(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(self.ROOT_CFG, experiments=["solve"]))
         code = cli.main(["run", "--config", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 0
@@ -1302,6 +1306,62 @@ def test_bad_out_or_grid_is_one_stderr_line(tmp_path, case):
     assert result.stderr.startswith("config error: ")
 
 
+# Runs (kind, config) steps in one fresh interpreter and prints, after
+# the import and after each step, its exit code and whether sympy is loaded.
+_SYMPY_STEPS = """
+import sys
+import degenpde.cli as cli
+def step(name, code=None):
+    print(name, code, "sympy" in sys.modules)
+step("import")
+for kind, cfg in {steps!r}:
+    step(kind, cli.load_config(cfg) and None if kind == "load"
+         else cli.main([kind, "--config", cfg, "--out", kind]))
+"""
+
+
+def _sympy_steps(steps, tmp_path):
+    """[(step, exit code, whether sympy is loaded)] of _SYMPY_STEPS."""
+    proc = _fresh_interpreter(_SYMPY_STEPS.format(steps=steps), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()
+            if line.split()[-1] in ("True", "False")]
+
+
+def _workloads():
+    """perfbench/workloads.py, the benchmark's configs."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_builtin_runs_leave_sympy_unloaded(tmp_path):
+    # the README batch and a round trip on the correlated constant field
+    # build every function and field in numpy: sympy is not imported
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    readme = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    workloads = _workloads()
+    # the README field and data on the benchmark's small grid and suites
+    configs = workloads.build("readme-run", "tiny")[0]
+    small = dict(configs["readme.json"], field=readme["field"],
+                 data=readme["data"])
+    corr = configs["correlated.json"]
+    assert corr["reduce"]["round_trip"] is True
+    steps = [("load", write_cfg(tmp_path, readme, "readme.json"))]
+    steps += [(kind, write_cfg(tmp_path, small, "small.json"))
+              for kind in workloads.README_EXPERIMENTS]
+    steps.append(("reduce", write_cfg(tmp_path, corr, "corr.json")))
+    lines = _sympy_steps(steps, tmp_path)
+    assert [line[0] for line in lines] == [
+        "import", "load"] + workloads.README_EXPERIMENTS + ["reduce"]
+    assert all(line[1] in ("None", "0") for line in lines), lines
+    assert all(line[2] == "False" for line in lines), lines
+
+
 # Blocks sympy before degenpde is imported, so that any import of it
 # raises ImportError, and runs one command.
 _WITHOUT_SYMPY = """
@@ -1312,16 +1372,22 @@ sys.exit(cli.main(["run", "--config", {cfg!r}, "--out", "out"]))
 """
 
 
-def test_runs_without_sympy(tmp_path):
+@pytest.mark.parametrize("where", ["field", "data"])
+def test_non_polynomial_text_runs_without_sympy(tmp_path, where):
     # sympy is a test dependency only: text of every kind in the
-    # expressions field and the data is built, solved and measured
-    field = dict(EXPRESSIONS_FIELD, a=[["1 + exp(-x1**2)/2", "0"],
-                                       ["0", "sqrt(1 + x2)"]],
-                 b=["0", "1 + Max(0, -x1)/4"], c="-Piecewise((0.1, t < 0.2), "
-                 "(0.2, True))", K=10.0)
-    cfg = dict(BASE_CFG, field=field, experiments=["solve", "norms"],
-               data={"g": "exp(-x1**2)*sqrt(1 + x2)",
-                     "f": "Max(0, 1 - x2)*Piecewise((1, t < 0.2), (0, True))"})
+    # expressions field or in the data is built, solved and measured
+    if where == "field":
+        field = dict(EXPRESSIONS_FIELD, a=[["1 + exp(-x1**2)/2", "0"],
+                                           ["0", "sqrt(1 + x2)"]],
+                     b=["0", "1 + Max(0, -x1)/4"],
+                     c="-Piecewise((0.1, t < 0.2), (0.2, True))", K=10.0)
+        cfg = dict(BASE_CFG, field=field, experiments=["solve", "norms"])
+    else:
+        cfg = dict(BASE_CFG, field=EXPRESSIONS_FIELD,
+                   experiments=["solve", "norms"],
+                   data={"g": "exp(-x1**2)*sqrt(1 + x2)",
+                         "f": "Max(0, 1 - x2)*Piecewise((1, t < 0.2), "
+                              "(0, True))"})
     proc = _fresh_interpreter(_WITHOUT_SYMPY.format(
         cfg=write_cfg(tmp_path, cfg)), tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -361,6 +361,13 @@ class TestRandomData:
         assert np.allclose([r.lhs for r in results], lhs, rtol=1e-9, atol=0)
         assert np.allclose([r.rhs for r in results], rhs, rtol=1e-9, atol=0)
 
+    def test_data_are_not_lambdified(self, monkeypatch):
+        # neither the random data nor the preset fields compile anything
+        calls = []
+        monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(a))
+        maximum_principle_suite(n_problems=2)
+        assert calls == []
+
 
 class TestBarrier:
     def test_piece_identities(self):
