@@ -22,8 +22,9 @@ hashable tuple tree of a fixed grammar with its constants folded
 (_parse).  A tree that is a polynomial in t, x1..xd, such as the Heston
 drift 2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the
 coordinates (_fold).  Any other tree (sqrt, Max, x1/x2, ...) is a factor
-of its own, which numpy's ufuncs evaluate on the same sparse axes and
-which is differentiated by rules (_diff).
+of its own, its sums and products in one order (_canonical), which
+numpy's ufuncs evaluate on the same sparse axes and which is
+differentiated by rules (_diff).
 """
 
 from __future__ import annotations
@@ -206,7 +207,28 @@ def _parse(text, d):
     if refused["finite"] or not all(map(finite, (poly or {}).values())):
         raise ValueError("expression %r must have finite real values; it "
                          "contains I, zoo, oo or nan" % (text,))
-    return tree, None if poly is None else tuple(sorted(poly.items()))
+    if poly is None:
+        return _canonical(tree), None
+    return tree, tuple(sorted(poly.items()))
+
+
+def _canonical(node):
+    """The tree with the operands of each chain of + or * flattened and
+    sorted, numbers first and folded, so that sums and products that
+    differ only in order are one tree."""
+    if not isinstance(node, tuple) or node[0] == "x":
+        return node
+    head = node[0]
+    if head not in ("+", "*"):
+        return (head,) + tuple(map(_canonical, node[1:]))
+
+    def chain(v):
+        if isinstance(v, tuple) and v[0] == head:
+            return [w for c in v[1:] for w in chain(c)]
+        return [_canonical(v)]
+
+    operands = sorted(chain(node), key=lambda v: (not _number(v), repr(v)))
+    return functools.reduce(lambda out, v: _op(head, out, v), operands)
 
 
 def _multiply(p, q):

@@ -180,11 +180,11 @@ def validate_config(cfg):
 def load_config(path):
     """Read and validate a config, build its field (the expressions
     preset's a, b and c) and, where no manufactured solution replaces
-    them, data.f and data.g, which must be finite on the grid section's
-    grid: g at t = 0, f at every slice.  Text that does not parse
-    (analytic.text_function, which parses each text once per process) or
-    is not finite on the grid, or a value the field's preset rejects, is
-    a ConfigError before any experiment runs."""
+    them, data.f and data.g.  Each entry of a, b and c, and f, must be
+    finite on the grid section's grid at every slice, g at t = 0.  Text
+    that does not parse (analytic.text_function, which parses each text
+    once per process) or is not finite on the grid, or a value the
+    field's preset rejects, is a ConfigError before any experiment runs."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -194,24 +194,29 @@ def load_config(path):
     if "field" not in cfg:
         return cfg  # no field: nothing builds a problem
     field, data = build_field(cfg), cfg.get("data", {})
-    if data.get("manufactured") is not None:
-        return cfg
-    fns = {}
-    for key in ("f", "g"):
-        if data.get(key) is not None:
-            try:
-                fns[key] = text_function(data[key], field.d)
-            except ValueError as exc:
-                raise ConfigError("data: %s" % exc)
-    if fns:
-        grid = build_grid(cfg, field.d, _counts(section(cfg, "grid")))
-        for key, times in (("g", grid.times[:1]), ("f", grid.times)):
-            with np.errstate(all="ignore"):
-                finite = key not in fns or np.isfinite(
-                    fns[key].on_grid(times, grid)).all()
-            if not finite:
-                raise ConfigError("data.%s: expression %r is not finite on "
-                                  "the grid" % (key, data[key]))
+    checked = [("field.a[%d][%d]" % (i, j), e, None)
+               for i, row in enumerate(field.a_fns) for j, e in enumerate(row)]
+    checked += [("field.b[%d]" % i, e, None) for i, e in enumerate(field.b_fns)]
+    checked.append(("field.c", field.c_fn, None))
+    if data.get("manufactured") is None:
+        for key in ("f", "g"):
+            if data.get(key) is not None:
+                try:
+                    checked.append(("data." + key, text_function(
+                        data[key], field.d), data[key]))
+                except ValueError as exc:
+                    raise ConfigError("data: %s" % exc)
+    grid = build_grid(cfg, field.d, _counts(section(cfg, "grid")))
+    # on the sparse axes, with the times along a leading axis
+    mesh = [m[None] for m in grid.meshes(sparse=True)]
+    for name, fn, text in checked:
+        times = grid.times[:1] if name == "data.g" else grid.times
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(fn.raw(
+                times.reshape((-1,) + (1,) * field.d), mesh)).all()
+        if not finite:
+            raise ConfigError("%s%s is not finite on the grid" % (
+                name, "" if text is None else ": expression %r" % text))
     return cfg
 
 

@@ -50,14 +50,12 @@ the solution.  For a time-dependent field one worker thread therefore
 builds and certifies each step's system one step ahead: the first while
 the calling thread evaluates g, f and the exact faces, each later one
 while the current step factors, back-solves or iterates; numpy's kernels
-and SuperLU release the GIL, so the two overlap.  A field that does not
-depend on time has one system.  On grids of at least _HANDOFF_NODES
-nodes the worker factors it while the calling thread evaluates the data
-and checks the certificate; on smaller grids, or when its LU is kept,
-no thread starts.  Either way the arithmetic and its order are those of
-a serial solve, so the solution is the same to the bit, and a failed
-certificate of step k is raised once steps before k are solved.  The
-thread lives only as long as the call to solve_cauchy.
+and SuperLU release the GIL, so the two overlap.  It is the only
+thread: a field that does not depend on time has one system, made on
+the calling thread.  The arithmetic and its order are those of a serial
+solve, so the solution is the same to the bit, and a failed certificate
+of step k is raised once steps before k are solved.  The thread lives
+only as long as the call to solve_cauchy.
 
 That one system is kept on the grid's stencil plan, keyed by the field
 object and theta: A, B = I + theta dt A, and B's certificate and LU,
@@ -89,17 +87,6 @@ from .grid import Grid, GridFunction
 # earlier matrix, before it factors its own; at 257^2 twenty cost about
 # as much as one factorization.
 _PRECONDITIONED_ITERATIONS = 20
-
-# Nodes from which a field that does not depend on time factors its
-# system on a worker thread while the caller evaluates the data and the
-# certificate.  Below that the thread costs more than the overlap saves:
-# solving the Heston system with manufactured data, on grids made afresh
-# and interleaved with a serial solve, the handoff cost 0.4 ms at 65^2
-# (faster in 8 of 40 pairs), and saved 0.2 ms at 97^2 (20 of 30), 0.8 ms
-# at 129^2 (18 of 20) and 4.1 ms at 257^2 (9 of 12).  SuperLU runs about
-# a tenth slower on the worker than on the calling thread, unless the
-# process is held to one CPU.
-_HANDOFF_NODES = 96 * 96
 
 # Relative residual every step's linear solve must reach.
 RTOL = 1e-10
@@ -317,7 +304,8 @@ def monotonicity_certificate(B, grid, explicit=None):
     entries are read from B's CSR arrays; explicit zeros are skipped.
     Then B^-1 >= 0, and with E >= 0 a step maps nonnegative data to a
     nonnegative solution; at theta = 0, where B = I, the whole check is
-    on E.  E's least stored entry is reported as explicit_min.
+    on E.  E's least stored entry is reported as explicit_min.  A stored
+    entry of B or E that is not finite fails the check at its row.
     """
     N = B.shape[0]
     rows = np.repeat(np.arange(N), np.diff(B.indptr))
@@ -331,11 +319,18 @@ def monotonicity_certificate(B, grid, explicit=None):
     margin_min = float(np.min(margin))
     explicit_min = None if explicit is None else float(explicit.data.min())
     explicit_ok = explicit_min is None or explicit_min >= -_tolerance(explicit)
-    passed = offdiag_max <= tol and margin_min > 0.0 and explicit_ok
+    bad = [M for M in (B, explicit)
+           if M is not None and not np.isfinite(M.data).all()]
+    passed = not bad and offdiag_max <= tol and margin_min > 0.0 \
+        and explicit_ok
     node = None
     detail = "ok"
     if not passed:
-        if offdiag_max > tol:
+        if bad:
+            k = int(np.argmin(np.isfinite(bad[0].data)))
+            row = int(np.searchsorted(bad[0].indptr, k, "right")) - 1
+            detail = "non-finite entry %s" % bad[0].data[k]
+        elif offdiag_max > tol:
             row = int(off_rows[np.argmax(off_vals)])
             detail = "positive off-diagonal entry %.3g" % offdiag_max
         elif margin_min <= 0.0:
@@ -410,8 +405,8 @@ def _theta_steps(field, grid, theta):
     A_new = A(t_{n+1}) is the implicit matrix and A_old = A(t_n) the
     explicit one.  At theta = 1 the explicit part vanishes, so A_old is
     None and A(t_0) is never assembled.  apply_discrete_operator and
-    _varying_systems step with it.  It steps with grid.dt, so a time
-    axis that is not uniform is a ValueError.
+    _systems step with it.  It steps with grid.dt, so a time axis that
+    is not uniform is a ValueError.
     """
     _uniform_dt(grid)
     A_old = None
@@ -424,49 +419,27 @@ def _theta_steps(field, grid, theta):
             A_old = A_new
 
 
-def _systems(field, grid, theta, certify, pool):
-    """Start making the first step's system; return an iterator of
-    (n, A_old, B, certificate, lu) for each step.
+def _systems(field, grid, theta, certify):
+    """Yield (n, A_old, B, certificate, lu) for each step t_n -> t_{n+1}.
 
-    B = I + theta dt A(t_{n+1}), and lu is B's LU where one is made
-    already, else None.  A time-dependent field's systems are made one
-    ahead on pool's thread (_varying_systems), the first while the
-    caller evaluates the data.  A field that does not depend on time
-    yields its stepped system and its LU at every step (_kept_systems);
-    its B exists once this returns, and on grids of _HANDOFF_NODES nodes
-    or more an LU not yet kept is factored on pool's thread while the
-    caller evaluates the data and checks the certificate.  A certified
-    solve checks every B, and at theta < 1 E = I - (1 - theta) dt A_old,
-    raising CertificateError instead of yielding the step that fails;
-    certificate is the last check, None when uncertified.
+    B = I + theta dt A(t_{n+1}).  A field that does not depend on time
+    yields its stepped system, whose certificate and LU are made on
+    first use and kept; a time-dependent field forms each step's B, with
+    lu None.  A certified solve checks every B, and at theta < 1 E = I -
+    (1 - theta) dt A_old, raising CertificateError instead of yielding
+    the step that fails; certificate is the last check, None when
+    uncertified.
     """
-    if field.time_dependent:
-        return _one_ahead(_varying_systems(field, grid, theta, certify),
-                          pool)
-    system = _stepped(field, grid, theta)
-    handed = None
-    if system.lu is None and system.B.shape[0] >= _HANDOFF_NODES:
-        handed = pool.submit(_factor, system.B)
-    return _kept_systems(system, grid, certify, handed)
-
-
-def _kept_systems(system, grid, certify, handed):
-    """_systems of a field that does not depend on time: the certificate,
-    made once per system, and the LU, kept from an earlier solve, or
-    taken from the future handed, or factored here."""
-    if certify and system.certificate is None:
-        system.certificate = _certify(system.B, system.A, system.theta,
-                                      grid)
-    if system.lu is None:
-        system.lu = handed.result() if handed else _factor(system.B)
-    cert = system.certificate if certify else None
-    for n in range(grid.n_t - 1):
-        yield n, system.A, system.B, cert, system.lu
-
-
-def _varying_systems(field, grid, theta, certify):
-    """_systems of a time-dependent field: each step's B formed and, in
-    a certified solve, checked; no LU is made here."""
+    if not field.time_dependent:
+        system = _stepped(field, grid, theta)
+        if certify and system.certificate is None:
+            system.certificate = _certify(system.B, system.A, theta, grid)
+        if system.lu is None:
+            system.lu = _factor(system.B)
+        cert = system.certificate if certify else None
+        for n in range(grid.n_t - 1):
+            yield n, system.A, system.B, cert, system.lu
+        return
     eye = sparse.eye(int(np.prod(grid.shape)), format="csr")
     for n, A_old, A_new in _theta_steps(field, grid, theta):
         B = (eye + (theta * grid.dt) * A_new).tocsr()
@@ -549,13 +522,13 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
     report = SolveReport(None)
     values = np.empty((grid.n_t, N))
 
-    # the pool starts its thread at the first submit, so a field that
-    # does not depend on time on a small grid, or one whose LU is kept,
-    # never starts one
+    # the pool starts its thread at the first submit, so only a
+    # time-dependent field, whose systems are built one ahead, starts one
+    systems = _systems(field, grid, theta, certify)
     with ThreadPoolExecutor(1) as pool:
-        systems = _systems(field, grid, theta, certify, pool)
-        # the data, while the pool's thread builds the first system or
-        # factors the one kept
+        if field.time_dependent:
+            systems = _one_ahead(systems, pool)
+        # the data, while the pool's thread builds the first system
         u = problem.g.on_grid(0.0, grid)
         dir_flat = grid.dirichlet_mask().ravel()
         f = problem.f.on_grid(grid.times, grid)

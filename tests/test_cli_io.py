@@ -563,6 +563,13 @@ class TestMainExitCodes:
          "data.f: expression 'log(t)' is not finite on the grid"),
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "x1"], ["x2", "1"]])},
          "field preset 'expressions': diffusion matrix must be symmetric"),
+        ({"field": dict(EXPRESSIONS_FIELD, b=["0", "1/x2"])},
+         "config error: field.b[1] is not finite on the grid"),
+        ({"field": dict(EXPRESSIONS_FIELD,
+                        a=[["1", "0"], ["0", "sqrt(x2 - 1)"]])},
+         "config error: field.a[1][1] is not finite on the grid"),
+        ({"field": dict(EXPRESSIONS_FIELD, c="log(x2)")},
+         "config error: field.c is not finite on the grid"),
         ({"data": {"g": "True"}},
          "data: expression 'True' is not number-valued"),
         ({"data": {"g": "x1", "f": "False"}},
@@ -593,6 +600,8 @@ class TestMainExitCodes:
          "power '10**10**7' exceeds the range of a double"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
             "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
+            "b-not-finite-on-grid", "a-not-finite-on-grid",
+            "c-not-finite-on-grid",
             "g-true", "f-false", "c-relational", "g-integral", "g-lambda",
             "f-conditional", "c-floor", "g-attribute", "g-subscript",
             "g-keyword", "g-huge-power", "f-huger-power"])
@@ -610,6 +619,14 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert message in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("a12, a21", [
+        ("0.1*x2*sin(x1)", "0.1*sin(x1)*x2"),
+        ("sin(x1) + x2**3", "x2**3 + sin(x1)")])
+    def test_reordered_symmetric_text_loads(self, tmp_path, a12, a21):
+        field = dict(EXPRESSIONS_FIELD, a=[["1", a12], [a21, "1"]])
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, field=field))
+        assert cli.load_config(cfg)["field"] == field
 
     def test_experiment_directory_that_is_a_file_exits_2(self, tmp_path,
                                                            capsys):

@@ -165,6 +165,26 @@ class TestExpressions:
         assert f.a_fns[0][1].terms == f.a_fns[1][0].terms
         assert f.a_fns[0][1].depends(1) and f.a_fns[0][1].depends(2)
 
+    @pytest.mark.parametrize("a12, a21", [
+        ("0.1*x2*sin(x1)", "0.1*sin(x1)*x2"),
+        ("sin(x1) + x2**3", "x2**3 + sin(x1)"),
+        ("exp(x1*x2)*(x2 + sin(x1))", "(sin(x1) + x2)*exp(x2*x1)")])
+    def test_reordered_text_is_symmetric(self, a12, a21):
+        # other text is one tree, whose sums and products are sorted
+        f = from_expressions(2, [["1", a12], [a21, "1"]], ["0", "1"], "0",
+                             1.0, 10.0, 1.0)
+        assert f.a_fns[0][1].terms == f.a_fns[1][0].terms
+        x = np.array([[0.3, 0.7], [-1.1, 1.9]])
+        assert np.array_equal(f.a(0.0, x)[:, 0, 1], f.a(0.0, x)[:, 1, 0])
+
+    @pytest.mark.parametrize("a12, a21", [
+        ("x2*sin(x1)", "x1*sin(x2)"), ("sin(x1) + x2**3", "sin(x1) - x2**3"),
+        ("sin(x1)/x2", "x2/sin(x1)")])
+    def test_asymmetric_text_rejected(self, a12, a21):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            from_expressions(2, [["1", a12], [a21, "1"]], ["0", "1"], "0",
+                             1.0, 10.0, 1.0)
+
     @pytest.mark.parametrize("a", [
         [["1"]], [["1", "0"], ["0"]],
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],

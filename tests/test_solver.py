@@ -426,6 +426,25 @@ class TestCertificate:
         assert cert.offending_node == np.unravel_index(10, grid.shape)
         assert "dominance margin" in cert.detail
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["B", "E"])
+    def test_non_finite_entry_fails_at_its_node(self, value, where):
+        # an entry that no sign test can judge, even an infinite diagonal
+        # that would leave every margin positive, fails at its row
+        grid = small_grid()
+        B = implicit_matrix(homogeneous_drift(1.0), grid, theta=0.5)
+        E = 2.0 * sparse.eye(B.shape[0], format="csr") - B
+        row = int(np.flatnonzero(B.diagonal() != 1.0)[3])
+        bad = B if where == "B" else E
+        bad.data[bad.indptr[row]:bad.indptr[row + 1]][
+            bad.indices[bad.indptr[row]:bad.indptr[row + 1]] == row] = value
+        cert = monotonicity_certificate(B, grid, explicit=E)
+        assert not cert.passed
+        assert cert.offending_node == np.unravel_index(row, grid.shape)
+        assert cert.detail == "non-finite entry %s" % value
+        with pytest.raises(CertificateError, match="non-finite entry"):
+            cert.require()
+
     @pytest.mark.parametrize("make,theta,n_slices,passed", [
         (lambda: heston(2.0, 0.25, 1.0, 0.0), 0.5, 4, False),
         (lambda: heston(2.0, 0.25, 1.0, 0.0), 0.5, 200, True),
@@ -911,7 +930,9 @@ class TestLookAhead:
                                               theta, certify, boundary):
         problem = manufactured_problem(make(), "inner_bump")
         grid = small_grid(n=33, n_slices=6)
-        threads = []
+        threads, factoring = [], set()
+        count_calls(monkeypatch, "splu", wrap=lambda lu: factoring.add(
+            threading.current_thread()) or lu)
         original = solver.discretize_operator
 
         def assemble(*args):
@@ -928,8 +949,10 @@ class TestLookAhead:
         u, steps, cert = run()
         monkeypatch.setattr(solver, "_one_ahead", lambda items, pool: items)
         u_ref, steps_ref, cert_ref = run()
+        # the worker only builds: every LU is factored on the caller
         main = threading.main_thread()
         assert main not in threads[0] and threads[1] == {main}
+        assert factoring == {main}
         assert np.array_equal(u, u_ref)
         assert steps == steps_ref
         assert cert == cert_ref
@@ -956,7 +979,7 @@ class TestLookAhead:
 
     def test_time_independent_field_starts_no_thread(self, monkeypatch):
         # one matrix serves every step, so there is nothing to build
-        # ahead; below the handoff cutoff it is factored on the caller
+        # ahead; it is factored on the caller at any grid size
         started = count_calls(monkeypatch, "_one_ahead")
         during = []
         count_calls(monkeypatch, "splu", wrap=lambda lu: during.append(
@@ -964,11 +987,29 @@ class TestLookAhead:
         problem = manufactured_problem(heston(2.0, 0.25, 1.0, 0.0),
                                        "inner_bump")
         before = threading.active_count()
-        grid = small_grid(n=9, n_slices=6)
-        assert grid.dirichlet_mask().size < solver._HANDOFF_NODES
-        solve_cauchy(problem, grid)
+        for n in (9, 97):
+            solve_cauchy(problem, small_grid(n=n, n_slices=3))
         assert started == []
-        assert during == [(threading.main_thread(), before)]
+        assert during == [(threading.main_thread(), before)] * 2
+        assert threading.active_count() == before
+
+    def test_data_error_leaves_no_thread(self, monkeypatch):
+        # the look-ahead starts before the data are evaluated, and a data
+        # error joins it
+        problem = manufactured_problem(ASSEMBLY_CASES["heston-timedep"][0](),
+                                       "inner_bump")
+        during = []
+
+        def on_grid(*args):
+            during.append(threading.active_count())
+            raise ValueError("bad data")
+
+        monkeypatch.setattr(problem.g, "on_grid", on_grid)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="bad data"):
+            solve_cauchy(problem, small_grid(n=33, n_slices=6))
+        assert during == [before + 1]
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_the_solve(self, monkeypatch):
         problem = manufactured_problem(accelerating_field(), "inner_bump")
@@ -1002,88 +1043,6 @@ class TestLookAhead:
         count_calls(monkeypatch, "splu", wrap=NaNLater)
         with pytest.raises(SolverError, match="at step 2 "):
             solve_cauchy(problem, grid)
-        assert threading.active_count() == before
-
-
-def factoring_threads(monkeypatch):
-    """The thread of each splu call, recorded from now on."""
-    threads = []
-    count_calls(monkeypatch, "splu", wrap=lambda lu: threads.append(
-        threading.current_thread()) or lu)
-    return threads
-
-
-class TestFactorHandoff:
-    """On grids of _HANDOFF_NODES nodes or more, a field that does not
-    depend on time factors its system on the worker thread while the
-    caller evaluates the data and checks the certificate."""
-
-    FIELDS = [lambda: heston(2.0, 0.25, 1.0, 0.0, r=0.05),
-              ASSEMBLY_CASES["heston-timedep"][0]]
-
-    @pytest.mark.parametrize("order", ["handed-first", "serial-first"])
-    @pytest.mark.parametrize("certify", [True, False])
-    @pytest.mark.parametrize("make", FIELDS,
-                             ids=["time-independent", "time-dependent"])
-    def test_same_solve_either_side_of_the_cutoff(self, monkeypatch, make,
-                                                  certify, order):
-        problem = manufactured_problem(make(), "inner_bump")
-        cutoffs = (0, 10 ** 9) if order == "handed-first" else (10 ** 9, 0)
-        runs, threads = {}, factoring_threads(monkeypatch)
-        for cutoff in cutoffs:
-            monkeypatch.setattr(solver, "_HANDOFF_NODES", cutoff)
-            u, report = solve_cauchy(problem, small_grid(n=33, n_slices=6),
-                                     certify=certify)
-            runs[cutoff] = (u.values, report.steps, report.certificate,
-                            threads[:])
-            threads.clear()
-        (u, steps, cert, handed), (u_ref, steps_ref, cert_ref, serial) = (
-            runs[0], runs[10 ** 9])
-        assert np.array_equal(u, u_ref)
-        assert steps == steps_ref
-        assert cert == cert_ref and (cert is not None) is certify
-        main = threading.main_thread()
-        assert serial == [main]
-        # a time-dependent field factors on the caller either way, while
-        # its worker builds the next system
-        time_dependent = problem.field.time_dependent
-        assert len(handed) == 1 and (handed[0] is main) is time_dependent
-
-    def test_failed_certificate_raises_as_before(self, monkeypatch):
-        # a correlated field fails the certificate on the caller while
-        # the worker factors; the LU is dropped and the thread joined
-        problem = manufactured_problem(heston(2.0, 0.25, 1.0, -0.5, r=0.05),
-                                       "inner_bump")
-        n = int(np.ceil(np.sqrt(solver._HANDOFF_NODES)))
-        before = threading.active_count()
-        messages, threads = [], factoring_threads(monkeypatch)
-        for cutoff in (solver._HANDOFF_NODES, 10 ** 9):
-            monkeypatch.setattr(solver, "_HANDOFF_NODES", cutoff)
-            with pytest.raises(CertificateError) as failed:
-                solve_cauchy(problem, small_grid(n=n, n_slices=3))
-            messages.append(str(failed.value))
-            assert threading.active_count() == before
-        assert messages[0] == messages[1]
-        assert "positive off-diagonal entry" in messages[0]
-        assert len(threads) == 1
-        assert threads[0] is not threading.main_thread()
-
-    @pytest.mark.parametrize("make", FIELDS,
-                             ids=["time-independent", "time-dependent"])
-    def test_data_error_leaves_no_thread(self, monkeypatch, make):
-        monkeypatch.setattr(solver, "_HANDOFF_NODES", 0)
-        problem = manufactured_problem(make(), "inner_bump")
-        during = []
-
-        def on_grid(*args):
-            during.append(threading.active_count())
-            raise ValueError("bad data")
-
-        monkeypatch.setattr(problem.g, "on_grid", on_grid)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="bad data"):
-            solve_cauchy(problem, small_grid(n=33, n_slices=6))
-        assert during == [before + 1]
         assert threading.active_count() == before
 
 
