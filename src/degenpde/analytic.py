@@ -19,12 +19,12 @@ only the weights.
 Text (data strings and the expressions preset) becomes a function in
 text_function.  Its Python syntax tree is walked once, never run, into a
 hashable tuple tree of a fixed grammar with its constants folded
-(_parse).  A tree that is a polynomial in t, x1..xd, such as the Heston
-drift 2*(0.25*(1 + t) - x2), becomes power factors x_k^n of the
-coordinates (_fold).  Any other tree (sqrt, Max, x1/x2, ...) is a factor
-of its own, its sums and products in one order (_canonical), which
-numpy's ufuncs evaluate on the same sparse axes and which is
-differentiated by rules (_diff).
+(_parse), its sums and products in one order (_canonical).  Every text,
+a polynomial such as the Heston drift 2*(0.25*(1 + t) - x2) as much as
+sqrt, Max or x1/x2, is that one tree factor, or a constant where it
+folds to a number.  numpy's ufuncs evaluate it on the same sparse axes,
+and it is differentiated by rules (_diff).  It varies along each
+variable that it names: t - t + 4 depends on t.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 
 
 _ZERO, _ONE, _MINUS, _TWO = map(Fraction, (0, 1, -1, 2))
-_MAX_DEGREE = 8  # of a power in a polynomial; a larger one stays a tree
 # A tree is a number (exact, a Fraction, or a float), True or False, or
 # (head, *children): ("x", k) is variable k (0 = t, i = x_i),
 # ("Piecewise", value, condition, value, condition, ...), or a head of
@@ -78,20 +77,20 @@ def _is_condition(v):
 
 def _op(head, *args):
     """The tree (head, *args), with numbers folded into a number (nan
-    outside a function's domain), and 0, _ONE, True and False folded."""
+    outside a function's domain and for a division by the number 0), and
+    0, _ONE, True and False folded."""
     a, b = args[0], args[-1]
     if head in ("&", "|"):
         for x, y in ((a, b), (b, a)):
             if isinstance(x, bool):
                 return x if x == (head == "|") else y
     elif all(map(_number, args)) and head in _OPS:
-        if head == "**" and isinstance(b, Fraction) and b.denominator == 1 \
-                and 0 <= b <= _MAX_DEGREE:
-            return math.prod([a] * int(b), start=_ONE)  # as _fold does
         try:
             return _OPS[head][1](*args)
         except (ArithmeticError, ValueError):
             return math.nan
+    elif head == "/" and b == 0:
+        return math.nan
     elif head == "+" and 0 in args:
         return b if a == 0 else a
     elif head in ("*", "/") and a == 0 or head == "*" and b == 0:
@@ -113,12 +112,12 @@ def _piecewise(pairs):
 
 @functools.cache
 def _parse(text, d):
-    """(tree, its polynomial's sorted terms or None) of text in t, x1..xd,
-    from its Python syntax tree, never run: t, x1..xd, pi, E, the
-    functions of _OPS, Piecewise and _OPERATORS.  Anything else is an
-    error that names it; so, after the walk, is text that is not
-    number-valued (x1 > 0), uses unknown names, or is not finite (I, 1/0,
-    1e400, x1/(t - t))."""
+    """The canonical tree of text in t, x1..xd, from its Python syntax
+    tree, never run: t, x1..xd, pi, E, the functions of _OPS, Piecewise
+    and _OPERATORS.  Anything else is an error that names it; so, after
+    the walk, is text that is not number-valued (x1 > 0), uses unknown
+    names, or is not finite (I, 1/0, x1/0, 1e400).  A zero that is not a
+    number, as in x1/(t - t), is left to the values."""
     names = {"t": ("x", 0), "pi": math.pi, "E": math.e,
              **{"x%d" % i: ("x", i) for i in range(1, d + 1)}}
     refused = {"symbols": set(), "functions": set(), "finite": set()}
@@ -154,9 +153,6 @@ def _parse(text, d):
                                      % ast.get_source_segment(text, node))
             if head == "-":  # a - b = a + (-1) b
                 head, args[-1] = "+", _op("*", _MINUS, args[-1])
-            if head in ("/", "**") and _fold(args[head == "/"], d + 1) == {} \
-                    and (head == "/" or _number(args[1]) and args[1] < 0):
-                return math.nan  # a division by a zero polynomial
             return args[0] if len(args) == 1 else _op(head, *args)
         if isinstance(node, ast.Constant) and type(node.value) in (
                 bool, int, float):
@@ -203,13 +199,10 @@ def _parse(text, d):
         if refused[key]:
             raise ValueError("expression %r uses unknown %s %s"
                              % (text, key, sorted(refused[key])))
-    poly = _fold(tree, d + 1)
-    if refused["finite"] or not all(map(finite, (poly or {}).values())):
+    if refused["finite"]:
         raise ValueError("expression %r must have finite real values; it "
                          "contains I, zoo, oo or nan" % (text,))
-    if poly is None:
-        return _canonical(tree), None
-    return tree, tuple(sorted(poly.items()))
+    return _canonical(tree)
 
 
 def _canonical(node):
@@ -229,38 +222,6 @@ def _canonical(node):
 
     operands = sorted(chain(node), key=lambda v: (not _number(v), repr(v)))
     return functools.reduce(lambda out, v: _op(head, out, v), operands)
-
-
-def _multiply(p, q):
-    out = {}
-    for (e1, c1), (e2, c2) in itertools.product(p.items(), q.items()):
-        e = tuple(i + j for i, j in zip(e1, e2))
-        out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _fold(node, n):
-    """The polynomial {exponents of n variables: nonzero coefficient} of a
-    tree of +, *, / by a number and ** up to degree _MAX_DEGREE, or None."""
-    one = (0,) * n
-    if _number(node):
-        return {one: node} if node else {}
-    if node[0] == "x":
-        return {tuple(int(j == node[1]) for j in range(n)): _ONE}
-    p, q = [_fold(c, n) for c in node[1:]] \
-        if node[0] in ("+", "*", "/", "**") else (None, None)
-    if p is None or q is None or node[0] == "/" and list(q) != [one]:
-        return None
-    if node[0] == "/":
-        return {e: c / q[one] for e, c in p.items()}
-    if node[0] == "*":
-        return _multiply(p, q)
-    if node[0] == "+":
-        return {e: c for e in {**p, **q} if (c := p.get(e, 0) + q.get(e, 0))}
-    e = node[2]
-    if isinstance(e, Fraction) and e.denominator == 1 \
-            and 0 <= e * max([sum(k) for k in p] + [1]) <= _MAX_DEGREE:
-        return functools.reduce(_multiply, [p] * int(e), {one: _ONE})
 
 
 def _subtrees(node):
@@ -287,8 +248,8 @@ def _diff(node, k):
         return _piecewise([(_diff(v, k), c)
                            for v, c in zip(args[::2], args[1::2])])
     if len(args) == 1:
-        return _op("*", _substitute(_parse(_DERIVATIVES[head], 1)[0],
-                                    args[0]), _diff(args[0], k))
+        return _op("*", _substitute(_parse(_DERIVATIVES[head], 1), args[0]),
+                   _diff(args[0], k))
     (a, b), da, db = args, _diff(args[0], k), _diff(args[1], k)
     if head in ("Min", "Max"):
         return _piecewise([(da, ("<=" if head == "Min" else ">=", a, b)),
@@ -396,7 +357,8 @@ class AnalyticFunction:
         self._groups = None  # see _by_clock
 
     def depends(self, k):
-        """Whether some factor varies along variable k (0 = t, i = x_i)."""
+        """Whether some factor varies along variable k (0 = t, i = x_i):
+        a tree factor does where it names the variable."""
         return any(f[2][k] for _, fs in self.terms for f in fs)
 
     def holds(self, *functions):
@@ -579,17 +541,13 @@ def affine(weights, offset=0.0):
 
 
 def text_function(text, d):
-    """Text in t, x1..xd as a function (_parse gives every error).  A
-    polynomial becomes power factors in canonical order (by variable, like
-    terms merged), so x1*x2 and x2*x1 have the same terms; other text is
-    one tree factor."""
-    tree, poly = _parse(text, d)
-    if poly is None:
-        return AnalyticFunction(d, [(1.0, [_tree_factor(d, tree)])])
-    return AnalyticFunction(d, [
-        (float(c), [("power", n, tuple(float(j == k) for j in range(d + 1)),
-                     0.0, 0) for k, n in enumerate(e) if n])
-        for e, c in poly if float(c)])
+    """Text in t, x1..xd as one tree factor, or a constant where it folds
+    to a number (_parse gives every error).  Its sums and products are in
+    one order, so x1*x2 and x2*x1 are the same terms."""
+    tree = _parse(text, d)
+    if _number(tree):
+        return constant(d, float(tree))
+    return AnalyticFunction(d, [(1.0, [_tree_factor(d, tree)])])
 
 
 def axis_weights(d, k, weight):

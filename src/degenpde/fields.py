@@ -14,10 +14,11 @@ solver's assembly and operator_apply read the entries, and the sampled
 audits read them stacked by CoefficientField.a, b and c.  The heston,
 constant and homogeneous-drift presets give numbers: a and c constant
 and b = b0 + B1 x.  The expressions preset gives text
-(analytic.text_function): a polynomial in t, x1..xd, such as the
-time-dependent Heston drift 2*(0.25*(1 + t) - x2), becomes numbers and
-powers of the coordinates; other text (sqrt, exp, Max, x1/x2, ...) is
-one tree factor, evaluated by numpy's ufuncs.
+(analytic.text_function): each entry, a polynomial such as the
+time-dependent Heston drift 2*(0.25*(1 + t) - x2) as much as sqrt, exp,
+Max or x1/x2, is one tree factor, evaluated by numpy's ufuncs, or a
+number.  An entry depends on each variable it names, so the field is
+time-dependent where an entry names t.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on

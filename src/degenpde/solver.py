@@ -470,12 +470,7 @@ def _factor(B):
     keeps the fill of the 5-point pattern at half of COLAMD's.  SuperLU
     updates panels of one column instead of its default width: the
     ordering, the fill and the back-solves stay as they are, and the
-    factorization is faster.  On the Heston system of the benchmark
-    (r = 0.05, quadratic grading, one BLAS thread, medians of
-    interleaved runs) it takes 0.111 s instead of 0.135 s at 257^2
-    (3,439,677 entries in L and U, 2.9 ms a back-solve), 0.0147 s
-    instead of 0.0189 s at 129^2 and 0.0033 s instead of 0.0043 s at
-    65^2.
+    factorization is faster.
     """
     return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.01, panel_size=1,

@@ -561,6 +561,13 @@ class TestMainExitCodes:
          "data.g: expression 'sqrt(x1 - 5)' is not finite on the grid"),
         ({"data": {"g": "x1", "f": "log(t)"}},
          "data.f: expression 'log(t)' is not finite on the grid"),
+        # a zero that is not a number is found on the grid, the number 0
+        # when the text is parsed
+        ({"data": {"g": "x1/(t - t)"}},
+         "config error: data.g: expression 'x1/(t - t)' is not finite on "
+         "the grid"),
+        ({"data": {"g": "x1/0"}},
+         "data: expression 'x1/0' must have finite real values"),
         ({"field": dict(EXPRESSIONS_FIELD, a=[["1", "x1"], ["x2", "1"]])},
          "field preset 'expressions': diffusion matrix must be symmetric"),
         ({"field": dict(EXPRESSIONS_FIELD, b=["0", "1/x2"])},
@@ -599,7 +606,8 @@ class TestMainExitCodes:
         ({"data": {"g": "x1", "f": "10**10**7"}},
          "power '10**10**7' exceeds the range of a double"),
     ], ids=["unclosed-g", "unknown-function-in-a", "preset-rejects-value",
-            "g-not-finite-on-grid", "f-not-finite-at-t-0", "asymmetric-a",
+            "g-not-finite-on-grid", "f-not-finite-at-t-0", "g-over-t-t",
+            "g-over-0", "asymmetric-a",
             "b-not-finite-on-grid", "a-not-finite-on-grid",
             "c-not-finite-on-grid",
             "g-true", "f-false", "c-relational", "g-integral", "g-lambda",

@@ -158,8 +158,8 @@ class TestExpressions:
                              1.0, 10.0, 1.0)
 
     def test_equal_products_are_symmetric(self):
-        # polynomial text has its terms in one order, which the symmetry
-        # check compares: x1*x2 and x2*x1 are the same entry
+        # text has its products in one order, which the symmetry check
+        # compares: x1*x2 and x2*x1 are the same entry
         f = from_expressions(2, [["1", "x1*x2"], ["x2*x1", "1"]],
                              ["0", "1"], "0", 1.0, 10.0, 1.0)
         assert f.a_fns[0][1].terms == f.a_fns[1][0].terms
@@ -168,9 +168,10 @@ class TestExpressions:
     @pytest.mark.parametrize("a12, a21", [
         ("0.1*x2*sin(x1)", "0.1*sin(x1)*x2"),
         ("sin(x1) + x2**3", "x2**3 + sin(x1)"),
-        ("exp(x1*x2)*(x2 + sin(x1))", "(sin(x1) + x2)*exp(x2*x1)")])
+        ("exp(x1*x2)*(x2 + sin(x1))", "(sin(x1) + x2)*exp(x2*x1)"),
+        ("(x1 + 1)*x2", "x2*(1 + x1)")])
     def test_reordered_text_is_symmetric(self, a12, a21):
-        # other text is one tree, whose sums and products are sorted
+        # text is one tree, whose sums and products are sorted
         f = from_expressions(2, [["1", a12], [a21, "1"]], ["0", "1"], "0",
                              1.0, 10.0, 1.0)
         assert f.a_fns[0][1].terms == f.a_fns[1][0].terms
@@ -179,8 +180,10 @@ class TestExpressions:
 
     @pytest.mark.parametrize("a12, a21", [
         ("x2*sin(x1)", "x1*sin(x2)"), ("sin(x1) + x2**3", "sin(x1) - x2**3"),
-        ("sin(x1)/x2", "x2/sin(x1)")])
+        ("sin(x1)/x2", "x2/sin(x1)"), ("(x1 + 1)*x2", "x1*x2 + x2")])
     def test_asymmetric_text_rejected(self, a12, a21):
+        # sums and products are sorted, not expanded: a factored entry and
+        # its expansion are two entries
         with pytest.raises(ValueError, match="must be symmetric"):
             from_expressions(2, [["1", a12], [a21, "1"]], ["0", "1"], "0",
                              1.0, 10.0, 1.0)
@@ -261,13 +264,13 @@ class TestCompiledEntries:
         (lambda: from_expressions(2, [["1", "0"], ["0", "1 + exp(x1)"]],
                                   ["0", "1"], "0", 1.0, 10.0, 1.0), 2, 1),
         (lambda: from_expressions(2, [["1", "0"], ["0", "1 + x1**2"]],
-                                  ["0", "1 + t"], "0", 1.0, 10.0, 1.0), 2, 0),
+                                  ["0", "1 + t"], "0", 1.0, 10.0, 1.0), 2, 2),
     ], ids=["homogeneous-drift", "constant", "heston", "expressions",
             "polynomial-expressions"])
     def test_only_varying_entries_compile(self, make, d, compiled):
-        # the presets carry numbers, Heston's affine drift included, and
-        # polynomial text becomes numbers and powers; other text is one
-        # tree factor, which depends on t or x
+        # the presets carry numbers, Heston's affine drift included; text
+        # that is not a number, a polynomial too, is one tree factor,
+        # which depends on t or x
         field = make()
         entries = [f for row in field.a_fns for f in row] + field.b_fns \
             + [field.c_fn]

@@ -1125,13 +1125,20 @@ class TestManufactured:
         assert np.allclose(problem.f.value(t, x), f2.value(t, x),
                            rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_grid_evaluation_matches_nodes(self, d):
+    @pytest.mark.parametrize("make", [
+        lambda: heston(2.0, 0.25, 1.0, 0.0),
+        lambda: homogeneous_drift(1.0, 3),
+        lambda: from_expressions(2, [["0.5", "0"], ["0", "0.5"]],
+                                 ["0.05 - x2/2", "2*(0.25*(1 + t) - x2)"],
+                                 "-0.05", 0.5, 12.0, 0.5),
+    ], ids=["2", "3", "heston-timedep"])
+    def test_grid_evaluation_matches_nodes(self, make):
         # evaluating on the sparse tensor axes gives the node values bit
         # for bit, one time or all slices in one call; a constant is a
-        # number, not an array
-        field = heston(2.0, 0.25, 1.0, 0.0) if d == 2 \
-            else homogeneous_drift(1.0, d)
+        # number, not an array.  The heston-timedep drift is one tree
+        # factor in t and x2.
+        field = make()
+        d = field.d
         problem = manufactured_problem(field, "inner_bump")
         lateral = [np.linspace(-2.0, 2.0, 7 + i) for i in range(d - 1)]
         grid = Grid(lateral + [2.0 * np.linspace(0.0, 1.0, 9) ** 2],
