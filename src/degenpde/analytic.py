@@ -3,28 +3,30 @@
 Everything that feeds a norm estimate or a residual check (manufactured
 solutions, supersolutions, barriers, test bumps, random data, the
 coefficients of a field) is an AnalyticFunction: a sum of terms, each a
-number times a product of factors.  A factor is a profile g, or one of
-its derivatives, of one affine form s = offset + w . (t, x1..xd): the
-bump (1 - s^2)^p on |s| < 1, exp, cos, the Gaussian exp(-s^2) or a power
-s^n (n = 1 is an affine factor).  Its derivatives along t and x_i are
-w_k g'(s) and w_k w_l g''(s), so by the product and chain rules every
-first and second derivative of a function is a function of the same kind
-(derivative), evaluated exactly in numpy; a factor whose weight along a
-variable is 0 is never differentiated along it.  The one-coordinate
-factors of a product stay on their own sparse axes until they are
-multiplied, and terms with the same factors in t alone are summed before
-those factors spread them over the times.  A pullback x = A z changes
-only the weights.
+number times a product of factors.  A factor is an expression tree in t,
+x1..xd, a hashable tuple tree of one fixed grammar, with the variables
+that it holds.
 
 Text (data strings and the expressions preset) becomes a function in
-text_function.  Its Python syntax tree is walked once, never run, into a
-hashable tuple tree of a fixed grammar with its constants folded
-(_parse), its sums and products in one order (_canonical).  Every text,
-a polynomial such as the Heston drift 2*(0.25*(1 + t) - x2) as much as
-sqrt, Max or x1/x2, is that one tree factor, or a constant where it
-folds to a number.  numpy's ufuncs evaluate it on the same sparse axes,
-and it is differentiated by rules (_diff).  It varies along each
-variable that it names: t - t + 4 depends on t.
+text_function.  Its Python syntax tree is walked once, never run, into
+such a tree with its constants folded (_parse), its sums and products in
+one order (_canonical).  Every text, a polynomial such as the Heston
+drift 2*(0.25*(1 + t) - x2) as much as sqrt, Max or x1/x2, is that one
+tree factor, or a constant where it folds to a number.  The built-in
+profiles are trees of one affine form s = offset + w . (t, x1..xd)
+(profile): the bump (1 - s^2)^p on s^2 < 1, exp, cos, the Gaussian
+exp(-s^2) and a power s^n (n = 1 is an affine factor).
+
+Every tree is differentiated by rules (_diff), so by the product rule
+every first and second derivative of a function is a function of the
+same kind (derivative); a factor is never differentiated along a
+variable that it does not hold, and it holds each variable that it
+names: t - t + 4 depends on t.  numpy's ufuncs evaluate the trees, each
+node once per call.  The one-coordinate factors of a product stay on
+their own sparse axes until they are multiplied, and terms with the same
+factors in t alone are summed before those factors spread them over the
+times.  A change of variables, the pullback x = A z or a fixed time,
+puts trees in place of the variables (_substitute).
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from fractions import Fraction
 import numpy as np
 
 
-_ZERO, _ONE, _MINUS, _TWO = map(Fraction, (0, 1, -1, 2))
-# A tree is a number (exact, a Fraction, or a float), True or False, or
-# (head, *children): ("x", k) is variable k (0 = t, i = x_i),
+_ZERO, _ONE, _MINUS, _TWO = 0, 1, -1, 2
+# A tree is a number (exact, an int or a Fraction, or a float), True or
+# False, or (head, *children): ("x", k) is variable k (0 = t, i = x_i),
 # ("Piecewise", value, condition, value, condition, ...), or a head of
 # _OPS, which gives (numpy's function, the function of numbers).
 _OPS = {h: (getattr(operator, f),) * 2 for h, f in zip(
@@ -77,8 +79,9 @@ def _is_condition(v):
 
 def _op(head, *args):
     """The tree (head, *args), with numbers folded into a number (nan
-    outside a function's domain and for a division by the number 0), and
-    0, _ONE, True and False folded."""
+    outside a function's domain, for a complex power and for a division
+    by the number 0), and 0, _ONE, a ** 1, True and False folded.  A
+    product holds at most one number, as its first operand."""
     a, b = args[0], args[-1]
     if head in ("&", "|"):
         for x, y in ((a, b), (b, a)):
@@ -86,17 +89,27 @@ def _op(head, *args):
                 return x if x == (head == "|") else y
     elif all(map(_number, args)) and head in _OPS:
         try:
-            return _OPS[head][1](*args)
+            out = _OPS[head][1](*args)
         except (ArithmeticError, ValueError):
             return math.nan
+        return math.nan if isinstance(out, complex) else out
     elif head == "/" and b == 0:
         return math.nan
     elif head == "+" and 0 in args:
         return b if a == 0 else a
     elif head in ("*", "/") and a == 0 or head == "*" and b == 0:
         return _ZERO
-    elif head == "*" and (a is _ONE or b is _ONE):
-        return b if a is _ONE else a
+    elif head == "*" and _number(b):
+        return _op("*", b, a)
+    elif head == "*" and a is _ONE:
+        return b
+    elif head == "*" and b[0] == "*" and _number(b[1]):
+        return _op("*", _op("*", a, b[1]), b[2])
+    elif head == "*" and isinstance(a, tuple) and a[0] == "*" \
+            and _number(a[1]):
+        return _op("*", a[1], _op("*", a[2], b))
+    elif head == "**" and b == 1:
+        return a
     return (head,) + args
 
 
@@ -116,15 +129,15 @@ def _parse(text, d):
     tree, never run: t, x1..xd, pi, E, the functions of _OPS, Piecewise
     and _OPERATORS.  Anything else is an error that names it; so, after
     the walk, is text that is not number-valued (x1 > 0), uses unknown
-    names, or is not finite (I, 1/0, x1/0, 1e400).  A zero that is not a
-    number, as in x1/(t - t), is left to the values."""
+    names, or is not finite (I, 1/0, x1/0, 1e400), which names the first
+    such part.  A zero that is not a number, as in x1/(t - t), is left to
+    the values."""
     names = {"t": ("x", 0), "pi": math.pi, "E": math.e,
              **{"x%d" % i: ("x", i) for i in range(1, d + 1)}}
-    refused = {"symbols": set(), "functions": set(), "finite": set()}
+    refused = {"symbols": [], "functions": [], "finite": []}
 
     def finite(v):  # compared exactly, so a huge Fraction is no error
-        return not _number(v) or not isinstance(v, complex) and v == v \
-            and abs(v) <= sys.float_info.max
+        return not _number(v) or v == v and abs(v) <= sys.float_info.max
 
     def walk(node, condition=False):  # a condition, or a number if False
         out = build(node)
@@ -133,8 +146,9 @@ def _parse(text, d):
                 ast.get_source_segment(text, node),
                 "a condition" if condition else "number-valued"))
         if not finite(out):
-            refused["finite"].add(node)
-        return out if finite(out) else _UNDEFINED
+            refused["finite"].append(ast.get_source_segment(text, node))
+            return _UNDEFINED
+        return out
 
     def build(node):
         ops = getattr(node, "ops", [getattr(node, "op", None)])
@@ -161,7 +175,7 @@ def _parse(text, d):
         if isinstance(node, ast.Name):
             if node.id not in names:
                 refused["finite" if node.id in ("I", "oo", "zoo", "nan")
-                        else "symbols"].add(node.id)
+                        else "symbols"].append(node.id)
             return names.get(node.id, _UNDEFINED)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and not node.keywords:
@@ -172,7 +186,7 @@ def _parse(text, d):
                 return _piecewise([(walk(v), walk(c, True)) for v, c in pairs])
             args = [walk(a) for a in nodes]
             if name not in _OPS:
-                refused["functions"].add(name)
+                refused["functions"].append(name)
                 return _UNDEFINED
             if name in ("Min", "Max") and args:  # Min(a, Min(b, c))
                 return functools.reduce(lambda out, a: _op(name, a, out),
@@ -198,10 +212,10 @@ def _parse(text, d):
     for key in ("symbols", "functions"):
         if refused[key]:
             raise ValueError("expression %r uses unknown %s %s"
-                             % (text, key, sorted(refused[key])))
+                             % (text, key, sorted(set(refused[key]))))
     if refused["finite"]:
-        raise ValueError("expression %r must have finite real values; it "
-                         "contains I, zoo, oo or nan" % (text,))
+        raise ValueError("expression %r must have finite real values; %r is "
+                         "not finite" % (text, refused["finite"][0]))
     return _canonical(tree)
 
 
@@ -225,15 +239,28 @@ def _canonical(node):
 
 
 def _subtrees(node):
-    children = node[1:] if isinstance(node, tuple) and node[0] != "x" else ()
-    return [node] + [s for c in children for s in _subtrees(c)]
+    """Every subtree of node, by a walk that visits the list it grows."""
+    out = [node]
+    for node in out:
+        if isinstance(node, tuple) and node[0] != "x":
+            out.extend(node[1:])
+    return out
 
 
-def _substitute(node, a):
-    """The tree with a in place of x1."""
-    if not isinstance(node, tuple) or node[0] == "x":
-        return a if node == ("x", 1) else node
-    return _op(node[0], *(_substitute(c, a) for c in node[1:]))
+def _substitute(node, values, memo):
+    """The tree with the tree values[k] in place of each variable k of
+    values, folded.  memo is keyed by the identity of the nodes, so a
+    subtree that occurs twice, as the bump's s^2, stays one object."""
+    if not isinstance(node, tuple):
+        return node
+    if node[0] == "x":
+        return values.get(node[1], node)
+    out = memo.get(id(node))
+    if out is None:
+        args = [_substitute(c, values, memo) for c in node[1:]]
+        out = memo[id(node)] = _piecewise(zip(args[::2], args[1::2])) \
+            if node[0] == "Piecewise" else _op(node[0], *args)
+    return out
 
 
 @functools.cache
@@ -248,8 +275,8 @@ def _diff(node, k):
         return _piecewise([(_diff(v, k), c)
                            for v, c in zip(args[::2], args[1::2])])
     if len(args) == 1:
-        return _op("*", _substitute(_parse(_DERIVATIVES[head], 1), args[0]),
-                   _diff(args[0], k))
+        return _op("*", _substitute(_parse(_DERIVATIVES[head], 1),
+                                    {1: args[0]}, {}), _diff(args[0], k))
     (a, b), da, db = args, _diff(args[0], k), _diff(args[1], k)
     if head in ("Min", "Max"):
         return _piecewise([(da, ("<=" if head == "Min" else ">=", a, b)),
@@ -268,27 +295,52 @@ def _diff(node, k):
 
 
 def _tree_value(node, args, memo):
-    """A tree at args (t, x1..xd), each subtree evaluated once in memo."""
+    """A tree at args (t, x1..xd), each node evaluated once: memo is
+    keyed by the identity of the nodes, which all live for the call."""
     if not isinstance(node, tuple):
         return node if isinstance(node, bool) else float(node)
-    if node not in memo:
-        values = [_tree_value(c, args, memo) for c in node[1:]]
-        if node[0] == "x":
-            memo[node] = args[node[1]]
-        elif node[0] == "Piecewise":  # the first branch that holds
-            memo[node] = functools.reduce(
+    if node[0] == "x":
+        return args[node[1]]
+    out = memo.get(id(node))
+    if out is None:
+        values = [c if type(c) is float else _tree_value(c, args, memo)
+                  for c in node[1:]]
+        if node[0] == "Piecewise":  # the first branch that holds
+            out = functools.reduce(
                 lambda out, i: np.where(values[i + 1], values[i], out),
                 range(len(values) - 2, -1, -2), np.nan)
         else:
-            memo[node] = _OPS[node[0]][0](*values)
-    return memo[node]
+            out = _OPS[node[0]][0](*values)
+        memo[id(node)] = out
+    return out
 
 
-def _tree_factor(d, tree):
-    """The factor ("tree", tree, mask of the variables it holds, 0, 0)."""
-    held = set(_subtrees(tree))
-    return ("tree", tree, tuple(float(("x", k) in held)
-                                for k in range(d + 1)), 0.0, 0)
+def _term(coef, trees):
+    """(coefficient, factors) of coef times the product of trees: a tree
+    that is a number, or a product's number, multiplies the coefficient,
+    and the rest is the factor (tree, the variables that it holds), found
+    by a walk."""
+    factors = []
+    for tree in trees:
+        if isinstance(tree, tuple) and tree[0] == "*" and _number(tree[1]):
+            coef, tree = coef * float(tree[1]), tree[2]
+        if _number(tree):
+            coef *= float(tree)
+        else:
+            factors.append((tree, frozenset(
+                n[1] for n in _subtrees(tree)
+                if isinstance(n, tuple) and n[0] == "x")))
+    return coef, factors
+
+
+def _affine_form(weights, offset):
+    """The tree of offset + weights . (t, x1..xd), summed as
+    offset + (w0 t + w1 x1 + ...) without the zero weights."""
+    s = 0.0
+    for k, w in enumerate(map(float, weights)):
+        if w:
+            s = _op("+", s, _op("*", w, ("x", k)))
+    return _op("+", float(offset), s)
 
 
 def _arguments(t, x):
@@ -303,89 +355,38 @@ def _arguments(t, x):
     return t, coords, np.broadcast_shapes(t.shape, *(c.shape for c in coords))
 
 
-def _bump(s, p, order):
-    inside, q = np.abs(s) < 1, 1 - s * s
-    if order == 0:
-        v = q ** p
-    elif order == 1:
-        v = -2 * p * s * q ** (p - 1)
-    elif order == 2:
-        v = -2 * p * q ** (p - 1) + 4 * p * (p - 1) * s * s * q ** (p - 2)
-    else:
-        raise ValueError("the bump has built-in derivatives up to order 2")
-    return np.where(inside, v, 0.0)
-
-
-def _power(s, n, order):
-    k = math.prod(n - m for m in range(order))  # falling factorial
-    return k * s ** (n - order) if k else 0.0
-
-
-def _gauss(s, _, order):
-    if order > 2:
-        raise ValueError("the Gaussian has built-in derivatives up to "
-                         "order 2")
-    e = np.exp(-(s * s))
-    return e if order == 0 else (-2 * s if order == 1 else 4 * s * s - 2) * e
-
-
-# g^(order)(s) of each profile, with its parameter (the bump's and the
-# power's exponent).
-_PROFILES = {
-    "bump": _bump,
-    "power": _power,
-    "gauss": _gauss,
-    "exp": lambda s, _, order: np.exp(s),
-    "cos": lambda s, _, order: (np.cos, lambda v: -np.sin(v),
-                                lambda v: -np.cos(v), np.sin)[order % 4](s),
-}
-
-
 class AnalyticFunction:
     """Scalar function of (t, x1..xd) with exact derivatives.
 
-    terms is a sequence of (coefficient, factors); a factor is a tuple
-    (profile, parameter, weights, offset, order), the order-th
-    derivative of the profile at offset + weights . (t, x1..xd), or a
-    tree factor of text (_tree_factor).  No terms is the zero function.
+    terms is a sequence of (coefficient, factors); a factor is a pair
+    (tree, held): an expression tree in t, x1..xd and the frozenset of
+    the variables that it holds (_term), 0 = t.  Terms whose coefficient
+    is 0 are dropped; no terms is the zero function.
     """
 
     def __init__(self, d, terms=()):
         self.d = d
-        self.terms = tuple((float(c), tuple(fs)) for c, fs in terms)
+        self.terms = tuple((float(c), tuple(fs)) for c, fs in terms if c)
         self._derivatives = {}  # sorted axes -> derivative
         self._groups = None  # see _by_clock
 
     def depends(self, k):
         """Whether some factor varies along variable k (0 = t, i = x_i):
-        a tree factor does where it names the variable."""
-        return any(f[2][k] for _, fs in self.terms for f in fs)
+        it does where it names the variable."""
+        return any(k in f[1] for _, fs in self.terms for f in fs)
 
     def holds(self, *functions):
-        """Whether a tree factor holds one of functions, such as "Abs"."""
+        """Whether a factor holds one of functions, such as "Abs"."""
         return any(isinstance(n, tuple) and n[0] in functions
-                   for _, fs in self.terms for f in fs if f[0] == "tree"
-                   for n in _subtrees(f[1]))
-
-    def _differentiate(self, f, axes):
-        """(number, factor): the derivative of factor f along the
-        variables axes; a derivative that is a number has no factor."""
-        kind, param, w, offset, order = f
-        if kind != "tree":
-            return (math.prod(w[k] for k in axes),
-                    (kind, param, w, offset, order + len(axes)))
-        for k in axes:
-            param = _diff(param, k)
-        if not isinstance(param, tuple):
-            return float(param), None
-        return 1.0, _tree_factor(self.d, param)
+                   for _, fs in self.terms for f in fs
+                   for n in _subtrees(f[0]))
 
     def derivative(self, axes):
         """The derivative along axes (variable numbers, 0 = t) as a
         function, built once: by the product rule each variable of axes
-        differentiates one factor of a term, skipping factors constant
-        along it, and by the chain rule a built-in factor's weights
-        multiply the coefficient."""
+        differentiates one factor of a term (_diff), skipping factors
+        that do not hold it; a derivative that is a number multiplies the
+        coefficient."""
         axes = tuple(sorted(axes))
         out = self._derivatives.get(axes)
         if out is None:
@@ -395,16 +396,15 @@ class AnalyticFunction:
                                                repeat=len(axes)):
                     parts = [tuple(k for k, o in zip(axes, owner) if o == j)
                              for j in range(len(factors))]
-                    if any(not f[2][k] for f, p in zip(factors, parts)
+                    if any(k not in f[1] for f, p in zip(factors, parts)
                            for k in p):
                         continue
                     c, fs = coef, []
                     for f, p in zip(factors, parts):
-                        scale, g = self._differentiate(f, p) if p else (1, f)
-                        c = c * scale
-                        fs += [g] if g is not None else []
-                    if c:
-                        terms.append((c, fs))
+                        c, g = _term(c, [functools.reduce(_diff, p, f[0])]) \
+                            if p else (c, [f])
+                        fs += g
+                    terms.append((c, fs))
             out = self._derivatives[axes] = AnalyticFunction(self.d, terms)
         return out
 
@@ -412,14 +412,12 @@ class AnalyticFunction:
         """The derivative along axes (variable numbers, 0 = t) at
         arguments that broadcast together, itself not broadcast: a
         factor holding only x_i keeps x_i's shape, a constant is a
-        number.  Each factor and affine form is evaluated once."""
+        number.  Each node of the factors is evaluated once."""
         args, memo = (t,) + tuple(coords), {}
 
         def product(coef, factors):
-            for f in factors:
-                if f not in memo:
-                    memo[f] = self._value(f, args, memo)
-                coef = coef * memo[f]
+            for tree, _ in factors:
+                coef = coef * _tree_value(tree, args, memo)
             return coef
 
         fn = self.derivative(axes) if axes else self
@@ -433,22 +431,11 @@ class AnalyticFunction:
         if self._groups is None:
             groups = {}
             for coef, factors in self.terms:
-                clock = tuple(f for f in factors if not any(f[2][1:]))
+                clock = tuple(f for f in factors if f[1] <= {0})
                 groups.setdefault(clock, []).append(
-                    (coef, [f for f in factors if f not in clock]))
+                    (coef, [f for f in factors if not f[1] <= {0}]))
             self._groups = list(groups.items())
         return self._groups
-
-    def _value(self, f, args, memo):
-        """Factor f at args; memo keeps each affine form's values."""
-        kind, param, w, offset, order = f
-        if kind == "tree":
-            return _tree_value(param, args, memo)
-        s = memo.get((w, offset))
-        if s is None:
-            s = memo[w, offset] = offset + sum(wk * a for wk, a in zip(w, args)
-                                               if wk)
-        return _PROFILES[kind](s, param, order)
 
     def _evaluate(self, t, x, axes):
         t, coords, shape = _arguments(t, x)
@@ -500,39 +487,48 @@ class AnalyticFunction:
     def __add__(self, other):
         return AnalyticFunction(self.d, self.terms + other.terms)
 
-    def _map_factors(self, change):
-        if any(f[0] == "tree" for _, fs in self.terms for f in fs):
-            raise ValueError("only built-in functions change variables")
-        return AnalyticFunction(self.d, [(c, [change(*f) for f in fs])
-                                         for c, fs in self.terms])
+    def _substituted(self, values):
+        memo = {}  # one for every factor, which all live for the call
+        return AnalyticFunction(self.d, [
+            _term(c, [_substitute(f[0], values, memo) for f in fs])
+            for c, fs in self.terms])
 
     def affine_pullback(self, A):
-        """Return v(t, z) = self(t, A z) with exact derivatives: the
-        weights w of x become A^T w."""
+        """Return v(t, z) = self(t, A z) with exact derivatives: the tree
+        of (A z)_i takes the place of x_i in every factor."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.d, self.d):
             raise ValueError("matrix shape mismatch")
-        return self._map_factors(lambda kind, param, w, offset, order: (
-            kind, param, (w[0],) + tuple(map(float, A.T @ w[1:])), offset,
-            order))
+        return self._substituted({1 + i: _affine_form((0.0, *row), 0.0)
+                                  for i, row in enumerate(A)})
 
     def at_time(self, t0):
         """The function x -> self(t0, x), constant in time."""
-        return self._map_factors(lambda kind, param, w, offset, order: (
-            kind, param, (0.0,) + w[1:], offset + w[0] * t0, order))
+        return self._substituted({0: float(t0)})
 
 
 def constant(d, value):
     """The constant function value (no terms for 0)."""
-    return AnalyticFunction(d, [(value, ())] if value else [])
+    return AnalyticFunction(d, [(value, ())])
 
 
 def profile(kind, weights, offset=0.0, param=None):
-    """One factor: profile kind ("bump", "power", "gauss", "exp", "cos")
-    of offset + weights . (t, x1..xd), in len(weights) - 1 dimensions;
-    param is the bump's or the power's exponent."""
-    return AnalyticFunction(len(weights) - 1, [(1.0, [(
-        kind, param, tuple(map(float, weights)), float(offset), 0)])])
+    """One factor, the tree of profile kind of s = offset + weights .
+    (t, x1..xd), in len(weights) - 1 dimensions: "bump" (1 - s^2)^param
+    where s^2 < 1 and 0 elsewhere, "power" s^param, "gauss" exp(-s^2),
+    "exp" or "cos"."""
+    s = _affine_form(weights, offset)
+    square = _op("**", s, 2.0)
+    trees = {
+        "bump": lambda: _piecewise([(_op("**", _op("+", 1.0, _op(
+            "*", -1.0, square)), float(param)), _op("<", square, 1.0)),
+            (0.0, True)]),
+        "power": lambda: _op("**", s, float(param)),
+        "gauss": lambda: _op("exp", _op("*", -1.0, square)),
+        "exp": lambda: _op("exp", s),
+        "cos": lambda: _op("cos", s),
+    }
+    return AnalyticFunction(len(weights) - 1, [_term(1.0, [trees[kind]()])])
 
 
 def affine(weights, offset=0.0):
@@ -544,10 +540,7 @@ def text_function(text, d):
     """Text in t, x1..xd as one tree factor, or a constant where it folds
     to a number (_parse gives every error).  Its sums and products are in
     one order, so x1*x2 and x2*x1 are the same terms."""
-    tree = _parse(text, d)
-    if _number(tree):
-        return constant(d, float(tree))
-    return AnalyticFunction(d, [(1.0, [_tree_factor(d, tree)])])
+    return AnalyticFunction(d, [_term(1.0, [_parse(text, d)])])
 
 
 def axis_weights(d, k, weight):

@@ -12,13 +12,14 @@ inward drift b^d >= nu > 0 at height 0.
 A field holds each entry of (a, b, c) as an AnalyticFunction; the
 solver's assembly and operator_apply read the entries, and the sampled
 audits read them stacked by CoefficientField.a, b and c.  The heston,
-constant and homogeneous-drift presets give numbers: a and c constant
-and b = b0 + B1 x.  The expressions preset gives text
-(analytic.text_function): each entry, a polynomial such as the
-time-dependent Heston drift 2*(0.25*(1 + t) - x2) as much as sqrt, exp,
-Max or x1/x2, is one tree factor, evaluated by numpy's ufuncs, or a
-number.  An entry depends on each variable it names, so the field is
-time-dependent where an entry names t.
+constant and homogeneous-drift presets give a, c and a constant drift
+as numbers, and each entry of Heston's affine drift b0 + B1 x as one
+factor, the tree of an affine form (analytic.affine).  The expressions
+preset gives text (analytic.text_function): each entry, a polynomial
+such as the time-dependent Heston drift 2*(0.25*(1 + t) - x2) as much as
+sqrt, exp, Max or x1/x2, is one tree factor, evaluated by numpy's
+ufuncs, or a number.  An entry depends on each variable it names, so
+the field is time-dependent where an entry names t.
 
 Declared metadata (delta, K, nu) are the constants of the standing
 assumption: uniform ellipticity of a on low heights and of x_d * a on

@@ -19,7 +19,7 @@ import pytest
 import sympy as sp
 
 from conftest import symbols
-from degenpde.analytic import bump, text_function
+from degenpde.analytic import _subtrees, bump, text_function
 from degenpde.fields import constant_field, from_expressions, heston
 from degenpde.reduction import build_reduction_plan
 from degenpde.solver import manufactured_solution, operator_apply
@@ -206,13 +206,14 @@ def sympy_parse(text):
     "x1*x2 - x2*x1", "0.05 - x2/2", "+x1*(x2 + 1)**2 - 7/3", "t - t + 4",
     "(1 + t)**0 * x1**8 / 0.5", "x2**2*x1 - 2*x1*x2**2"])
 def test_polynomial_text_matches_sympy(text):
-    # one tree factor, which depends on each variable that it names:
-    # t - t + 4 names t, though sympy folds it to 4
+    # exactly one factor, which holds and depends on each variable that
+    # it names: t - t + 4 names t, though sympy folds it to 4
     u, ref = text_function(text, 2), sympy_parse(text)
-    assert [[f[0] for f in fs] for _, fs in u.terms] == [["tree"]]
     names = {n.id for n in ast.walk(ast.parse(text)) if type(n) is ast.Name}
-    assert [u.depends(k) for k in range(3)] == [
-        s in names for s in ("t", "x1", "x2")]
+    named = [s in names for s in ("t", "x1", "x2")]
+    assert [len(fs) for _, fs in u.terms] == [1]
+    assert u.terms[0][1][0][1] == {k for k in range(3) if named[k]}
+    assert [u.depends(k) for k in range(3)] == named
     t, x = points(11)
     assert_agree(derivatives(u, t, x), oracle(ref, t, x), rtol=1e-13)
 
@@ -296,11 +297,61 @@ def test_text_needs_no_sympy(monkeypatch):
     ("(x1, x2)", "Tuple '(x1, x2)' is not allowed"),
     ("'x1'", "Constant \"'x1'\" is not allowed"),
     ("I*x1", "must have finite real values"),
-    ("oo", "must have finite real values")])
+    ("oo", "must have finite real values"),
+    # the first part that is not finite is named
+    ("oo*x1", "expression 'oo*x1' must have finite real values; 'oo' is "
+     "not finite"),
+    ("1/0", "expression '1/0' must have finite real values; '1/0' is not "
+     "finite"),
+    ("x1/0", "expression 'x1/0' must have finite real values; 'x1/0' is "
+     "not finite"),
+    ("log(0) + x1", "expression 'log(0) + x1' must have finite real "
+     "values; 'log(0)' is not finite"),
+    ("x2*sqrt(-1)", "expression 'x2*sqrt(-1)' must have finite real "
+     "values; 'sqrt(-1)' is not finite"),
+    ("1e400 - 1/0", "expression '1e400 - 1/0' must have finite real "
+     "values; '1e400' is not finite")])
 def test_text_outside_the_grammar_is_refused(text, message):
     with pytest.raises(ValueError) as info:
         text_function(text, 2)
     assert message in str(info.value) and "\n" not in str(info.value)
+
+
+# Text whose variables change, away from its kinks at the inner points
+# and at their images under CHANGE: the heston-timedep drift, a product of
+# functions, and a Piecewise in t and x
+CHANGE = np.array([[0.75, 0.25], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(1 + x2)*sin(x1 - t)", "2*(0.25*(1 + t) - x2)",
+    "Piecewise((exp(-t)*x1**2, x1 < 1), (cos(x2) + t, True))"])
+def test_text_changes_variables(text):
+    # at_time and affine_pullback put trees in place of the variables;
+    # the value and every first and second derivative match sympy's subs
+    u, ref = text_function(text, 2), sympy_parse(text)
+    t, x = inner_points(15)
+    frozen = u.at_time(0.3)
+    assert not frozen.depends(0)
+    assert_near(derivatives(frozen, t, x), oracle(ref.subs(T, 0.3), t, x))
+    pulled = ref.subs({X[i]: sum(float(CHANGE[i, k]) * X[k] for k in range(2))
+                       for i in range(2)}, simultaneous=True)
+    assert_near(derivatives(u.affine_pullback(CHANGE), t, x),
+                oracle(pulled, t, x))
+
+
+def test_change_of_variables_keeps_shared_subtrees():
+    # the bump's s^2 is in its value and in its condition: a subtree
+    # that occurs twice stays one object, so it is evaluated once
+    def nodes(u):
+        found = [n for _, fs in u.terms for tree, _ in fs
+                 for n in _subtrees(tree)
+                 if isinstance(n, tuple) and n[0] != "x"]
+        return len({id(n) for n in found}), len(set(found))
+
+    u = bump(2, [0.1, 0.5], [0.4, 0.6])
+    for v in (u, u.at_time(0.0), u.affine_pullback(CHANGE)):
+        assert nodes(v)[0] == nodes(v)[1]
 
 
 def test_text_is_never_run(tmp_path):

@@ -260,7 +260,7 @@ class TestCompiledEntries:
         (lambda: homogeneous_drift(0.7, 3), 3, 0),
         (lambda: constant_field([[2.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -0.5),
          2, 0),
-        (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 0),
+        (lambda: heston(2.0, 0.25, 1.0, 0.3, r=0.05), 2, 2),
         (lambda: from_expressions(2, [["1", "0"], ["0", "1 + exp(x1)"]],
                                   ["0", "1"], "0", 1.0, 10.0, 1.0), 2, 1),
         (lambda: from_expressions(2, [["1", "0"], ["0", "1 + x1**2"]],
@@ -268,16 +268,15 @@ class TestCompiledEntries:
     ], ids=["homogeneous-drift", "constant", "heston", "expressions",
             "polynomial-expressions"])
     def test_only_varying_entries_compile(self, make, d, compiled):
-        # the presets carry numbers, Heston's affine drift included; text
-        # that is not a number, a polynomial too, is one tree factor,
-        # which depends on t or x
+        # constants carry no factor; each of Heston's affine drift
+        # entries is one factor, and so is text that is not a number, a
+        # polynomial too; each factor depends on t or x
         field = make()
         entries = [f for row in field.a_fns for f in row] + field.b_fns \
             + [field.c_fn]
-        trees = [f for e in entries for _, fs in e.terms for f in fs
-                 if f[0] == "tree"]
-        assert len(trees) == compiled
-        assert all(any(f[2]) for f in trees)
+        factors = [f for e in entries for _, fs in e.terms for f in fs]
+        assert len(factors) == compiled
+        assert all(held for _, held in factors)
         grid = Grid.build(d, 1.0, 1.0, 5, 5, 0.5, 3)
         A, _ = discretize_operator(field, grid, 0.0)
         assert np.all(np.isfinite(A.data))
