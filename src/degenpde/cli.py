@@ -111,12 +111,8 @@ CONFIG = {
 # Check bounds, fixed as in the acceptance gate: the Schauder ratio's change
 # between the finest rungs, the least space order, the band in time.
 SCHAUDER_THRESHOLD, MIN_SPACE_ORDER, TIME_ORDER_BAND = 0.25, 0.9, 0.3
-# Check parameters, fixed as in the acceptance gate: the barriers' lateral
-# drifts, the weights q of the weighted sup bounds, the interpolation
-# epsilons.
+# The barriers' lateral drifts, fixed as in the acceptance gate.
 BARRIER_DRIFTS = (-2.0, 0.0, 2.0)
-BOUND_WEIGHTS = (1.0, 2.0)
-INTERP_EPS = (0.5, 0.25, 0.1)
 
 # Field presets: name -> (constructor, its keys in its argument order).
 PRESETS = {
@@ -373,8 +369,7 @@ def exp_maxprin(cfg, out, seed):
     m = section(cfg, "maxprin")
     results = maximum_principle_suite(m["n_problems"], seed=seed)
     results += absolute_bound_suite(m["n_absolute"], seed=seed + 1)
-    results += weighted_bound_suite(m["n_weighted"], BOUND_WEIGHTS,
-                                    seed=seed + 2)
+    results += weighted_bound_suite(m["n_weighted"], seed=seed + 2)
     fld = build_field(cfg) if cfg.get("field") else homogeneous_drift(1.0)
     return results + [check_quadratic_supersolution(fld, seed=seed)]
 
@@ -387,7 +382,7 @@ def exp_barriers(cfg, out, seed):
 
 def exp_interp(cfg, out, seed):
     fits, cases, results = interpolation_check(
-        alpha=setting(cfg, "alpha"), eps_ladder=INTERP_EPS, seed=seed)
+        alpha=setting(cfg, "alpha"), seed=seed)
     _write(out, "interpolation.csv", gridio.csv_text(
         ("inequality", "C", "m", "n_cases"),
         [(k, f.constant, f.exponent, f.n_cases) for k, f in fits.items()]))

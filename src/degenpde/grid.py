@@ -174,17 +174,8 @@ class Grid:
 
         The degenerate boundary (height 0) carries no condition.
         """
-        mask = np.zeros(self.shape, dtype=bool)
-        for i in range(self.d - 1):
-            idx_lo = [slice(None)] * self.d
-            idx_lo[i] = 0
-            mask[tuple(idx_lo)] = True
-            idx_hi = [slice(None)] * self.d
-            idx_hi[i] = -1
-            mask[tuple(idx_hi)] = True
-        idx_top = [slice(None)] * self.d
-        idx_top[-1] = -1
-        mask[tuple(idx_top)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * (self.d - 1) + (slice(None, -1),)] = False
         return mask
 
     def audited_mask(self):

@@ -45,27 +45,32 @@ dt exceeds the inverse of (1 - theta) A_ii, and mixed second derivatives
 break the sign conditions at any theta, so runs with correlated
 diffusion must explicitly opt out of certification.
 
-A step's system B, and its certificate, depend on the time but not on
-the solution.  For a time-dependent field one worker thread therefore
-builds and certifies each step's system one step ahead: the first while
-the calling thread evaluates g, f and the exact faces, each later one
-while the current step factors, back-solves or iterates; numpy's kernels
-and SuperLU release the GIL, so the two overlap.  It is the only
-thread: a field that does not depend on time has one system, made on
-the calling thread.  The arithmetic and its order are those of a serial
-solve, so the solution is the same to the bit, and a failed certificate
-of step k is raised once steps before k are solved.  The thread lives
-only as long as the call to solve_cauchy.
+One generator, _steps, walks the steps for solve_cauchy and for
+apply_discrete_operator alike, so the residual operator applies the
+matrices the solve steps with.  It yields each step's system: A at the
+new time, B = I + theta dt A, and B's certificate and LU, each of the
+last two made on first use.  A system depends on the time but not on
+the solution.  For a time-dependent field, which gets a new system each
+step, one worker thread therefore builds and certifies each step's
+system one step ahead: the first while the calling thread evaluates g,
+f and the exact faces, each later one while the current step factors,
+back-solves or iterates; numpy's kernels and SuperLU release the GIL,
+so the two overlap.  It is the only thread: a field that does not
+depend on time has one system, made on the calling thread.  The
+arithmetic and its order are those of a serial solve, so the solution
+is the same to the bit, and a failed certificate of step k is raised
+once steps before k are solved.  The thread lives only as long as the
+call to solve_cauchy.
 
 That one system is kept on the grid's stencil plan, keyed by the field
-object and theta: A, B = I + theta dt A, and B's certificate and LU,
-each of the last two made on first use.  A later solve_cauchy or
+object and theta, and yielded at every step.  A later solve_cauchy or
 apply_discrete_operator with the same field and theta on that grid
-reuses them (the operator applies A to every slice in one sparse
-product), so the randomized suites, which solve one field twice and
-apply its operator to both solutions, assemble and factor once per
-field.  The plan keeps one entry: another field, or another theta,
-replaces it.  A time-dependent field neither reads nor replaces it.
+reuses its A, B, certificate and LU (the operator applies A to every
+slice in one sparse product), so the randomized suites, which solve one
+field twice and apply its operator to both solutions, assemble and
+factor once per field.  The plan keeps one system: another field, or
+another theta, replaces it.  A time-dependent field neither reads nor
+replaces it.
 """
 
 from __future__ import annotations
@@ -185,8 +190,8 @@ class _StencilPlan:
     sum of +-stride over at most two axes, ascending), and `gather` takes
     it into the stencil's CSR pattern: each free node and its in-grid
     neighbours in the row of each free node.  Rows of Dirichlet nodes
-    hold nothing.  `stepped` is the _SteppedSystem kept on the grid, or
-    None.
+    hold nothing.  `stepped` is the _System of a field that does not
+    depend on time kept on the grid, or None.
     """
 
     def __init__(self, grid):
@@ -373,78 +378,55 @@ def _certify(B, A_old, theta, grid):
     return cert
 
 
-class _SteppedSystem:
-    """The one system of a field that does not depend on time, at one
-    theta, on one grid: A, B = I + theta dt A, and B's certificate and
-    LU, None until a solve makes them."""
+class _System:
+    """One step's system on a grid: A = A(t), B = I + theta dt A, and B's
+    certificate and LU, None until a step makes them.  eye is the
+    identity of B, formed here unless given."""
 
-    def __init__(self, field, grid, theta):
-        dt = _uniform_dt(grid)
+    def __init__(self, field, grid, theta, t, eye=None):
         self.field, self.theta = field, theta
-        self.A, _ = discretize_operator(field, grid, grid.times[0])
-        self.B = (sparse.eye(self.A.shape[0], format="csr")
-                  + (theta * dt) * self.A).tocsr()
+        self.A, _ = discretize_operator(field, grid, t)
+        if eye is None:
+            eye = sparse.eye(self.A.shape[0], format="csr")
+        self.B = (eye + (theta * grid.dt) * self.A).tocsr()
         self.certificate = self.lu = None
 
 
-def _stepped(field, grid, theta):
-    """The grid's _SteppedSystem of a field that does not depend on
-    time, at theta; built, in place of the one kept, unless the one kept
-    is of this field object and theta."""
-    plan = _plan(grid)
-    kept = plan.stepped
-    if kept is None or kept.field is not field or kept.theta != theta:
-        kept = plan.stepped = _SteppedSystem(field, grid, theta)
-    return kept
+def _steps(field, grid, theta, certify=False):
+    """Yield (n, A_old, system) for each step t_n -> t_{n+1}.
 
-
-def _theta_steps(field, grid, theta):
-    """Yield (n, A_old, A_new) for each step t_n -> t_{n+1} of a
-    time-dependent field.
-
-    A_new = A(t_{n+1}) is the implicit matrix and A_old = A(t_n) the
-    explicit one.  At theta = 1 the explicit part vanishes, so A_old is
-    None and A(t_0) is never assembled.  apply_discrete_operator and
-    _systems step with it.  It steps with grid.dt, so a time axis that
-    is not uniform is a ValueError.
+    system is the _System of t_{n+1}, the implicit one, and A_old = A(t_n)
+    the explicit matrix; at theta = 1 the explicit part vanishes, so A_old
+    is None and A(t_0) is never assembled.  A field that does not depend
+    on time yields its kept system, plan.stepped, at every step: built,
+    in place of the one kept, unless the one kept is of this field object
+    and theta.  A time-dependent field gets a new system each step, all
+    sharing one identity.  With certify, a system's certificate of B and,
+    at theta < 1, of E = I - (1 - theta) dt A_old is made the first time
+    the system is used, and a failed one raises CertificateError instead
+    of yielding its step.  It steps with grid.dt, so a time axis that is
+    not uniform is a ValueError.
     """
     _uniform_dt(grid)
+    plan = _plan(grid)
+    kept = None
+    if not field.time_dependent:
+        kept = plan.stepped
+        if kept is None or kept.field is not field or kept.theta != theta:
+            kept = plan.stepped = _System(field, grid, theta, grid.times[0])
+    else:
+        eye = sparse.eye(plan.N, format="csr")
     A_old = None
     if theta != 1.0:
-        A_old, _ = discretize_operator(field, grid, grid.times[0])
+        A_old = kept.A if kept else discretize_operator(
+            field, grid, grid.times[0])[0]
     for n in range(grid.n_t - 1):
-        A_new, _ = discretize_operator(field, grid, grid.times[n + 1])
-        yield n, A_old, A_new
-        if theta != 1.0:
-            A_old = A_new
-
-
-def _systems(field, grid, theta, certify):
-    """Yield (n, A_old, B, certificate, lu) for each step t_n -> t_{n+1}.
-
-    B = I + theta dt A(t_{n+1}).  A field that does not depend on time
-    yields its stepped system, whose certificate and LU are made on
-    first use and kept; a time-dependent field forms each step's B, with
-    lu None.  A certified solve checks every B, and at theta < 1 E = I -
-    (1 - theta) dt A_old, raising CertificateError instead of yielding
-    the step that fails; certificate is the last check, None when
-    uncertified.
-    """
-    if not field.time_dependent:
-        system = _stepped(field, grid, theta)
+        system = kept or _System(field, grid, theta, grid.times[n + 1], eye)
         if certify and system.certificate is None:
-            system.certificate = _certify(system.B, system.A, theta, grid)
-        if system.lu is None:
-            system.lu = _factor(system.B)
-        cert = system.certificate if certify else None
-        for n in range(grid.n_t - 1):
-            yield n, system.A, system.B, cert, system.lu
-        return
-    eye = sparse.eye(int(np.prod(grid.shape)), format="csr")
-    for n, A_old, A_new in _theta_steps(field, grid, theta):
-        B = (eye + (theta * grid.dt) * A_new).tocsr()
-        cert = _certify(B, A_old, theta, grid) if certify else None
-        yield n, A_old, B, cert, None
+            system.certificate = _certify(system.B, A_old, theta, grid)
+        yield n, A_old, system
+        if theta != 1.0:
+            A_old = system.A
 
 
 def _one_ahead(items, pool):
@@ -519,10 +501,10 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
 
     # the pool starts its thread at the first submit, so only a
     # time-dependent field, whose systems are built one ahead, starts one
-    systems = _systems(field, grid, theta, certify)
+    steps = _steps(field, grid, theta, certify)
     with ThreadPoolExecutor(1) as pool:
         if field.time_dependent:
-            systems = _one_ahead(systems, pool)
+            steps = _one_ahead(steps, pool)
         # the data, while the pool's thread builds the first system
         u = problem.g.on_grid(0.0, grid)
         dir_flat = grid.dirichlet_mask().ravel()
@@ -533,10 +515,14 @@ def solve_cauchy(problem, grid, theta=1.0, certify=None, boundary="frozen"):
                                         grid.nodes()[dir_flat])
         values[0] = u
         lu = factored = None
-        for n, A_old, B, cert, ready in systems:
-            report.certificate = cert
+        for n, A_old, system in steps:
+            B = system.B
+            if certify:
+                report.certificate = system.certificate
             if lu is None:
-                lu, factored = (_factor(B) if ready is None else ready), B
+                if system.lu is None:
+                    system.lu = _factor(B)
+                lu, factored = system.lu, B
             rhs = u + dt * (theta * f[n + 1] + (1.0 - theta) * f[n])
             if theta != 1.0:
                 rhs -= (1.0 - theta) * dt * (A_old @ u)
@@ -580,23 +566,27 @@ def apply_discrete_operator(w, field, theta=1.0):
 
     Returns an array of shape (n_t - 1, *spatial) holding
     (w_new - w_old)/dt + theta A^{n+1} w_new + (1-theta) A^n w_old at free
-    nodes and NaN at truncation nodes, with the matrices solve_cauchy
-    steps with.  A field that does not depend on time applies its one A
-    to every slice in one sparse product, whose rows sum in the order of
-    one product per slice, so the values are the same to the bit.
+    nodes and NaN at truncation nodes.  It walks solve_cauchy's _steps,
+    so A^n and A^{n+1} are the matrices of the solve's steps.  A field
+    that does not depend on time yields its kept system at every step,
+    and its A is applied to every slice in one sparse product, whose rows
+    sum in the order of one product per slice, so the values are the
+    same to the bit.
     """
     grid = w.grid
     N = int(np.prod(grid.shape))
     dt = _uniform_dt(grid)
     flat = w.values.reshape(grid.n_t, N)
+    steps = _steps(field, grid, theta)
     if field.time_dependent:
         new, old = np.empty((2, grid.n_t - 1, N))
-        for n, A_old, A_new in _theta_steps(field, grid, theta):
-            new[n] = A_new @ flat[n + 1]
+        for n, A_old, system in steps:
+            new[n] = system.A @ flat[n + 1]
             if theta != 1.0:
                 old[n] = A_old @ flat[n]
     else:
-        applied = (_stepped(field, grid, theta).A @ flat.T).T
+        # every step yields the kept system: one product over all slices
+        applied = (next(steps)[2].A @ flat.T).T
         new, old = applied[1:], applied[:-1]
     lw = np.diff(flat, axis=0) / dt + theta * new
     if theta != 1.0:

@@ -810,6 +810,24 @@ class TestMainExitCodes:
         assert "monotonicity-certificate" in checks
         assert (out / "solve" / "summary.txt").exists()
 
+    def test_uncertified_solve_writes_no_certificate_row(self, tmp_path,
+                                                         monkeypatch):
+        # a certified solve of the same field on the same grid runs just
+        # before, so the grid keeps a system that holds a certificate
+        real = cli.solve_cauchy
+
+        def after_certified(problem, grid, **kw):
+            real(problem, grid, certify=True)
+            return real(problem, grid, **kw)
+
+        monkeypatch.setattr(cli, "solve_cauchy", after_certified)
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, solve={"certify": False}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        checks = (out / "solve" / "checks.csv").read_text()
+        assert "linear-solver" in checks
+        assert "monotonicity-certificate" not in checks
+
     def test_linear_solver_residual_can_fail(self, tmp_path, capsys,
                                              monkeypatch):
         real = cli.solve_cauchy

@@ -768,15 +768,21 @@ class TestSteppedSystem:
         assembled = count_calls(monkeypatch, "discretize_operator")
         factored = count_calls(monkeypatch, "splu")
         certified = count_calls(monkeypatch, "monotonicity_certificate")
+        eye, identities = solver.sparse.eye, []
+        monkeypatch.setattr(solver.sparse, "eye", lambda *args, **kw: (
+            identities.append(args) or eye(*args, **kw)))
         field = heston(2.0, 0.25, 1.0, 0.0)
         grid = small_grid(n=9, n_slices=5)
         first, second = self.problems(field, 1)
         got = [self.run(first, grid)]
-        assert (len(assembled), len(factored), len(certified)) == (1, 1, 1)
+        counts = (1, 1, 1, 1)
+        assert (len(assembled), len(factored), len(certified),
+                len(identities)) == counts
         # the second solve and both operator applications read the kept
-        # A, certificate and LU
+        # A, B, certificate and LU
         got.append(self.run(second, grid))
-        assert (len(assembled), len(factored), len(certified)) == (1, 1, 1)
+        assert (len(assembled), len(factored), len(certified),
+                len(identities)) == counts
         for problem, result in zip((first, second), got):
             self.assert_same(result, self.run(problem, same_axes(grid)))
         assert got[1][2].passed
@@ -791,6 +797,21 @@ class TestSteppedSystem:
         got = self.run(second, grid)
         assert len(certified) == 1
         self.assert_same(got, self.run(second, same_axes(grid)))
+
+    def test_uncertified_solve_after_certified_reports_none(self,
+                                                            monkeypatch):
+        # the kept system holds a certificate, which an uncertified solve
+        # of the same field does not report
+        certified = count_calls(monkeypatch, "monotonicity_certificate")
+        field = heston(2.0, 0.25, 1.0, 0.0)
+        grid = small_grid(n=9, n_slices=5)
+        first, second = self.problems(field, 2)
+        assert self.run(first, grid)[2].passed
+        got = self.run(second, grid, certify=False)
+        assert got[2] is None
+        assert len(certified) == 1
+        self.assert_same(got, self.run(second, same_axes(grid),
+                                       certify=False))
 
     @pytest.mark.parametrize("other", ["new-field-object", "theta",
                                        "time-dependent"])
