@@ -18,10 +18,11 @@ profiles are trees of one affine form s = offset + w . (t, x1..xd)
 exp(-s^2) and a power s^n (n = 1 is an affine factor).
 
 Every tree is differentiated by rules (_diff), so by the product rule
-every first and second derivative of a function is a function of the
-same kind (derivative); a factor is never differentiated along a
-variable that it does not hold, and it holds each variable that it
-names: t - t + 4 depends on t.  numpy's ufuncs evaluate the trees, each
+a function's derivative along one variable is a function of the same
+kind, kept on it, and a second derivative is a derivative of a first
+one (derivative); a factor is never differentiated along a variable
+that it does not hold, and it holds each variable that it names:
+t - t + 4 depends on t.  numpy's ufuncs evaluate the trees, each
 node once per call.  The one-coordinate factors of a product stay on
 their own sparse axes until they are multiplied, and terms with the same
 factors in t alone are summed before those factors spread them over the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -367,7 +367,7 @@ class AnalyticFunction:
     def __init__(self, d, terms=()):
         self.d = d
         self.terms = tuple((float(c), tuple(fs)) for c, fs in terms if c)
-        self._derivatives = {}  # sorted axes -> derivative
+        self._derivatives = {}  # variable -> derivative
         self._groups = None  # see _by_clock
 
     def depends(self, k):
@@ -382,30 +382,24 @@ class AnalyticFunction:
                    for n in _subtrees(f[0]))
 
     def derivative(self, axes):
-        """The derivative along axes (variable numbers, 0 = t) as a
-        function, built once: by the product rule each variable of axes
-        differentiates one factor of a term (_diff), skipping factors
-        that do not hold it; a derivative that is a number multiplies the
-        coefficient."""
-        axes = tuple(sorted(axes))
-        out = self._derivatives.get(axes)
-        if out is None:
-            terms = []
-            for coef, factors in self.terms:
-                for owner in itertools.product(range(len(factors)),
-                                               repeat=len(axes)):
-                    parts = [tuple(k for k, o in zip(axes, owner) if o == j)
-                             for j in range(len(factors))]
-                    if any(k not in f[1] for f, p in zip(factors, parts)
-                           for k in p):
-                        continue
-                    c, fs = coef, []
-                    for f, p in zip(factors, parts):
-                        c, g = _term(c, [functools.reduce(_diff, p, f[0])]) \
-                            if p else (c, [f])
-                        fs += g
-                    terms.append((c, fs))
-            out = self._derivatives[axes] = AnalyticFunction(self.d, terms)
+        """The derivative along axes (variable numbers, 0 = t), taken one
+        variable at a time in ascending order and kept per variable on
+        the function it differentiates: the (i, j) derivative is the
+        j-derivative of the i-derivative.  Along k, by the product rule,
+        each factor that holds k is differentiated in turn (_diff); a
+        derivative that is a number multiplies the coefficient."""
+        out = self
+        for k in sorted(axes):
+            if k not in out._derivatives:
+                terms = []
+                for coef, factors in out.terms:
+                    for j, (tree, held) in enumerate(factors):
+                        if k in held:
+                            c, fs = _term(coef, [_diff(tree, k)])
+                            terms.append((c, factors[:j] + tuple(fs)
+                                          + factors[j + 1:]))
+                out._derivatives[k] = AnalyticFunction(out.d, terms)
+            out = out._derivatives[k]
         return out
 
     def raw(self, t, coords, axes=()):
@@ -420,7 +414,7 @@ class AnalyticFunction:
                 coef = coef * _tree_value(tree, args, memo)
             return coef
 
-        fn = self.derivative(axes) if axes else self
+        fn = self.derivative(axes)
         return sum((product(sum(product(c, fs) for c, fs in rests), clock)
                     for clock, rests in fn._by_clock()), 0.0)
 

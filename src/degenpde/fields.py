@@ -175,24 +175,20 @@ def from_expressions(d, a_texts, b_texts, c_text, delta, K, nu,
 
 
 def _holder_quotients(field, t1, x1, t2, x2, dist, alpha, weight_a=None):
-    """Max Holder quotient over all coefficient entries for given pairs."""
+    """Max Holder quotient over all coefficient entries for given pairs;
+    NaN if an entry is not finite at some pair."""
     keep = (dist > 0) & (dist <= 1.0)
     if not np.any(keep):
         return 0.0
-    t1, x1, t2, x2 = t1[keep], x1[keep], t2[keep], x2[keep]
-    dist = dist[keep]
-    best = 0.0
+    t1, x1, t2, x2, dist = t1[keep], x1[keep], t2[keep], x2[keep], dist[keep]
     a1, a2 = field.a(t1, x1), field.a(t2, x2)
     if weight_a is not None:
         a1 = a1 * weight_a(x1)[..., None, None]
         a2 = a2 * weight_a(x2)[..., None, None]
-    diff_a = np.abs(a1 - a2).reshape(len(dist), -1)
-    best = max(best, float(np.max(diff_a / dist[:, None] ** alpha)))
-    diff_b = np.abs(field.b(t1, x1) - field.b(t2, x2))
-    best = max(best, float(np.max(diff_b / dist[:, None] ** alpha)))
-    diff_c = np.abs(field.c(t1, x1) - field.c(t2, x2))
-    best = max(best, float(np.max(diff_c / dist ** alpha)))
-    return best
+    diffs = np.hstack([(a1 - a2).reshape(len(dist), -1),
+                       field.b(t1, x1) - field.b(t2, x2),
+                       (field.c(t1, x1) - field.c(t2, x2))[:, None]])
+    return float(np.max(np.abs(diffs) / dist[:, None] ** alpha))
 
 
 def _paired_samples(rng, region, n, height_lo, height_hi):
@@ -230,9 +226,8 @@ def validate_assumptions(field, n_samples=2000, seed=0, alpha=0.5):
     a_low = field.a(t_low, x_low)
     a_low = 0.5 * (a_low + np.swapaxes(a_low, -1, -2))
     delta_hat = float(np.min(np.linalg.eigvalsh(a_low)[..., 0]))
-    K_hat = max(float(np.max(np.abs(a_low))),
-                float(np.max(np.abs(field.b(t_low, x_low)))),
-                float(np.max(np.abs(field.c(t_low, x_low)))))
+    K_hat = float(np.max([np.max(np.abs(v)) for v in (
+        a_low, field.b(t_low, x_low), field.c(t_low, x_low))]))
 
     t_bd, x_bd = region.sample(rng, n_samples)
     x_bd[:, -1] = 0.0

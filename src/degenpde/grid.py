@@ -182,8 +182,8 @@ class Grid:
         """True on the audited subregion away from the truncation faces.
 
         Lateral coordinates within 0.75 X of the center and heights below
-        0.75 Y are kept; the outer quarter absorbs artificial-boundary
-        error.
+        0.75 Y are kept, so audits leave the outer quarter out; this does
+        not remove the truncation error of frozen faces.
         """
         mask = np.ones(self.shape, dtype=bool)
         mesh = self.meshes()

@@ -12,12 +12,12 @@ frozen in time; verification runs that know the exact solution may
 request exact boundary values instead so artificial-boundary error does
 not contaminate convergence measurements.  Everything of the stencil
 that depends only on the grid (per-axis weights, upwind first-node
-masks, Dirichlet rows, the offsets and the CSR pattern with its gather
-index) is one plan, built on a grid's first assembly and kept on the
-grid.  An assembly then evaluates each entry of a, b and c on the plan's
-sparse axes, adds each term's per-axis three-point weights into the row
-of the offset they reach, and gathers those rows into the CSR values,
-dropping zeros.
+masks, Dirichlet rows, the offsets, the CSR pattern with its gather
+index and the identity) is one plan, built on a grid's first assembly
+and kept on the grid.  An assembly then evaluates each entry of a, b
+and c on the plan's sparse axes, adds each term's per-axis three-point
+weights into the row of the offset they reach, and gathers those rows
+into the CSR values, dropping zeros.
 
 Each implicit step solves B u_new = rhs with B = I + theta dt A.  The
 first B is factored with a sparse LU (scipy's splu, minimum-degree
@@ -190,8 +190,9 @@ class _StencilPlan:
     sum of +-stride over at most two axes, ascending), and `gather` takes
     it into the stencil's CSR pattern: each free node and its in-grid
     neighbours in the row of each free node.  Rows of Dirichlet nodes
-    hold nothing.  `stepped` is the _System of a field that does not
-    depend on time kept on the grid, or None.
+    hold nothing.  `eye` is the grid's one identity, which every B and E
+    adds to.  `stepped` is the _System of a field that does not depend
+    on time kept on the grid, or None.
     """
 
     def __init__(self, grid):
@@ -205,6 +206,7 @@ class _StencilPlan:
                 n if j == i else 1 for j, n in enumerate(shape)))
 
         self.N = N
+        self.eye = sparse.eye(N, format="csr")
         self.strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
         self.mesh = grid.meshes(sparse=True)
         self.dir_flat = grid.dirichlet_mask().ravel()
@@ -371,24 +373,21 @@ def _certify(B, A_old, theta, grid):
     """Certificate of B and, at theta < 1, of E = I - (1 - theta) dt
     A_old; a CertificateError if it fails."""
     E = None if theta == 1.0 else (
-        sparse.eye(B.shape[0], format="csr")
-        - ((1.0 - theta) * grid.dt) * A_old).tocsr()
+        _plan(grid).eye - ((1.0 - theta) * grid.dt) * A_old).tocsr()
     cert = monotonicity_certificate(B, grid, explicit=E)
     cert.require()
     return cert
 
 
 class _System:
-    """One step's system on a grid: A = A(t), B = I + theta dt A, and B's
-    certificate and LU, None until a step makes them.  eye is the
-    identity of B, formed here unless given."""
+    """One step's system on a grid: A = A(t), B = I + theta dt A with
+    the plan's identity, and B's certificate and LU, None until a step
+    makes them."""
 
-    def __init__(self, field, grid, theta, t, eye=None):
+    def __init__(self, field, grid, theta, t):
         self.field, self.theta = field, theta
         self.A, _ = discretize_operator(field, grid, t)
-        if eye is None:
-            eye = sparse.eye(self.A.shape[0], format="csr")
-        self.B = (eye + (theta * grid.dt) * self.A).tocsr()
+        self.B = (_plan(grid).eye + (theta * grid.dt) * self.A).tocsr()
         self.certificate = self.lu = None
 
 
@@ -400,12 +399,12 @@ def _steps(field, grid, theta, certify=False):
     is None and A(t_0) is never assembled.  A field that does not depend
     on time yields its kept system, plan.stepped, at every step: built,
     in place of the one kept, unless the one kept is of this field object
-    and theta.  A time-dependent field gets a new system each step, all
-    sharing one identity.  With certify, a system's certificate of B and,
-    at theta < 1, of E = I - (1 - theta) dt A_old is made the first time
-    the system is used, and a failed one raises CertificateError instead
-    of yielding its step.  It steps with grid.dt, so a time axis that is
-    not uniform is a ValueError.
+    and theta.  A time-dependent field gets a new system each step.  With
+    certify, a system's certificate of B and, at theta < 1, of
+    E = I - (1 - theta) dt A_old is made the first time the system is
+    used, and a failed one raises CertificateError instead of yielding
+    its step.  It steps with grid.dt, so a time axis that is not uniform
+    is a ValueError.
     """
     _uniform_dt(grid)
     plan = _plan(grid)
@@ -414,14 +413,12 @@ def _steps(field, grid, theta, certify=False):
         kept = plan.stepped
         if kept is None or kept.field is not field or kept.theta != theta:
             kept = plan.stepped = _System(field, grid, theta, grid.times[0])
-    else:
-        eye = sparse.eye(plan.N, format="csr")
     A_old = None
     if theta != 1.0:
         A_old = kept.A if kept else discretize_operator(
             field, grid, grid.times[0])[0]
     for n in range(grid.n_t - 1):
-        system = kept or _System(field, grid, theta, grid.times[n + 1], eye)
+        system = kept or _System(field, grid, theta, grid.times[n + 1])
         if certify and system.certificate is None:
             system.certificate = _certify(system.B, A_old, theta, grid)
         yield n, A_old, system

@@ -557,19 +557,13 @@ def schauder_ratio(problem, grid, alpha=0.5, n_points=1200, seed=0,
 def first_layer_weighted_hessian(u):
     """Max of |x_d D^2 u| on the audited part of the first height layer
     above the boundary."""
-    grid = u.grid
-    d = grid.d
-    mask = grid.audited_mask()
-    layer = [slice(None)] * d
-    layer[-1] = 1
-    layer_mask = np.zeros(grid.shape, dtype=bool)
-    layer_mask[tuple(layer)] = True
-    layer_mask &= mask
+    d = u.grid.d
+    layer = u.grid.audited_mask()[..., 1]
     best = 0.0
     for i in range(d):
         for j in range(i, d):
-            w = u.second_derivative(i, j).weighted_by_height()
-            best = max(best, float(np.max(np.abs(w.values[:, layer_mask]))))
+            w = u.second_derivative(i, j).weighted_by_height().values
+            best = max(best, float(np.max(np.abs(w[..., 1][:, layer]))))
     return best
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_sympy, symbols
-from degenpde.analytic import affine, constant, profile, text_function
+from degenpde.analytic import (affine, axis_weights, bump, constant, profile,
+                               text_function)
 from degenpde.fields import (
     CoefficientField,
     constant_field,
@@ -243,6 +244,19 @@ class TestValidation:
         assert row(r1, "K_hat")[0] == row(r2, "K_hat")[0]
         assert row(r1, "holder_s_hat")[0] == row(r2, "holder_s_hat")[0]
 
+    def test_non_finite_coefficient_fails(self):
+        # finite on any grid of [-2, 2] x [0, 2], but b1 = sqrt(x1 + 2.5)
+        # is NaN where x1 < -2.5 in the sampling box: a NaN estimate must
+        # fail, not read as the maximum of the finite samples
+        f = from_expressions(2, [["1", "0"], ["0", "1"]],
+                             ["sqrt(x1 + 2.5)", "1"], "0",
+                             delta=1.0, K=10.0, nu=1.0)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            rows = validate_assumptions(f)
+        for name in ("K_hat", "holder_s_hat", "holder_rho_hat"):
+            estimate, _, ok = row(rows, name)
+            assert math.isnan(estimate) and not ok
+
 
 def test_vectorized_shapes():
     f = heston(2.0, 0.25, 1.0, 0.0)
@@ -415,6 +429,12 @@ class TestDerivative:
         assert np.all(u.dx(1, t, x) == 0.0)
         assert np.all(u.dxx(0, 1, t, x) == 0.0)
         assert np.any(u.dxx(0, 0, t, x) != 0.0)
+
+    def test_second_derivative_is_derivative_of_first(self):
+        # each derivative is built once, from the one below it
+        f = bump(2, [0, 0], [1, 1]) * profile("exp", axis_weights(2, 0, -1.0))
+        assert f.derivative((1, 2)) is f.derivative((1,)).derivative((2,))
+        assert f.derivative((2, 1)) is f.derivative((1, 2))
 
     @settings(deadline=None, max_examples=30)
     @given(st.lists(st.lists(st.sampled_from(range(len(FACTORS))),

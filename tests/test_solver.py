@@ -617,6 +617,14 @@ def count_calls(monkeypatch, name, wrap=None):
     return calls
 
 
+def count_identities(monkeypatch):
+    """Record the calls of solver.sparse.eye."""
+    eye, identities = solver.sparse.eye, []
+    monkeypatch.setattr(solver.sparse, "eye", lambda *args, **kw: (
+        identities.append(args) or eye(*args, **kw)))
+    return identities
+
+
 def reference_solve(problem, grid, theta=1.0):
     """The theta-scheme with frozen boundary values, one spsolve a step."""
     field = problem.field
@@ -768,9 +776,7 @@ class TestSteppedSystem:
         assembled = count_calls(monkeypatch, "discretize_operator")
         factored = count_calls(monkeypatch, "splu")
         certified = count_calls(monkeypatch, "monotonicity_certificate")
-        eye, identities = solver.sparse.eye, []
-        monkeypatch.setattr(solver.sparse, "eye", lambda *args, **kw: (
-            identities.append(args) or eye(*args, **kw)))
+        identities = count_identities(monkeypatch)
         field = heston(2.0, 0.25, 1.0, 0.0)
         grid = small_grid(n=9, n_slices=5)
         first, second = self.problems(field, 1)
@@ -786,6 +792,15 @@ class TestSteppedSystem:
         for problem, result in zip((first, second), got):
             self.assert_same(result, self.run(problem, same_axes(grid)))
         assert got[1][2].passed
+
+    def test_grid_forms_one_identity(self, monkeypatch):
+        # a time-dependent solve and the operator of a field that does
+        # not depend on time add to the one identity of the grid's plan
+        identities = count_identities(monkeypatch)
+        grid = small_grid(n=9, n_slices=5)
+        u, _ = solve_cauchy(self.problems(accelerating_field(), 5)[0], grid)
+        apply_discrete_operator(u, heston(2.0, 0.25, 1.0, 0.0))
+        assert len(identities) == 1
 
     def test_certificate_made_on_first_certified_solve(self, monkeypatch):
         certified = count_calls(monkeypatch, "monotonicity_certificate")
